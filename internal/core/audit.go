@@ -162,3 +162,35 @@ func (r *Relation) auditStripes(b *opBuf, e *decomp.Edge, inst *Instance, at *de
 		}
 	}
 }
+
+// auditWrite asserts the writer half of the optimistic read protocol for
+// a write to edge e made with the operation's instances insts over the
+// fully bound row: the stripe of the edge's placement instance that
+// covers the written entry (the speculative fallback stripe for a
+// membership change) is held exclusively and its epoch is odd, so every
+// lock-free reader that recorded it fails validation. The instance that
+// carries the covering lock may belong to a node other than the written
+// container's (a rule placed at a dominator), which is what makes the
+// check catch a write left unbumped on a node whose instances carry no
+// stripe array. Placement instances private to the writer are exempt.
+func (r *Relation) auditWrite(b *opBuf, e *decomp.Edge, insts []*Instance, row rel.Row, fresh map[*Instance]bool) {
+	if !auditEnabled.Load() {
+		return
+	}
+	at := insts[r.edgeLockAt[e.Index]]
+	if fresh[at] {
+		return
+	}
+	rule := r.placement.RuleFor(e)
+	stripeBy := rule.StripeBy
+	if rule.Speculative {
+		stripeBy = rule.FallbackStripeBy
+	}
+	idx := 0
+	if k := r.placement.StripeCount(at.node); k > 1 && len(stripeBy) > 0 {
+		idx = int(row.HashAt(r.schema.Indices(stripeBy)) % uint64(k))
+	}
+	if l := at.lock(idx); !b.txn.HoldsExclusive(l) || !l.EpochOdd() {
+		panic(fmt.Sprintf("core: audit: write to %s under %v without an exclusive hold and an odd epoch", e.Name, l.ID()))
+	}
+}

@@ -27,7 +27,7 @@ func collectEpochs(r *Relation) map[string]uint64 {
 			return
 		}
 		seen[inst] = true
-		for i := range inst.lockArr {
+		for i := 0; inst.locks != nil && i < inst.locks.Len(); i++ {
 			l := inst.lock(i)
 			out[l.ID().String()] = l.Epoch()
 		}
@@ -115,6 +115,55 @@ func TestEpochBumpExactlyTouchedInstances(t *testing.T) {
 		t.Fatalf("remove: ok=%v err=%v", ok, err)
 	}
 	epochDelta(t, before, collectEpochs(r), map[string]bool{uLock: true})
+}
+
+// TestLockNodesOnly pins the lock layout: instances carry stripe arrays
+// exactly on the nodes the placement puts a lock on. On the fine stick
+// the leaf w (no out-edge, no rule placed there) carries none; under the
+// coarse placement only the root does.
+func TestLockNodesOnly(t *testing.T) {
+	for _, tc := range []struct {
+		place func(*decomp.Decomposition) *locks.Placement
+		nodes map[string]bool // lock ID node prefixes expected
+	}{
+		{locks.FineGrained, map[string]bool{"node0": true, "node1": true, "node2": true}},
+		{locks.Coarse, map[string]bool{"node0": true}},
+	} {
+		r := stickRel(t, container.ConcurrentHashMap, container.ConcurrentSkipListMap, tc.place)
+		mustInsert(t, r, 1, 2, 10)
+		mustInsert(t, r, 1, 3, 11)
+		seen := map[string]bool{}
+		for id := range collectEpochs(r) {
+			seen[id[:5]] = true
+		}
+		if len(seen) != len(tc.nodes) {
+			t.Errorf("lock-bearing nodes %v, want %v", seen, tc.nodes)
+		}
+		for n := range seen {
+			if !tc.nodes[n] {
+				t.Errorf("instances of %s carry locks; want only %v", n, tc.nodes)
+			}
+		}
+	}
+}
+
+// TestEpochBumpAtPlacementNode pins where a write's epoch bump lands: on
+// the lock the write is made under, not on the written instance. Under
+// the coarse placement every edge is placed at the root, so a write to
+// u(1)'s container alone — whose instance carries no stripe array — must
+// still bump the root's cell, or a lock-free reader that recorded the
+// root's epoch would validate across it.
+func TestEpochBumpAtPlacementNode(t *testing.T) {
+	r := stickRel(t, container.ConcurrentHashMap, container.ConcurrentSkipListMap, locks.Coarse)
+	mustInsert(t, r, 1, 2, 10)
+	before := collectEpochs(r)
+	mustInsert(t, r, 1, 3, 11)
+	epochDelta(t, before, collectEpochs(r), map[string]bool{"node0()#0": true})
+	before = collectEpochs(r)
+	if ok, err := r.Remove(rel.T("src", 1, "dst", 3)); err != nil || !ok {
+		t.Fatalf("remove: ok=%v err=%v", ok, err)
+	}
+	epochDelta(t, before, collectEpochs(r), map[string]bool{"node0()#0": true})
 }
 
 func mustInsertTuple(t *testing.T, r *Relation, s, tup rel.Tuple) {

@@ -15,34 +15,74 @@ import (
 
 // Instance is the runtime counterpart of a decomposition node (§4.1): one
 // object per distinct valuation of the node's bound columns A. It owns one
-// container per outgoing edge and the stripe array of physical locks the
-// placement assigns to the node.
+// container per outgoing edge and, on the nodes the placement puts a lock
+// on, the stripe array of physical locks (§4.4). An instance stores no
+// copy of its key: the lock identities encode it once, and every other
+// consumer reads the bound columns off the path that reached it.
 type Instance struct {
 	node *decomp.Node
-	// key is the valuation of node.A in sorted column order; it is the
-	// instance component of the lock IDs (§5.1).
-	key rel.Key
 	// containers holds one container per outgoing edge, indexed by the
 	// edge's position in node.Out. Values stored in a container are
 	// always *Instance.
 	containers []container.Map
-	// lockArr is the stripe array of physical locks (§4.4).
-	lockArr []locks.Lock
+	// locks is the stripe array, nil on nodes that carry no lock
+	// (Relation.lockNode). It is co-allocated with the instance.
+	locks *locks.Array
 }
 
+// Co-allocated instance shapes: the common one-out-edge node keeps its
+// container slot inline, and a lock-bearing node its stripe array, so a
+// node instance costs one allocation plus its containers.
+type (
+	instance1 struct {
+		Instance
+		c [1]container.Map
+	}
+	lockedInstance struct {
+		Instance
+		arr locks.Array
+	}
+	lockedInstance1 struct {
+		Instance
+		c   [1]container.Map
+		arr locks.Array
+	}
+)
+
 // newInstance allocates the instance of node n for the valuation carried
-// by row (which must bind all of n.A). The instance key is gathered
-// through the relation's precomputed schema indices for n.A.
+// by row (which must bind all of n.A). A lock-bearing instance's identity
+// prefix is encoded straight from the row through the relation's
+// precomputed schema indices for n.A.
 func (r *Relation) newInstance(n *decomp.Node, row rel.Row) *Instance {
-	key := row.KeyAt(r.nodeKey[n.Index])
-	inst := &Instance{
-		node:       n,
-		key:        key,
-		containers: make([]container.Map, len(n.Out)),
-		lockArr:    locks.NewArray(r.regID, n.Index, key, r.placement.StripeCount(n)),
+	var inst *Instance
+	var arr *locks.Array
+	switch locked, one := r.lockNode[n.Index], len(n.Out) == 1; {
+	case locked && one:
+		s := &lockedInstance1{}
+		inst, arr = &s.Instance, &s.arr
+		inst.containers = s.c[:]
+	case locked:
+		s := &lockedInstance{}
+		inst, arr = &s.Instance, &s.arr
+	case one:
+		s := &instance1{}
+		inst = &s.Instance
+		inst.containers = s.c[:]
+	default:
+		inst = &Instance{}
+	}
+	inst.node = n
+	if inst.containers == nil && len(n.Out) > 0 {
+		inst.containers = make([]container.Map, len(n.Out))
 	}
 	for i, e := range n.Out {
 		inst.containers[i] = container.New(e.Container)
+	}
+	if arr != nil {
+		var pbuf [64]byte
+		prefix := locks.AppendIDPrefix(pbuf[:0], r.regID, n.Index)
+		arr.Init(row.AppendOrderedAt(prefix, r.nodeKey[n.Index]), r.placement.StripeCount(n))
+		inst.locks = arr
 	}
 	return inst
 }
@@ -54,33 +94,34 @@ func (r *Relation) container(inst *Instance, e *decomp.Edge) container.Map {
 	return inst.containers[r.edgeSlot[e.Index]]
 }
 
-// lock returns the i'th physical lock of the instance.
-func (inst *Instance) lock(i int) *locks.Lock { return &inst.lockArr[i] }
+// lock returns the i'th physical lock of the instance, which must be of
+// a lock-bearing node.
+func (inst *Instance) lock(i int) *locks.Lock { return inst.locks.Lock(i) }
 
-// beginWriteEpochs marks a protected write to inst's containers as in
-// flight: every epoch cell of inst whose lock the transaction holds
-// exclusively is begin-bumped (made odd), exactly once per transaction
-// (an already-odd cell under our exclusive hold was bumped by us — no
-// other transaction can move a cell while we hold its lock). The bumped
-// cells are remembered on the buffer and end-bumped (made even again) by
-// finishEpochs just before the shrinking phase releases the locks, so a
-// lock-free optimistic reader can never validate a read that overlapped
-// this transaction's write phase — including writes later undone by the
-// rollback of a panicked batch, which happens while the locks (and the
-// odd epochs) are still held.
+// beginWriteEpochs marks a protected write to edge e's container as in
+// flight. insts maps node index → the writing operation's instances; the
+// write is made under the edge's placement lock, which lives on the
+// instance of edgeLockAt (the rule's At, or the speculative fallback),
+// and every epoch cell of that instance whose lock the transaction holds
+// exclusively is begin-bumped (made odd), exactly once per transaction.
+// The bumped cells are remembered on the buffer and end-bumped (made even
+// again) by finishEpochs just before the shrinking phase releases the
+// locks, so a lock-free optimistic reader — which recorded the same
+// placement lock's epoch where the pessimistic plan would have acquired
+// it — can never validate a read that overlapped this transaction's write
+// phase, including writes later undone by the rollback of a panicked
+// batch, which happens while the locks (and the odd epochs) are still
+// held.
 //
-// The written entry's physical lock is always among the bumped cells: the
-// executor only writes a container under the entry's placement lock held
-// exclusively (the well-lockedness invariant the auditor asserts), and
-// that lock lives in the written instance's stripe array — a selector
-// stripe for plain placements, the fallback stripe for speculative
-// membership changes. Bumping every exclusively held stripe of inst is
-// conservative beyond that (it may invalidate readers of sibling
-// entries), but never misses a conflict. An already-odd cell under our
-// exclusive hold was bumped by us (no other transaction can move a cell
-// while we hold its lock) and is skipped inside BeginWriteEpochs.
-func (r *Relation) beginWriteEpochs(b *opBuf, inst *Instance) {
-	b.bumped = b.txn.BeginWriteEpochs(inst.lockArr, b.bumped)
+// Bumping every exclusively held stripe of the placement instance is
+// conservative beyond the written entry's own stripe (it may invalidate
+// readers of sibling entries), but never misses a conflict. An
+// already-odd cell under our exclusive hold was bumped by us (no other
+// transaction can move a cell while we hold its lock) and is skipped
+// inside BeginWriteEpochs. A placement instance created by this operation
+// is private and has nothing held to bump.
+func (r *Relation) beginWriteEpochs(b *opBuf, insts []*Instance, e *decomp.Edge) {
+	b.bumped = b.txn.BeginWriteEpochs(insts[r.edgeLockAt[e.Index]].locks, b.bumped)
 }
 
 // qstate is a query state (§5.2): a dense row binding a subset of the

@@ -22,7 +22,9 @@ func (r *Relation) InstanceDOT(title string) string {
 
 	names := map[*Instance]string{}
 	counters := make([]int, len(r.decomp.Nodes))
-	nameOf := func(inst *Instance) string {
+	// Instances store no key: the label is the valuation of the node's
+	// bound columns read off the path that reached the instance.
+	nameOf := func(inst *Instance, bound rel.Tuple) string {
 		if n, ok := names[inst]; ok {
 			return n
 		}
@@ -30,8 +32,8 @@ func (r *Relation) InstanceDOT(title string) string {
 		n := fmt.Sprintf("%s%d", inst.node.Name, counters[inst.node.Index])
 		names[inst] = n
 		label := n
-		if inst.key.Len() > 0 {
-			label = fmt.Sprintf("%s\\n%s", n, inst.key)
+		if len(inst.node.A) > 0 {
+			label = fmt.Sprintf("%s\\n%s", n, bound.Key(inst.node.A))
 		}
 		fmt.Fprintf(&b, "  %q [label=\"%s\"];\n", n, strings.ReplaceAll(label, `"`, `\"`))
 		return n
@@ -44,13 +46,13 @@ func (r *Relation) InstanceDOT(title string) string {
 	}
 	var entries []entry
 	seen := map[*Instance]bool{}
-	var walk func(inst *Instance)
-	walk = func(inst *Instance) {
+	var walk func(inst *Instance, bound rel.Tuple)
+	walk = func(inst *Instance, bound rel.Tuple) {
 		if seen[inst] {
 			return
 		}
 		seen[inst] = true
-		nameOf(inst)
+		nameOf(inst, bound)
 		for i, e := range inst.node.Out {
 			style := "solid"
 			switch {
@@ -62,12 +64,12 @@ func (r *Relation) InstanceDOT(title string) string {
 			inst.containers[i].Scan(func(k rel.Key, v any) bool {
 				child := v.(*Instance)
 				entries = append(entries, entry{src: inst, dst: child, label: k.String(), style: style})
-				walk(child)
+				walk(child, bound.MustUnion(k.Tuple(e.Cols)))
 				return true
 			})
 		}
 	}
-	walk(r.root)
+	walk(r.root, rel.T())
 
 	// Deterministic edge order for stable output.
 	sort.Slice(entries, func(i, j int) bool {

@@ -95,20 +95,23 @@ func (r *Relation) insertWrite(b *opBuf, xinst []*Instance, x rel.Row) {
 				panic(fmt.Sprintf("core: insert write phase reached %s before its source %s", n.Name, e.Src.Name))
 			}
 			r.auditAccess(b, e, xinst, x, nil, fresh, false)
-			r.writeEdge(b, src, e, x.KeyAt(r.edgeCols[e.Index]), inst)
+			r.writeEdge(b, xinst, e, x.KeyAt(r.edgeCols[e.Index]), inst)
+			r.auditWrite(b, e, xinst, x, fresh)
 		}
 	}
 }
 
-// writeEdge performs the container write implementing edge e on src:
-// begin-bump the epoch cells of src's exclusively held locks (so
-// optimistic readers overlapping this write cannot validate; epochs stay
-// odd until the shrinking phase even if the batch later rolls back), then
-// record the displaced binding in the batch undo log when one is active
+// writeEdge performs the container write implementing edge e on the
+// source instance among insts (the operation's located instances):
+// begin-bump the epoch cells of the exclusively held
+// locks on the edge's placement instance (so optimistic readers
+// overlapping this write cannot validate; epochs stay odd until the
+// shrinking phase even if the batch later rolls back), then record the
+// displaced binding in the batch undo log when one is active
 // (all-or-nothing rollback; batch.go), then write.
-func (r *Relation) writeEdge(b *opBuf, src *Instance, e *decomp.Edge, key rel.Key, val any) {
-	r.beginWriteEpochs(b, src)
-	c := r.container(src, e)
+func (r *Relation) writeEdge(b *opBuf, insts []*Instance, e *decomp.Edge, key rel.Key, val any) {
+	r.beginWriteEpochs(b, insts, e)
+	c := r.container(insts[e.Src.Index], e)
 	if b.undo != nil {
 		old, had := c.Lookup(key)
 		b.undo.record(c, key, old, had)
@@ -286,7 +289,8 @@ func (r *Relation) deleteTuple(b *opBuf, st *qstate) {
 			// lock (fallback stripe / placement lock) must be held.
 			r.auditAccess(b, e, st.insts, st.row, inst, b.fresh, false)
 			r.auditAccess(b, e, st.insts, st.row, nil, b.fresh, false)
-			r.writeEdge(b, src, e, b.keyOf(st.row, r.edgeCols[e.Index]), nil)
+			r.writeEdge(b, st.insts, e, b.keyOf(st.row, r.edgeCols[e.Index]), nil)
+			r.auditWrite(b, e, st.insts, st.row, b.fresh)
 		}
 	}
 }

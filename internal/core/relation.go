@@ -47,6 +47,15 @@ type Relation struct {
 	nodeKey     [][]int
 	nodeKeyMask []uint64
 
+	// Lock layout, fixed at Synthesize time: lockNode marks the nodes
+	// whose instances carry a stripe array (Placement.LockNodes; every
+	// other node's instances carry none), and edgeLockAt gives per edge
+	// the node whose instance holds the lock a write to the edge's
+	// container is made under — the rule's At, or FallbackAt for a
+	// speculative rule, whose membership changes the fallback covers.
+	lockNode   []bool
+	edgeLockAt []int
+
 	// optimisticOK, fixed at Synthesize time, reports that every container
 	// in the decomposition is concurrency-safe (Figure 1), so read-only
 	// batches may run lock-free under the optimistic epoch-validation
@@ -140,9 +149,16 @@ func synthesize(g *Registry, regID int, name string, d *decomp.Decomposition, p 
 	}
 	r.edgeCols = make([][]int, len(d.Edges))
 	r.edgeSlot = make([]int, len(d.Edges))
+	r.lockNode = p.LockNodes()
+	r.edgeLockAt = make([]int, len(d.Edges))
 	r.optimisticOK = true
 	for _, e := range d.Edges {
 		r.edgeCols[e.Index] = schema.Indices(e.Cols)
+		if rule := p.RuleFor(e); rule.Speculative {
+			r.edgeLockAt[e.Index] = rule.FallbackAt.Index
+		} else {
+			r.edgeLockAt[e.Index] = rule.At.Index
+		}
 		for i, oe := range e.Src.Out {
 			if oe == e {
 				r.edgeSlot[e.Index] = i

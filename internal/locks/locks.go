@@ -8,10 +8,11 @@
 package locks
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -96,18 +97,13 @@ func (id ID) String() string {
 	return fmt.Sprintf("node%d%s#%d", id.Node, id.Inst, id.Stripe)
 }
 
-// Lock is a physical lock: a shared/exclusive mutex plus its identity in
-// the global order, plus the epoch cell of the optimistic read protocol.
-// Locks are embedded in node instances and must not be copied after first
-// use.
+// Lock is a physical lock: a shared/exclusive mutex, the epoch cell of
+// the optimistic read protocol, and its place in the global order — a
+// pointer to the identity header its whole stripe array shares plus its
+// stripe number. Locks live in an Array and must not be copied after
+// first use.
 type Lock struct {
 	mu sync.RWMutex
-	id ID
-	// enc is the order-preserving byte encoding of id, precomputed once:
-	// bytes.Compare(a.enc, b.enc) == CompareIDs(a.id, b.id), so every
-	// growing-phase sort and order assertion is a memcmp instead of a
-	// dynamic key walk.
-	enc []byte
 	// epoch is the seqlock-style version cell read-only transactions
 	// validate against instead of taking the lock shared (readset.go). It
 	// is only ever modified by a transaction holding the lock exclusively:
@@ -115,43 +111,86 @@ type Lock struct {
 	// +1 again before the lock is released (even = quiescent). A lock-free
 	// reader therefore observed a stable state iff the epoch it recorded
 	// before reading is even and unchanged when it validates.
-	epoch atomic.Uint64
+	epoch  atomic.Uint64
+	hdr    *header
+	stripe int32
 }
 
-// encodeIDPrefix appends the order-preserving encoding of the ID fields
-// shared by a whole stripe array: (rel, node, inst). Rel, Node and (in
-// NewArray) Stripe are small non-negative ints, so a 4-byte big-endian
-// field preserves their order; Inst uses the rel package's ordered value
-// encoding.
-func encodeIDPrefix(dst []byte, relID, node int, inst rel.Key) []byte {
+// header is the identity one stripe array's locks share: the
+// order-preserving encoding of (rel, node, inst), built once per array,
+// so that bytes.Compare of two prefixes agrees with CompareIDs on
+// everything but the stripe. Rel and Node are small non-negative ints,
+// so a 4-byte big-endian field preserves their order; Inst uses the rel
+// package's ordered value encoding, which is self-delimiting, so two
+// prefixes of the same node never stand in a proper-prefix relation.
+type header struct {
+	prefix string
+}
+
+// Array is the stripe array of physical locks carried by one node
+// instance (§4.4): n locks ordered consecutively at (rel, node, inst,
+// 0..n-1). Stripe 0 is stored inline, so the common one-stripe array is
+// a single fixed-size value a node instance can embed; further stripes
+// share one slab. An Array must not be copied after Init.
+type Array struct {
+	hdr  header
+	head Lock
+	tail []Lock
+}
+
+// AppendIDPrefix appends the encoding of (relID, node) that begins every
+// lock identity prefix; the caller appends the instance key's ordered
+// encoding (rel.AppendOrderedKey or rel.Row.AppendOrderedAt) and passes
+// the result to Array.Init.
+func AppendIDPrefix(dst []byte, relID, node int) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(relID))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(node))
-	return rel.AppendOrderedKey(dst, inst)
+	return binary.BigEndian.AppendUint32(dst, uint32(node))
 }
 
-// NewArray allocates the stripe array of physical locks for one node
-// instance of the relation registered as relID: n locks ordered
-// consecutively at (relID, nodeIndex, inst, 0..n-1). NewArray runs on
-// the insert hot path (one call per new node instance), so the shared
-// (rel, node, inst) encoding prefix is built in a stack buffer and all n
-// per-stripe encodings share one backing array.
-func NewArray(relID, nodeIndex int, inst rel.Key, n int) []Lock {
-	ls := make([]Lock, n)
-	var pbuf [64]byte
-	prefix := encodeIDPrefix(pbuf[:0], relID, nodeIndex, inst)
-	buf := make([]byte, 0, n*(len(prefix)+4))
-	for i := range ls {
-		ls[i].id = ID{Rel: relID, Node: nodeIndex, Inst: inst, Stripe: i}
-		off := len(buf)
-		buf = append(buf, prefix...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(i))
-		ls[i].enc = buf[off:len(buf):len(buf)]
+// Init sets up a as an n-stripe array whose identity prefix is prefix
+// (AppendIDPrefix followed by the ordered instance key; copied). Init
+// runs on the insert hot path, once per new lock-bearing node instance:
+// one allocation for the prefix, plus one slab when n > 1.
+func (a *Array) Init(prefix []byte, n int) {
+	a.hdr.prefix = string(prefix)
+	a.head.hdr = &a.hdr
+	if n > 1 {
+		a.tail = make([]Lock, n-1)
+		for i := range a.tail {
+			a.tail[i].hdr = &a.hdr
+			a.tail[i].stripe = int32(i + 1)
+		}
 	}
-	return ls
 }
 
-// ID returns the lock's identity.
-func (l *Lock) ID() ID { return l.id }
+// Len returns the number of stripes.
+func (a *Array) Len() int { return 1 + len(a.tail) }
+
+// Lock returns stripe i.
+func (a *Array) Lock(i int) *Lock {
+	if i == 0 {
+		return &a.head
+	}
+	return &a.tail[i-1]
+}
+
+// ID rebuilds the lock's identity from its array's prefix. Only
+// diagnostics (panics, String, traces and the auditor) need it; the
+// instance key comes back with int and int64 values as int64, which
+// CompareIDs treats as equal.
+func (l *Lock) ID() ID {
+	p := []byte(l.hdr.prefix)
+	inst, err := rel.DecodeOrderedKey(p[8:])
+	if err != nil {
+		panic(fmt.Sprintf("locks: corrupt lock identity prefix: %v", err))
+	}
+	return ID{
+		Rel:    int(binary.BigEndian.Uint32(p[0:4])),
+		Node:   int(binary.BigEndian.Uint32(p[4:8])),
+		Inst:   inst,
+		Stripe: int(l.stripe),
+	}
+}
 
 // Epoch returns the lock's epoch cell. Even values mean no protected write
 // is in flight; see Lock.epoch and ReadSet.
@@ -170,9 +209,17 @@ func (l *Lock) EpochOdd() bool { return l.epoch.Load()&1 == 1 }
 // phase, including undo-log rollback.
 func (l *Lock) BumpEpoch() { l.epoch.Add(1) }
 
-// compareLocks orders two locks by their precomputed ID encodings — the
-// hot-path equivalent of CompareIDs on the lock identities.
-func compareLocks(a, b *Lock) int { return bytes.Compare(a.enc, b.enc) }
+// compareLocks orders two locks as CompareIDs orders their identities:
+// stripes of one array by stripe number alone, locks of different arrays
+// by one memcmp of their shared prefixes first.
+func compareLocks(a, b *Lock) int {
+	if a.hdr != b.hdr {
+		if c := strings.Compare(a.hdr.prefix, b.hdr.prefix); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(a.stripe, b.stripe)
+}
 
 func (l *Lock) lock(m Mode) {
 	if m == Exclusive {
@@ -244,7 +291,7 @@ func (t *Txn) findHeld(l *Lock) (int, bool) {
 	lo, hi := 0, len(t.held)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(t.held[mid].l.enc, l.enc) < 0 {
+		if compareLocks(t.held[mid].l, l) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -271,19 +318,18 @@ func (t *Txn) HoldsExclusive(l *Lock) bool {
 // not already bumped, appending the bumped locks to out and returning it;
 // the caller must end-bump each before release. It is the writer half of
 // the optimistic read protocol, called before a transaction's container
-// writes on arr's instance. A stripe array is contiguous in the global
-// lock order (same (rel, node, inst) prefix), so the held locks of the
-// instance form one run of the sorted held list: one binary search plus a
-// bounded scan, instead of probing all k stripes of a striped node.
-func (t *Txn) BeginWriteEpochs(arr []Lock, out []*Lock) []*Lock {
-	if len(t.held) == 0 || len(arr) == 0 {
+// writes under arr. A stripe array is contiguous in the global lock
+// order (one shared header), so the held locks of the array form one run
+// of the sorted held list: one binary search plus a bounded scan, instead
+// of probing all k stripes of a striped node.
+func (t *Txn) BeginWriteEpochs(arr *Array, out []*Lock) []*Lock {
+	if len(t.held) == 0 {
 		return out
 	}
-	lo, _ := t.findHeld(&arr[0])
-	last := arr[len(arr)-1].enc
+	lo, _ := t.findHeld(&arr.head)
 	for i := lo; i < len(t.held); i++ {
 		h := &t.held[i]
-		if bytes.Compare(h.l.enc, last) > 0 {
+		if h.l.hdr != &arr.hdr {
 			break
 		}
 		if h.mode != Exclusive || h.l.EpochOdd() {
@@ -317,7 +363,7 @@ func (t *Txn) Acquire(batch []*Lock, m Mode, preSorted bool) {
 		} else {
 			for i := 1; i < len(batch); i++ {
 				if compareLocks(batch[i-1], batch[i]) > 0 {
-					panic(fmt.Sprintf("locks: batch marked pre-sorted but %v > %v", batch[i-1].id, batch[i].id))
+					panic(fmt.Sprintf("locks: batch marked pre-sorted but %v > %v", batch[i-1].ID(), batch[i].ID()))
 				}
 			}
 		}
@@ -329,11 +375,11 @@ func (t *Txn) Acquire(batch []*Lock, m Mode, preSorted bool) {
 		if max := t.maxHeld(); max != nil && compareLocks(l, max) <= 0 {
 			if idx, held := t.findHeld(l); held {
 				if m == Exclusive && t.held[idx].mode == Shared {
-					panic(fmt.Sprintf("locks: upgrade from shared to exclusive on %v; planner must request exclusive up front", l.id))
+					panic(fmt.Sprintf("locks: upgrade from shared to exclusive on %v; planner must request exclusive up front", l.ID()))
 				}
 				continue
 			}
-			panic(fmt.Sprintf("locks: acquisition of %v violates lock order (max held %v)", l.id, max.id))
+			panic(fmt.Sprintf("locks: acquisition of %v violates lock order (max held %v)", l.ID(), max.ID()))
 		}
 		l.lock(m)
 		t.held = append(t.held, heldLock{l: l, mode: m})
@@ -350,10 +396,10 @@ func (t *Txn) AcquireSpeculative(l *Lock, m Mode) {
 		panic("locks: speculative acquire after release violates two-phase locking")
 	}
 	if t.Holds(l) {
-		panic(fmt.Sprintf("locks: speculative acquire of already-held lock %v", l.id))
+		panic(fmt.Sprintf("locks: speculative acquire of already-held lock %v", l.ID()))
 	}
 	if max := t.maxHeld(); max != nil && compareLocks(l, max) <= 0 {
-		panic(fmt.Sprintf("locks: speculative acquisition of %v violates lock order (max held %v)", l.id, max.id))
+		panic(fmt.Sprintf("locks: speculative acquisition of %v violates lock order (max held %v)", l.ID(), max.ID()))
 	}
 	l.lock(m)
 	t.held = append(t.held, heldLock{l: l, mode: m})

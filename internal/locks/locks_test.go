@@ -9,6 +9,15 @@ import (
 	"repro/internal/rel"
 )
 
+// NewArray builds a standalone n-stripe array for the node instance
+// (relID, node, inst), the way a node instance initialises its own.
+func NewArray(relID, node int, inst rel.Key, n int) *Array {
+	var pbuf [64]byte
+	a := new(Array)
+	a.Init(rel.AppendOrderedKey(AppendIDPrefix(pbuf[:0], relID, node), inst), n)
+	return a
+}
+
 func TestCompareIDs(t *testing.T) {
 	cases := []struct {
 		a, b ID
@@ -32,11 +41,11 @@ func TestCompareIDs(t *testing.T) {
 
 func TestNewArrayIDs(t *testing.T) {
 	ls := NewArray(0, 3, rel.NewKey("k"), 4)
-	if len(ls) != 4 {
-		t.Fatalf("len = %d", len(ls))
+	if ls.Len() != 4 {
+		t.Fatalf("len = %d", ls.Len())
 	}
-	for i := range ls {
-		id := ls[i].ID()
+	for i := 0; i < ls.Len(); i++ {
+		id := ls.Lock(i).ID()
 		if id.Node != 3 || id.Stripe != i || !id.Inst.Equal(rel.NewKey("k")) {
 			t.Fatalf("stripe %d has id %v", i, id)
 		}
@@ -47,31 +56,31 @@ func TestTxnBasicAcquireRelease(t *testing.T) {
 	a := NewArray(0, 0, rel.NewKey(), 1)
 	b := NewArray(0, 1, rel.NewKey(5), 1)
 	txn := NewTxn()
-	txn.Acquire([]*Lock{&a[0]}, Exclusive, false)
-	txn.Acquire([]*Lock{&b[0]}, Shared, false)
-	if !txn.Holds(&a[0]) || !txn.Holds(&b[0]) || txn.HeldCount() != 2 {
+	txn.Acquire([]*Lock{a.Lock(0)}, Exclusive, false)
+	txn.Acquire([]*Lock{b.Lock(0)}, Shared, false)
+	if !txn.Holds(a.Lock(0)) || !txn.Holds(b.Lock(0)) || txn.HeldCount() != 2 {
 		t.Fatal("locks not tracked")
 	}
 	txn.ReleaseAll()
-	if txn.Holds(&a[0]) || txn.HeldCount() != 0 {
+	if txn.Holds(a.Lock(0)) || txn.HeldCount() != 0 {
 		t.Fatal("release incomplete")
 	}
 	// Locks are free again.
 	txn2 := NewTxn()
-	txn2.Acquire([]*Lock{&a[0], &b[0]}, Exclusive, false)
+	txn2.Acquire([]*Lock{a.Lock(0), b.Lock(0)}, Exclusive, false)
 	txn2.ReleaseAll()
 }
 
 func TestTxnDedup(t *testing.T) {
 	a := NewArray(0, 0, rel.NewKey(), 1)
 	txn := NewTxn()
-	txn.Acquire([]*Lock{&a[0], &a[0]}, Exclusive, false)
+	txn.Acquire([]*Lock{a.Lock(0), a.Lock(0)}, Exclusive, false)
 	if txn.HeldCount() != 1 {
 		t.Fatalf("HeldCount = %d", txn.HeldCount())
 	}
 	// Re-acquire of held lock in same or weaker mode is a no-op.
-	txn.Acquire([]*Lock{&a[0]}, Shared, false)
-	txn.Acquire([]*Lock{&a[0]}, Exclusive, false)
+	txn.Acquire([]*Lock{a.Lock(0)}, Shared, false)
+	txn.Acquire([]*Lock{a.Lock(0)}, Exclusive, false)
 	txn.ReleaseAll()
 }
 
@@ -79,7 +88,7 @@ func TestTxnSortsBatch(t *testing.T) {
 	arr := NewArray(0, 2, rel.NewKey(), 8)
 	txn := NewTxn()
 	// Deliberately unsorted batch must be fine.
-	txn.Acquire([]*Lock{&arr[5], &arr[1], &arr[3]}, Exclusive, false)
+	txn.Acquire([]*Lock{arr.Lock(5), arr.Lock(1), arr.Lock(3)}, Exclusive, false)
 	txn.ReleaseAll()
 }
 
@@ -87,40 +96,40 @@ func TestTxnOrderViolationPanics(t *testing.T) {
 	a := NewArray(0, 0, rel.NewKey(), 1)
 	b := NewArray(0, 1, rel.NewKey(), 1)
 	txn := NewTxn()
-	txn.Acquire([]*Lock{&b[0]}, Exclusive, false)
+	txn.Acquire([]*Lock{b.Lock(0)}, Exclusive, false)
 	defer func() {
 		txn.ReleaseAll()
 		if recover() == nil {
 			t.Fatal("expected order-violation panic")
 		}
 	}()
-	txn.Acquire([]*Lock{&a[0]}, Exclusive, false) // node 0 after node 1
+	txn.Acquire([]*Lock{a.Lock(0)}, Exclusive, false) // node 0 after node 1
 }
 
 func TestTxnUpgradePanics(t *testing.T) {
 	a := NewArray(0, 0, rel.NewKey(), 1)
 	txn := NewTxn()
-	txn.Acquire([]*Lock{&a[0]}, Shared, false)
+	txn.Acquire([]*Lock{a.Lock(0)}, Shared, false)
 	defer func() {
 		txn.ReleaseAll()
 		if recover() == nil {
 			t.Fatal("expected upgrade panic")
 		}
 	}()
-	txn.Acquire([]*Lock{&a[0]}, Exclusive, false)
+	txn.Acquire([]*Lock{a.Lock(0)}, Exclusive, false)
 }
 
 func TestTxnTwoPhasePanics(t *testing.T) {
 	a := NewArray(0, 0, rel.NewKey(), 1)
 	txn := NewTxn()
-	txn.Acquire([]*Lock{&a[0]}, Shared, false)
+	txn.Acquire([]*Lock{a.Lock(0)}, Shared, false)
 	txn.ReleaseAll()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected 2PL panic")
 		}
 	}()
-	txn.Acquire([]*Lock{&a[0]}, Shared, false)
+	txn.Acquire([]*Lock{a.Lock(0)}, Shared, false)
 }
 
 func TestTxnPreSortedVerification(t *testing.T) {
@@ -132,39 +141,39 @@ func TestTxnPreSortedVerification(t *testing.T) {
 		}
 		txn.ReleaseAll()
 	}()
-	txn.Acquire([]*Lock{&arr[2], &arr[0]}, Shared, true) // lies about sortedness
+	txn.Acquire([]*Lock{arr.Lock(2), arr.Lock(0)}, Shared, true) // lies about sortedness
 }
 
 func TestSpeculativeAcquireAbandon(t *testing.T) {
 	a := NewArray(0, 0, rel.NewKey(), 2)
 	b := NewArray(0, 1, rel.NewKey(7), 1)
 	txn := NewTxn()
-	txn.Acquire([]*Lock{&a[0]}, Shared, false)
-	txn.AcquireSpeculative(&b[0], Exclusive)
-	if !txn.Holds(&b[0]) {
+	txn.Acquire([]*Lock{a.Lock(0)}, Shared, false)
+	txn.AcquireSpeculative(b.Lock(0), Exclusive)
+	if !txn.Holds(b.Lock(0)) {
 		t.Fatal("speculative lock not held")
 	}
-	txn.Abandon(&b[0])
-	if txn.Holds(&b[0]) {
+	txn.Abandon(b.Lock(0))
+	if txn.Holds(b.Lock(0)) {
 		t.Fatal("abandoned lock still held")
 	}
 	// After abandoning, a lock with smaller ID than b (but larger than a)
 	// can still be taken: the order rolls back.
-	txn.Acquire([]*Lock{&a[1]}, Shared, false)
+	txn.Acquire([]*Lock{a.Lock(1)}, Shared, false)
 	txn.ReleaseAll()
 }
 
 func TestAbandonNonTopPanics(t *testing.T) {
 	a := NewArray(0, 0, rel.NewKey(), 2)
 	txn := NewTxn()
-	txn.Acquire([]*Lock{&a[0], &a[1]}, Shared, false)
+	txn.Acquire([]*Lock{a.Lock(0), a.Lock(1)}, Shared, false)
 	defer func() {
 		txn.ReleaseAll()
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	txn.Abandon(&a[0])
+	txn.Abandon(a.Lock(0))
 }
 
 func TestSharedAllowsParallelReaders(t *testing.T) {
@@ -177,7 +186,7 @@ func TestSharedAllowsParallelReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			txn := NewTxn()
-			txn.Acquire([]*Lock{&a[0]}, Shared, false)
+			txn.Acquire([]*Lock{a.Lock(0)}, Shared, false)
 			n := inside.Add(1)
 			for {
 				p := peak.Load()
@@ -207,7 +216,7 @@ func TestExclusiveExcludes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				txn := NewTxn()
-				txn.Acquire([]*Lock{&a[0]}, Exclusive, false)
+				txn.Acquire([]*Lock{a.Lock(0)}, Exclusive, false)
 				if inside.Add(1) != 1 {
 					fail <- "two writers inside exclusive section"
 				}
@@ -241,9 +250,9 @@ func TestNoDeadlockUnderInversePatterns(t *testing.T) {
 					txn := NewTxn()
 					// Both orders requested; Acquire sorts them.
 					if w%2 == 0 {
-						txn.Acquire([]*Lock{&a[0], &b[0]}, Exclusive, false)
+						txn.Acquire([]*Lock{a.Lock(0), b.Lock(0)}, Exclusive, false)
 					} else {
-						txn.Acquire([]*Lock{&b[0], &a[0]}, Exclusive, false)
+						txn.Acquire([]*Lock{b.Lock(0), a.Lock(0)}, Exclusive, false)
 					}
 					txn.ReleaseAll()
 				}

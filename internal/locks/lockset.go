@@ -96,11 +96,11 @@ func (t *Txn) AcquireSet(s *LockSet) {
 		if max := t.maxHeld(); max != nil && compareLocks(l, max) <= 0 {
 			if idx, held := t.findHeld(l); held {
 				if m == Exclusive && t.held[idx].mode == Shared {
-					panic(fmt.Sprintf("locks: batch upgrade from shared to exclusive on %v; coalescing must merge modes before first acquisition", l.id))
+					panic(fmt.Sprintf("locks: batch upgrade from shared to exclusive on %v; coalescing must merge modes before first acquisition", l.ID()))
 				}
 				continue
 			}
-			panic(fmt.Sprintf("locks: batch acquisition of %v violates lock order (max held %v)", l.id, max.id))
+			panic(fmt.Sprintf("locks: batch acquisition of %v violates lock order (max held %v)", l.ID(), max.ID()))
 		}
 		l.lock(m)
 		t.held = append(t.held, heldLock{l: l, mode: m})
@@ -113,5 +113,5 @@ func (t *Txn) AcquireSet(s *LockSet) {
 // executor's tracing; i must be < HeldCount().
 func (t *Txn) HeldID(i int) (ID, Mode) {
 	h := t.held[i]
-	return h.l.id, h.mode
+	return h.l.ID(), h.mode
 }

@@ -13,11 +13,11 @@ import (
 func TestLockSetCoalesces(t *testing.T) {
 	arr := NewArray(0, 0, rel.NewKey(), 4)
 	var s LockSet
-	s.Add(&arr[2], Shared)
-	s.Add(&arr[0], Shared)
-	s.Add(&arr[2], Exclusive) // same lock, stronger mode
-	s.Add(&arr[0], Shared)    // duplicate
-	s.Add(&arr[1], Exclusive)
+	s.Add(arr.Lock(2), Shared)
+	s.Add(arr.Lock(0), Shared)
+	s.Add(arr.Lock(2), Exclusive) // same lock, stronger mode
+	s.Add(arr.Lock(0), Shared)    // duplicate
+	s.Add(arr.Lock(1), Exclusive)
 	if s.Requested() != 5 {
 		t.Fatalf("Requested = %d, want 5", s.Requested())
 	}
@@ -49,10 +49,10 @@ func TestLockSetSkipsHeld(t *testing.T) {
 	arr := NewArray(0, 0, rel.NewKey(), 3)
 	tx := NewTxn()
 	var s LockSet
-	s.Add(&arr[0], Exclusive)
+	s.Add(arr.Lock(0), Exclusive)
 	tx.AcquireSet(&s)
-	s.Add(&arr[0], Shared) // weaker re-request of a held lock: skipped
-	s.Add(&arr[1], Shared)
+	s.Add(arr.Lock(0), Shared) // weaker re-request of a held lock: skipped
+	s.Add(arr.Lock(1), Shared)
 	tx.AcquireSet(&s)
 	if tx.HeldCount() != 2 {
 		t.Fatalf("held %d locks, want 2", tx.HeldCount())
@@ -71,7 +71,7 @@ func TestLockSetUpgradePanics(t *testing.T) {
 	arr := NewArray(0, 0, rel.NewKey(), 2)
 	tx := NewTxn()
 	var s LockSet
-	s.Add(&arr[0], Shared)
+	s.Add(arr.Lock(0), Shared)
 	tx.AcquireSet(&s)
 	defer func() {
 		if recover() == nil {
@@ -80,7 +80,7 @@ func TestLockSetUpgradePanics(t *testing.T) {
 		// The panic left arr[0] held shared; release for cleanliness.
 		tx.ReleaseAll()
 	}()
-	s.Add(&arr[0], Exclusive)
+	s.Add(arr.Lock(0), Exclusive)
 	tx.AcquireSet(&s)
 }
 
@@ -91,7 +91,7 @@ func TestLockSetOrderViolationPanics(t *testing.T) {
 	arr := NewArray(0, 0, rel.NewKey(), 2)
 	tx := NewTxn()
 	var s LockSet
-	s.Add(&arr[1], Shared)
+	s.Add(arr.Lock(1), Shared)
 	tx.AcquireSet(&s)
 	defer func() {
 		if recover() == nil {
@@ -99,7 +99,7 @@ func TestLockSetOrderViolationPanics(t *testing.T) {
 		}
 		tx.ReleaseAll()
 	}()
-	s.Add(&arr[0], Shared)
+	s.Add(arr.Lock(0), Shared)
 	tx.AcquireSet(&s)
 }
 
@@ -115,6 +115,6 @@ func TestLockSetAfterReleasePanics(t *testing.T) {
 		}
 	}()
 	var s LockSet
-	s.Add(&arr[0], Shared)
+	s.Add(arr.Lock(0), Shared)
 	tx.AcquireSet(&s)
 }

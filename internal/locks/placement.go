@@ -163,6 +163,21 @@ func Rebase(p *Placement, d2 *decomp.Decomposition) (*Placement, error) {
 // RuleFor returns the rule protecting edge e.
 func (p *Placement) RuleFor(e *decomp.Edge) Rule { return p.Rules[e.Index] }
 
+// LockNodes reports, indexed by node.Index, which nodes' instances carry
+// physical locks: the At of every rule (for a speculative rule, the edge
+// target) and the FallbackAt of every speculative rule. Instances of any
+// other node need no stripe array.
+func (p *Placement) LockNodes() []bool {
+	out := make([]bool, len(p.D.Nodes))
+	for _, r := range p.Rules {
+		out[r.At.Index] = true
+		if r.Speculative {
+			out[r.FallbackAt.Index] = true
+		}
+	}
+	return out
+}
+
 // StripeCount returns the stripe count of node n.
 func (p *Placement) StripeCount(n *decomp.Node) int { return p.Stripes[n.Index] }
 

@@ -9,8 +9,8 @@ import (
 func TestReadSetValidateQuiescent(t *testing.T) {
 	ls := NewArray(1, 0, rel.KeyOver(nil), 4)
 	var s ReadSet
-	for i := range ls {
-		if !s.Record(&ls[i]) {
+	for i := 0; i < ls.Len(); i++ {
+		if !s.Record(ls.Lock(i)) {
 			t.Fatalf("record of quiescent lock %d reported stale", i)
 		}
 	}
@@ -28,17 +28,17 @@ func TestReadSetValidateQuiescent(t *testing.T) {
 func TestReadSetDetectsCommittedWrite(t *testing.T) {
 	ls := NewArray(1, 0, rel.KeyOver(nil), 2)
 	var s ReadSet
-	s.Record(&ls[0])
-	s.Record(&ls[1])
+	s.Record(ls.Lock(0))
+	s.Record(ls.Lock(1))
 	// A writer commits under ls[1] between record and validate.
-	ls[1].BumpEpoch()
-	ls[1].BumpEpoch()
+	ls.Lock(1).BumpEpoch()
+	ls.Lock(1).BumpEpoch()
 	if s.Validate(nil) {
 		t.Fatal("validation passed across a committed write")
 	}
 	s.Reset()
-	s.Record(&ls[0])
-	s.Record(&ls[1])
+	s.Record(ls.Lock(0))
+	s.Record(ls.Lock(1))
 	if !s.Validate(nil) {
 		t.Fatal("validation failed after Reset with quiescent epochs")
 	}
@@ -46,16 +46,16 @@ func TestReadSetDetectsCommittedWrite(t *testing.T) {
 
 func TestReadSetDetectsInFlightWrite(t *testing.T) {
 	ls := NewArray(1, 0, rel.KeyOver(nil), 1)
-	ls[0].BumpEpoch() // begin-bump: write in flight
+	ls.Lock(0).BumpEpoch() // begin-bump: write in flight
 	var s ReadSet
-	if s.Record(&ls[0]) {
+	if s.Record(ls.Lock(0)) {
 		t.Fatal("record of an odd epoch reported quiescent")
 	}
 	if s.Validate(nil) {
 		t.Fatal("validation passed over an in-flight write")
 	}
 	// The write completes; the epoch moved, so the attempt stays invalid.
-	ls[0].BumpEpoch()
+	ls.Lock(0).BumpEpoch()
 	if s.Validate(nil) {
 		t.Fatal("validation passed after the in-flight write completed")
 	}
@@ -64,10 +64,10 @@ func TestReadSetDetectsInFlightWrite(t *testing.T) {
 func TestReadSetDuplicateRecordsAtDifferentEpochs(t *testing.T) {
 	ls := NewArray(1, 0, rel.KeyOver(nil), 1)
 	var s ReadSet
-	s.Record(&ls[0])
-	ls[0].BumpEpoch()
-	ls[0].BumpEpoch()
-	s.Record(&ls[0]) // same lock, later epoch: a write landed mid-read
+	s.Record(ls.Lock(0))
+	ls.Lock(0).BumpEpoch()
+	ls.Lock(0).BumpEpoch()
+	s.Record(ls.Lock(0)) // same lock, later epoch: a write landed mid-read
 	if s.Validate(nil) {
 		t.Fatal("validation passed with two records of one lock at different epochs")
 	}
@@ -80,12 +80,12 @@ func TestReadSetDuplicateRecordsAtDifferentEpochs(t *testing.T) {
 // while foreign writes under non-held locks still do.
 func TestReadSetValidateSelfHoldRule(t *testing.T) {
 	ls := NewArray(1, 0, rel.KeyOver(nil), 3)
-	own := func(l *Lock) bool { return l == &ls[0] }
+	own := func(l *Lock) bool { return l == ls.Lock(0) }
 	var s ReadSet
-	s.Record(&ls[0])
-	s.Record(&ls[1])
+	s.Record(ls.Lock(0))
+	s.Record(ls.Lock(1))
 	// Our own write begin-bumps ls[0] (odd, in flight).
-	ls[0].BumpEpoch()
+	ls.Lock(0).BumpEpoch()
 	if s.Validate(nil) {
 		t.Fatal("validation without the own filter passed over an odd cell")
 	}
@@ -93,8 +93,8 @@ func TestReadSetValidateSelfHoldRule(t *testing.T) {
 		t.Fatal("self-held odd cell failed its own transaction's validation")
 	}
 	// A foreign write commits under ls[1]: even the own filter must fail.
-	ls[1].BumpEpoch()
-	ls[1].BumpEpoch()
+	ls.Lock(1).BumpEpoch()
+	ls.Lock(1).BumpEpoch()
 	if s.Validate(own) {
 		t.Fatal("own filter masked a foreign committed write")
 	}
@@ -102,10 +102,10 @@ func TestReadSetValidateSelfHoldRule(t *testing.T) {
 	// An odd epoch at record time under a self-held lock must not doom the
 	// set through the stale flag.
 	s.Reset()
-	if s.Record(&ls[0]) {
+	if s.Record(ls.Lock(0)) {
 		t.Fatal("record of the in-flight self-held cell reported quiescent")
 	}
-	s.Record(&ls[2])
+	s.Record(ls.Lock(2))
 	if !s.Validate(own) {
 		t.Fatal("stale flag from a self-held record failed validation despite the exclusion")
 	}
@@ -117,12 +117,12 @@ func TestReadSetValidateSelfHoldRule(t *testing.T) {
 func TestReadSetContains(t *testing.T) {
 	ls := NewArray(1, 0, rel.KeyOver(nil), 2)
 	var s ReadSet
-	s.Record(&ls[0])
-	if !s.Contains(&ls[0]) || s.Contains(&ls[1]) {
+	s.Record(ls.Lock(0))
+	if !s.Contains(ls.Lock(0)) || s.Contains(ls.Lock(1)) {
 		t.Fatal("Contains does not reflect recorded locks")
 	}
 	s.Reset()
-	if s.Contains(&ls[0]) {
+	if s.Contains(ls.Lock(0)) {
 		t.Fatal("Contains true after Reset")
 	}
 }
@@ -131,16 +131,16 @@ func TestHoldsExclusive(t *testing.T) {
 	a := NewArray(1, 0, rel.KeyOver(nil), 1)
 	b := NewArray(1, 1, rel.KeyOver(nil), 1)
 	txn := NewTxn()
-	txn.Acquire([]*Lock{&a[0]}, Shared, false)
-	txn.Acquire([]*Lock{&b[0]}, Exclusive, false)
-	if txn.HoldsExclusive(&a[0]) {
+	txn.Acquire([]*Lock{a.Lock(0)}, Shared, false)
+	txn.Acquire([]*Lock{b.Lock(0)}, Exclusive, false)
+	if txn.HoldsExclusive(a.Lock(0)) {
 		t.Fatal("shared hold reported exclusive")
 	}
-	if !txn.HoldsExclusive(&b[0]) {
+	if !txn.HoldsExclusive(b.Lock(0)) {
 		t.Fatal("exclusive hold not reported")
 	}
 	txn.ReleaseAll()
-	if txn.HoldsExclusive(&b[0]) {
+	if txn.HoldsExclusive(b.Lock(0)) {
 		t.Fatal("released lock reported held exclusive")
 	}
 }
@@ -153,9 +153,9 @@ func TestReadSetLargeSort(t *testing.T) {
 	ls := NewArray(1, 0, rel.KeyOver(nil), n)
 	var s ReadSet
 	for i := n - 1; i >= 0; i-- {
-		s.Record(&ls[i])
+		s.Record(ls.Lock(i))
 	}
-	s.Record(&ls[0]) // duplicate at the same epoch: collapses, still valid
+	s.Record(ls.Lock(0)) // duplicate at the same epoch: collapses, still valid
 	if !s.Validate(nil) {
 		t.Fatal("validation of a large quiescent set failed")
 	}
@@ -172,24 +172,24 @@ func TestBeginWriteEpochs(t *testing.T) {
 	arr := NewArray(1, 2, rel.KeyOver(nil), 4)
 	other := NewArray(1, 1, rel.KeyOver(nil), 1)
 	txn := NewTxn()
-	txn.Acquire([]*Lock{&other[0]}, Exclusive, false)
-	txn.Acquire([]*Lock{&arr[0], &arr[2]}, Exclusive, true)
-	txn.Acquire([]*Lock{&arr[3]}, Shared, false)
+	txn.Acquire([]*Lock{other.Lock(0)}, Exclusive, false)
+	txn.Acquire([]*Lock{arr.Lock(0), arr.Lock(2)}, Exclusive, true)
+	txn.Acquire([]*Lock{arr.Lock(3)}, Shared, false)
 
 	var bumped []*Lock
 	bumped = txn.BeginWriteEpochs(arr, bumped)
 	if len(bumped) != 2 {
 		t.Fatalf("bumped %d locks, want 2 (the exclusive holds of this array)", len(bumped))
 	}
-	for _, l := range []*Lock{&arr[0], &arr[2]} {
+	for _, l := range []*Lock{arr.Lock(0), arr.Lock(2)} {
 		if !l.EpochOdd() {
 			t.Fatalf("exclusively held %v not begin-bumped", l.ID())
 		}
 	}
-	if arr[1].Epoch() != 0 || arr[3].Epoch() != 0 {
+	if arr.Lock(1).Epoch() != 0 || arr.Lock(3).Epoch() != 0 {
 		t.Fatal("unheld or shared-held stripes were bumped")
 	}
-	if other[0].Epoch() != 0 {
+	if other.Lock(0).Epoch() != 0 {
 		t.Fatal("a lock outside the stripe array was bumped")
 	}
 	// Second write on the same instance: already-odd cells are skipped.
@@ -202,8 +202,8 @@ func TestBeginWriteEpochs(t *testing.T) {
 	}
 	txn.ReleaseAll()
 	txn.Reset()
-	for i := range arr {
-		if arr[i].EpochOdd() {
+	for i := 0; i < arr.Len(); i++ {
+		if arr.Lock(i).EpochOdd() {
 			t.Fatalf("stripe %d left odd", i)
 		}
 	}

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 )
 
@@ -94,4 +95,82 @@ func AppendOrderedKey(dst []byte, k Key) []byte {
 		dst = AppendOrderedValue(dst, v)
 	}
 	return dst
+}
+
+// AppendOrderedAt appends the ordered encodings of the row's values at
+// the given schema indices — AppendOrderedKey of r.KeyAt(idx) without
+// building the key.
+func (r Row) AppendOrderedAt(dst []byte, idx []int) []byte {
+	for _, i := range idx {
+		dst = AppendOrderedValue(dst, r.vals[i])
+	}
+	return dst
+}
+
+// DecodeOrderedKey inverts AppendOrderedKey up to the integer kind: every
+// integer decodes as int64 (uint64 above MaxInt64), which Compare treats
+// as equal to the encoded int, int64 or uint64 value.
+func DecodeOrderedKey(b []byte) (Key, error) {
+	var vals []Value
+	for len(b) > 0 {
+		tag := b[0]
+		b = b[1:]
+		switch tag {
+		case ordTagNil:
+			vals = append(vals, nil)
+		case ordTagBool:
+			if len(b) < 1 {
+				return Key{}, fmt.Errorf("rel: truncated ordered bool")
+			}
+			vals = append(vals, b[0] == 1)
+			b = b[1:]
+		case ordTagInt:
+			if len(b) < 9 {
+				return Key{}, fmt.Errorf("rel: truncated ordered int")
+			}
+			u := binary.BigEndian.Uint64(b[1:9]) ^ (1 << 63)
+			if b[0] == 1 {
+				vals = append(vals, u+math.MaxInt64+1)
+			} else {
+				vals = append(vals, int64(u))
+			}
+			b = b[9:]
+		case ordTagFloat:
+			if len(b) < 8 {
+				return Key{}, fmt.Errorf("rel: truncated ordered float")
+			}
+			bits := binary.BigEndian.Uint64(b)
+			if bits>>63 != 0 {
+				bits &^= 1 << 63
+			} else {
+				bits = ^bits
+			}
+			vals = append(vals, math.Float64frombits(bits))
+			b = b[8:]
+		case ordTagString:
+			// Bytes up to the 0x00 0x01 terminator; 0x00 0xff is an
+			// escaped NUL.
+			var s []byte
+			for {
+				if len(b) == 0 || b[0] == 0x00 && len(b) < 2 {
+					return Key{}, fmt.Errorf("rel: unterminated ordered string")
+				}
+				if b[0] != 0x00 {
+					s = append(s, b[0])
+					b = b[1:]
+					continue
+				}
+				esc := b[1]
+				b = b[2:]
+				if esc == 0x01 {
+					break
+				}
+				s = append(s, 0x00)
+			}
+			vals = append(vals, string(s))
+		default:
+			return Key{}, fmt.Errorf("rel: unknown ordered value tag %#x", tag)
+		}
+	}
+	return Key{vals: vals}, nil
 }

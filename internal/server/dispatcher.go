@@ -152,6 +152,9 @@ type call struct {
 type Dispatcher struct {
 	reg *core.Registry
 	cfg Config
+	// syncLog is the durability barrier between commit and reply
+	// (Config.WAL's Sync), nil without a WAL.
+	syncLog func() error
 
 	mu      sync.Mutex
 	pending []*call
@@ -194,20 +197,36 @@ func SetWindowHook(f func(pending int) bool) { windowHook = f }
 
 // NewDispatcher returns a dispatcher committing against reg.
 func NewDispatcher(reg *core.Registry, cfg Config) *Dispatcher {
-	return &Dispatcher{reg: reg, cfg: cfg}
+	d := &Dispatcher{reg: reg, cfg: cfg}
+	if cfg.WAL != nil {
+		d.syncLog = cfg.WAL.Sync
+	}
+	return d
 }
+
+// badRequest marks a Submit error as the client's: the request failed
+// validation and nothing of it executed. Every other Submit error but
+// ErrClosed is the server's — a commit or WAL sync that failed.
+type badRequest struct{ error }
+
+func (e badRequest) Unwrap() error { return e.error }
+
+// IsBadRequest reports whether err, returned by Submit, rejects the
+// request itself (HTTP 400) rather than reporting a server-side failure.
+func IsBadRequest(err error) bool { return errors.As(err, new(badRequest)) }
 
 // Submit validates req, parks it in the current window, and blocks until
 // its group commits, returning this request's results. Validation errors
-// are returned immediately (the request never enters a window); ErrClosed
-// is returned after Close.
+// are returned immediately (the request never enters a window) and
+// satisfy IsBadRequest; ErrClosed is returned after Close; any other
+// error is a failed commit or WAL sync.
 func (d *Dispatcher) Submit(req *Request) (*Response, error) {
 	creq, err := compileRequest(d.reg, req)
 	if err != nil {
-		return nil, err
+		return nil, badRequest{err}
 	}
 	if err := probeRequest(d.reg, creq); err != nil {
-		return nil, err
+		return nil, badRequest{err}
 	}
 	return d.submitCompiled(creq)
 }
@@ -416,16 +435,19 @@ func (d *Dispatcher) commitEach(batch []*call) {
 		seq := d.seq.Add(1)
 		var pend []pendingOp
 		var tr *core.BatchTrace
+		var enqErr error
 		err := d.reg.Batch(func(tx *core.Txn) error {
 			if d.cfg.Counts != nil {
 				tx.EnableTrace()
 				tr = tx.Trace()
 			}
-			var err error
-			pend, err = c.req.enqueue(tx)
-			return err
+			pend, enqErr = c.req.enqueue(tx)
+			return enqErr
 		})
 		if err != nil {
+			if enqErr != nil {
+				err = badRequest{err}
+			}
 			c.err = err
 			close(c.done)
 			continue
@@ -455,10 +477,10 @@ func (d *Dispatcher) commitEach(batch []*call) {
 // syncWAL is the durability barrier between commit and reply: one fsync
 // for however many requests the window held. No-op without a WAL.
 func (d *Dispatcher) syncWAL() error {
-	if d.cfg.WAL == nil {
+	if d.syncLog == nil {
 		return nil
 	}
-	if err := d.cfg.WAL.Sync(); err != nil {
+	if err := d.syncLog(); err != nil {
 		return fmt.Errorf("server: wal sync: %w", err)
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"time"
@@ -32,7 +33,8 @@ import (
 //	GET  /healthz      liveness
 //
 // Data-path replies are Response documents; errors are
-// {"error":"..."} with status 400 (invalid request), 503 (shutting
+// {"error":"..."} with status 400 (invalid request), 413 (body over
+// MaxBodyBytes), 500 (the commit or its WAL sync failed), 503 (shutting
 // down) or 405 (wrong method).
 type Server struct {
 	disp *Dispatcher
@@ -145,11 +147,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Response.
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if decodeBody(w, r, &req) {
+		s.submit(w, &req)
 	}
-	s.submit(w, &req)
 }
 
 // handleSingle adapts the single-op conveniences: the body is one Op
@@ -158,8 +158,7 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSingle(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var op Op
-		if err := decodeBody(r, &op); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &op) {
 			return
 		}
 		op.Kind = kind
@@ -173,8 +172,10 @@ func (s *Server) submit(w http.ResponseWriter, req *Request) {
 	switch {
 	case errors.Is(err, ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, err)
-	case err != nil:
+	case IsBadRequest(err):
 		writeError(w, http.StatusBadRequest, err)
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, err)
 	default:
 		writeJSON(w, http.StatusOK, resp)
 	}
@@ -185,16 +186,35 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.disp.Stats())
 }
 
+// MaxBodyBytes caps a data-path request body; a longer one is refused
+// with 413 before it is decoded in full.
+const MaxBodyBytes = 4 << 20
+
 // decodeBody decodes a JSON request body with UseNumber (so integer keys
-// reach the relational layer as int64, not float64), rejecting trailing
-// garbage.
-func decodeBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
+// reach the relational layer as int64, not float64), rejecting bodies
+// over MaxBodyBytes and anything but whitespace after the one JSON
+// value. On failure it writes the error reply and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.UseNumber()
-	if err := dec.Decode(into); err != nil {
-		return fmt.Errorf("server: bad request body: %w", err)
+	err := dec.Decode(into)
+	if err == nil {
+		switch _, terr := dec.Token(); {
+		case terr == nil:
+			err = errors.New("trailing data after the JSON value")
+		case terr != io.EOF:
+			err = terr
+		}
 	}
-	return nil
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("server: bad request body: %w", err))
+	return false
 }
 
 // writeJSON writes v as a JSON response.
