@@ -13,9 +13,8 @@
 // Each Figure 5 benchmark iteration performs one graph operation drawn
 // from the mix; b.RunParallel spreads iterations over GOMAXPROCS
 // goroutines, so ops/sec (reported as the custom metric "ops/s") is the
-// aggregate-throughput analog of the paper's y-axis. cmd/crsbench runs the
-// same series with explicit thread counts and the paper's 5·10^5
-// ops/thread methodology.
+// aggregate-throughput analog of the paper's y-axis. The thread axis is
+// -cpu: go test -run - -bench Figure5 -cpu 1,2,4 regenerates the figure.
 package crs_test
 
 import (
@@ -29,7 +28,7 @@ import (
 	"repro/internal/rel"
 )
 
-// benchKeySpace matches cmd/crsbench's default node-id space.
+// benchKeySpace is the node-id space of the Figure 5 benchmarks.
 const benchKeySpace = 512
 
 func splitmix(state *uint64) uint64 {

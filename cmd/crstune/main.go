@@ -28,7 +28,7 @@ import (
 
 	crs "repro"
 	"repro/internal/autotune"
-	"repro/internal/cli"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -52,7 +52,7 @@ func main() {
 		return
 	}
 
-	mix, err := cli.ParseMix(*mixFlag)
+	mix, err := workload.ParseMix(*mixFlag)
 	if err != nil {
 		fatal(err)
 	}

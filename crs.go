@@ -341,11 +341,6 @@ func Synthesize(spec Spec, opts ...SynthOption) (*Relation, error) {
 	return core.SynthesizeSpec(spec, opts...)
 }
 
-// SynthesizeDP is the positional form of Synthesize.
-//
-// Deprecated: use Synthesize with WithDecomposition and WithPlacement.
-func SynthesizeDP(d *Decomposition, p *Placement) (*Relation, error) { return core.Synthesize(d, p) }
-
 // Counters and migration (adaptive operation).
 type (
 	// Counters is a registry-wide harvested counter snapshot — aggregate
@@ -411,18 +406,8 @@ func NewSequentialBatchGraph(r *Relation) (*SequentialRelationBatchGraph, error)
 // distribution.
 func DefaultBatchMix() BatchOpsMix { return workload.DefaultBatchMix() }
 
-// ReadHeavyBatchMix returns the 95/5 read-dominated distribution of the
-// optimistic benchmark: mostly count pairs and two-hop scans, which run
-// as lock-free read-only batches on an optimistic-capable relation.
-func ReadHeavyBatchMix() BatchOpsMix { return workload.ReadHeavyBatchMix() }
-
-// RunBatchedBench executes one batched benchmark run.
-func RunBatchedBench(g BatchGraphOps, cfg BenchConfig, mix BatchOpsMix) BenchResult {
-	return workload.RunBatched(g, cfg, mix)
-}
-
 // BatchCompositeOp draws and executes one composite batched operation —
-// the single dispatch shared by RunBatchedBench and external harnesses
+// the single dispatch shared by workload.RunBatched and external harnesses
 // (the in-repo benchmark), so both measure the same workload.
 func BatchCompositeOp(g BatchGraphOps, state *uint64, mix BatchOpsMix, keySpace int64) uint64 {
 	return workload.CompositeOp(g, state, mix, keySpace)

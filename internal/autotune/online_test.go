@@ -8,6 +8,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/locks"
 	"repro/internal/rel"
+	"repro/internal/workload"
 )
 
 func onlineSpec() rel.Spec {
@@ -190,6 +191,46 @@ func TestMaterializeRebase(t *testing.T) {
 	if _, err := g.Migrate("edges", core.WithDecomposition(d2), core.WithPlacement(p2)); err != nil {
 		t.Fatalf("migrating to rebased placement: %v", err)
 	}
+}
+
+// TestMigrateLockCounts pins what live migration buys, as exact
+// single-threaded lock counts (seed 1, 3000 read-heavy social composites
+// over 64 users): on the pessimistic boot representation (HashMap roots,
+// TreeMap middles) every group locks, and no read-only group can run
+// optimistically; after Materialize + Migrate upgrade every relation — the
+// hop the online advisor makes — the identical workload on the same
+// registry runs its read-only groups lock-free, two orders of magnitude
+// fewer acquisitions. A failing count means the scheduler or the upgrade
+// changed; the change that moves one updates the constant and says why.
+func TestMigrateLockCounts(t *testing.T) {
+	s, err := workload.NewSocialPessimistic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := func(name string, requested, acquired, roBatches int64) {
+		t.Helper()
+		c := &workload.LockCounts{}
+		s.Counts = c
+		workload.RunSocial(s, workload.Config{Threads: 1, OpsPerThread: 3000, KeySpace: 64, Seed: 1}, workload.ReadHeavySocialMix())
+		if got := [3]int64{c.Requested.Load(), c.Acquired.Load(), c.ReadOnlyBatches.Load()}; got != [3]int64{requested, acquired, roBatches} {
+			t.Errorf("%s: requested/acquired/read-only batches = %v, want %v", name, got, [3]int64{requested, acquired, roBatches})
+		}
+		if c.ReadOnlyAcquired.Load() != 0 || c.ValidationRetries.Load() != 0 || c.Fallbacks.Load() != 0 {
+			t.Errorf("%s: read-only batches took %d locks, %d retries, %d fallbacks; want 0",
+				name, c.ReadOnlyAcquired.Load(), c.ValidationRetries.Load(), c.Fallbacks.Load())
+		}
+	}
+	pass("pre-migration", 11902, 11796, 0)
+	for _, r := range []*core.Relation{s.Users, s.Posts, s.Follows} {
+		d2, p2, err := Materialize(r, &Recommendation{Relation: r.Name()})
+		if err != nil {
+			t.Fatalf("materialize %s: %v", r.Name(), err)
+		}
+		if _, err := s.Reg.Migrate(r.Name(), core.WithDecomposition(d2), core.WithPlacement(p2)); err != nil {
+			t.Fatalf("migrate %s: %v", r.Name(), err)
+		}
+	}
+	pass("post-migration", 128, 120, 2852)
 }
 
 // TestPickGeneric pins the WithAutotune picker: from the bare graph

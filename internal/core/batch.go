@@ -333,8 +333,8 @@ type BatchTrace struct {
 	// SharedAcquired counts the locks taken in Shared mode (a subset of
 	// Acquired). On a successful OCC commit of a mixed batch it is
 	// structurally zero for plain placements — read members divert into
-	// the read-set and write members lock exclusively — which the
-	// benchguard mixed pass gates.
+	// the read-set and write members lock exclusively — which the mixed
+	// pass of workload.TestDeterministicLockCounts pins.
 	SharedAcquired int
 
 	// Optimistic reports that the batch was detected read-only and

@@ -13,8 +13,7 @@ import (
 // Registry.Migrate (re-synthesize a live one), so representation choice —
 // explicit decomposition + placement, or a picker that derives them from
 // the specification — is expressed the same way whether the relation is
-// being born or being migrated. The positional SynthesizeDP survives as a
-// deprecated shim.
+// being born or being migrated.
 
 // SynthOption configures a Synthesize or Migrate call.
 type SynthOption func(*synthConfig)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/decomp"
 	"repro/internal/locks"
 	"repro/internal/rel"
 )
@@ -84,14 +83,6 @@ func (g *Registry) Synthesize(name string, spec rel.Spec, opts ...SynthOption) (
 	if err != nil {
 		return nil, err
 	}
-	return g.SynthesizeDP(name, d, p)
-}
-
-// SynthesizeDP is the positional predecessor of Synthesize: an explicit
-// decomposition + placement pair.
-//
-// Deprecated: use Synthesize with WithDecomposition and WithPlacement.
-func (g *Registry) SynthesizeDP(name string, d *decomp.Decomposition, p *locks.Placement) (*Relation, error) {
 	if name == "" {
 		return nil, fmt.Errorf("core: registry relations need a name")
 	}

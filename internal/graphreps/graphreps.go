@@ -250,8 +250,8 @@ func SpeculativeDiamond() Variant {
 // all concurrency-safe — ConcurrentHashMap of ConcurrentSkipListMap under
 // a striped root — making the relation OptimisticCapable: read-only
 // batches against it validate epochs instead of taking shared locks. It
-// is the representation the optimistic benchmark (crsbench -optimistic)
-// measures.
+// is the representation the optimistic lock-count pass of
+// workload.TestDeterministicLockCounts runs on.
 func LockFreeReadStick() Variant {
 	return mk("Stick LF", "stick", "striped root; ConcurrentHashMap of ConcurrentSkipListMap (optimistic-capable)",
 		func() (*core.Relation, error) {

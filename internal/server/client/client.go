@@ -1,14 +1,13 @@
 // Package client is the Go client of the crsd wire protocol: a thin
 // typed wrapper over the HTTP+JSON endpoints of internal/server, used by
-// the e2e tests and the crsbench -wire/-openloop benchmarks. One Client
-// is safe for concurrent use by many goroutines (it shares one
-// http.Client and its connection pool).
+// the e2e tests and the repo benchmark's wire workloads. One Client is
+// safe for concurrent use by many goroutines (it shares one http.Client
+// and its connection pool).
 //
 // Construction follows the options vocabulary (client.New(base,
 // client.WithTimeout(...))) and every method takes a context.Context
 // first, so open-loop callers can enforce per-request deadlines without
-// giving up the shared connection pool. The pre-context signatures
-// survive as deprecated shims on the Legacy view.
+// giving up the shared connection pool.
 package client
 
 import (
@@ -93,38 +92,59 @@ func (c *Client) Do(ctx context.Context, req *server.Request) (*server.Response,
 // Insert submits insert rel s t as a one-op transaction and reports the
 // put-if-absent outcome.
 func (c *Client) Insert(ctx context.Context, rel string, s, t map[string]any) (bool, error) {
-	resp, err := c.Do(ctx, &server.Request{Ops: []server.Op{{Kind: server.OpInsert, Rel: rel, S: s, T: t}}})
-	if err != nil {
-		return false, err
-	}
-	return *resp.Results[0].Applied, nil
+	return c.applied(ctx, server.Op{Kind: server.OpInsert, Rel: rel, S: s, T: t})
 }
 
 // Remove submits remove rel s and reports whether anything existed.
 func (c *Client) Remove(ctx context.Context, rel string, s map[string]any) (bool, error) {
-	resp, err := c.Do(ctx, &server.Request{Ops: []server.Op{{Kind: server.OpRemove, Rel: rel, S: s}}})
-	if err != nil {
-		return false, err
-	}
-	return *resp.Results[0].Applied, nil
+	return c.applied(ctx, server.Op{Kind: server.OpRemove, Rel: rel, S: s})
 }
 
 // Count submits |query rel s| and returns the cardinality.
 func (c *Client) Count(ctx context.Context, rel string, s map[string]any) (int, error) {
-	resp, err := c.Do(ctx, &server.Request{Ops: []server.Op{{Kind: server.OpCount, Rel: rel, S: s}}})
+	res, err := c.doOne(ctx, server.Op{Kind: server.OpCount, Rel: rel, S: s})
 	if err != nil {
 		return 0, err
 	}
-	return *resp.Results[0].Count, nil
+	if res.Count == nil {
+		return 0, fmt.Errorf("client: bad response: count result carries no count")
+	}
+	return *res.Count, nil
 }
 
-// Query submits query rel s out and returns the projected rows.
+// Query submits query rel s out and returns the projected rows. An empty
+// result arrives without a rows field and is returned as nil rows.
 func (c *Client) Query(ctx context.Context, rel string, s map[string]any, out ...string) ([]map[string]any, error) {
-	resp, err := c.Do(ctx, &server.Request{Ops: []server.Op{{Kind: server.OpQuery, Rel: rel, S: s, Out: out}}})
+	res, err := c.doOne(ctx, server.Op{Kind: server.OpQuery, Rel: rel, S: s, Out: out})
 	if err != nil {
 		return nil, err
 	}
-	return resp.Results[0].Rows, nil
+	return res.Rows, nil
+}
+
+// applied submits one insert or remove and returns its outcome.
+func (c *Client) applied(ctx context.Context, op server.Op) (bool, error) {
+	res, err := c.doOne(ctx, op)
+	if err != nil {
+		return false, err
+	}
+	if res.Applied == nil {
+		return false, fmt.Errorf("client: bad response: %s result carries no outcome", op.Kind)
+	}
+	return *res.Applied, nil
+}
+
+// doOne submits op as a one-op transaction and returns its result,
+// rejecting a reply that does not carry exactly one.
+func (c *Client) doOne(ctx context.Context, op server.Op) (*server.OpResult, error) {
+	resp, err := c.Do(ctx, &server.Request{Ops: []server.Op{op}})
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.Results) != 1 {
+		return nil, fmt.Errorf("client: bad response: %d results for a one-op request", len(resp.Results))
+	}
+	return &resp.Results[0], nil
 }
 
 // Stats fetches the dispatcher's coalescing and latency counters.
@@ -153,68 +173,6 @@ func (c *Client) Healthy(ctx context.Context) bool {
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, resp.Body) // drain for pool reuse
 	return resp.StatusCode == http.StatusOK
-}
-
-// Legacy is the pre-context view of a Client: the original signatures,
-// kept as thin shims over the context methods with context.Background().
-//
-// Deprecated: use the context methods on Client directly.
-type Legacy struct {
-	c *Client
-}
-
-// Legacy returns the pre-context view of c.
-//
-// Deprecated: use the context methods on Client directly.
-func (c *Client) Legacy() Legacy { return Legacy{c: c} }
-
-// Do submits a multi-op transaction without a caller deadline.
-//
-// Deprecated: use Client.Do with a context.
-func (l Legacy) Do(req *server.Request) (*server.Response, error) {
-	return l.c.Do(context.Background(), req)
-}
-
-// Insert submits insert rel s t without a caller deadline.
-//
-// Deprecated: use Client.Insert with a context.
-func (l Legacy) Insert(rel string, s, t map[string]any) (bool, error) {
-	return l.c.Insert(context.Background(), rel, s, t)
-}
-
-// Remove submits remove rel s without a caller deadline.
-//
-// Deprecated: use Client.Remove with a context.
-func (l Legacy) Remove(rel string, s map[string]any) (bool, error) {
-	return l.c.Remove(context.Background(), rel, s)
-}
-
-// Count submits |query rel s| without a caller deadline.
-//
-// Deprecated: use Client.Count with a context.
-func (l Legacy) Count(rel string, s map[string]any) (int, error) {
-	return l.c.Count(context.Background(), rel, s)
-}
-
-// Query submits query rel s out without a caller deadline.
-//
-// Deprecated: use Client.Query with a context.
-func (l Legacy) Query(rel string, s map[string]any, out ...string) ([]map[string]any, error) {
-	return l.c.Query(context.Background(), rel, s, out...)
-}
-
-// Stats fetches the dispatcher counters without a caller deadline.
-//
-// Deprecated: use Client.Stats with a context.
-func (l Legacy) Stats() (*server.Stats, error) {
-	return l.c.Stats(context.Background())
-}
-
-// Healthy probes liveness without a caller deadline.
-//
-// Deprecated: use Client.Healthy with a context.
-func (l Legacy) Healthy() bool {
-	return l.c.Healthy(context.Background())
 }
 
 // post issues a context-bound POST and returns the 200 body.

@@ -55,14 +55,14 @@ type Config struct {
 	// MaxBatch closes a window early once this many requests are parked,
 	// bounding group size (and per-group lock-set size) under burst
 	// arrivals. Zero means DefaultMaxBatch; 1 disables coalescing — every
-	// request commits alone, the wire benchmark's "sequential
-	// decomposition" baseline.
+	// request commits alone, the "sequential decomposition" baseline of
+	// TestWireDeterministicCounts.
 	MaxBatch int
 	// Counts, when non-nil, turns on per-group lock-schedule tracing and
 	// accumulates the same counters the workload drivers harvest —
 	// requested/acquired totals, read-only and OCC counters — so the wire
-	// benchmark reports the identical deterministic signals benchguard
-	// gates everywhere else.
+	// path is pinned by the same deterministic counts as the in-process
+	// drivers.
 	Counts *workload.LockCounts
 	// WAL, when non-nil, is the write-ahead log attached to the served
 	// registry (via Registry.SetCommitLogger). The dispatcher becomes the
@@ -185,15 +185,6 @@ type Dispatcher struct {
 // is armed and MaxBatch is ignored. Tests use it to force deterministic
 // window boundaries.
 var windowHook func(pending int) bool
-
-// SetWindowHook installs (or, with nil, removes) the deterministic
-// window policy hook: invoked under the dispatcher lock after each
-// arrival with the number of parked requests, closing the window exactly
-// when it returns true — no timer is armed and MaxBatch is ignored while
-// installed. It is a test seam (the open-loop driver's -race stress pins
-// window boundaries with it), global to the package; callers must remove
-// it (SetWindowHook(nil)) before dispatchers configured without it run.
-func SetWindowHook(f func(pending int) bool) { windowHook = f }
 
 // NewDispatcher returns a dispatcher committing against reg.
 func NewDispatcher(reg *core.Registry, cfg Config) *Dispatcher {

@@ -97,6 +97,18 @@ func TestE2ELockstepOracle(t *testing.T) {
 	if st.Degraded != 0 {
 		t.Fatalf("healthy e2e degraded %d windows", st.Degraded)
 	}
+	// The latency digests agree with the counters: one commit-latency
+	// sample per request, one occupancy sample per window, and the
+	// occupancy mean is the mean batch size.
+	if st.CommitLatency == nil || st.CommitLatency.Count != st.Requests {
+		t.Fatalf("commit latency digest %+v, want %d samples", st.CommitLatency, st.Requests)
+	}
+	if st.WindowOccupancy == nil || st.WindowOccupancy.Count != st.Batches {
+		t.Fatalf("window occupancy digest %+v, want %d samples", st.WindowOccupancy, st.Batches)
+	}
+	if d := st.WindowOccupancy.Mean - st.MeanBatchSize; d > 1e-9 || d < -1e-9 {
+		t.Fatalf("window occupancy mean %v != mean batch size %v", st.WindowOccupancy.Mean, st.MeanBatchSize)
+	}
 
 	// Sequential oracle: fresh server, one client, MaxBatch 1, identical
 	// streams. Disjoint key partitions make the replies independent of
@@ -197,45 +209,6 @@ func TestE2ESingleOpEndpoints(t *testing.T) {
 	defer cancel()
 	if _, err := cl.Count(expired, "posts", map[string]any{"author": 2}); err == nil {
 		t.Fatal("expired context did not abort the request")
-	}
-}
-
-// TestE2ELegacyClientShims pins that the deprecated pre-context
-// signatures still compile and behave identically to the context
-// methods they wrap.
-func TestE2ELegacyClientShims(t *testing.T) {
-	_, base := startServer(t, server.Config{Window: 100 * time.Microsecond})
-	//lint:ignore SA1019 the deprecated shims must keep working until removed.
-	cl := client.New(base).Legacy()
-
-	if !cl.Healthy() {
-		t.Fatal("healthz failed")
-	}
-	applied, err := cl.Insert("posts", map[string]any{"author": 7, "post": 70}, map[string]any{"ts": 700})
-	if err != nil || !applied {
-		t.Fatalf("legacy insert: applied=%v err=%v", applied, err)
-	}
-	n, err := cl.Count("posts", map[string]any{"author": 7})
-	if err != nil || n != 1 {
-		t.Fatalf("legacy count: %d err=%v, want 1", n, err)
-	}
-	rows, err := cl.Query("posts", map[string]any{"author": 7}, "post")
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("legacy query: %v err=%v, want one row", rows, err)
-	}
-	if _, err := cl.Do(server.AddPostRequest(8, 80, 1)); err != nil {
-		t.Fatalf("legacy txn: %v", err)
-	}
-	applied, err = cl.Remove("posts", map[string]any{"author": 7, "post": 70})
-	if err != nil || !applied {
-		t.Fatalf("legacy remove: applied=%v err=%v", applied, err)
-	}
-	st, err := cl.Stats()
-	if err != nil {
-		t.Fatalf("legacy stats: %v", err)
-	}
-	if st.Requests != 5 {
-		t.Fatalf("legacy stats counted %d requests, want 5", st.Requests)
 	}
 }
 

@@ -6,31 +6,11 @@ import (
 	"time"
 )
 
-// This file closes the ROADMAP's burstiness gap: the throughput drivers
-// fire operations back to back, which models saturated callers but not
-// ARRIVING traffic — and the group-commit dispatcher's window only has
-// something to coalesce when requests cluster in time. Two deterministic
-// arrival processes cover the realistic shapes: Poisson (memoryless
-// independent clients; exponential inter-arrival gaps) and bursty
-// (on/off sources: geometric-size bursts of back-to-back arrivals
-// separated by exponential idle gaps — the heavy-tailed clumping real
-// front-end fan-out produces). Both are pure functions of their seed, so
-// the wire benchmark and the e2e tests can replay identical arrival
-// schedules.
-
-// ArrivalGen produces a deterministic sequence of inter-arrival gaps:
-// Next returns the delay before the NEXT event. Implementations are pure
-// functions of their seed and are not safe for concurrent use (give each
-// client goroutine its own generator).
-type ArrivalGen interface {
-	// Next returns the gap preceding the next arrival.
-	Next() time.Duration
-	// Reset rewinds the generator to its initial state so the exact
-	// sequence of gaps replays — a counting pass can sum the schedule's
-	// offered load and a measurement pass can then fire on the identical
-	// schedule without reconstructing the generator.
-	Reset()
-}
+// This file is the open-loop arrival process: the throughput drivers fire
+// operations back to back, which models saturated callers but not
+// ARRIVING traffic. The Poisson process (memoryless independent clients;
+// exponential inter-arrival gaps) is a pure function of its seed, so the
+// open-loop benchmark workloads replay identical arrival schedules.
 
 // uniform01 maps one SplitMix64 draw onto (0, 1]: the open lower bound
 // keeps math.Log finite.
@@ -41,14 +21,13 @@ func uniform01(state *uint64) float64 {
 
 // PoissonArrivals generates a Poisson arrival process: independent
 // exponential inter-arrival gaps with the configured mean, via the
-// inverse-CDF transform gap = -Mean·ln(U).
+// inverse-CDF transform gap = -Mean·ln(U). It is not safe for concurrent
+// use (give each client goroutine its own generator).
 type PoissonArrivals struct {
 	// Mean is the mean inter-arrival gap (1/λ).
 	Mean time.Duration
-	// state is the SplitMix64 draw state; init remembers its initial
-	// value for Reset.
+	// state is the SplitMix64 draw state.
 	state uint64
-	init  uint64
 }
 
 // NewPoissonArrivals returns a Poisson process with the given mean gap.
@@ -56,81 +35,11 @@ func NewPoissonArrivals(seed uint64, mean time.Duration) *PoissonArrivals {
 	if mean <= 0 {
 		panic(fmt.Sprintf("workload: poisson mean %v must be positive", mean))
 	}
-	s := seed*0x9e3779b97f4a7c15 + 1
-	return &PoissonArrivals{Mean: mean, state: s, init: s}
+	return &PoissonArrivals{Mean: mean, state: seed*0x9e3779b97f4a7c15 + 1}
 }
-
-// Reset rewinds the process to its initial seed state.
-func (p *PoissonArrivals) Reset() { p.state = p.init }
 
 // Next draws the next exponential gap.
 func (p *PoissonArrivals) Next() time.Duration {
 	gap := -math.Log(uniform01(&p.state)) * float64(p.Mean)
-	return time.Duration(gap)
-}
-
-// BurstyArrivals generates an on/off burst process: bursts of
-// back-to-back arrivals (zero gap) whose sizes are geometric with the
-// configured mean, separated by exponential idle gaps. The first arrival
-// of each burst pays the idle gap; the rest of the burst arrives
-// immediately — the clumped shape that gives a coalescing window
-// something to win on.
-type BurstyArrivals struct {
-	// MeanBurst is the mean burst size (geometric distribution, ≥ 1).
-	MeanBurst float64
-	// MeanGap is the mean idle gap between bursts.
-	MeanGap time.Duration
-	// state is the SplitMix64 draw state; init remembers its initial
-	// value for Reset; left counts the remaining arrivals of the
-	// current burst.
-	state uint64
-	init  uint64
-	left  int
-}
-
-// NewBurstyArrivals returns a burst process with the given mean burst
-// size and mean inter-burst gap.
-func NewBurstyArrivals(seed uint64, meanBurst float64, meanGap time.Duration) *BurstyArrivals {
-	if meanBurst < 1 {
-		panic(fmt.Sprintf("workload: mean burst size %v must be >= 1", meanBurst))
-	}
-	if meanGap <= 0 {
-		panic(fmt.Sprintf("workload: mean gap %v must be positive", meanGap))
-	}
-	s := seed*0x9e3779b97f4a7c15 + 1
-	return &BurstyArrivals{MeanBurst: meanBurst, MeanGap: meanGap, state: s, init: s}
-}
-
-// Reset rewinds the process to its initial seed state, discarding any
-// in-progress burst.
-func (b *BurstyArrivals) Reset() {
-	b.state = b.init
-	b.left = 0
-}
-
-// burstSize draws a geometric burst size with mean MeanBurst: success
-// probability 1/MeanBurst, support {1, 2, ...}, via the inverse-CDF
-// transform ⌈ln(U)/ln(1-p)⌉.
-func (b *BurstyArrivals) burstSize() int {
-	p := 1 / b.MeanBurst
-	if p >= 1 {
-		return 1
-	}
-	n := int(math.Ceil(math.Log(uniform01(&b.state)) / math.Log(1-p)))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Next returns the gap before the next arrival: an exponential idle gap
-// when it opens a new burst, zero within a burst.
-func (b *BurstyArrivals) Next() time.Duration {
-	if b.left > 0 {
-		b.left--
-		return 0
-	}
-	b.left = b.burstSize() - 1
-	gap := -math.Log(uniform01(&b.state)) * float64(b.MeanGap)
 	return time.Duration(gap)
 }

@@ -61,105 +61,6 @@ func TestPoissonDistribution(t *testing.T) {
 	}
 }
 
-// TestBurstyDeterministic pins seed-determinism of the burst process,
-// including the burst-size draws (the zero-gap runs must line up, not
-// just the idle gaps).
-func TestBurstyDeterministic(t *testing.T) {
-	const n = 1000
-	a := NewBurstyArrivals(9, 4, time.Millisecond)
-	b := NewBurstyArrivals(9, 4, time.Millisecond)
-	for i := 0; i < n; i++ {
-		if ga, gb := a.Next(), b.Next(); ga != gb {
-			t.Fatalf("draw %d: %v != %v", i, ga, gb)
-		}
-	}
-}
-
-// TestBurstyShape checks the on/off structure under a fixed seed: every
-// gap is zero (within a burst) or positive (burst boundary), mean burst
-// size tracks the configured geometric mean, and the idle gaps keep
-// their exponential mean.
-func TestBurstyShape(t *testing.T) {
-	const n = 200_000
-	meanBurst := 4.0
-	meanGap := time.Millisecond
-	g := NewBurstyArrivals(11, meanBurst, meanGap)
-	bursts := 0
-	var idle time.Duration
-	for i := 0; i < n; i++ {
-		gap := g.Next()
-		if gap < 0 {
-			t.Fatalf("draw %d: negative gap %v", i, gap)
-		}
-		if gap > 0 {
-			bursts++
-			idle += gap
-		}
-	}
-	if bursts == 0 {
-		t.Fatal("no burst boundaries in the sample")
-	}
-	if got := float64(n) / float64(bursts); got < meanBurst*0.95 || got > meanBurst*1.05 {
-		t.Fatalf("mean burst size %.3f, want ≈ %.1f", got, meanBurst)
-	}
-	gapMean := float64(idle) / float64(bursts)
-	if ratio := gapMean / float64(meanGap); ratio < 0.95 || ratio > 1.05 {
-		t.Fatalf("mean idle gap %.0fns is %.3f of configured %v", gapMean, ratio, meanGap)
-	}
-}
-
-// TestBurstyMeanBurstOne pins the degenerate case: mean burst 1 is a
-// plain Poisson process — every gap positive, no zero-gap runs.
-func TestBurstyMeanBurstOne(t *testing.T) {
-	g := NewBurstyArrivals(3, 1, time.Millisecond)
-	for i := 0; i < 10_000; i++ {
-		if gap := g.Next(); gap <= 0 {
-			t.Fatalf("draw %d: gap %v, want positive", i, gap)
-		}
-	}
-}
-
-// TestArrivalReset pins that Reset rewinds a generator to its initial
-// state: the replayed gap sequence is identical draw for draw, even when
-// Reset lands mid-burst for the bursty process.
-func TestArrivalReset(t *testing.T) {
-	gens := []struct {
-		name string
-		gen  ArrivalGen
-	}{
-		{"poisson", NewPoissonArrivals(42, time.Millisecond)},
-		{"bursty", NewBurstyArrivals(42, 4, time.Millisecond)},
-	}
-	for _, tc := range gens {
-		t.Run(tc.name, func(t *testing.T) {
-			const n = 500
-			first := make([]time.Duration, n)
-			for i := range first {
-				first[i] = tc.gen.Next()
-			}
-			// Rewind from a clean end-of-sequence point...
-			tc.gen.Reset()
-			for i := 0; i < n; i++ {
-				if got := tc.gen.Next(); got != first[i] {
-					t.Fatalf("after Reset, draw %d = %v, want %v", i, got, first[i])
-				}
-			}
-			// ...and from an arbitrary mid-sequence point (for bursty this
-			// can land inside a burst; Reset must discard the burst tail).
-			tc.gen.Reset()
-			for i := 0; i < n/3; i++ {
-				tc.gen.Next()
-			}
-			tc.gen.Reset()
-			for i := 0; i < n; i++ {
-				if got := tc.gen.Next(); got != first[i] {
-					t.Fatalf("after mid-sequence Reset, draw %d = %v, want %v", i, got, first[i])
-				}
-			}
-		})
-	}
-}
-
 // TestArrivalValidation pins constructor panics on nonsense parameters.
 func TestArrivalValidation(t *testing.T) {
 	cases := []struct {
@@ -167,8 +68,6 @@ func TestArrivalValidation(t *testing.T) {
 		fn   func()
 	}{
 		{"poisson zero mean", func() { NewPoissonArrivals(1, 0) }},
-		{"bursty small burst", func() { NewBurstyArrivals(1, 0.5, time.Millisecond) }},
-		{"bursty zero gap", func() { NewBurstyArrivals(1, 2, 0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

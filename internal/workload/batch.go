@@ -315,7 +315,7 @@ type SequentialRelationBatchGraph struct {
 	// deterministic counting pass. Unlike the batched adapter it carries NO
 	// lock-schedule or OCC statistics: the sequential discipline runs bare
 	// single operations outside any traced batch, so those counters do not
-	// exist for it — crsbench marks its deterministic rows counters_absent.
+	// exist for it.
 	Counts *LockCounts
 }
 
@@ -410,7 +410,7 @@ func ReadHeavyBatchMix() BatchMix {
 // advances the SplitMix64 state, picks the composite per mix, derives the
 // operand node ids from the draw, and returns the checksum contribution.
 // It is the single dispatch shared by RunBatched and the in-repo
-// BatchedVsSequential benchmark, so archived BENCH_*.json runs and
+// BatchedVsSequential benchmark, so TestDeterministicLockCounts and
 // `go test -bench` measure the same workload under the same mix label.
 func CompositeOp(g BatchGraphOps, state *uint64, mix BatchMix, keySpace int64) uint64 {
 	r := splitmix64(state)

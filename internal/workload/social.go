@@ -80,10 +80,9 @@ type LockCounts struct {
 	Acquired  atomic.Int64
 
 	// Members counts the relational operations (batch members) the
-	// composites issued — the denominator of crsbench's deterministic
-	// ns_per_member rows. Both disciplines count identically (the
+	// composites issued. Both disciplines count identically (the
 	// sequential baseline issues the same relational operations, one
-	// transaction each), so per-member timings are directly comparable.
+	// transaction each), so per-member figures are directly comparable.
 	Members atomic.Int64
 
 	// ReadOnlyBatches counts batches that attempted the lock-free
@@ -100,11 +99,12 @@ type LockCounts struct {
 	// The mixed-batch OCC counters (occ.go): OCCBatches counts mixed
 	// groups that took the Silo-style path; OCCWriteLocks the exclusive
 	// locks those batches' write members acquired (on successful commits —
-	// the benchguard "strictly fewer than sequential" signal rides on the
-	// plain Acquired totals, which include these); OCCSharedLocks the
-	// Shared-mode acquisitions of successful OCC commits, structurally
-	// zero (reads divert into the read-set) and gated at zero by
-	// benchguard; OCCReadSet the distinct epoch cells validated;
+	// the "strictly fewer than sequential" rule of
+	// TestDeterministicLockCounts rides on the plain Acquired totals, which
+	// include these); OCCSharedLocks the Shared-mode acquisitions of
+	// successful OCC commits, structurally zero (reads divert into the
+	// read-set) and pinned at zero by that test; OCCReadSet the distinct
+	// epoch cells validated;
 	// OCCRetries the attempts beyond each batch's first; OCCFallbacks the
 	// batches that exhausted their attempts and re-ran under full 2PL.
 	OCCBatches     atomic.Int64
@@ -516,8 +516,8 @@ func (s *Social) ProfileSnapshot(user int64) int {
 // SocialOp draws and executes ONE composite social operation against s:
 // it advances the SplitMix64 state, picks the composite per mix, derives
 // operands from the draw, and returns the checksum contribution. It is
-// the single dispatch shared by RunSocial and cmd/crsbench's registry
-// benchmark, so archived BENCH_*.json runs measure exactly this workload.
+// the single dispatch shared by RunSocial and the repo benchmark's social
+// workloads, so both measure exactly this workload.
 func SocialOp(s *Social, state *uint64, mix SocialMix, keySpace int64) uint64 {
 	r := splitmix64(state)
 	choice := int(r % 100)

@@ -106,13 +106,12 @@ func TestSocialWriteCoalescing(t *testing.T) {
 	}
 }
 
-// TestSocialMixedOCC pins the tentpole invariant the PR-4 benchguard
-// exemption papered over: with mixed groups committing Silo-style (write
-// locks + validated lock-free reads), the grouped discipline acquires
-// STRICTLY FEWER physical locks than its sequential decomposition on the
-// Follow-heavy mixed mix — and the OCC path itself takes zero shared
-// locks, zero retries and zero fallbacks on the uncontended deterministic
-// pass.
+// TestSocialMixedOCC pins the coalescing invariant: with mixed groups
+// committing Silo-style (write locks + validated lock-free reads), the
+// grouped discipline acquires STRICTLY FEWER physical locks than its
+// sequential decomposition on the Follow-heavy mixed mix — and the OCC
+// path itself takes zero shared locks, zero retries and zero fallbacks on
+// the uncontended deterministic pass.
 func TestSocialMixedOCC(t *testing.T) {
 	core.SetAudit(true)
 	defer core.SetAudit(false)

@@ -8,6 +8,8 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -37,6 +39,28 @@ type Mix struct {
 // String renders the mix in the paper's x-y-z-w notation.
 func (m Mix) String() string {
 	return fmt.Sprintf("%d-%d-%d-%d", m.Successors, m.Predecessors, m.Inserts, m.Removes)
+}
+
+// ParseMix parses the x-y-z-w notation String renders and validates that
+// the percentages sum to 100.
+func ParseMix(s string) (Mix, error) {
+	parts := strings.Split(s, "-")
+	if len(parts) != 4 {
+		return Mix{}, fmt.Errorf("workload: bad mix %q (want x-y-z-w)", s)
+	}
+	var nums [4]int
+	for i, p := range parts {
+		n, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || n < 0 {
+			return Mix{}, fmt.Errorf("workload: bad mix component %q in %q", p, s)
+		}
+		nums[i] = n
+	}
+	m := Mix{Successors: nums[0], Predecessors: nums[1], Inserts: nums[2], Removes: nums[3]}
+	if !m.valid() {
+		return Mix{}, fmt.Errorf("workload: mix %q does not sum to 100", s)
+	}
+	return m, nil
 }
 
 // valid reports whether the percentages sum to 100.

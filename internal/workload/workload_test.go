@@ -45,6 +45,22 @@ func TestMixString(t *testing.T) {
 	}
 }
 
+func TestParseMix(t *testing.T) {
+	m, err := ParseMix("70-0-20-10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Mix{Successors: 70, Predecessors: 0, Inserts: 20, Removes: 10}
+	if m != want {
+		t.Fatalf("ParseMix = %+v", m)
+	}
+	for _, bad := range []string{"70-0-20", "70-0-20-11", "a-b-c-d", "70-0-20-10-0", "-10-50-40-20"} {
+		if _, err := ParseMix(bad); err == nil {
+			t.Errorf("ParseMix(%q) should fail", bad)
+		}
+	}
+}
+
 func TestFigure5Mixes(t *testing.T) {
 	mixes := Figure5Mixes()
 	if len(mixes) != 4 {
