@@ -23,9 +23,6 @@ func TestSteadyStateBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate measures the production build")
 	}
-	if !useRoundMaps {
-		t.Fatal("round maps disabled; the gate must measure the default scheduler")
-	}
 	// The suite-wide well-lockedness auditor allocates its fresh-instance
 	// map per batch by design; the gate measures the production
 	// configuration, where auditing is off.

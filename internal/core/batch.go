@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/container"
 	"repro/internal/decomp"
@@ -253,7 +252,7 @@ type member struct {
 	rem       *removePlan
 	mut       *query.MutationPlan
 	// qprog is the compiled round map of a query/count member's plan; its
-	// pointer doubles as the plan-identity key of the round-map scheduler's
+	// pointer doubles as the plan-identity key of the growing phase's
 	// memoized grouping (mutations use mut.Prog instead).
 	qprog *query.RoundProgram
 
@@ -266,10 +265,9 @@ type member struct {
 	pt    *Pending[[]rel.Tuple]
 	yield func(rel.Row) bool
 
-	// Growing-phase cursor: step index for queries/counts, directive
-	// index for mutations (plus the intra-directive stage).
+	// Growing-phase cursor: index into the member's compiled round
+	// program (qprog for queries/counts, mut.Prog for mutations).
 	cursor int
-	stage  uint8
 	wait   waitKind
 
 	states  []*qstate   // query pipeline / remove victims / insert existence states
@@ -284,13 +282,10 @@ type member struct {
 	counted bool // count delivered by a StepCount terminal
 
 	// Apply-phase staging (computeMember/deliverMember): ok is a
-	// mutation's staged outcome, recomputed marks a query whose apply-time
-	// re-execution (not the growing/read-phase traversal) produced
-	// m.states. Staging lets the OCC commit (occ.go) compute every
-	// member's result under undo logging and deliver — resolve pendings,
-	// run yields — only after the read-set validates.
-	ok         bool
-	recomputed bool
+	// mutation's staged outcome. Staging lets the OCC commit (occ.go)
+	// compute every member's result under undo logging and deliver —
+	// resolve pendings, run yields — only after the read-set validates.
+	ok bool
 }
 
 // reset clears a member slab entry for reuse, retaining slice capacity.
@@ -912,9 +907,9 @@ func (r *Relation) initBatchMembers(b *opBuf) {
 		// falling back from failed optimistic attempts re-enters here with
 		// stale per-attempt state (counted counts in particular must not
 		// leak into the apply phase's reuse path).
-		m.cursor, m.stage, m.wait = 0, stStart, wNone
+		m.cursor, m.wait = 0, wNone
 		m.count, m.counted = 0, false
-		m.ok, m.recomputed = false, false
+		m.ok = false
 		m.specReg, m.specResolved, m.specFound = false, false, nil
 		switch m.kind {
 		case mQuery, mCount:
@@ -939,20 +934,13 @@ func (r *Relation) initBatchMembers(b *opBuf) {
 		}
 	}
 
-	b.detectRounds()
-
-	// Detach the single-op ping-pong arrays. Single operations may leave
+	// De-alias the single-op ping-pong arrays. Single operations may leave
 	// b.pipe and b.spare aliased (a scan step on an already-dead pipeline
 	// donates the pipe array to spare), which is benign when nothing
-	// outlives the operation — but batch members RETAIN their final state
-	// lists across the whole transaction, so the scan ping-pong and the
-	// apply phase's runSteps must start from storage that cannot alias a
-	// member's retention. The round-map scheduler pipes member states
-	// through member-owned arrays only, so it keeps the pair (their
-	// capacity serves apply-phase re-execution) and merely de-aliases it.
-	if !b.rounds {
-		b.pipe, b.spare = nil, nil
-	} else if sameBacking(b.pipe, b.spare) {
+	// outlives the operation. Batch members pipe their states through
+	// member-owned arrays only, so the pair keeps its capacity for the
+	// apply phase's insert/remove re-executions and merely must not alias.
+	if sameBacking(b.pipe, b.spare) {
 		b.spare = nil
 	}
 }
@@ -965,28 +953,18 @@ func (r *Relation) initBatchMembers(b *opBuf) {
 func (r *Relation) growBatch(t *Txn, b *opBuf) {
 	nNodes := len(r.decomp.Nodes)
 	b.collect = &b.set
-	if b.rounds {
-		b.buildGroups()
-	}
+	b.buildGroups()
 	for v := 0; v < nNodes; v++ {
 		for {
 			progress := false
-			if b.rounds {
-				// Members sweep in plan-identity groups: same-plan members
-				// advance back to back, so their per-node lock and spec
-				// contributions merge while round-hot data stays cached. The
-				// coalescing set and the sorted spec waves make the order
-				// trace-invariant.
-				for _, mi := range b.groupOrder {
-					if r.advanceMemberRounds(b, &b.members[mi], v) {
-						progress = true
-					}
-				}
-			} else {
-				for i := range b.members {
-					if r.advanceMember(b, &b.members[i], v) {
-						progress = true
-					}
+			// Members sweep in plan-identity groups: same-plan members
+			// advance back to back, so their per-node lock and spec
+			// contributions merge while round-hot data stays cached. The
+			// coalescing set and the sorted spec waves make the order
+			// trace-invariant.
+			for _, mi := range b.groupOrder {
+				if r.advanceMember(b, &b.members[mi], v) {
+					progress = true
 				}
 			}
 			if len(b.specs) > 0 {
@@ -1055,472 +1033,6 @@ func (t *Txn) recordRound(b *opBuf, node string, requested, prev int, spec bool)
 	}
 	if requested > 0 || len(rd.IDs) > 0 {
 		tr.Rounds = append(tr.Rounds, rd)
-	}
-}
-
-// advanceMember runs one member's growing-phase cursor as far as round v
-// allows, reporting whether any work was done. Lock steps divert into the
-// round's coalescing set (b.collect); speculative steps register requests
-// for the pooled resolution.
-func (r *Relation) advanceMember(b *opBuf, m *member, v int) bool {
-	if m.wait != wNone {
-		return false
-	}
-	switch m.kind {
-	case mQuery, mCount:
-		return r.advancePlan(b, m, v)
-	case mInsert:
-		return r.advanceInsert(b, m, v)
-	case mRemove:
-		return r.advanceRemove(b, m, v)
-	}
-	panic("core: unknown batch member kind")
-}
-
-// advancePlan advances a query/count member through its compiled steps.
-func (r *Relation) advancePlan(b *opBuf, m *member, v int) bool {
-	progress := false
-	for m.cursor < len(m.steps) {
-		s := &m.steps[m.cursor]
-		switch s.Kind {
-		case query.StepLock:
-			if s.Node.Index > v {
-				return progress
-			}
-			r.execLock(b, s, m.states, m.row) // diverts into b.collect
-			m.cursor++
-			m.wait = wLock
-			return true
-		case query.StepSpecLookup:
-			if m.specResolved {
-				m.consumeSpec()
-				progress = true
-				continue
-			}
-			if s.Edge.Dst.Index > v {
-				return progress
-			}
-			n := 0
-			for _, st := range m.states {
-				src := st.insts[s.Edge.Src.Index]
-				if src == nil {
-					continue
-				}
-				b.specs = append(b.specs, batchSpecReq{m: m, st: st, edge: s.Edge, colIdx: s.ColIdx,
-					row: st.row, src: src, key: b.keyOf(st.row, s.TargetIdx), node: s.Edge.Dst.Index, mode: s.Mode})
-				n++
-			}
-			m.specOut = m.specOut[:0]
-			m.specReg = true
-			if n == 0 {
-				m.specResolved = true
-				continue
-			}
-			m.wait = wSpec
-			return true
-		case query.StepScan:
-			if rule := r.placement.RuleFor(s.Edge); rule.Speculative {
-				if m.specResolved {
-					m.consumeSpec()
-					progress = true
-					continue
-				}
-				if s.Edge.Dst.Index > v {
-					return progress
-				}
-				n := r.registerSpecScan(b, m, s)
-				m.specOut = m.specOut[:0]
-				m.specReg = true
-				if n == 0 {
-					m.specResolved = true
-					continue
-				}
-				m.wait = wSpec
-				return true
-			}
-			m.states = r.execScan(b, s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx, m.states)
-			m.cursor++
-			progress = true
-		case query.StepCount:
-			total := 0
-			for _, st := range m.states {
-				if inst := st.insts[s.Edge.Src.Index]; inst != nil {
-					r.auditAccess(b, s.Edge, st.insts, st.row, nil, b.fresh, true)
-					total += r.container(inst, s.Edge).Len()
-				}
-			}
-			m.count, m.counted = total, true
-			m.cursor = len(m.steps)
-			m.wait = wDone
-			return true
-		default:
-			m.states = r.execStep(b, s, m.states, m.row)
-			m.cursor++
-			progress = true
-		}
-		if len(m.states) == 0 {
-			m.wait = wDone
-			return true
-		}
-	}
-	m.wait = wDone
-	return true
-}
-
-// takeSpecResults installs the survivors of a resolved speculative wave:
-// the member's pipeline becomes the delivered specOut list, and the old
-// states array (no longer referenced by anyone) becomes the next
-// specOut backing — the same ownership-transfer discipline as the scan
-// ping-pong.
-func (m *member) takeSpecResults() {
-	m.states, m.specOut = m.specOut, m.states[:0]
-	m.specResolved, m.specReg = false, false
-}
-
-// consumeSpec installs the survivors of a resolved speculative step and
-// advances the cursor past it.
-func (m *member) consumeSpec() {
-	m.takeSpecResults()
-	m.cursor++
-}
-
-// registerSpecScan scans a speculatively placed edge (membership frozen
-// by the already-held fallback stripes) and registers one request per
-// surviving entry, returning how many were registered.
-func (r *Relation) registerSpecScan(b *opBuf, m *member, s *query.Step) int {
-	n := 0
-	for _, st := range m.states {
-		src := st.insts[s.Edge.Src.Index]
-		if src == nil {
-			continue
-		}
-		r.auditAccess(b, s.Edge, st.insts, st.row, nil, b.fresh, true)
-		r.container(src, s.Edge).Scan(func(k rel.Key, v any) bool {
-			for fi, p := range s.FilterPos {
-				if !rel.Equal(k.At(p), st.row.At(s.FilterIdx[fi])) {
-					return true
-				}
-			}
-			ns := b.clone(r, st)
-			for p, ci := range s.ColIdx {
-				ns.row.Set(ci, k.At(p))
-			}
-			b.specs = append(b.specs, batchSpecReq{m: m, st: ns, edge: s.Edge, colIdx: s.ColIdx,
-				row: ns.row, src: src, key: b.keyOf(ns.row, s.TargetIdx), node: s.Edge.Dst.Index, mode: s.Mode})
-			n++
-			return true
-		})
-	}
-	return n
-}
-
-// Intra-directive stages of a mutation member's growing phase.
-const (
-	stStart   = 0 // register speculative in-edge requests
-	stSpecGot = 1 // consume the locate/spec resolution
-	stAccess  = 2 // plain access-edge locate
-	stExist   = 3 // advance the embedded existence check (inserts)
-	stLock    = 4 // contribute the node's lock directive
-)
-
-// advanceInsert advances an insert member: per node, locate the row's
-// instance (speculative in-edges via the pooled resolution, then the
-// planned access edge), interleave the put-if-absent existence states,
-// and contribute the lock directive — the batched counterpart of
-// runInsert's growing phase.
-func (r *Relation) advanceInsert(b *opBuf, m *member, v int) bool {
-	progress := false
-	for m.cursor < len(m.mut.PerNode) {
-		nd := &m.mut.PerNode[m.cursor]
-		if nd.Node.Index > v {
-			return progress
-		}
-		switch m.stage {
-		case stStart:
-			if nd.Node == r.decomp.Root {
-				m.stage = stLock
-				continue
-			}
-			n := 0
-			for i, e := range nd.SpecIns {
-				src := m.xinst[e.Src.Index]
-				if src == nil {
-					continue
-				}
-				b.specs = append(b.specs, batchSpecReq{m: m, edge: e, colIdx: nd.SpecColIdx[i],
-					row: m.row, src: src, key: b.keyOf(m.row, nd.SpecTargetIdx[i]),
-					node: nd.Node.Index, mode: locks.Exclusive})
-				n++
-			}
-			m.stage = stSpecGot
-			if n > 0 {
-				m.specReg = true
-				m.wait = wSpec
-				return true
-			}
-		case stSpecGot:
-			if m.specFound != nil {
-				m.xinst[nd.Node.Index] = m.specFound
-				m.specFound = nil
-			}
-			m.specReg, m.specResolved = false, false
-			m.stage = stAccess
-		case stAccess:
-			if m.xinst[nd.Node.Index] == nil && nd.AccessIn != nil {
-				if src := m.xinst[nd.AccessIn.Src.Index]; src != nil {
-					r.auditAccess(b, nd.AccessIn, m.xinst, m.row, nil, b.fresh, false)
-					if val, ok := r.container(src, nd.AccessIn).Lookup(b.keyOf(m.row, nd.ColIdx)); ok {
-						m.xinst[nd.Node.Index] = val.(*Instance)
-					}
-				}
-			}
-			m.stage = stExist
-		case stExist:
-			if step := m.ins.existAt[nd.Node.Index]; step != nil && len(m.states) > 0 {
-				if step.Kind == query.StepSpecLookup {
-					if m.specResolved {
-						m.takeSpecResults()
-					} else {
-						n := 0
-						for _, st := range m.states {
-							src := st.insts[step.Edge.Src.Index]
-							if src == nil {
-								continue
-							}
-							b.specs = append(b.specs, batchSpecReq{m: m, st: st, edge: step.Edge,
-								colIdx: step.ColIdx, row: st.row, src: src,
-								key: b.keyOf(st.row, step.TargetIdx), node: nd.Node.Index, mode: step.Mode})
-							n++
-						}
-						m.specOut = m.specOut[:0]
-						m.specReg = true
-						if n > 0 {
-							m.wait = wSpec
-							return true
-						}
-						m.specResolved = true
-						continue
-					}
-				} else {
-					m.states = r.execStep(b, step, m.states, m.row)
-				}
-			}
-			m.stage = stLock
-		case stLock:
-			r.lockDirective(b, nd, m.xinst[nd.Node.Index], m.states, m.row) // diverts into b.collect
-			m.cursor++
-			m.stage = stStart
-			if len(nd.Selectors) > 0 {
-				m.wait = wLock
-				return true
-			}
-			progress = true
-		}
-	}
-	m.wait = wDone
-	return true
-}
-
-// advanceRemove advances a remove member: per node, move the victim
-// states across the planned access route and contribute the lock
-// directive — the batched counterpart of runRemove's growing phase.
-//
-// In addition to the state pipeline, removes maintain an insert-style
-// row-based locate (xinst). The states alone under-lock a batch: when a
-// keyed lookup misses, the victim states die, and directive nodes keyed
-// from still-located sources (e.g. the root) would never register their
-// lock requests — yet the apply phase can reach those pre-existing
-// instances if an earlier batch member re-creates the missing key. The
-// row-based locate covers every instance the bound row determines,
-// independent of state survival, closing that gap.
-func (r *Relation) advanceRemove(b *opBuf, m *member, v int) bool {
-	progress := false
-	for m.cursor < len(m.mut.PerNode) {
-		nd := &m.mut.PerNode[m.cursor]
-		if nd.Node.Index > v {
-			return progress
-		}
-		switch m.stage {
-		case stStart:
-			if nd.Node == r.decomp.Root {
-				m.stage = stLock
-				continue
-			}
-			n := 0
-			// Row-based locate requests over every speculative in-edge
-			// (their key columns are always bound for mutations).
-			for i, e := range nd.SpecIns {
-				src := m.xinst[e.Src.Index]
-				if src == nil {
-					continue
-				}
-				b.specs = append(b.specs, batchSpecReq{m: m, edge: e, colIdx: nd.SpecColIdx[i],
-					row: m.row, src: src, key: b.keyOf(m.row, nd.SpecTargetIdx[i]),
-					node: nd.Node.Index, mode: locks.Exclusive})
-				n++
-			}
-			// State-based requests advancing the victim pipeline.
-			if len(nd.SpecIns) > 0 {
-				for _, st := range m.states {
-					src := st.insts[nd.SpecIns[0].Src.Index]
-					if src == nil {
-						continue
-					}
-					b.specs = append(b.specs, batchSpecReq{m: m, st: st, edge: nd.SpecIns[0],
-						colIdx: nd.SpecColIdx[0], row: st.row, src: src,
-						key: b.keyOf(st.row, nd.SpecTargetIdx[0]), node: nd.Node.Index, mode: locks.Exclusive})
-					n++
-				}
-				m.specOut = m.specOut[:0]
-				m.specReg = true
-				m.stage = stSpecGot
-				if n > 0 {
-					m.wait = wSpec
-					return true
-				}
-				m.specResolved = true
-				continue
-			}
-			m.stage = stAccess
-		case stSpecGot:
-			m.takeSpecResults()
-			if m.specFound != nil {
-				m.xinst[nd.Node.Index] = m.specFound
-				m.specFound = nil
-			}
-			r.rowLocate(b, m, nd)
-			m.stage = stLock
-			progress = true
-		case stAccess:
-			switch e := nd.AccessIn; {
-			case e == nil:
-				m.states = m.states[:0]
-			case nd.AccessScan:
-				m.states = r.execScan(b, e, nd.ColIdx, nd.FilterPos, nd.FilterIdx, m.states)
-			default:
-				m.states = r.execLookup(b, e, nd.ColIdx, m.states)
-			}
-			r.rowLocate(b, m, nd)
-			m.stage = stLock
-			progress = true
-		case stLock:
-			r.lockDirective(b, nd, m.xinst[nd.Node.Index], m.states, m.row) // diverts into b.collect
-			m.cursor++
-			m.stage = stStart
-			if len(nd.Selectors) > 0 {
-				m.wait = wLock
-				return true
-			}
-			progress = true
-		}
-	}
-	m.wait = wDone
-	return true
-}
-
-// rowLocate fills a remove member's row-based located instance for the
-// directive's node via the planned access edge, when the edge's key
-// columns are bound by the operation row (scan-located nodes stay nil:
-// their instances are only reachable through state rows, and the
-// fresh-bridge argument covers them at apply time).
-func (r *Relation) rowLocate(b *opBuf, m *member, nd *query.NodeDirective) {
-	if m.xinst[nd.Node.Index] != nil || nd.AccessIn == nil || nd.AccessScan {
-		return
-	}
-	var need uint64
-	for _, ci := range nd.ColIdx {
-		need |= 1 << uint(ci)
-	}
-	if !m.row.BindsAll(need) {
-		return
-	}
-	src := m.xinst[nd.AccessIn.Src.Index]
-	if src == nil {
-		return
-	}
-	r.auditAccess(b, nd.AccessIn, m.xinst, m.row, nil, b.fresh, false)
-	if val, ok := r.container(src, nd.AccessIn).Lookup(b.keyOf(m.row, nd.ColIdx)); ok {
-		m.xinst[nd.Node.Index] = val.(*Instance)
-	}
-}
-
-// resolveBatchSpecs runs the §4.5 protocol for every pending request, in
-// (node, target key) order across all members so the interleaved target
-// acquisitions respect the global lock order. Requests for the same
-// target resolve in the strongest mode any requester needs (the
-// speculative analog of the coalescing upgrade rule); later requesters
-// find the lock held and merely re-validate. Survivors are delivered to
-// their members, which resume at the next scheduler sweep.
-func (r *Relation) resolveBatchSpecs(t *Txn, b *opBuf) {
-	if b.rounds {
-		r.resolveBatchSpecsBucketed(t, b)
-		return
-	}
-	specs := b.specs
-	// Sort by (node, key): closure-free insertion sort for the typical
-	// small pool, sort.Slice beyond (quadratic insertion would dominate
-	// on scan-fed pools).
-	less := func(a, c *batchSpecReq) bool {
-		if a.node != c.node {
-			return a.node < c.node
-		}
-		return rel.CompareKeys(a.key, c.key) < 0
-	}
-	if len(specs) <= 32 {
-		for i := 1; i < len(specs); i++ {
-			for j := i; j > 0 && less(&specs[j], &specs[j-1]); j-- {
-				specs[j], specs[j-1] = specs[j-1], specs[j]
-			}
-		}
-	} else {
-		sort.Slice(specs, func(i, j int) bool { return less(&specs[i], &specs[j]) })
-	}
-	prev := b.txn.HeldCount()
-	for i := 0; i < len(specs); {
-		j := i
-		mode := locks.Shared
-		for ; j < len(specs) && specs[j].node == specs[i].node && rel.CompareKeys(specs[j].key, specs[i].key) == 0; j++ {
-			if specs[j].mode == locks.Exclusive {
-				mode = locks.Exclusive
-			}
-		}
-		for k := i; k < j; k++ {
-			r.resolveOneSpec(b, &specs[k], mode)
-		}
-		i = j
-	}
-	if t.trace != nil && len(specs) > 0 {
-		t.recordRound(b, r.traceLabel(r.decomp.Nodes[specs[0].node].Name), len(specs), prev, true)
-	}
-	clear(specs)
-	b.specs = specs[:0]
-	for i := range b.members {
-		m := &b.members[i]
-		if m.wait == wSpec {
-			m.wait = wNone
-			m.specResolved = true
-		}
-	}
-}
-
-// resolveOneSpec runs the §4.5 protocol body for one pending request in
-// the (already upgraded) mode of its (node, key) run, delivering survivors
-// to the member's specOut list or its located-instance slot.
-func (r *Relation) resolveOneSpec(b *opBuf, req *batchSpecReq, mode locks.Mode) {
-	inst, ok := r.specLocate(b, req.edge, req.colIdx, req.src, req.row, mode)
-	switch {
-	case req.st != nil && ok:
-		req.st.insts[req.edge.Dst.Index] = inst
-		req.m.specOut = append(req.m.specOut, req.st)
-	case req.st != nil:
-		r.auditAccess(b, req.edge, req.st.insts, req.st.row, nil, b.fresh, false)
-	case ok:
-		if req.m.specFound != nil && req.m.specFound != inst {
-			panic(fmt.Sprintf("core: inconsistent instances of %s via speculative in-edges", req.edge.Dst.Name))
-		}
-		req.m.specFound = inst
-	default:
-		r.auditAccess(b, req.edge, req.m.xinst, req.row, nil, b.fresh, false)
 	}
 }
 
@@ -1630,27 +1142,18 @@ func (r *Relation) computeMember(b *opBuf, m *member, idx, firstMut int) {
 	reuse := r.memberReusable(b, m, idx, firstMut)
 	switch m.kind {
 	case mQuery:
-		m.recomputed = !reuse
 		if !reuse {
-			if b.rounds {
-				r.runMemberRounds(b, m)
-			} else {
-				m.states = r.runSteps(b, m.steps, m.row, m.boundMask)
-			}
+			r.runMember(b, m)
 		}
 	case mCount:
 		switch {
 		case reuse && m.counted:
 			// m.count already holds the growing/read-phase result.
 		case reuse:
-			m.count = len(m.states)
-		case b.rounds:
-			m.count = r.runMemberCountRounds(b, m)
-			m.states = m.states[:0]
+			m.count, m.counted = len(m.states), true
 		default:
-			m.count = r.applyCount(b, m)
+			r.runMember(b, m)
 		}
-		m.counted = true
 	case mInsert:
 		m.ok = false
 		if reuse {
@@ -1708,25 +1211,11 @@ func (r *Relation) deliverMember(b *opBuf, m *member) {
 			}
 			m.pt.set(results)
 		}
-		if m.recomputed && !b.rounds {
-			// Legacy apply ran runSteps on the shared ping-pong pair; hand
-			// the capacity back and sever the member's reference so a later
-			// round-mode batch never sees b.pipe aliasing a member slab
-			// entry. Round-mode recomputation used the member's own arrays,
-			// which the member simply keeps.
-			b.recycle(states)
-			m.states = nil
-		}
 	case mCount:
 		m.pi.set(m.count)
 	case mInsert, mRemove:
 		m.pb.set(m.ok)
 	}
-}
-
-// applyCount re-executes a count member in apply mode.
-func (r *Relation) applyCount(b *opBuf, m *member) int {
-	return r.runCountSteps(b, m.steps, m.row, m.boundMask)
 }
 
 // applyInsert re-executes an insert at commit time: re-run the

@@ -325,32 +325,11 @@ func TestBatchLockAudit(t *testing.T) {
 // TestBatchDifferentialQuick is the batched-vs-sequential differential
 // quick-check: any random operation group executed as one batch yields
 // the same per-operation results and final contents as the same sequence
-// executed one operation at a time against the §2 reference.
+// executed one operation at a time against the §2 reference, on every
+// graph variant — the one batch scheduler must carry every placement.
 func TestBatchDifferentialQuick(t *testing.T) {
-	runBatchDifferentialQuick(t)
-}
-
-// TestBatchDifferentialQuickCursorMachine re-runs the same differential
-// with the round-map scheduler disabled, so the generic cursor machine
-// (the fallback scheduler) stays pinned to the sequential oracle too.
-func TestBatchDifferentialQuickCursorMachine(t *testing.T) {
-	defer SetRoundMaps(SetRoundMaps(false))
-	runBatchDifferentialQuick(t)
-}
-
-func runBatchDifferentialQuick(t *testing.T) {
-	for _, name := range []string{"stick/fine/tree+tree", "split/striped/chm+hash", "diamond/speculative"} {
-		var v *variant
-		vars := graphVariants()
-		for i := range vars {
-			if vars[i].name == name {
-				v = &vars[i]
-			}
-		}
-		if v == nil {
-			t.Fatalf("variant %s missing", name)
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, v := range graphVariants() {
+		t.Run(v.name, func(t *testing.T) {
 			f := func(pre, group graphOps) bool {
 				r := v.build(t)
 				ref := NewReference(r.Spec())

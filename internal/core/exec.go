@@ -142,8 +142,8 @@ func (r *Relation) execOptimisticScanSpec(b *opBuf, step *query.Step, states []*
 }
 
 // execOptimisticScanSpecInto is execOptimisticScanSpec building onto a
-// caller-supplied output array; the round-map scheduler passes member-owned
-// arrays here instead of the shared ping-pong pair.
+// caller-supplied output array; batch members pass their own arrays here
+// instead of the shared ping-pong pair.
 func (r *Relation) execOptimisticScanSpecInto(b *opBuf, out []*qstate, step *query.Step, states []*qstate) []*qstate {
 	e := step.Edge
 	for _, st := range states {
@@ -322,8 +322,8 @@ func (r *Relation) execScan(b *opBuf, e *decomp.Edge, colIdx, filterPos, filterI
 }
 
 // execScanInto is execScan building onto a caller-supplied output array;
-// the round-map scheduler passes member-owned arrays here instead of the
-// shared ping-pong pair.
+// batch members pass their own arrays here instead of the shared
+// ping-pong pair.
 func (r *Relation) execScanInto(b *opBuf, out []*qstate, e *decomp.Edge, colIdx, filterPos, filterIdx []int, states []*qstate) []*qstate {
 	// The visitor closure is created once per buffer and parameterized
 	// through b.scan: a fresh closure per (call × state) is the hottest

@@ -144,16 +144,10 @@ func (r *Relation) occApply(b *opBuf, firstMut int, deliver func()) (ok bool, er
 		clear(undo.recs)
 		undo.recs = undo.recs[:0]
 	}()
+	// Staged query states survive until post-validation delivery; they
+	// live on member-owned arrays, and the shared ping-pong pair serves
+	// only applyInsert/applyRemove transients, which nothing retains.
 	for i := range b.members {
-		if !b.rounds {
-			// Detach the ping-pong arrays before every compute: staged query
-			// states must survive until post-validation delivery, so no later
-			// member's pipeline may alias their backing array. (Round-mode
-			// recomputation runs on member-owned arrays; the shared pair only
-			// serves applyInsert/applyRemove transients, which nothing
-			// retains.)
-			b.pipe, b.spare = nil, nil
-		}
 		r.computeMember(b, &b.members[i], i, firstMut)
 	}
 	if b.reads.Validate(b.txn.HoldsExclusive) {
@@ -310,11 +304,7 @@ func (g *Registry) commitOCC(t *Txn) (bool, error) {
 // runs under the undo log so a panicking yield unwinds every relation's
 // writes.
 func (g *Registry) occApply(t *Txn, deliver func()) (ok bool, err error) {
-	var undo undoLog
-	for _, sh := range t.multi.shards {
-		sh.b.apply = true
-		sh.b.undo = &undo
-	}
+	undo := t.armUndo()
 	defer func() {
 		for _, sh := range t.multi.shards {
 			sh.b.undo = nil
@@ -324,13 +314,12 @@ func (g *Registry) occApply(t *Txn, deliver func()) (ok bool, err error) {
 			undo.rollback()
 			panic(p)
 		}
+		clear(undo.recs)
+		undo.recs = undo.recs[:0]
 	}()
 	for pos, ref := range t.multi.order {
 		if registryApplyHook != nil {
 			registryApplyHook(ref.sh.r.name, pos)
-		}
-		if !ref.sh.b.rounds {
-			ref.sh.b.pipe, ref.sh.b.spare = nil, nil
 		}
 		ref.sh.r.computeMember(ref.sh.b, &ref.sh.b.members[ref.idx], ref.idx, ref.sh.firstMut)
 	}

@@ -21,7 +21,8 @@ import (
 //   - pipe and spare are ping-pong ARRAYS for state lists, not state
 //     owners: a scan builds its output on spare and donates its input
 //     array back. Single operations may leave the two aliased (harmless
-//     there); the batch executor detaches both before running;
+//     there); the batch executor de-aliases them, and batch members pipe
+//     their retained states through member-owned arrays instead;
 //   - keys carved from the arena (keyOf/carve) live until putBuf but must
 //     never be stored into containers, which retain keys indefinitely —
 //     use Row.KeyAt for durable keys.
@@ -94,16 +95,13 @@ type opBuf struct {
 	// epoch as coverage.
 	occ bool
 
-	// Round-map scheduler state (rounds.go). rounds marks a batch whose
-	// every member carries a compiled round program, so the growing phase
-	// walks flat round arrays over member-owned state lists instead of the
-	// generic cursor machine. groupKey/groupOrder memoize the plan-identity
-	// grouping of the member list across batches (groupKey[i] is member i's
-	// program pointer); specIdx holds the per-node index buckets of the
-	// bucketed speculative resolution; undoPool is the buffer-resident
-	// apply-phase undo log (a stack undoLog escapes through b.undo, so
-	// reusing this one saves an allocation per batch).
-	rounds     bool
+	// Growing-phase scheduler state (rounds.go). groupKey/groupOrder
+	// memoize the plan-identity grouping of the member list across batches
+	// (groupKey[i] is member i's program pointer); specIdx holds the
+	// per-node index buckets of the speculative resolution; undoPool is the
+	// buffer-resident apply-phase undo log (a stack undoLog escapes through
+	// b.undo, so reusing this one saves an allocation per batch — registry
+	// batches share their first shard's).
 	groupKey   []any
 	groupOrder []int32
 	specIdx    [][]int32
@@ -197,7 +195,6 @@ func (r *Relation) putBuf(b *opBuf) {
 	b.optimistic = false
 	b.occ = false
 	b.reads.Reset()
-	b.rounds = false
 	// groupKey/groupOrder persist: they memoize the plan-identity grouping
 	// and are revalidated against the member list before every use.
 	for i := range b.specIdx {

@@ -84,7 +84,6 @@ func (r *Relation) commitReadOnly(t *Txn, sh *txnShard) bool {
 		return false
 	}
 	b := sh.b
-	b.detectRounds() // read-only commits skip initBatchMembers, so decide here
 	if tr := t.trace; tr != nil {
 		tr.Optimistic = true
 	}
@@ -128,9 +127,6 @@ func (g *Registry) commitReadOnly(t *Txn) bool {
 		if !sh.r.optimisticOK {
 			return false
 		}
-	}
-	for _, sh := range t.multi.shards {
-		sh.b.detectRounds() // read-only commits skip initBatchMembers, so decide here
 	}
 	if tr := t.trace; tr != nil {
 		tr.Optimistic = true
@@ -182,14 +178,14 @@ func (g *Registry) commitReadOnly(t *Txn) bool {
 // runShardOptimistic executes one shard's READ members lock-free,
 // recording epochs into the shard buffer's read-set. Each member's
 // compiled plan runs exactly as in the apply phase of a pessimistic batch
-// — there is no growing-phase scheduling to do, which is the point — and
-// retains its final states (queries) or count for the post-validation
-// delivery. Mutation members are skipped: a read-only batch has none, and
-// in a mixed OCC commit (occ.go) they already ran the pessimistic growing
-// phase under exclusive locks. Callers reset the state pool to the
-// attempt's floor first (b.n = 0 for read-only batches, the post-growing
-// mark for OCC), because the previous attempt's retained read lists are
-// invalid and overwritten.
+// — there is no growing-phase scheduling to do, which is the point — on
+// the member's own state arrays, and retains its final states (queries)
+// or count for the post-validation delivery. Mutation members are
+// skipped: a read-only batch has none, and in a mixed OCC commit (occ.go)
+// they already ran the pessimistic growing phase under exclusive locks.
+// Callers reset the state pool to the attempt's floor first (b.n = 0 for
+// read-only batches, the post-growing mark for OCC), because the previous
+// attempt's retained read lists are invalid and overwritten.
 func (r *Relation) runShardOptimistic(b *opBuf) {
 	b.optimistic = true
 	b.reads.Reset()
@@ -204,31 +200,7 @@ func (r *Relation) runShardOptimistic(b *opBuf) {
 			}
 			continue
 		}
-		if b.rounds {
-			// Round mode pipes each member through its own arrays; the
-			// shared pair is never touched, so nothing needs detaching.
-			switch m.kind {
-			case mQuery:
-				r.runMemberRounds(b, m)
-			case mCount:
-				m.count = r.runMemberCountRounds(b, m)
-				m.counted = true
-				m.states = m.states[:0]
-			}
-			continue
-		}
-		// Detach the ping-pong arrays: members retain their final state
-		// lists across the whole batch, so every member starts from
-		// storage that cannot alias another member's retention.
-		b.pipe, b.spare = nil, nil
-		switch m.kind {
-		case mQuery:
-			m.states = r.runSteps(b, m.steps, m.row, m.boundMask)
-		case mCount:
-			m.count = r.runCountSteps(b, m.steps, m.row, m.boundMask)
-			m.counted = true
-			m.states = m.states[:0]
-		}
+		r.runMember(b, m)
 	}
 	b.optimistic = false
 }
@@ -293,8 +265,8 @@ func (r *Relation) runCountOptimistic(b *opBuf, steps []query.Step, op rel.Row, 
 // runCountSteps executes a count plan's step list from the root state: a
 // StepCount terminal sums container sizes at the counting frontier,
 // otherwise the surviving states are counted. It is the shared body of
-// the single-operation count path (prepared.go), the batch apply phase
-// and the optimistic runner.
+// the single-operation count path (prepared.go) and its optimistic
+// runner.
 func (r *Relation) runCountSteps(b *opBuf, steps []query.Step, op rel.Row, mask uint64) int {
 	states := append(b.pipe[:0], b.rootState(r, op, mask))
 	b.pipe = states
@@ -302,13 +274,7 @@ func (r *Relation) runCountSteps(b *opBuf, steps []query.Step, op rel.Row, mask 
 	for i := range steps {
 		step := &steps[i]
 		if step.Kind == query.StepCount {
-			total = 0
-			for _, st := range states {
-				if inst := st.insts[step.Edge.Src.Index]; inst != nil {
-					r.auditAccess(b, step.Edge, st.insts, st.row, nil, b.fresh, true)
-					total += r.container(inst, step.Edge).Len()
-				}
-			}
+			total = r.countAt(b, step, states)
 			break
 		}
 		states = r.execStep(b, step, states, op)

@@ -240,11 +240,7 @@ func (g *Registry) commitTxn(t *Txn) error {
 	// Apply phase: one undo log spans all shards, so a panic in any
 	// member's apply unwinds the writes of EVERY relation before the
 	// locks are released — cross-relation all-or-nothing.
-	var undo undoLog
-	for _, sh := range t.multi.shards {
-		sh.b.apply = true
-		sh.b.undo = &undo
-	}
+	undo := t.armUndo()
 	defer func() {
 		for _, sh := range t.multi.shards {
 			sh.b.undo = nil
@@ -253,6 +249,8 @@ func (g *Registry) commitTxn(t *Txn) error {
 			undo.rollback()
 			panic(p)
 		}
+		clear(undo.recs)
+		undo.recs = undo.recs[:0]
 	}()
 	for pos, ref := range t.multi.order {
 		if registryApplyHook != nil {
@@ -287,4 +285,18 @@ func (g *Registry) commitTxn(t *Txn) error {
 		sh.b.apply = false
 	}
 	return nil
+}
+
+// armUndo enters every shard's apply phase under one shared undo log: the
+// first shard's buffer-resident undoPool, emptied (a stack undoLog would
+// escape through b.undo and regrow its records every batch). Callers
+// clear its records on every exit.
+func (t *Txn) armUndo() *undoLog {
+	undo := &t.multi.shards[0].b.undoPool
+	undo.recs = undo.recs[:0]
+	for _, sh := range t.multi.shards {
+		sh.b.apply = true
+		sh.b.undo = undo
+	}
+	return undo
 }

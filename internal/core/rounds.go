@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/decomp"
@@ -11,15 +12,13 @@ import (
 
 // This file is the runtime half of the compiled round maps
 // (internal/query/roundmap.go): the batched growing phase as a walk over
-// each member's pre-classified round array instead of the generic cursor
-// machine of batch.go. The walkers mirror the cursor machine move for
-// move — same gates, same wait transitions, same progress accounting — so
-// the coalesced lock schedule is byte-identical; what changes is the
-// per-sweep work (two integer comparisons instead of re-classifying the
-// current step) and the state-array discipline: round-mode members pipe
-// their scans through member-owned arrays, leaving the buffer's shared
-// ping-pong pair to the apply phase's re-executions, so steady-state
-// batches allocate nothing.
+// each member's pre-classified round array. A sweep costs each member two
+// integer comparisons (is it waiting, has the sweep reached the round's
+// gate); the lock schedule is fixed by the program, and
+// TestBatchScheduleGolden freezes it. Members pipe their scans through
+// member-owned state arrays, leaving the buffer's shared ping-pong pair to
+// the apply phase's insert/remove re-executions, so steady-state batches
+// allocate nothing.
 //
 // Members are swept in plan-identity groups (buildGroups): the member
 // order is partitioned by compiled-program pointer, memoized across
@@ -27,19 +26,6 @@ import (
 // and their per-node contributions merge while the plan's rounds stay hot.
 // Speculative waves resolve through per-node index buckets instead of a
 // global (node, key) sort, reusing the bucket arrays across waves.
-
-// useRoundMaps gates the round-map scheduler; SetRoundMaps flips it for
-// differential tests pinning the two schedulers against each other.
-var useRoundMaps = true
-
-// SetRoundMaps enables or disables the round-map batch scheduler,
-// returning the previous setting. Testing knob: results and lock
-// schedules are identical either way.
-func SetRoundMaps(on bool) bool {
-	prev := useRoundMaps
-	useRoundMaps = on
-	return prev
-}
 
 // prog returns the member's compiled-program pointer, the plan-identity
 // key of the memoized grouping.
@@ -53,37 +39,6 @@ func (m *member) prog() any {
 // sameBacking reports whether two state lists share a backing array.
 func sameBacking(a, c []*qstate) bool {
 	return cap(a) > 0 && cap(c) > 0 && &a[:cap(a)][0] == &c[:cap(c)][0]
-}
-
-// detectRounds decides whether this batch runs on the round-map scheduler:
-// every member must carry a compiled program, and insert members must not
-// need a scan-shaped existence probe (those run on the shared ping-pong
-// arrays, which round mode reserves for the apply phase).
-func (b *opBuf) detectRounds() {
-	b.rounds = useRoundMaps
-	if !b.rounds {
-		return
-	}
-	for i := range b.members {
-		m := &b.members[i]
-		switch m.kind {
-		case mQuery, mCount:
-			if m.qprog == nil {
-				b.rounds = false
-				return
-			}
-		case mInsert:
-			if m.mut.Prog == nil {
-				b.rounds = false
-				return
-			}
-		case mRemove:
-			if m.mut.Prog == nil {
-				b.rounds = false
-				return
-			}
-		}
-	}
 }
 
 // buildGroups (re)computes the plan-identity sweep order: members sharing
@@ -130,26 +85,27 @@ func (b *opBuf) buildGroups() {
 	}
 }
 
-// advanceMemberRounds is advanceMember over the member's compiled round
-// program.
-func (r *Relation) advanceMemberRounds(b *opBuf, m *member, v int) bool {
+// advanceMember runs one member's growing-phase cursor through its round
+// program as far as sweep v allows, reporting whether any work was done.
+// Lock rounds divert into the round's coalescing set (b.collect);
+// speculative rounds register requests for the pooled resolution.
+func (r *Relation) advanceMember(b *opBuf, m *member, v int) bool {
 	if m.wait != wNone {
 		return false
 	}
 	switch m.kind {
 	case mQuery, mCount:
-		return r.advancePlanRounds(b, m, v)
+		return r.advancePlan(b, m, v)
 	case mInsert:
-		return r.advanceInsertRounds(b, m, v)
+		return r.advanceInsert(b, m, v)
 	case mRemove:
-		return r.advanceRemoveRounds(b, m, v)
+		return r.advanceRemove(b, m, v)
 	}
 	panic("core: unknown batch member kind")
 }
 
-// advancePlanRounds advances a query/count member through its round
-// program: the compiled form of advancePlan's step classification.
-func (r *Relation) advancePlanRounds(b *opBuf, m *member, v int) bool {
+// advancePlan advances a query/count member through its round program.
+func (r *Relation) advancePlan(b *opBuf, m *member, v int) bool {
 	rounds := m.qprog.Rounds
 	progress := false
 	for m.cursor < len(rounds) {
@@ -172,24 +128,7 @@ func (r *Relation) advancePlanRounds(b *opBuf, m *member, v int) bool {
 			if rd.Gate > v {
 				return progress
 			}
-			s := &m.steps[rd.Lo]
-			var n int
-			if s.Kind == query.StepSpecLookup {
-				for _, st := range m.states {
-					src := st.insts[s.Edge.Src.Index]
-					if src == nil {
-						continue
-					}
-					b.specs = append(b.specs, batchSpecReq{m: m, st: st, edge: s.Edge, colIdx: s.ColIdx,
-						row: st.row, src: src, key: b.keyOf(st.row, s.TargetIdx), node: s.Edge.Dst.Index, mode: s.Mode})
-					n++
-				}
-			} else {
-				n = r.registerSpecScan(b, m, s)
-			}
-			m.specOut = m.specOut[:0]
-			m.specReg = true
-			if n == 0 {
+			if r.registerSpec(b, m, &m.steps[rd.Lo]) == 0 {
 				m.specResolved = true
 				continue
 			}
@@ -204,14 +143,7 @@ func (r *Relation) advancePlanRounds(b *opBuf, m *member, v int) bool {
 					// ping-pong through the member's own arrays.
 					r.execScanMember(b, m, s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx)
 				case query.StepCount:
-					total := 0
-					for _, st := range m.states {
-						if inst := st.insts[s.Edge.Src.Index]; inst != nil {
-							r.auditAccess(b, s.Edge, st.insts, st.row, nil, b.fresh, true)
-							total += r.container(inst, s.Edge).Len()
-						}
-					}
-					m.count, m.counted = total, true
+					m.count, m.counted = r.countAt(b, s, m.states), true
 					m.cursor = len(rounds)
 					m.wait = wDone
 					return true
@@ -231,8 +163,93 @@ func (r *Relation) advancePlanRounds(b *opBuf, m *member, v int) bool {
 	return true
 }
 
+// countAt sums the sizes of a StepCount terminal's containers over the
+// counting frontier — the count-pushdown result, read without traversing
+// the counted entries.
+func (r *Relation) countAt(b *opBuf, s *query.Step, states []*qstate) int {
+	total := 0
+	for _, st := range states {
+		if inst := st.insts[s.Edge.Src.Index]; inst != nil {
+			r.auditAccess(b, s.Edge, st.insts, st.row, nil, b.fresh, true)
+			total += r.container(inst, s.Edge).Len()
+		}
+	}
+	return total
+}
+
+// registerSpec registers a speculative step's requests over the member's
+// live states — one per state for a keyed lookup, one per surviving entry
+// for a scan — and opens the member's delivery list, returning how many
+// requests were registered.
+func (r *Relation) registerSpec(b *opBuf, m *member, s *query.Step) int {
+	n := 0
+	if s.Kind == query.StepSpecLookup {
+		for _, st := range m.states {
+			src := st.insts[s.Edge.Src.Index]
+			if src == nil {
+				continue
+			}
+			b.specs = append(b.specs, batchSpecReq{m: m, st: st, edge: s.Edge, colIdx: s.ColIdx,
+				row: st.row, src: src, key: b.keyOf(st.row, s.TargetIdx), node: s.Edge.Dst.Index, mode: s.Mode})
+			n++
+		}
+	} else {
+		n = r.registerSpecScan(b, m, s)
+	}
+	m.specOut = m.specOut[:0]
+	m.specReg = true
+	return n
+}
+
+// registerSpecScan scans a speculatively placed edge (membership frozen
+// by the already-held fallback stripes) and registers one request per
+// surviving entry, returning how many were registered.
+func (r *Relation) registerSpecScan(b *opBuf, m *member, s *query.Step) int {
+	n := 0
+	for _, st := range m.states {
+		src := st.insts[s.Edge.Src.Index]
+		if src == nil {
+			continue
+		}
+		r.auditAccess(b, s.Edge, st.insts, st.row, nil, b.fresh, true)
+		r.container(src, s.Edge).Scan(func(k rel.Key, v any) bool {
+			for fi, p := range s.FilterPos {
+				if !rel.Equal(k.At(p), st.row.At(s.FilterIdx[fi])) {
+					return true
+				}
+			}
+			ns := b.clone(r, st)
+			for p, ci := range s.ColIdx {
+				ns.row.Set(ci, k.At(p))
+			}
+			b.specs = append(b.specs, batchSpecReq{m: m, st: ns, edge: s.Edge, colIdx: s.ColIdx,
+				row: ns.row, src: src, key: b.keyOf(ns.row, s.TargetIdx), node: s.Edge.Dst.Index, mode: s.Mode})
+			n++
+			return true
+		})
+	}
+	return n
+}
+
+// takeSpecResults installs the survivors of a resolved speculative wave:
+// the member's pipeline becomes the delivered specOut list, and the old
+// states array (no longer referenced by anyone) becomes the next
+// specOut backing — the same ownership-transfer discipline as the scan
+// ping-pong.
+func (m *member) takeSpecResults() {
+	m.states, m.specOut = m.specOut, m.states[:0]
+	m.specResolved, m.specReg = false, false
+}
+
+// consumeSpec installs the survivors of a resolved speculative step and
+// advances the cursor past it.
+func (m *member) consumeSpec() {
+	m.takeSpecResults()
+	m.cursor++
+}
+
 // insertAccess locates an insert directive's instance through its plain
-// access edge, the body of the legacy stAccess stage.
+// access edge, unless a speculative in-edge already located it.
 func (r *Relation) insertAccess(b *opBuf, m *member, nd *query.NodeDirective) {
 	if m.xinst[nd.Node.Index] == nil && nd.AccessIn != nil {
 		if src := m.xinst[nd.AccessIn.Src.Index]; src != nil {
@@ -244,9 +261,12 @@ func (r *Relation) insertAccess(b *opBuf, m *member, nd *query.NodeDirective) {
 	}
 }
 
-// advanceInsertRounds advances an insert member through its round
-// program: the compiled form of advanceInsert's stage machine.
-func (r *Relation) advanceInsertRounds(b *opBuf, m *member, v int) bool {
+// advanceInsert advances an insert member through its round program: per
+// node, locate the row's instance (speculative in-edges via the pooled
+// resolution, then the planned access edge), interleave the put-if-absent
+// existence states, and contribute the lock directive — the batched
+// counterpart of runInsert's growing phase.
+func (r *Relation) advanceInsert(b *opBuf, m *member, v int) bool {
 	rounds := m.mut.Prog.Rounds
 	progress := false
 	for m.cursor < len(rounds) {
@@ -280,7 +300,7 @@ func (r *Relation) advanceInsertRounds(b *opBuf, m *member, v int) bool {
 				m.specFound = nil
 			}
 			m.specReg, m.specResolved = false, false
-			r.insertAccess(b, m, nd) // legacy stSpecGot falls through stAccess
+			r.insertAccess(b, m, nd)
 			m.cursor++
 		case query.MRoundAccess:
 			r.insertAccess(b, m, nd)
@@ -297,20 +317,7 @@ func (r *Relation) advanceInsertRounds(b *opBuf, m *member, v int) bool {
 					m.cursor++
 					continue
 				}
-				n := 0
-				for _, st := range m.states {
-					src := st.insts[step.Edge.Src.Index]
-					if src == nil {
-						continue
-					}
-					b.specs = append(b.specs, batchSpecReq{m: m, st: st, edge: step.Edge,
-						colIdx: step.ColIdx, row: st.row, src: src,
-						key: b.keyOf(st.row, step.TargetIdx), node: nd.Node.Index, mode: step.Mode})
-					n++
-				}
-				m.specOut = m.specOut[:0]
-				m.specReg = true
-				if n > 0 {
+				if r.registerSpec(b, m, step) > 0 {
 					m.wait = wSpec
 					return true // cursor NOT advanced: resolution re-enters here
 				}
@@ -319,8 +326,8 @@ func (r *Relation) advanceInsertRounds(b *opBuf, m *member, v int) bool {
 			}
 			switch {
 			case step.Kind == query.StepScan && r.placement.RuleFor(step.Edge).Speculative:
-				// Synchronous §4.5 scan, exactly as legacy execStep routes
-				// it, but onto member-owned arrays.
+				// Synchronous §4.5 scan, routed as execStep would route it
+				// but onto member-owned arrays.
 				r.execScanSpecMember(b, m, step)
 			case step.Kind == query.StepScan:
 				r.execScanMember(b, m, step.Edge, step.ColIdx, step.FilterPos, step.FilterIdx)
@@ -342,9 +349,20 @@ func (r *Relation) advanceInsertRounds(b *opBuf, m *member, v int) bool {
 	return true
 }
 
-// advanceRemoveRounds advances a remove member through its round program:
-// the compiled form of advanceRemove's stage machine.
-func (r *Relation) advanceRemoveRounds(b *opBuf, m *member, v int) bool {
+// advanceRemove advances a remove member through its round program: per
+// node, move the victim states across the planned access route and
+// contribute the lock directive — the batched counterpart of runRemove's
+// growing phase.
+//
+// In addition to the state pipeline, removes maintain an insert-style
+// row-based locate (xinst). The states alone under-lock a batch: when a
+// keyed lookup misses, the victim states die, and directive nodes keyed
+// from still-located sources (e.g. the root) would never register their
+// lock requests — yet the apply phase can reach those pre-existing
+// instances if an earlier batch member re-creates the missing key. The
+// row-based locate covers every instance the bound row determines,
+// independent of state survival, closing that gap.
+func (r *Relation) advanceRemove(b *opBuf, m *member, v int) bool {
 	rounds := m.mut.Prog.Rounds
 	progress := false
 	for m.cursor < len(rounds) {
@@ -422,12 +440,38 @@ func (r *Relation) advanceRemoveRounds(b *opBuf, m *member, v int) bool {
 	return true
 }
 
+// rowLocate fills a remove member's row-based located instance for the
+// directive's node via the planned access edge, when the edge's key
+// columns are bound by the operation row (scan-located nodes stay nil:
+// their instances are only reachable through state rows, and the
+// fresh-bridge argument covers them at apply time).
+func (r *Relation) rowLocate(b *opBuf, m *member, nd *query.NodeDirective) {
+	if m.xinst[nd.Node.Index] != nil || nd.AccessIn == nil || nd.AccessScan {
+		return
+	}
+	var need uint64
+	for _, ci := range nd.ColIdx {
+		need |= 1 << uint(ci)
+	}
+	if !m.row.BindsAll(need) {
+		return
+	}
+	src := m.xinst[nd.AccessIn.Src.Index]
+	if src == nil {
+		return
+	}
+	r.auditAccess(b, nd.AccessIn, m.xinst, m.row, nil, b.fresh, false)
+	if val, ok := r.container(src, nd.AccessIn).Lookup(b.keyOf(m.row, nd.ColIdx)); ok {
+		m.xinst[nd.Node.Index] = val.(*Instance)
+	}
+}
+
 // execScanMember runs a plain scan over the member's states, ping-ponging
 // between the member's two owned arrays (states and specOut — the latter
 // is only live between spec registration and consumption, so outside a
 // wave it is free scan scratch). Keeping member scans off the buffer's
-// shared pair is what lets round-mode batches retain every capacity across
-// the transaction without aliasing hazards.
+// shared pair is what lets batches retain every capacity across the
+// transaction without aliasing hazards.
 func (r *Relation) execScanMember(b *opBuf, m *member, e *decomp.Edge, colIdx, filterPos, filterIdx []int) {
 	out := r.execScanInto(b, m.specOut[:0], e, colIdx, filterPos, filterIdx, m.states)
 	m.specOut = m.states[:0]
@@ -501,13 +545,17 @@ func (r *Relation) execSpecRoundMember(b *opBuf, m *member, s *query.Step) {
 	}
 }
 
-// runMemberRounds re-executes a query member over its round program on
-// member-owned arrays: the round-mode analog of runSteps for the apply
-// phase (b.apply) and the optimistic read phase (b.optimistic). The final
-// states stay on the member; nothing is recycled to the shared pair.
-func (r *Relation) runMemberRounds(b *opBuf, m *member) {
+// runMember executes a query or count member over its round program on
+// member-owned arrays, outside the growing phase: the apply phase's
+// re-execution (b.apply) and the optimistic read phase (b.optimistic). A
+// query member keeps its final states; a count member stores its
+// count-pushdown total (or, for plans with no StepCount terminal, the
+// surviving-state count) and drops its states.
+func (r *Relation) runMember(b *opBuf, m *member) {
 	m.states = append(m.states[:0], b.rootState(r, m.row, m.boundMask))
+	total := -1 // set by a StepCount terminal
 	rounds := m.qprog.Rounds
+walk:
 	for ri := range rounds {
 		rd := &rounds[ri]
 		switch rd.Kind {
@@ -517,78 +565,48 @@ func (r *Relation) runMemberRounds(b *opBuf, m *member) {
 			}
 		case query.RoundSpec:
 			r.execSpecRoundMember(b, m, &m.steps[rd.Lo])
-			if len(m.states) == 0 {
-				return
-			}
-		default:
-			for i := rd.Lo; i < rd.Hi; i++ {
-				s := &m.steps[i]
-				if s.Kind == query.StepScan {
-					r.execScanMember(b, m, s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx)
-				} else {
-					m.states = r.execStep(b, s, m.states, m.row)
-				}
-				if len(m.states) == 0 {
-					return
-				}
-			}
-		}
-	}
-}
-
-// runMemberCountRounds is runMemberRounds for count members, returning
-// the count-pushdown total (or the surviving-state count for plans with
-// no StepCount terminal).
-func (r *Relation) runMemberCountRounds(b *opBuf, m *member) int {
-	m.states = append(m.states[:0], b.rootState(r, m.row, m.boundMask))
-	rounds := m.qprog.Rounds
-	for ri := range rounds {
-		rd := &rounds[ri]
-		switch rd.Kind {
-		case query.RoundLock:
-			if !b.apply {
-				r.execLock(b, &m.steps[rd.Lo], m.states, m.row)
-			}
-		case query.RoundSpec:
-			r.execSpecRoundMember(b, m, &m.steps[rd.Lo])
-			if len(m.states) == 0 {
-				return 0
-			}
 		default:
 			for i := rd.Lo; i < rd.Hi; i++ {
 				s := &m.steps[i]
 				switch s.Kind {
 				case query.StepCount:
-					total := 0
-					for _, st := range m.states {
-						if inst := st.insts[s.Edge.Src.Index]; inst != nil {
-							r.auditAccess(b, s.Edge, st.insts, st.row, nil, b.fresh, true)
-							total += r.container(inst, s.Edge).Len()
-						}
-					}
-					return total
+					total = r.countAt(b, s, m.states)
+					break walk
 				case query.StepScan:
 					r.execScanMember(b, m, s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx)
 				default:
 					m.states = r.execStep(b, s, m.states, m.row)
 				}
 				if len(m.states) == 0 {
-					return 0
+					break walk
 				}
 			}
 		}
+		if len(m.states) == 0 {
+			break
+		}
 	}
-	return len(m.states)
+	if m.kind == mCount {
+		if total < 0 {
+			total = len(m.states)
+		}
+		m.count, m.counted = total, true
+		m.states = m.states[:0]
+	}
 }
 
-// resolveBatchSpecsBucketed resolves a speculative wave through per-node
-// index buckets: requests are distributed by node (the bucket arrays are
-// pooled on the buffer), each bucket is sorted by target key only, and the
-// buckets are walked in node order — the same global (node, key) order as
-// the legacy sort over the whole pool, without re-comparing node indices
-// per element. One trace round covers the wave, labelled by its first
-// node, exactly as before.
-func (r *Relation) resolveBatchSpecsBucketed(t *Txn, b *opBuf) {
+// resolveBatchSpecs runs the §4.5 protocol for every pending request, in
+// (node, target key) order across all members so the interleaved target
+// acquisitions respect the global lock order. Requests are distributed
+// into per-node index buckets (pooled on the buffer), each bucket is
+// sorted by target key only, and the buckets are walked in node order.
+// Requests for the same target resolve in the strongest mode any
+// requester needs (the speculative analog of the coalescing upgrade
+// rule); later requesters find the lock held and merely re-validate.
+// Survivors are delivered to their members, which resume at the next
+// scheduler sweep. One trace round covers the wave, labelled by its first
+// node.
+func (r *Relation) resolveBatchSpecs(t *Txn, b *opBuf) {
 	specs := b.specs
 	nNodes := len(r.decomp.Nodes)
 	if cap(b.specIdx) < nNodes {
@@ -648,5 +666,26 @@ func (r *Relation) resolveBatchSpecsBucketed(t *Txn, b *opBuf) {
 			m.wait = wNone
 			m.specResolved = true
 		}
+	}
+}
+
+// resolveOneSpec runs the §4.5 protocol body for one pending request in
+// the (already upgraded) mode of its (node, key) run, delivering survivors
+// to the member's specOut list or its located-instance slot.
+func (r *Relation) resolveOneSpec(b *opBuf, req *batchSpecReq, mode locks.Mode) {
+	inst, ok := r.specLocate(b, req.edge, req.colIdx, req.src, req.row, mode)
+	switch {
+	case req.st != nil && ok:
+		req.st.insts[req.edge.Dst.Index] = inst
+		req.m.specOut = append(req.m.specOut, req.st)
+	case req.st != nil:
+		r.auditAccess(b, req.edge, req.st.insts, req.st.row, nil, b.fresh, false)
+	case ok:
+		if req.m.specFound != nil && req.m.specFound != inst {
+			panic(fmt.Sprintf("core: inconsistent instances of %s via speculative in-edges", req.edge.Dst.Name))
+		}
+		req.m.specFound = inst
+	default:
+		r.auditAccess(b, req.edge, req.m.xinst, req.row, nil, b.fresh, false)
 	}
 }

@@ -5,11 +5,11 @@ package query
 // The paper's thesis is that synchronization is COMPILED, not interpreted
 // (§5): the generated code for an operation is a fixed sequence of lock
 // acquisitions and container accesses. The batched executor in
-// internal/core, however, grew a generic per-member cursor machine — each
-// sweep of the growing phase re-inspects every member's current step,
-// re-classifies it (lock? speculative? plain access?) and re-derives its
-// gate from the step's fields. That classification is a pure function of
-// the PLAN, so this file moves it to plan-compile time: every Plan and
+// internal/core sweeps every member of a batch once per growing-phase
+// round, so whether a step is a lock, a speculative access or a plain
+// access — and which lock-order position it waits for — must not be
+// re-derived at run time. That classification is a pure function of the
+// PLAN, so this file fixes it at plan-compile time: every Plan and
 // MutationPlan carries a *RoundProgram / *MutationProgram, a flat array of
 // pre-classified rounds the executor walks with an integer cursor and two
 // comparisons per sweep. The program pointer doubles as the plan's
@@ -139,8 +139,8 @@ func (pl *Planner) compileRounds(p *Plan) {
 }
 
 // compileMutationRounds builds m.Prog from m.PerNode. Directive order is
-// topological node order, so round gates are non-decreasing — the same
-// monotone schedule the per-member cursor machine derived sweep by sweep.
+// topological node order, so round gates are non-decreasing: the member's
+// walk never waits on a node the sweep has already passed.
 func (pl *Planner) compileMutationRounds(m *MutationPlan) {
 	if m.Prog == nil {
 		m.Prog = &MutationProgram{}
