@@ -118,7 +118,7 @@ func BenchmarkFigure1Containers(b *testing.B) {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
 			b.Run("lookup", func(b *testing.B) {
-				m := container.New(kind)
+				m := container.New(kind, 1)
 				for i := 0; i < 1024; i++ {
 					m.Write(rel.NewKey(i), i)
 				}
@@ -128,14 +128,14 @@ func BenchmarkFigure1Containers(b *testing.B) {
 				}
 			})
 			b.Run("write", func(b *testing.B) {
-				m := container.New(kind)
+				m := container.New(kind, 1)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					m.Write(rel.NewKey(i&1023), i)
 				}
 			})
 			b.Run("scan1k", func(b *testing.B) {
-				m := container.New(kind)
+				m := container.New(kind, 1)
 				for i := 0; i < 1024; i++ {
 					m.Write(rel.NewKey(i), i)
 				}

@@ -11,18 +11,13 @@ import (
 // determines the edge columns holds at most one entry, so the "container"
 // is a single atomically published (key, value) pair. All operation pairs
 // are safe and linearizable.
-type cell struct {
-	p atomic.Pointer[cowEntry]
-}
-
-// NewCell returns an empty singleton container.
-func NewCell() Map {
-	return &cell{}
+type cell[S any, P keySlot[S]] struct {
+	p atomic.Pointer[cowEntry[S]]
 }
 
 // Lookup returns the value if the cell holds exactly key k.
-func (c *cell) Lookup(k rel.Key) (any, bool) {
-	if e := c.p.Load(); e != nil && e.key.Equal(k) {
+func (c *cell[S, P]) Lookup(k rel.Key) (any, bool) {
+	if e := c.p.Load(); e != nil && P(&e.key).compare(k) == 0 {
 		return e.val, true
 	}
 	return nil, false
@@ -32,26 +27,28 @@ func (c *cell) Lookup(k rel.Key) (any, bool) {
 // key k (v == nil). Storing a second distinct key replaces the first; the
 // synthesizer only ever stores one key per cell because the source node's
 // key columns functionally determine the edge columns.
-func (c *cell) Write(k rel.Key, v any) {
+func (c *cell[S, P]) Write(k rel.Key, v any) {
 	if v == nil {
-		if e := c.p.Load(); e != nil && e.key.Equal(k) {
+		if e := c.p.Load(); e != nil && P(&e.key).compare(k) == 0 {
 			c.p.CompareAndSwap(e, nil)
 		}
 		return
 	}
-	c.p.Store(&cowEntry{key: k, val: v})
+	e := &cowEntry[S]{val: v}
+	P(&e.key).set(k)
+	c.p.Store(e)
 }
 
 // Scan yields the single entry, if present (trivially sorted and a
 // snapshot).
-func (c *cell) Scan(f func(k rel.Key, v any) bool) {
+func (c *cell[S, P]) Scan(f func(k rel.Key, v any) bool) {
 	if e := c.p.Load(); e != nil {
-		f(e.key, e.val)
+		f(P(&e.key).key(), e.val)
 	}
 }
 
 // Len returns 0 or 1.
-func (c *cell) Len() int {
+func (c *cell[S, P]) Len() int {
 	if c.p.Load() != nil {
 		return 1
 	}

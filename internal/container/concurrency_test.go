@@ -3,293 +3,287 @@ package container
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/rel"
 )
 
-// concurrentKinds are the containers whose taxonomy rows claim full
-// concurrency safety; the stress tests below exercise exactly the pairs
-// Figure 1 marks safe, and running under -race validates the claims.
-var concurrentKinds = []Kind{ConcurrentHashMap, ConcurrentSkipListMap, CopyOnWriteMap, Cell}
+// concurrentMapKinds are the map kinds whose taxonomy rows claim full
+// concurrency safety (the singleton Cell, also safe, is exercised
+// separately); the stress tests below exercise exactly the pairs Figure 1
+// marks safe, and running under -race validates the claims.
+var concurrentMapKinds = []Kind{ConcurrentHashMap, ConcurrentSkipListMap, CopyOnWriteMap}
 
 func TestStressConcurrentWriters(t *testing.T) {
-	for _, kind := range concurrentKinds {
-		if kind == Cell {
-			continue // singleton: exercised separately
-		}
-		t.Run(kind.String(), func(t *testing.T) {
-			m := New(kind)
-			const workers = 8
-			const perWorker = 400
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					// Disjoint key ranges: all inserts must survive.
-					for i := 0; i < perWorker; i++ {
-						m.Write(rel.NewKey(w*perWorker+i), w)
-					}
-				}(w)
-			}
-			wg.Wait()
-			if m.Len() != workers*perWorker {
-				t.Fatalf("Len = %d, want %d", m.Len(), workers*perWorker)
-			}
-			for w := 0; w < workers; w++ {
+	forEachKindWidth(t, concurrentMapKinds, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
+		const workers = 8
+		const perWorker = 400
+		var wg sync.WaitGroup
+		for wk := 0; wk < workers; wk++ {
+			wg.Add(1)
+			go func(wk int) {
+				defer wg.Done()
+				// Disjoint key ranges: all inserts must survive.
 				for i := 0; i < perWorker; i++ {
-					if v, ok := m.Lookup(rel.NewKey(w*perWorker + i)); !ok || v != w {
-						t.Fatalf("lost write %d/%d: %v, %v", w, i, v, ok)
-					}
+					m.Write(intKey(w, wk*perWorker+i), wk)
+				}
+			}(wk)
+		}
+		wg.Wait()
+		if m.Len() != workers*perWorker {
+			t.Fatalf("Len = %d, want %d", m.Len(), workers*perWorker)
+		}
+		for wk := 0; wk < workers; wk++ {
+			for i := 0; i < perWorker; i++ {
+				if v, ok := m.Lookup(intKey(w, wk*perWorker+i)); !ok || v != wk {
+					t.Fatalf("lost write %d/%d: %v, %v", wk, i, v, ok)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestStressMixedOps(t *testing.T) {
-	for _, kind := range concurrentKinds {
-		if kind == Cell {
-			continue
-		}
-		t.Run(kind.String(), func(t *testing.T) {
-			m := New(kind)
-			const workers = 8
-			var wg sync.WaitGroup
-			var stop atomic.Bool
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					r := rand.New(rand.NewSource(seed))
-					for i := 0; i < 3000; i++ {
-						k := rel.NewKey(r.Intn(128))
-						switch r.Intn(4) {
-						case 0:
-							m.Write(k, i)
-						case 1:
-							m.Write(k, nil)
-						case 2:
-							m.Lookup(k)
-						default:
-							n := 0
-							m.Scan(func(rel.Key, any) bool { n++; return n < 50 })
-						}
+	forEachKindWidth(t, concurrentMapKinds, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
+		const workers = 8
+		var wg sync.WaitGroup
+		for wk := 0; wk < workers; wk++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(seed))
+				for i := 0; i < 3000; i++ {
+					k := intKey(w, r.Intn(128))
+					switch r.Intn(4) {
+					case 0:
+						m.Write(k, i)
+					case 1:
+						m.Write(k, nil)
+					case 2:
+						m.Lookup(k)
+					default:
+						n := 0
+						m.Scan(func(rel.Key, any) bool { n++; return n < 50 })
 					}
-				}(int64(w))
-			}
-			wg.Wait()
-			stop.Store(true)
-			// Post-quiescence sanity: Len agrees with a full scan.
-			n := 0
-			m.Scan(func(rel.Key, any) bool { n++; return true })
-			if n != m.Len() {
-				t.Fatalf("quiescent scan count %d != Len %d", n, m.Len())
-			}
-		})
-	}
+				}
+			}(int64(wk))
+		}
+		wg.Wait()
+		// Post-quiescence sanity: Len agrees with a full scan.
+		n := 0
+		m.Scan(func(rel.Key, any) bool { n++; return true })
+		if n != m.Len() {
+			t.Fatalf("quiescent scan count %d != Len %d", n, m.Len())
+		}
+	})
 }
 
 func TestStressSameKeyContention(t *testing.T) {
 	// Hammer a handful of keys from many goroutines; afterwards every
 	// surviving key must map to one of the written values.
-	for _, kind := range []Kind{ConcurrentHashMap, ConcurrentSkipListMap} {
-		t.Run(kind.String(), func(t *testing.T) {
-			m := New(kind)
-			const workers = 8
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					r := rand.New(rand.NewSource(int64(w)))
-					for i := 0; i < 4000; i++ {
-						k := rel.NewKey(r.Intn(4))
-						if r.Intn(2) == 0 {
-							m.Write(k, w*10000+i)
-						} else {
-							m.Write(k, nil)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			for i := 0; i < 4; i++ {
-				if v, ok := m.Lookup(rel.NewKey(i)); ok {
-					if v.(int) < 0 || v.(int) >= workers*10000+4000 {
-						t.Fatalf("impossible surviving value %v", v)
+	forEachKindWidth(t, []Kind{ConcurrentHashMap, ConcurrentSkipListMap}, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
+		const workers = 8
+		var wg sync.WaitGroup
+		for wk := 0; wk < workers; wk++ {
+			wg.Add(1)
+			go func(wk int) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(wk)))
+				for i := 0; i < 4000; i++ {
+					k := intKey(w, r.Intn(4))
+					if r.Intn(2) == 0 {
+						m.Write(k, wk*10000+i)
+					} else {
+						m.Write(k, nil)
 					}
 				}
+			}(wk)
+		}
+		wg.Wait()
+		for i := 0; i < 4; i++ {
+			if v, ok := m.Lookup(intKey(w, i)); ok {
+				if v.(int) < 0 || v.(int) >= workers*10000+4000 {
+					t.Fatalf("impossible surviving value %v", v)
+				}
 			}
-			if m.Len() < 0 || m.Len() > 4 {
-				t.Fatalf("Len = %d out of range", m.Len())
-			}
-		})
-	}
+		}
+		if m.Len() < 0 || m.Len() > 4 {
+			t.Fatalf("Len = %d out of range", m.Len())
+		}
+	})
 }
 
 func TestSkipListRemoveInsertRace(t *testing.T) {
 	// One goroutine repeatedly inserts key K, another repeatedly removes
 	// it, while readers look it up: a targeted probe of the lazy
 	// skip list's mark/fully-linked protocol.
-	m := New(ConcurrentSkipListMap)
-	k := rel.NewKey("contended")
-	var wg sync.WaitGroup
-	const rounds = 5000
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			m.Write(k, i)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			m.Write(k, nil)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			if v, ok := m.Lookup(k); ok {
-				if _, isInt := v.(int); !isInt {
-					t.Errorf("lookup observed torn value %v", v)
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	// Quiescent state must be coherent.
-	if _, ok := m.Lookup(k); ok != (m.Len() == 1) {
-		t.Fatalf("quiescent mismatch: present=%v Len=%d", ok, m.Len())
-	}
-}
-
-func TestSkipListSortedUnderConcurrency(t *testing.T) {
-	m := New(ConcurrentSkipListMap)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
+	forEachKindWidth(t, []Kind{ConcurrentSkipListMap}, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
+		k := valKey(w, "contended")
+		var wg sync.WaitGroup
+		const rounds = 5000
+		wg.Add(3)
+		go func() {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 2000; i++ {
-				k := rel.NewKey(r.Intn(1000))
-				if r.Intn(3) == 0 {
-					m.Write(k, nil)
-				} else {
-					m.Write(k, i)
-				}
-				if i%100 == 0 {
-					// Scans concurrent with writes must stay sorted even if
-					// weakly consistent.
-					prev := -1
-					m.Scan(func(k rel.Key, v any) bool {
-						cur := k.At(0).(int)
-						if cur <= prev {
-							t.Errorf("unsorted concurrent scan: %d after %d", cur, prev)
-							return false
-						}
-						prev = cur
-						return true
-					})
-				}
+			for i := 0; i < rounds; i++ {
+				m.Write(k, i)
 			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-func TestCellConcurrent(t *testing.T) {
-	c := New(Cell)
-	k := rel.NewKey(1)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
+		}()
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				switch i % 3 {
-				case 0:
-					c.Write(k, w)
-				case 1:
-					c.Write(k, nil)
-				default:
-					if v, ok := c.Lookup(k); ok {
-						if _, isInt := v.(int); !isInt {
-							t.Errorf("torn cell value %v", v)
-							return
-						}
+			for i := 0; i < rounds; i++ {
+				m.Write(k, nil)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if v, ok := m.Lookup(k); ok {
+					if _, isInt := v.(int); !isInt {
+						t.Errorf("lookup observed torn value %v", v)
+						return
 					}
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}()
+		wg.Wait()
+		// Quiescent state must be coherent.
+		if _, ok := m.Lookup(k); ok != (m.Len() == 1) {
+			t.Fatalf("quiescent mismatch: present=%v Len=%d", ok, m.Len())
+		}
+	})
+}
+
+func TestSkipListSortedUnderConcurrency(t *testing.T) {
+	forEachKindWidth(t, []Kind{ConcurrentSkipListMap}, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
+		var wg sync.WaitGroup
+		for wk := 0; wk < 4; wk++ {
+			wg.Add(1)
+			go func(wk int) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(wk)))
+				for i := 0; i < 2000; i++ {
+					k := intKey(w, r.Intn(1000))
+					if r.Intn(3) == 0 {
+						m.Write(k, nil)
+					} else {
+						m.Write(k, i)
+					}
+					if i%100 == 0 {
+						// Scans concurrent with writes must stay sorted even if
+						// weakly consistent.
+						prev := -1
+						m.Scan(func(k rel.Key, v any) bool {
+							cur := keyInt(k)
+							if cur <= prev {
+								t.Errorf("unsorted concurrent scan: %d after %d", cur, prev)
+								return false
+							}
+							prev = cur
+							return true
+						})
+					}
+				}
+			}(wk)
+		}
+		wg.Wait()
+	})
+}
+
+func TestCellConcurrent(t *testing.T) {
+	forEachKindWidth(t, []Kind{Cell}, func(t *testing.T, kind Kind, w int) {
+		c := New(kind, w)
+		k := intKey(w, 1)
+		var wg sync.WaitGroup
+		for wk := 0; wk < 4; wk++ {
+			wg.Add(1)
+			go func(wk int) {
+				defer wg.Done()
+				for i := 0; i < 5000; i++ {
+					switch i % 3 {
+					case 0:
+						c.Write(k, wk)
+					case 1:
+						c.Write(k, nil)
+					default:
+						if v, ok := c.Lookup(k); ok {
+							if _, isInt := v.(int); !isInt {
+								t.Errorf("torn cell value %v", v)
+								return
+							}
+						}
+					}
+				}
+			}(wk)
+		}
+		wg.Wait()
+	})
 }
 
 func TestHashMapParallelReads(t *testing.T) {
 	// Figure 1: HashMap L/L and L/S and S/S are safe. Parallel readers
 	// over a quiescent HashMap must be race-free (checked by -race).
-	m := New(HashMap)
-	for i := 0; i < 1000; i++ {
-		m.Write(rel.NewKey(i), i)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if v, ok := m.Lookup(rel.NewKey(i)); !ok || v != i {
-					t.Errorf("read %d failed", i)
-					return
+	forEachKindWidth(t, []Kind{HashMap}, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
+		for i := 0; i < 1000; i++ {
+			m.Write(intKey(w, i), i)
+		}
+		var wg sync.WaitGroup
+		for wk := 0; wk < 8; wk++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 1000; i++ {
+					if v, ok := m.Lookup(intKey(w, i)); !ok || v != i {
+						t.Errorf("read %d failed", i)
+						return
+					}
 				}
-			}
-			n := 0
-			m.Scan(func(rel.Key, any) bool { n++; return true })
-			if n != 1000 {
-				t.Errorf("scan saw %d", n)
-			}
-		}(w)
-	}
-	wg.Wait()
+				n := 0
+				m.Scan(func(rel.Key, any) bool { n++; return true })
+				if n != 1000 {
+					t.Errorf("scan saw %d", n)
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 func TestCopyOnWriteSnapshotUnderConcurrency(t *testing.T) {
 	// A scan started at time T must observe exactly the state at T even
 	// while writers run: start a scan, let writers go wild, finish the
 	// scan, and verify the scan saw a prefix-consistent snapshot.
-	m := New(CopyOnWriteMap)
-	for i := 0; i < 100; i++ {
-		m.Write(rel.NewKey(i), 0)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2000; i++ {
-			m.Write(rel.NewKey(100+i), i)
-			m.Write(rel.NewKey(100+i), nil)
+	forEachKindWidth(t, []Kind{CopyOnWriteMap}, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
+		for i := 0; i < 100; i++ {
+			m.Write(intKey(w, i), 0)
 		}
-	}()
-	for round := 0; round < 50; round++ {
-		count := 0
-		firstLen := m.Len()
-		_ = firstLen
-		m.Scan(func(k rel.Key, v any) bool {
-			count++
-			return true
-		})
-		// Every scan sees an integral snapshot: at least the 100 base
-		// keys, at most base+1 (a transiently inserted key).
-		if count < 100 || count > 101 {
-			t.Fatalf("snapshot scan saw %d entries", count)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				m.Write(intKey(w, 100+i), i)
+				m.Write(intKey(w, 100+i), nil)
+			}
+		}()
+		for round := 0; round < 50; round++ {
+			count := 0
+			m.Scan(func(k rel.Key, v any) bool {
+				count++
+				return true
+			})
+			// Every scan sees an integral snapshot: at least the 100 base
+			// keys, at most base+1 (a transiently inserted key).
+			if count < 100 || count > 101 {
+				t.Fatalf("snapshot scan saw %d entries", count)
+			}
 		}
-	}
-	wg.Wait()
+		wg.Wait()
+	})
 }

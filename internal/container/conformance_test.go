@@ -48,20 +48,60 @@ func (m *modelMap) sortedKeys() []rel.Key {
 // and is tested separately).
 var mapKinds = []Kind{HashMap, TreeMap, ConcurrentHashMap, ConcurrentSkipListMap, CopyOnWriteMap}
 
-func forEachMapKind(t *testing.T, f func(t *testing.T, kind Kind)) {
+// keyWidths are the key widths every suite runs at: New picks the inline
+// one-value entry layout for width 1 and the owned-copy layout otherwise.
+var keyWidths = []int{1, 2}
+
+func forEachMapKind(t *testing.T, f func(t *testing.T, kind Kind, w int)) {
 	t.Helper()
-	for _, k := range mapKinds {
-		t.Run(k.String(), func(t *testing.T) { f(t, k) })
+	forEachKindWidth(t, mapKinds, f)
+}
+
+// forEachKindWidth runs f once per kind in kinds and key width, as
+// subtests kind/wN.
+func forEachKindWidth(t *testing.T, kinds []Kind, f func(t *testing.T, kind Kind, w int)) {
+	t.Helper()
+	for _, k := range kinds {
+		t.Run(k.String(), func(t *testing.T) {
+			for _, w := range keyWidths {
+				t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) { f(t, k, w) })
+			}
+		})
 	}
 }
 
+// intKey encodes a non-negative int as a key of width w, preserving order:
+// (i) at width 1, (i/3, i%3) at width 2.
+func intKey(w, i int) rel.Key {
+	if w == 1 {
+		return rel.NewKey(i)
+	}
+	return rel.NewKey(i/3, i%3)
+}
+
+// keyInt decodes intKey.
+func keyInt(k rel.Key) int {
+	if k.Len() == 1 {
+		return k.At(0).(int)
+	}
+	return 3*k.At(0).(int) + k.At(1).(int)
+}
+
+// valKey builds a key of width w whose first column is v.
+func valKey(w int, v rel.Value) rel.Key {
+	if w == 1 {
+		return rel.NewKey(v)
+	}
+	return rel.NewKey(v, "w2")
+}
+
 func TestEmptyContainer(t *testing.T) {
-	forEachMapKind(t, func(t *testing.T, kind Kind) {
-		m := New(kind)
+	forEachMapKind(t, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
 		if m.Len() != 0 {
 			t.Fatalf("empty Len = %d", m.Len())
 		}
-		if _, ok := m.Lookup(rel.NewKey(1)); ok {
+		if _, ok := m.Lookup(intKey(w, 1)); ok {
 			t.Fatal("lookup in empty container succeeded")
 		}
 		count := 0
@@ -70,7 +110,7 @@ func TestEmptyContainer(t *testing.T) {
 			t.Fatalf("scan of empty container yielded %d entries", count)
 		}
 		// Removing an absent key is a no-op.
-		m.Write(rel.NewKey(1), nil)
+		m.Write(intKey(w, 1), nil)
 		if m.Len() != 0 {
 			t.Fatal("removing absent key changed Len")
 		}
@@ -78,9 +118,9 @@ func TestEmptyContainer(t *testing.T) {
 }
 
 func TestInsertLookupRemove(t *testing.T) {
-	forEachMapKind(t, func(t *testing.T, kind Kind) {
-		m := New(kind)
-		k1, k2 := rel.NewKey(1, "a"), rel.NewKey(2, "b")
+	forEachMapKind(t, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
+		k1, k2 := valKey(w, "a"), valKey(w, "b")
 		m.Write(k1, "v1")
 		m.Write(k2, "v2")
 		if m.Len() != 2 {
@@ -112,12 +152,12 @@ func TestInsertLookupRemove(t *testing.T) {
 }
 
 func TestRandomOpsAgainstModel(t *testing.T) {
-	forEachMapKind(t, func(t *testing.T, kind Kind) {
+	forEachMapKind(t, func(t *testing.T, kind Kind, w int) {
 		r := rand.New(rand.NewSource(42))
-		m := New(kind)
+		m := New(kind, w)
 		model := newModel()
 		for i := 0; i < 5000; i++ {
-			k := rel.NewKey(r.Intn(200))
+			k := intKey(w, r.Intn(200))
 			switch r.Intn(10) {
 			case 0, 1, 2, 3: // insert/update
 				v := r.Intn(1 << 30)
@@ -158,47 +198,45 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 }
 
 func TestSortedScanOrder(t *testing.T) {
-	for _, kind := range mapKinds {
+	forEachMapKind(t, func(t *testing.T, kind Kind, w int) {
 		if !PropertiesOf(kind).SortedScan {
-			continue
+			t.Skip("unsorted kind")
 		}
-		t.Run(kind.String(), func(t *testing.T) {
-			r := rand.New(rand.NewSource(7))
-			m := New(kind)
-			model := newModel()
-			for i := 0; i < 2000; i++ {
-				k := rel.NewKey(r.Intn(500), r.Intn(3))
-				if r.Intn(3) == 0 {
-					m.Write(k, nil)
-					model.write(k, nil)
-				} else {
-					m.Write(k, i)
-					model.write(k, i)
-				}
+		r := rand.New(rand.NewSource(7))
+		m := New(kind, w)
+		model := newModel()
+		for i := 0; i < 2000; i++ {
+			k := intKey(w, r.Intn(1500))
+			if r.Intn(3) == 0 {
+				m.Write(k, nil)
+				model.write(k, nil)
+			} else {
+				m.Write(k, i)
+				model.write(k, i)
 			}
-			var got []rel.Key
-			m.Scan(func(k rel.Key, v any) bool { got = append(got, k); return true })
-			want := model.sortedKeys()
-			if len(got) != len(want) {
-				t.Fatalf("scan length %d, want %d", len(got), len(want))
+		}
+		var got []rel.Key
+		m.Scan(func(k rel.Key, v any) bool { got = append(got, k); return true })
+		want := model.sortedKeys()
+		if len(got) != len(want) {
+			t.Fatalf("scan length %d, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("position %d: got %v, want %v", i, got[i], want[i])
 			}
-			for i := range got {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("position %d: got %v, want %v", i, got[i], want[i])
-				}
-				if i > 0 && rel.CompareKeys(got[i-1], got[i]) >= 0 {
-					t.Fatalf("scan not strictly ascending at %d", i)
-				}
+			if i > 0 && rel.CompareKeys(got[i-1], got[i]) >= 0 {
+				t.Fatalf("scan not strictly ascending at %d", i)
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestScanEarlyStop(t *testing.T) {
-	forEachMapKind(t, func(t *testing.T, kind Kind) {
-		m := New(kind)
+	forEachMapKind(t, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
 		for i := 0; i < 100; i++ {
-			m.Write(rel.NewKey(i), i)
+			m.Write(intKey(w, i), i)
 		}
 		count := 0
 		m.Scan(func(rel.Key, any) bool {
@@ -212,29 +250,29 @@ func TestScanEarlyStop(t *testing.T) {
 }
 
 func TestGrowthAndShrink(t *testing.T) {
-	forEachMapKind(t, func(t *testing.T, kind Kind) {
-		m := New(kind)
+	forEachMapKind(t, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
 		const n = 3000
 		for i := 0; i < n; i++ {
-			m.Write(rel.NewKey(i), i*2)
+			m.Write(intKey(w, i), i*2)
 		}
 		if m.Len() != n {
 			t.Fatalf("Len = %d, want %d", m.Len(), n)
 		}
 		for i := 0; i < n; i++ {
-			v, ok := m.Lookup(rel.NewKey(i))
+			v, ok := m.Lookup(intKey(w, i))
 			if !ok || v != i*2 {
 				t.Fatalf("Lookup(%d) = %v, %v", i, v, ok)
 			}
 		}
 		for i := 0; i < n; i += 2 {
-			m.Write(rel.NewKey(i), nil)
+			m.Write(intKey(w, i), nil)
 		}
 		if m.Len() != n/2 {
 			t.Fatalf("after removals Len = %d, want %d", m.Len(), n/2)
 		}
 		for i := 0; i < n; i++ {
-			_, ok := m.Lookup(rel.NewKey(i))
+			_, ok := m.Lookup(intKey(w, i))
 			if want := i%2 == 1; ok != want {
 				t.Fatalf("Lookup(%d) present=%v, want %v", i, ok, want)
 			}
@@ -243,11 +281,11 @@ func TestGrowthAndShrink(t *testing.T) {
 }
 
 func TestHeterogeneousKeys(t *testing.T) {
-	forEachMapKind(t, func(t *testing.T, kind Kind) {
-		m := New(kind)
+	forEachMapKind(t, func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
 		keys := []rel.Key{
-			rel.NewKey("alpha"), rel.NewKey(1), rel.NewKey(int64(2)),
-			rel.NewKey(3.5), rel.NewKey(true), rel.NewKey("beta", 7),
+			valKey(w, "alpha"), valKey(w, 1), valKey(w, int64(2)),
+			valKey(w, 3.5), valKey(w, true), valKey(w, nil),
 		}
 		for i, k := range keys {
 			m.Write(k, i)
@@ -258,8 +296,8 @@ func TestHeterogeneousKeys(t *testing.T) {
 			}
 		}
 		// int and int64 keys with equal value must collide.
-		m.Write(rel.NewKey(int64(1)), "replaced")
-		if v, _ := m.Lookup(rel.NewKey(1)); v != "replaced" {
+		m.Write(valKey(w, int64(1)), "replaced")
+		if v, _ := m.Lookup(valKey(w, 1)); v != "replaced" {
 			t.Fatalf("int/int64 key identity broken: %v", v)
 		}
 	})
@@ -271,38 +309,77 @@ func TestTreeMapDeleteStress(t *testing.T) {
 	orders := []string{"ascending", "descending", "shuffled"}
 	for _, order := range orders {
 		t.Run(order, func(t *testing.T) {
-			m := New(TreeMap)
-			const n = 512
-			keys := make([]int, n)
-			for i := range keys {
-				keys[i] = i
+			for _, w := range keyWidths {
+				t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) { treeMapDeleteStress(t, order, w) })
 			}
-			switch order {
-			case "descending":
-				for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-					keys[i], keys[j] = keys[j], keys[i]
-				}
-			case "shuffled":
-				r := rand.New(rand.NewSource(3))
-				r.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		})
+	}
+}
+
+func treeMapDeleteStress(t *testing.T, order string, w int) {
+	m := New(TreeMap, w)
+	const n = 512
+	keys := make([]int, n)
+	for i := range keys {
+		keys[i] = i
+	}
+	switch order {
+	case "descending":
+		for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+			keys[i], keys[j] = keys[j], keys[i]
+		}
+	case "shuffled":
+		r := rand.New(rand.NewSource(3))
+		r.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	}
+	for _, k := range keys {
+		m.Write(intKey(w, k), k)
+	}
+	for i, k := range keys {
+		m.Write(intKey(w, k), nil)
+		if m.Len() != n-i-1 {
+			t.Fatalf("Len after %d deletes = %d", i+1, m.Len())
+		}
+		last := -1
+		m.Scan(func(key rel.Key, v any) bool {
+			cur := keyInt(key)
+			if cur <= last {
+				t.Fatalf("order violated: %d after %d", cur, last)
 			}
-			for _, k := range keys {
-				m.Write(rel.NewKey(k), k)
+			last = cur
+			return true
+		})
+	}
+}
+
+// TestTreeMapDeleteKeepsScannedKeys pins the LLRB delete against the
+// inline key slot: deleting a node with two children moves the
+// successor's node into its place instead of copying the successor's key
+// into it, so a key view a Scan yielded before the delete still reads the
+// same key afterwards.
+func TestTreeMapDeleteKeepsScannedKeys(t *testing.T) {
+	for _, w := range keyWidths {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			m := New(TreeMap, w)
+			const n = 64
+			for i := 0; i < n; i++ {
+				m.Write(intKey(w, i), i)
 			}
-			for i, k := range keys {
-				m.Write(rel.NewKey(k), nil)
-				if m.Len() != n-i-1 {
-					t.Fatalf("Len after %d deletes = %d", i+1, m.Len())
-				}
-				last := -1
-				m.Scan(func(key rel.Key, v any) bool {
-					cur := key.At(0).(int)
-					if cur <= last {
-						t.Fatalf("order violated: %d after %d", cur, last)
-					}
-					last = cur
+			r := rand.New(rand.NewSource(5))
+			for _, d := range r.Perm(n) {
+				var views []rel.Key
+				var want []int
+				m.Scan(func(k rel.Key, v any) bool {
+					views = append(views, k)
+					want = append(want, v.(int))
 					return true
 				})
+				m.Write(intKey(w, d), nil)
+				for i, k := range views {
+					if got := keyInt(k); got != want[i] {
+						t.Fatalf("deleting %d rewrote a scanned key: %d reads %d", d, want[i], got)
+					}
+				}
 			}
 		})
 	}
@@ -311,7 +388,7 @@ func TestTreeMapDeleteStress(t *testing.T) {
 func TestLLRBInvariants(t *testing.T) {
 	// Red-black invariants: no red right links, no two reds in a row,
 	// equal black height on all paths.
-	m := NewTreeMap().(*treeMap)
+	m := New(TreeMap, 1).(*treeMap[oneKey, *oneKey])
 	r := rand.New(rand.NewSource(11))
 	check := func() {
 		if m.root == nil {
@@ -320,8 +397,8 @@ func TestLLRBInvariants(t *testing.T) {
 		if m.root.red {
 			t.Fatal("root is red")
 		}
-		var verify func(h *llrb) int
-		verify = func(h *llrb) int {
+		var verify func(h *llrb[oneKey]) int
+		verify = func(h *llrb[oneKey]) int {
 			if h == nil {
 				return 1
 			}
@@ -358,40 +435,96 @@ func TestLLRBInvariants(t *testing.T) {
 }
 
 func TestCellSemantics(t *testing.T) {
-	c := New(Cell)
-	k := rel.NewKey(42)
-	if c.Len() != 0 {
-		t.Fatal("new cell not empty")
+	for _, w := range keyWidths {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			c := New(Cell, w)
+			k := intKey(w, 42)
+			if c.Len() != 0 {
+				t.Fatal("new cell not empty")
+			}
+			c.Write(k, "x")
+			if v, ok := c.Lookup(k); !ok || v != "x" {
+				t.Fatalf("Lookup = %v, %v", v, ok)
+			}
+			if _, ok := c.Lookup(intKey(w, 43)); ok {
+				t.Fatal("cell matched wrong key")
+			}
+			if c.Len() != 1 {
+				t.Fatal("Len != 1")
+			}
+			got := 0
+			c.Scan(func(sk rel.Key, v any) bool {
+				if !sk.Equal(k) || v != "x" {
+					t.Fatalf("scan saw %v -> %v", sk, v)
+				}
+				got++
+				return true
+			})
+			if got != 1 {
+				t.Fatalf("scan yielded %d entries", got)
+			}
+			// Removing a different key is a no-op; removing the held key clears.
+			c.Write(intKey(w, 43), nil)
+			if c.Len() != 1 {
+				t.Fatal("mismatched remove cleared cell")
+			}
+			c.Write(k, nil)
+			if c.Len() != 0 {
+				t.Fatal("cell not cleared")
+			}
+		})
 	}
-	c.Write(k, "x")
-	if v, ok := c.Lookup(k); !ok || v != "x" {
-		t.Fatalf("Lookup = %v, %v", v, ok)
-	}
-	if _, ok := c.Lookup(rel.NewKey(43)); ok {
-		t.Fatal("cell matched wrong key")
-	}
-	if c.Len() != 1 {
-		t.Fatal("Len != 1")
-	}
-	got := 0
-	c.Scan(func(sk rel.Key, v any) bool {
-		if !sk.Equal(k) || v != "x" {
-			t.Fatalf("scan saw %v -> %v", sk, v)
+}
+
+// TestWriteCopiesKey pins the key-ownership contract for every kind at
+// both entry layouts: Write copies the key it stores, so reusing the
+// caller's key storage afterwards changes neither Lookup nor Scan.
+func TestWriteCopiesKey(t *testing.T) {
+	forEachKindWidth(t, Kinds(), func(t *testing.T, kind Kind, w int) {
+		m := New(kind, w)
+		want := intKey(w, 7)
+		buf := append([]rel.Value(nil), want.Values()...)
+		m.Write(rel.KeyOver(buf), "v")
+		for i := range buf {
+			buf[i] = "reused"
 		}
-		got++
-		return true
+		if v, ok := m.Lookup(want); !ok || v != "v" {
+			t.Fatalf("Lookup after the caller reused its key storage = %v, %v", v, ok)
+		}
+		n := 0
+		m.Scan(func(k rel.Key, v any) bool {
+			if !k.Equal(want) {
+				t.Fatalf("Scan yielded %v, want %v", k, want)
+			}
+			n++
+			return true
+		})
+		if n != 1 {
+			t.Fatalf("Scan yielded %d entries, want 1", n)
+		}
 	})
-	if got != 1 {
-		t.Fatalf("scan yielded %d entries", got)
-	}
-	// Removing a different key is a no-op; removing the held key clears.
-	c.Write(rel.NewKey(43), nil)
-	if c.Len() != 1 {
-		t.Fatal("mismatched remove cleared cell")
-	}
-	c.Write(k, nil)
-	if c.Len() != 0 {
-		t.Fatal("cell not cleared")
+}
+
+// TestOneColumnKeyWidth covers keys of the wrong width at a one-column
+// container: a lookup misses, a store panics instead of truncating.
+func TestOneColumnKeyWidth(t *testing.T) {
+	wide := rel.NewKey(1, 2)
+	for _, kind := range Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			m := New(kind, 1)
+			for i := 0; i < 3; i++ {
+				m.Write(rel.NewKey(i), i)
+			}
+			if _, ok := m.Lookup(wide); ok {
+				t.Fatal("a two-column key matched a one-column entry")
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("storing a two-column key did not panic")
+				}
+			}()
+			m.Write(wide, "v")
+		})
 	}
 }
 
@@ -445,7 +578,7 @@ func TestKindString(t *testing.T) {
 
 func TestNewUnknownKindPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(Kind(99)) },
+		func() { New(Kind(99), 1) },
 		func() { PropertiesOf(Kind(99)) },
 	} {
 		func() {
@@ -462,7 +595,7 @@ func TestNewUnknownKindPanics(t *testing.T) {
 func TestScanSnapshotVsWeak(t *testing.T) {
 	// A CopyOnWriteMap scan must not observe a write that happens after
 	// the scan began (single-threaded check of the snapshot property).
-	m := New(CopyOnWriteMap)
+	m := New(CopyOnWriteMap, 1)
 	for i := 0; i < 10; i++ {
 		m.Write(rel.NewKey(i), i)
 	}

@@ -25,14 +25,23 @@ import (
 // Write(k, v) with a non-nil v inserts or updates; Write(k, nil) removes
 // any entry for k — this is the paper's ML-style optional-value write.
 // Stored values must be non-nil.
+//
+// A container owns its keys: no method retains the caller's key, so a key
+// over transient storage (rel.KeyOver of a scratch buffer) may be passed
+// anywhere and its storage reused once the call returns.
 type Map interface {
 	// Lookup returns the value associated with key k, if any.
 	Lookup(k rel.Key) (any, bool)
 	// Scan invokes f once per entry until f returns false or entries are
 	// exhausted. Whether iteration is sorted, snapshot or weakly
-	// consistent is a per-kind property; see PropertiesOf.
+	// consistent is a per-kind property; see PropertiesOf. The keys f
+	// receives are read-only views of the container's own copies; each
+	// stays valid, and unchanged, after the scan and after later writes.
 	Scan(f func(k rel.Key, v any) bool)
 	// Write sets the value for k (v != nil) or removes the entry (v == nil).
+	// Inserting a new entry stores a copy of k: a one-column key inline in
+	// the entry, a wider key as one owned copy. Updating or removing an
+	// entry stores nothing.
 	Write(k rel.Key, v any)
 	// Len returns the number of entries. For concurrent containers the
 	// value is a linearizable count only in quiescent states.
@@ -207,21 +216,35 @@ func PropertiesOf(k Kind) Properties {
 	return properties[k]
 }
 
-// New constructs an empty container of the given kind.
-func New(k Kind) Map {
+// New constructs an empty container of the given kind for keys of the
+// given width (the number of edge columns).
+func New(k Kind, width int) Map { return Constructor(k, width)() }
+
+// Constructor resolves the kind and the key width once and returns the
+// constructor of such containers. The width picks the entry layout: a
+// one-column container stores each key inline as one rel.Value, any other
+// width stores one owned copy per key (see keySlot).
+func Constructor(k Kind, width int) func() Map {
+	if width == 1 {
+		return constructor[oneKey](k)
+	}
+	return constructor[wideKey](k)
+}
+
+func constructor[S any, P keySlot[S]](k Kind) func() Map {
 	switch k {
 	case HashMap:
-		return NewHashMap()
+		return func() Map { return newHashMap[S, P]() }
 	case TreeMap:
-		return NewTreeMap()
+		return func() Map { return &treeMap[S, P]{} }
 	case ConcurrentHashMap:
-		return NewConcurrentHashMap()
+		return func() Map { return newConcurrentHashMap[S, P]() }
 	case ConcurrentSkipListMap:
-		return NewConcurrentSkipListMap()
+		return func() Map { return newConcurrentSkipList[S, P]() }
 	case CopyOnWriteMap:
-		return NewCopyOnWriteMap()
+		return func() Map { return newCopyOnWriteMap[S, P]() }
 	case Cell:
-		return NewCell()
+		return func() Map { return &cell[S, P]{} }
 	default:
 		panic(fmt.Sprintf("container: unknown kind %d", int(k)))
 	}

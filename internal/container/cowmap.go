@@ -14,35 +14,34 @@ import (
 // publishes it atomically, so reads and scans operate on immutable
 // snapshots. All operation pairs are safe and linearizable, and iteration
 // is snapshot iteration (§3.1) — at the cost of O(n) writes.
-type cowMap struct {
+type cowMap[S any, P keySlot[S]] struct {
 	mu   sync.Mutex
-	data atomic.Pointer[[]cowEntry]
+	data atomic.Pointer[[]cowEntry[S]]
 }
 
-type cowEntry struct {
-	key rel.Key
+type cowEntry[S any] struct {
+	key S
 	val any
 }
 
-// NewCopyOnWriteMap returns an empty snapshot-iteration map.
-func NewCopyOnWriteMap() Map {
-	m := &cowMap{}
-	empty := make([]cowEntry, 0)
+func newCopyOnWriteMap[S any, P keySlot[S]]() *cowMap[S, P] {
+	m := &cowMap[S, P]{}
+	empty := make([]cowEntry[S], 0)
 	m.data.Store(&empty)
 	return m
 }
 
-func cowSearch(data []cowEntry, k rel.Key) (int, bool) {
+func (m *cowMap[S, P]) search(data []cowEntry[S], k rel.Key) (int, bool) {
 	i := sort.Search(len(data), func(i int) bool {
-		return rel.CompareKeys(data[i].key, k) >= 0
+		return P(&data[i].key).compare(k) >= 0
 	})
-	return i, i < len(data) && data[i].key.Equal(k)
+	return i, i < len(data) && P(&data[i].key).compare(k) == 0
 }
 
 // Lookup returns the value for k from the current snapshot.
-func (m *cowMap) Lookup(k rel.Key) (any, bool) {
+func (m *cowMap[S, P]) Lookup(k rel.Key) (any, bool) {
 	data := *m.data.Load()
-	if i, ok := cowSearch(data, k); ok {
+	if i, ok := m.search(data, k); ok {
 		return data[i].val, true
 	}
 	return nil, false
@@ -50,42 +49,44 @@ func (m *cowMap) Lookup(k rel.Key) (any, bool) {
 
 // Write inserts, updates, or (v == nil) removes the entry for k by
 // publishing a fresh copy of the array.
-func (m *cowMap) Write(k rel.Key, v any) {
+func (m *cowMap[S, P]) Write(k rel.Key, v any) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	data := *m.data.Load()
-	i, found := cowSearch(data, k)
+	i, found := m.search(data, k)
 	switch {
 	case v == nil && !found:
 		return
 	case v == nil:
-		next := make([]cowEntry, 0, len(data)-1)
+		next := make([]cowEntry[S], 0, len(data)-1)
 		next = append(next, data[:i]...)
 		next = append(next, data[i+1:]...)
 		m.data.Store(&next)
 	case found:
-		next := make([]cowEntry, len(data))
+		next := make([]cowEntry[S], len(data))
 		copy(next, data)
 		next[i].val = v
 		m.data.Store(&next)
 	default:
-		next := make([]cowEntry, 0, len(data)+1)
-		next = append(next, data[:i]...)
-		next = append(next, cowEntry{key: k, val: v})
-		next = append(next, data[i:]...)
+		next := make([]cowEntry[S], len(data)+1)
+		copy(next, data[:i])
+		next[i].val = v
+		P(&next[i].key).set(k)
+		copy(next[i+1:], data[i:])
 		m.data.Store(&next)
 	}
 }
 
 // Scan iterates a snapshot in ascending key order; snapshot iteration is
 // linearizable (§3.1).
-func (m *cowMap) Scan(f func(k rel.Key, v any) bool) {
-	for _, e := range *m.data.Load() {
-		if !f(e.key, e.val) {
+func (m *cowMap[S, P]) Scan(f func(k rel.Key, v any) bool) {
+	data := *m.data.Load()
+	for i := range data {
+		if !f(P(&data[i].key).key(), data[i].val) {
 			return
 		}
 	}
 }
 
 // Len returns the entry count of the current snapshot.
-func (m *cowMap) Len() int { return len(*m.data.Load()) }
+func (m *cowMap[S, P]) Len() int { return len(*m.data.Load()) }

@@ -22,20 +22,20 @@ import (
 //   - Scan walks level 0, skipping nodes that are marked (logically
 //     deleted) or not yet fully linked; it is sorted but only weakly
 //     consistent (§3.1).
-type concurrentSkipList struct {
-	head *slNode
-	tail *slNode
+type concurrentSkipList[S any, P keySlot[S]] struct {
+	head *slNode[S]
+	tail *slNode[S]
 	size atomic.Int64
 }
 
 const slMaxLevel = 24
 
-type slNode struct {
-	key rel.Key
+type slNode[S any] struct {
+	key S
 	// sentinel is -1 for head (−∞), +1 for tail (+∞), 0 for ordinary nodes.
 	sentinel int
 	val      atomic.Pointer[slBox]
-	next     [slMaxLevel]atomic.Pointer[slNode]
+	next     [slMaxLevel]atomic.Pointer[slNode[S]]
 	mu       sync.Mutex
 	marked   atomic.Bool
 	linked   atomic.Bool // fullyLinked
@@ -45,11 +45,10 @@ type slNode struct {
 // slBox wraps a stored value so updates can be published atomically.
 type slBox struct{ v any }
 
-// NewConcurrentSkipListMap returns an empty concurrency-safe sorted map.
-func NewConcurrentSkipListMap() Map {
-	m := &concurrentSkipList{
-		head: &slNode{sentinel: -1, topLevel: slMaxLevel - 1},
-		tail: &slNode{sentinel: 1, topLevel: slMaxLevel - 1},
+func newConcurrentSkipList[S any, P keySlot[S]]() *concurrentSkipList[S, P] {
+	m := &concurrentSkipList[S, P]{
+		head: &slNode[S]{sentinel: -1, topLevel: slMaxLevel - 1},
+		tail: &slNode[S]{sentinel: 1, topLevel: slMaxLevel - 1},
 	}
 	m.head.linked.Store(true)
 	m.tail.linked.Store(true)
@@ -59,12 +58,12 @@ func NewConcurrentSkipListMap() Map {
 	return m
 }
 
-// compareToKey orders a node against a key, honoring the ±∞ sentinels.
-func (n *slNode) compareToKey(k rel.Key) int {
+// compareToKey orders node n against key k, honoring the ±∞ sentinels.
+func (m *concurrentSkipList[S, P]) compareToKey(n *slNode[S], k rel.Key) int {
 	if n.sentinel != 0 {
 		return n.sentinel
 	}
-	return rel.CompareKeys(n.key, k)
+	return P(&n.key).compare(k)
 }
 
 // randomLevel draws a geometric level with p = 1/4, capped at slMaxLevel.
@@ -78,16 +77,16 @@ func randomLevel() int {
 
 // find locates the predecessors and successors of k at every level and
 // returns the highest level at which a node with key k was found, or -1.
-func (m *concurrentSkipList) find(k rel.Key, preds, succs *[slMaxLevel]*slNode) int {
+func (m *concurrentSkipList[S, P]) find(k rel.Key, preds, succs *[slMaxLevel]*slNode[S]) int {
 	found := -1
 	pred := m.head
 	for level := slMaxLevel - 1; level >= 0; level-- {
 		curr := pred.next[level].Load()
-		for curr.compareToKey(k) < 0 {
+		for m.compareToKey(curr, k) < 0 {
 			pred = curr
 			curr = pred.next[level].Load()
 		}
-		if found == -1 && curr.compareToKey(k) == 0 {
+		if found == -1 && m.compareToKey(curr, k) == 0 {
 			found = level
 		}
 		preds[level] = pred
@@ -98,16 +97,16 @@ func (m *concurrentSkipList) find(k rel.Key, preds, succs *[slMaxLevel]*slNode) 
 
 // Lookup returns the value for k. It is wait-free and linearizable: a node
 // counts as present exactly when it is fully linked and not marked.
-func (m *concurrentSkipList) Lookup(k rel.Key) (any, bool) {
+func (m *concurrentSkipList[S, P]) Lookup(k rel.Key) (any, bool) {
 	pred := m.head
-	var curr *slNode
+	var curr *slNode[S]
 	for level := slMaxLevel - 1; level >= 0; level-- {
 		curr = pred.next[level].Load()
-		for curr.compareToKey(k) < 0 {
+		for m.compareToKey(curr, k) < 0 {
 			pred = curr
 			curr = pred.next[level].Load()
 		}
-		if curr.compareToKey(k) == 0 {
+		if m.compareToKey(curr, k) == 0 {
 			if curr.linked.Load() && !curr.marked.Load() {
 				if b := curr.val.Load(); b != nil {
 					return b.v, true
@@ -120,7 +119,7 @@ func (m *concurrentSkipList) Lookup(k rel.Key) (any, bool) {
 }
 
 // Write inserts, updates, or (v == nil) removes the entry for k.
-func (m *concurrentSkipList) Write(k rel.Key, v any) {
+func (m *concurrentSkipList[S, P]) Write(k rel.Key, v any) {
 	if v == nil {
 		m.remove(k)
 		return
@@ -128,33 +127,39 @@ func (m *concurrentSkipList) Write(k rel.Key, v any) {
 	m.insert(k, v)
 }
 
-func (m *concurrentSkipList) insert(k rel.Key, v any) {
+func (m *concurrentSkipList[S, P]) insert(k rel.Key, v any) {
 	topLevel := randomLevel()
-	var preds, succs [slMaxLevel]*slNode
+	var preds, succs [slMaxLevel]*slNode[S]
+	var node *slNode[S] // built once, before any lock is taken; private until linked
 	for {
 		found := m.find(k, &preds, &succs)
 		if found != -1 {
-			node := succs[found]
-			if !node.marked.Load() {
+			present := succs[found]
+			if !present.marked.Load() {
 				// Key already present (or being inserted): wait for the
 				// insertion to complete, then update the value in place.
-				for !node.linked.Load() {
+				for !present.linked.Load() {
 				}
-				node.mu.Lock()
-				if !node.marked.Load() {
-					node.val.Store(&slBox{v: v})
-					node.mu.Unlock()
+				present.mu.Lock()
+				if !present.marked.Load() {
+					present.val.Store(&slBox{v: v})
+					present.mu.Unlock()
 					return
 				}
-				node.mu.Unlock()
+				present.mu.Unlock()
 			}
 			// Node is being removed; retry until it is unlinked.
 			continue
 		}
 
+		if node == nil {
+			node = &slNode[S]{topLevel: topLevel}
+			P(&node.key).set(k)
+		}
+
 		// Lock all distinct predecessors bottom-up and validate.
 		var highestLocked = -1
-		var prevPred *slNode
+		var prevPred *slNode[S]
 		valid := true
 		for level := 0; valid && level <= topLevel; level++ {
 			pred := preds[level]
@@ -171,7 +176,6 @@ func (m *concurrentSkipList) insert(k rel.Key, v any) {
 			continue
 		}
 
-		node := &slNode{key: k, topLevel: topLevel}
 		node.val.Store(&slBox{v: v})
 		for level := 0; level <= topLevel; level++ {
 			node.next[level].Store(succs[level])
@@ -186,8 +190,8 @@ func (m *concurrentSkipList) insert(k rel.Key, v any) {
 	}
 }
 
-func unlockPreds(preds *[slMaxLevel]*slNode, highestLocked int) {
-	var prev *slNode
+func unlockPreds[S any](preds *[slMaxLevel]*slNode[S], highestLocked int) {
+	var prev *slNode[S]
 	for level := 0; level <= highestLocked; level++ {
 		if preds[level] != prev {
 			preds[level].mu.Unlock()
@@ -196,9 +200,9 @@ func unlockPreds(preds *[slMaxLevel]*slNode, highestLocked int) {
 	}
 }
 
-func (m *concurrentSkipList) remove(k rel.Key) {
-	var preds, succs [slMaxLevel]*slNode
-	var victim *slNode
+func (m *concurrentSkipList[S, P]) remove(k rel.Key) {
+	var preds, succs [slMaxLevel]*slNode[S]
+	var victim *slNode[S]
 	isMarked := false
 	topLevel := -1
 	for {
@@ -225,7 +229,7 @@ func (m *concurrentSkipList) remove(k rel.Key) {
 
 		// Lock distinct predecessors and validate.
 		highestLocked := -1
-		var prevPred *slNode
+		var prevPred *slNode[S]
 		valid := true
 		for level := 0; valid && level <= topLevel; level++ {
 			pred := preds[level]
@@ -254,12 +258,12 @@ func (m *concurrentSkipList) remove(k rel.Key) {
 // Scan walks level 0 in key order, skipping logically deleted or
 // incompletely inserted nodes. Weakly consistent: concurrent writes may or
 // may not be observed.
-func (m *concurrentSkipList) Scan(f func(k rel.Key, v any) bool) {
+func (m *concurrentSkipList[S, P]) Scan(f func(k rel.Key, v any) bool) {
 	curr := m.head.next[0].Load()
 	for curr.sentinel == 0 {
 		if curr.linked.Load() && !curr.marked.Load() {
 			if b := curr.val.Load(); b != nil {
-				if !f(curr.key, b.v) {
+				if !f(P(&curr.key).key(), b.v) {
 					return
 				}
 			}
@@ -269,4 +273,4 @@ func (m *concurrentSkipList) Scan(f func(k rel.Key, v any) bool) {
 }
 
 // Len returns the entry count; exact only in quiescent states.
-func (m *concurrentSkipList) Len() int { return int(m.size.Load()) }
+func (m *concurrentSkipList[S, P]) Len() int { return int(m.size.Load()) }

@@ -6,26 +6,21 @@ import "repro/internal/rel"
 // 2-3 variant), the analog of java.util.TreeMap: sorted iteration, O(log n)
 // lookup and update, safe for parallel reads, unsafe under concurrent
 // writes.
-type treeMap struct {
-	root *llrb
+type treeMap[S any, P keySlot[S]] struct {
+	root *llrb[S]
 	size int
 }
 
-type llrb struct {
-	key         rel.Key
+type llrb[S any] struct {
+	key         S
 	val         any
-	left, right *llrb
+	left, right *llrb[S]
 	red         bool
 }
 
-// NewTreeMap returns an empty non-concurrent sorted map.
-func NewTreeMap() Map {
-	return &treeMap{}
-}
+func isRed[S any](h *llrb[S]) bool { return h != nil && h.red }
 
-func isRed(h *llrb) bool { return h != nil && h.red }
-
-func rotateLeft(h *llrb) *llrb {
+func rotateLeft[S any](h *llrb[S]) *llrb[S] {
 	x := h.right
 	h.right = x.left
 	x.left = h
@@ -34,7 +29,7 @@ func rotateLeft(h *llrb) *llrb {
 	return x
 }
 
-func rotateRight(h *llrb) *llrb {
+func rotateRight[S any](h *llrb[S]) *llrb[S] {
 	x := h.left
 	h.left = x.right
 	x.right = h
@@ -43,13 +38,13 @@ func rotateRight(h *llrb) *llrb {
 	return x
 }
 
-func flipColors(h *llrb) {
+func flipColors[S any](h *llrb[S]) {
 	h.red = !h.red
 	h.left.red = !h.left.red
 	h.right.red = !h.right.red
 }
 
-func fixUp(h *llrb) *llrb {
+func fixUp[S any](h *llrb[S]) *llrb[S] {
 	if isRed(h.right) && !isRed(h.left) {
 		h = rotateLeft(h)
 	}
@@ -63,13 +58,13 @@ func fixUp(h *llrb) *llrb {
 }
 
 // Lookup returns the value associated with k, if present.
-func (m *treeMap) Lookup(k rel.Key) (any, bool) {
+func (m *treeMap[S, P]) Lookup(k rel.Key) (any, bool) {
 	h := m.root
 	for h != nil {
-		switch c := rel.CompareKeys(k, h.key); {
-		case c < 0:
-			h = h.left
+		switch c := P(&h.key).compare(k); {
 		case c > 0:
+			h = h.left
+		case c < 0:
 			h = h.right
 		default:
 			return h.val, true
@@ -79,12 +74,12 @@ func (m *treeMap) Lookup(k rel.Key) (any, bool) {
 }
 
 // Write inserts, updates, or (v == nil) removes the entry for k.
-func (m *treeMap) Write(k rel.Key, v any) {
+func (m *treeMap[S, P]) Write(k rel.Key, v any) {
 	if v == nil {
 		if _, ok := m.Lookup(k); !ok {
 			return
 		}
-		m.root = llrbDelete(m.root, k)
+		m.root = m.delete(m.root, k)
 		if m.root != nil {
 			m.root.red = false
 		}
@@ -92,30 +87,32 @@ func (m *treeMap) Write(k rel.Key, v any) {
 		return
 	}
 	var inserted bool
-	m.root, inserted = llrbInsert(m.root, k, v)
+	m.root, inserted = m.insert(m.root, k, v)
 	m.root.red = false
 	if inserted {
 		m.size++
 	}
 }
 
-func llrbInsert(h *llrb, k rel.Key, v any) (*llrb, bool) {
+func (m *treeMap[S, P]) insert(h *llrb[S], k rel.Key, v any) (*llrb[S], bool) {
 	if h == nil {
-		return &llrb{key: k, val: v, red: true}, true
+		n := &llrb[S]{val: v, red: true}
+		P(&n.key).set(k)
+		return n, true
 	}
 	var inserted bool
-	switch c := rel.CompareKeys(k, h.key); {
-	case c < 0:
-		h.left, inserted = llrbInsert(h.left, k, v)
+	switch c := P(&h.key).compare(k); {
 	case c > 0:
-		h.right, inserted = llrbInsert(h.right, k, v)
+		h.left, inserted = m.insert(h.left, k, v)
+	case c < 0:
+		h.right, inserted = m.insert(h.right, k, v)
 	default:
 		h.val = v
 	}
 	return fixUp(h), inserted
 }
 
-func moveRedLeft(h *llrb) *llrb {
+func moveRedLeft[S any](h *llrb[S]) *llrb[S] {
 	flipColors(h)
 	if isRed(h.right.left) {
 		h.right = rotateRight(h.right)
@@ -125,7 +122,7 @@ func moveRedLeft(h *llrb) *llrb {
 	return h
 }
 
-func moveRedRight(h *llrb) *llrb {
+func moveRedRight[S any](h *llrb[S]) *llrb[S] {
 	flipColors(h)
 	if isRed(h.left.left) {
 		h = rotateRight(h)
@@ -134,14 +131,14 @@ func moveRedRight(h *llrb) *llrb {
 	return h
 }
 
-func llrbMin(h *llrb) *llrb {
+func llrbMin[S any](h *llrb[S]) *llrb[S] {
 	for h.left != nil {
 		h = h.left
 	}
 	return h
 }
 
-func llrbDeleteMin(h *llrb) *llrb {
+func llrbDeleteMin[S any](h *llrb[S]) *llrb[S] {
 	if h.left == nil {
 		return nil
 	}
@@ -152,51 +149,55 @@ func llrbDeleteMin(h *llrb) *llrb {
 	return fixUp(h)
 }
 
-// llrbDelete removes k from the subtree; the key must be present.
-func llrbDelete(h *llrb, k rel.Key) *llrb {
-	if rel.CompareKeys(k, h.key) < 0 {
+// delete removes k from the subtree; the key must be present. A node
+// whose key goes is replaced by its successor node, never overwritten with
+// a copy of the successor's entry: an entry keeps its key slot for life,
+// so a key view an earlier Scan yielded is never rewritten.
+func (m *treeMap[S, P]) delete(h *llrb[S], k rel.Key) *llrb[S] {
+	if P(&h.key).compare(k) > 0 {
 		if !isRed(h.left) && !isRed(h.left.left) {
 			h = moveRedLeft(h)
 		}
-		h.left = llrbDelete(h.left, k)
+		h.left = m.delete(h.left, k)
 	} else {
 		if isRed(h.left) {
 			h = rotateRight(h)
 		}
-		if rel.CompareKeys(k, h.key) == 0 && h.right == nil {
+		if P(&h.key).compare(k) == 0 && h.right == nil {
 			return nil
 		}
 		if !isRed(h.right) && !isRed(h.right.left) {
 			h = moveRedRight(h)
 		}
-		if rel.CompareKeys(k, h.key) == 0 {
-			min := llrbMin(h.right)
-			h.key, h.val = min.key, min.val
-			h.right = llrbDeleteMin(h.right)
+		if P(&h.key).compare(k) == 0 {
+			succ := llrbMin(h.right)
+			right := llrbDeleteMin(h.right)
+			succ.left, succ.right, succ.red = h.left, right, h.red
+			h = succ
 		} else {
-			h.right = llrbDelete(h.right, k)
+			h.right = m.delete(h.right, k)
 		}
 	}
 	return fixUp(h)
 }
 
 // Scan iterates over entries in ascending key order.
-func (m *treeMap) Scan(f func(k rel.Key, v any) bool) {
-	scanLLRB(m.root, f)
+func (m *treeMap[S, P]) Scan(f func(k rel.Key, v any) bool) {
+	m.scan(m.root, f)
 }
 
-func scanLLRB(h *llrb, f func(k rel.Key, v any) bool) bool {
+func (m *treeMap[S, P]) scan(h *llrb[S], f func(k rel.Key, v any) bool) bool {
 	if h == nil {
 		return true
 	}
-	if !scanLLRB(h.left, f) {
+	if !m.scan(h.left, f) {
 		return false
 	}
-	if !f(h.key, h.val) {
+	if !f(P(&h.key).key(), h.val) {
 		return false
 	}
-	return scanLLRB(h.right, f)
+	return m.scan(h.right, f)
 }
 
 // Len returns the number of entries.
-func (m *treeMap) Len() int { return m.size }
+func (m *treeMap[S, P]) Len() int { return m.size }

@@ -1294,14 +1294,15 @@ func (u *undoLog) record(c container.Map, key rel.Key, old any, had bool) {
 	u.recs = append(u.recs, undoRec{c: c, key: key, old: old, had: had})
 }
 
-// rollback restores every displaced binding in reverse order. Keys are
-// cloned on re-insertion: containers retain inserted keys, and the
-// recorded key may be carved from the operation's transient arena.
+// rollback restores every displaced binding in reverse order. The recorded
+// keys are carved from the operation's arena, which outlives the rollback
+// (it runs before the buffer is released); a re-inserting write stores
+// its own copy.
 func (u *undoLog) rollback() {
 	for i := len(u.recs) - 1; i >= 0; i-- {
 		rec := u.recs[i]
 		if rec.had {
-			rec.c.Write(rec.key.Clone(), rec.old)
+			rec.c.Write(rec.key, rec.old)
 		} else {
 			rec.c.Write(rec.key, nil)
 		}

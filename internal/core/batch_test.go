@@ -526,7 +526,7 @@ func TestBatchPendingBeforeCommit(t *testing.T) {
 // recorded writes are reversed exactly, in reverse order, restoring
 // previously present and previously absent keys alike.
 func TestUndoLogRollback(t *testing.T) {
-	c := container.New(container.TreeMap)
+	c := container.New(container.TreeMap, 1)
 	c.Write(rel.NewKey(int64(1)), "a")
 	c.Write(rel.NewKey(int64(2)), "b")
 	var u undoLog

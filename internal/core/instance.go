@@ -14,11 +14,14 @@ import (
 )
 
 // Instance is the runtime counterpart of a decomposition node (§4.1): one
-// object per distinct valuation of the node's bound columns A. It owns one
-// container per outgoing edge and, on the nodes the placement puts a lock
-// on, the stripe array of physical locks (§4.4). An instance stores no
-// copy of its key: the lock identities encode it once, and every other
-// consumer reads the bound columns off the path that reached it.
+// object per distinct valuation of the node's bound columns A — except on
+// a stateless leaf, whose valuations all share one immutable instance
+// (layout.leaf). It owns one container per outgoing edge and, on the
+// nodes the placement puts a lock on, the stripe array of physical locks
+// (§4.4). An instance stores no copy of its key: the lock identities
+// encode it once, and every other consumer reads the bound columns off the
+// path that reached it, so tools that walk the representation identify an
+// instance by (node, valuation), not by pointer (instKey).
 type Instance struct {
 	node *decomp.Node
 	// containers holds one container per outgoing edge, indexed by the
@@ -49,11 +52,19 @@ type (
 	}
 )
 
-// newInstance allocates the instance of node n for the valuation carried
-// by row (which must bind all of n.A). A lock-bearing instance's identity
-// prefix is encoded straight from the row through the relation's
-// precomputed schema indices for n.A.
+// newInstance returns the instance of node n for the valuation carried by
+// row (which must bind all of n.A). A stateless leaf — no out-edge, no
+// lock — gets the node's one shared instance: it has no state for a
+// valuation to own. Sharing it is invisible to the well-lockedness
+// auditor, whose fresh set (instances private to the running operation)
+// is only consulted for edge sources, placement instances and speculative
+// targets, none of which is ever a leaf. Every other instance is
+// allocated; a lock-bearing one's identity prefix is encoded straight from
+// the row through the relation's precomputed schema indices for n.A.
 func (r *Relation) newInstance(n *decomp.Node, row rel.Row) *Instance {
+	if leaf := r.leaf[n.Index]; leaf != nil {
+		return leaf
+	}
 	var inst *Instance
 	var arr *locks.Array
 	switch locked, one := r.lockNode[n.Index], len(n.Out) == 1; {
@@ -76,7 +87,7 @@ func (r *Relation) newInstance(n *decomp.Node, row rel.Row) *Instance {
 		inst.containers = make([]container.Map, len(n.Out))
 	}
 	for i, e := range n.Out {
-		inst.containers[i] = container.New(e.Container)
+		inst.containers[i] = r.newContainer[e.Index]()
 	}
 	if arr != nil {
 		var pbuf [64]byte

@@ -20,39 +20,33 @@ func (r *Relation) InstanceDOT(title string) string {
 	fmt.Fprintf(&b, "digraph %q {\n", title)
 	b.WriteString("  rankdir=TB;\n  node [shape=box, fontsize=10];\n")
 
-	names := map[*Instance]string{}
+	// Instances store no key, and a stateless leaf's one instance stands
+	// for every valuation of its node: a graph node is an instance
+	// identity (instKey), labelled with the valuation of the node's bound
+	// columns read off the path that reached it.
+	names := map[instKey]string{}
 	counters := make([]int, len(r.decomp.Nodes))
-	// Instances store no key: the label is the valuation of the node's
-	// bound columns read off the path that reached the instance.
-	nameOf := func(inst *Instance, bound rel.Tuple) string {
-		if n, ok := names[inst]; ok {
+
+	type entry struct {
+		src, dst string
+		label    string
+		style    string
+	}
+	var entries []entry
+	var walk func(inst *Instance, bound rel.Tuple) string
+	walk = func(inst *Instance, bound rel.Tuple) string {
+		id := instKey{inst.node.Index, bound.String()}
+		if n, ok := names[id]; ok {
 			return n
 		}
 		counters[inst.node.Index]++
 		n := fmt.Sprintf("%s%d", inst.node.Name, counters[inst.node.Index])
-		names[inst] = n
+		names[id] = n
 		label := n
 		if len(inst.node.A) > 0 {
 			label = fmt.Sprintf("%s\\n%s", n, bound.Key(inst.node.A))
 		}
 		fmt.Fprintf(&b, "  %q [label=\"%s\"];\n", n, strings.ReplaceAll(label, `"`, `\"`))
-		return n
-	}
-
-	type entry struct {
-		src, dst *Instance
-		label    string
-		style    string
-	}
-	var entries []entry
-	seen := map[*Instance]bool{}
-	var walk func(inst *Instance, bound rel.Tuple)
-	walk = func(inst *Instance, bound rel.Tuple) {
-		if seen[inst] {
-			return
-		}
-		seen[inst] = true
-		nameOf(inst, bound)
 		for i, e := range inst.node.Out {
 			style := "solid"
 			switch {
@@ -62,28 +56,28 @@ func (r *Relation) InstanceDOT(title string) string {
 				style = "dashed"
 			}
 			inst.containers[i].Scan(func(k rel.Key, v any) bool {
-				child := v.(*Instance)
-				entries = append(entries, entry{src: inst, dst: child, label: k.String(), style: style})
-				walk(child, bound.MustUnion(k.Tuple(e.Cols)))
+				child := walk(v.(*Instance), bound.MustUnion(k.Tuple(e.Cols)))
+				entries = append(entries, entry{src: n, dst: child, label: k.String(), style: style})
 				return true
 			})
 		}
+		return n
 	}
 	walk(r.root, rel.T())
 
 	// Deterministic edge order for stable output.
 	sort.Slice(entries, func(i, j int) bool {
 		a, bb := entries[i], entries[j]
-		if names[a.src] != names[bb.src] {
-			return names[a.src] < names[bb.src]
+		if a.src != bb.src {
+			return a.src < bb.src
 		}
 		if a.label != bb.label {
 			return a.label < bb.label
 		}
-		return names[a.dst] < names[bb.dst]
+		return a.dst < bb.dst
 	})
 	for _, e := range entries {
-		fmt.Fprintf(&b, "  %q -> %q [label=%q, style=%s];\n", names[e.src], names[e.dst], e.label, e.style)
+		fmt.Fprintf(&b, "  %q -> %q [label=%q, style=%s];\n", e.src, e.dst, e.label, e.style)
 	}
 	b.WriteString("}\n")
 	return b.String()

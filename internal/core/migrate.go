@@ -361,8 +361,9 @@ func (r *Relation) applyRedo(op RedoOp) error {
 // adoptRep swaps tmp's representation into r in place. Caller holds the
 // representation latch exclusive (no operation in flight) — everything
 // compiled against the old representation goes at once: decomposition,
-// placement, planner, root instance, schema-compiled tables, the
-// optimistic capability, the plan caches (tmp's are warm — backfill and
+// placement, planner, root instance, the whole compiled layout (execution
+// tables, lock layout, shared leaves, container constructors, the
+// optimistic capability), the plan caches (tmp's are warm — backfill and
 // catch-up compiled against the new representation) and the buffer pool
 // (pooled buffers hold old-shape state slabs; tmp's pool is shaped
 // right). The identity fields — spec, schema, registry coordinates,
@@ -373,11 +374,7 @@ func (r *Relation) adoptRep(tmp *Relation) {
 	r.placement = tmp.placement
 	r.planner = tmp.planner
 	r.root = tmp.root
-	r.edgeCols = tmp.edgeCols
-	r.edgeSlot = tmp.edgeSlot
-	r.nodeKey = tmp.nodeKey
-	r.nodeKeyMask = tmp.nodeKeyMask
-	r.optimisticOK = tmp.optimisticOK
+	r.layout = tmp.layout
 	r.bufPool = tmp.bufPool
 	r.mu.Lock()
 	r.queryPlans = tmp.queryPlans

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,6 +72,68 @@ func statesEqual(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestMigrateToDifferentShape migrates between decompositions with
+// different node and edge counts and different lock layouts — a
+// HashMap/TreeMap stick under fine placement to a split under coarse
+// placement — then keeps mutating under the auditor. The relation must
+// adopt the new representation's whole compiled layout: a lock table left
+// from the old shape indexes the new shape's edges out of range on the
+// first write.
+func TestMigrateToDifferentShape(t *testing.T) {
+	prev := AuditEnabled()
+	SetAudit(true)
+	defer SetAudit(prev)
+	g, r := migRegistry(t)
+	ref := NewReference(r.Spec())
+	rng := rand.New(rand.NewSource(29))
+	op := func(insert bool) {
+		s := rel.T("src", int64(rng.Intn(6)), "dst", int64(rng.Intn(6)))
+		var got, want bool
+		var err error
+		if insert {
+			w := rel.T("weight", int64(rng.Intn(100)))
+			got, err = r.Insert(s, w)
+			want, _ = ref.Insert(s, w)
+		} else {
+			got, err = r.Remove(s)
+			want, _ = ref.Remove(s)
+		}
+		if err != nil || got != want {
+			t.Fatalf("insert=%v %v: got %v, %v; reference says %v", insert, s, got, err, want)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		op(true)
+	}
+
+	d2, err := decomp.NewBuilder(edgesSpec(), "ρ").
+		Edge("ρu", "ρ", "u", []string{"src"}, container.HashMap).
+		Edge("uw", "u", "w", []string{"dst"}, container.TreeMap).
+		Edge("wx", "w", "x", []string{"weight"}, container.Cell).
+		Edge("ρv", "ρ", "v", []string{"dst"}, container.HashMap).
+		Edge("vy", "v", "y", []string{"src"}, container.TreeMap).
+		Edge("yz", "y", "z", []string{"weight"}, container.Cell).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Migrate("edges", WithDecomposition(d2), WithPlacement(locks.Coarse(d2))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		op(true)
+		op(false)
+	}
+	got, err := r.VerifyWellFormed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ref.Snapshot()
+	if !tuplesEqual(got, want) {
+		t.Fatalf("contents after migration and mutation:\ngot  %v\nwant %v", got, want)
+	}
 }
 
 // TestMigrateBasic pins the quiescent protocol end to end: data survives

@@ -72,9 +72,9 @@ func (r *Relation) runInsert(plan *insertPlan, x rel.Row) bool {
 // instances under the held locks. A located instance implies all its
 // in-edge entries exist (the entry/instance existence invariant), so only
 // missing instances need writes — and they need an entry on every
-// in-edge. Written keys are gathered fresh (containers retain them);
-// everything else reuses the operation buffer. Batched transactions share
-// one fresh-instance set (b.fresh) across all member applies.
+// in-edge. Written keys come from the operation's key arena like every
+// other key: containers copy the keys they store. Batched transactions
+// share one fresh-instance set (b.fresh) across all member applies.
 func (r *Relation) insertWrite(b *opBuf, xinst []*Instance, x rel.Row) {
 	fresh := b.fresh
 	if fresh == nil && AuditEnabled() {
@@ -95,7 +95,7 @@ func (r *Relation) insertWrite(b *opBuf, xinst []*Instance, x rel.Row) {
 				panic(fmt.Sprintf("core: insert write phase reached %s before its source %s", n.Name, e.Src.Name))
 			}
 			r.auditAccess(b, e, xinst, x, nil, fresh, false)
-			r.writeEdge(b, xinst, e, x.KeyAt(r.edgeCols[e.Index]), inst)
+			r.writeEdge(b, xinst, e, b.keyOf(x, r.edgeCols[e.Index]), inst)
 			r.auditWrite(b, e, xinst, x, fresh)
 		}
 	}

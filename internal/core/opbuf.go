@@ -23,9 +23,9 @@ import (
 //     array back. Single operations may leave the two aliased (harmless
 //     there); the batch executor de-aliases them, and batch members pipe
 //     their retained states through member-owned arrays instead;
-//   - keys carved from the arena (keyOf/carve) live until putBuf but must
-//     never be stored into containers, which retain keys indefinitely —
-//     use Row.KeyAt for durable keys.
+//   - keys carved from the arena (keyOf/carve) live until putBuf; they
+//     may be written into containers, which copy the keys they store
+//     (container.Map.Write).
 type opBuf struct {
 	txn *locks.Txn
 
@@ -41,10 +41,9 @@ type opBuf struct {
 	pipe  []*qstate
 	spare []*qstate
 
-	// karena backs transient container keys (lookups, removals, stripe
-	// sorts). Keys carved here must never be stored into a container —
-	// the arena is recycled across operations; use Row.KeyAt for keys a
-	// container retains.
+	// karena backs the operation's container keys (lookups, inserts,
+	// removals, stripe sorts). It is recycled across operations, which is
+	// safe because containers copy the keys they store.
 	karena []rel.Value
 
 	// lockBatch, instScratch, seen and reqs are per-step scratch.
@@ -255,9 +254,9 @@ func (b *opBuf) carve(n int) []rel.Value {
 	return b.karena[off : off+n : off+n]
 }
 
-// keyOf gathers a transient container key from row values at idx. The key
-// lives in the arena: valid for the rest of the operation, but must not
-// be stored into a container.
+// keyOf gathers a container key from row values at idx. The key lives in
+// the arena: valid for the rest of the operation; a container it is
+// written into stores its own copy.
 func (b *opBuf) keyOf(row rel.Row, idx []int) rel.Key {
 	kv := b.carve(len(idx))
 	for i, ci := range idx {

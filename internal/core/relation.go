@@ -35,34 +35,14 @@ type Relation struct {
 	regID    int
 	name     string
 
-	// Schema-compiled execution tables, fixed at Synthesize time: the
-	// dense column schema, the full-binding mask, per-edge schema indices
-	// of the edge's key columns (edge order), per-edge container slot in
-	// the source node's Out list, and per-node schema indices (and
-	// bitmask) of the node's bound columns A.
-	schema      *rel.Schema
-	fullMask    uint64
-	edgeCols    [][]int
-	edgeSlot    []int
-	nodeKey     [][]int
-	nodeKeyMask []uint64
+	// The dense column schema and its full-binding mask, fixed at
+	// Synthesize time; a migration keeps both (the columns do not change).
+	schema   *rel.Schema
+	fullMask uint64
 
-	// Lock layout, fixed at Synthesize time: lockNode marks the nodes
-	// whose instances carry a stripe array (Placement.LockNodes; every
-	// other node's instances carry none), and edgeLockAt gives per edge
-	// the node whose instance holds the lock a write to the edge's
-	// container is made under — the rule's At, or FallbackAt for a
-	// speculative rule, whose membership changes the fallback covers.
-	lockNode   []bool
-	edgeLockAt []int
-
-	// optimisticOK, fixed at Synthesize time, reports that every container
-	// in the decomposition is concurrency-safe (Figure 1), so read-only
-	// batches may run lock-free under the optimistic epoch-validation
-	// protocol (readonly.go). Relations with any unsafe container (HashMap,
-	// TreeMap) always take the pessimistic 2PL path — an unlocked read
-	// racing a writer would be a data race on those containers.
-	optimisticOK bool
+	// layout holds every table compiled from the decomposition and the
+	// placement; a migration adopts the new representation's layout whole.
+	layout
 
 	// bufPool recycles operation buffers (transaction, query states, key
 	// arena) across operations; see opBuf. A pointer so a migration can
@@ -86,6 +66,84 @@ type Relation struct {
 	countPlans  map[string]*query.Plan
 	insertPlans map[string]*insertPlan
 	removePlans map[string]*removePlan
+}
+
+// layout gathers the tables synthesize compiles from a decomposition, its
+// placement and the schema, so that a migration adopts them in one
+// assignment (adoptRep) and cannot leave one behind:
+//
+//   - edgeCols and edgeSlot give per edge the schema indices of its key
+//     columns (edge order) and its container's slot in the source node's
+//     Out list; nodeKey and nodeKeyMask give per node the schema indices
+//     (and bitmask) of its bound columns A;
+//   - lockNode marks the nodes whose instances carry a stripe array
+//     (Placement.LockNodes; every other node's instances carry none), and
+//     edgeLockAt gives per edge the node whose instance holds the lock a
+//     write to the edge's container is made under — the rule's At, or
+//     FallbackAt for a speculative rule, whose membership changes the
+//     fallback covers;
+//   - leaf holds per node the one shared instance of a stateless leaf — a
+//     node with no out-edge and no lock, whose instances carry no state —
+//     and nil for every other node; newContainer holds per edge the
+//     constructor of its containers, resolved from the container kind and
+//     the key width (container.Constructor);
+//   - optimisticOK reports that every container in the decomposition is
+//     concurrency-safe (Figure 1), so read-only batches may run lock-free
+//     under the optimistic epoch-validation protocol (readonly.go).
+//     Relations with any unsafe container (HashMap, TreeMap) always take
+//     the pessimistic 2PL path — an unlocked read racing a writer would be
+//     a data race on those containers.
+type layout struct {
+	edgeCols     [][]int
+	edgeSlot     []int
+	nodeKey      [][]int
+	nodeKeyMask  []uint64
+	lockNode     []bool
+	edgeLockAt   []int
+	leaf         []*Instance
+	newContainer []func() container.Map
+	optimisticOK bool
+}
+
+// compileLayout builds the layout of decomposition d under placement p
+// over schema.
+func compileLayout(d *decomp.Decomposition, p *locks.Placement, schema *rel.Schema) layout {
+	l := layout{
+		edgeCols:     make([][]int, len(d.Edges)),
+		edgeSlot:     make([]int, len(d.Edges)),
+		nodeKey:      make([][]int, len(d.Nodes)),
+		nodeKeyMask:  make([]uint64, len(d.Nodes)),
+		lockNode:     p.LockNodes(),
+		edgeLockAt:   make([]int, len(d.Edges)),
+		leaf:         make([]*Instance, len(d.Nodes)),
+		newContainer: make([]func() container.Map, len(d.Edges)),
+		optimisticOK: true,
+	}
+	for _, e := range d.Edges {
+		l.edgeCols[e.Index] = schema.Indices(e.Cols)
+		if rule := p.RuleFor(e); rule.Speculative {
+			l.edgeLockAt[e.Index] = rule.FallbackAt.Index
+		} else {
+			l.edgeLockAt[e.Index] = rule.At.Index
+		}
+		for i, oe := range e.Src.Out {
+			if oe == e {
+				l.edgeSlot[e.Index] = i
+			}
+		}
+		l.newContainer[e.Index] = container.Constructor(e.Container, len(e.Cols))
+		if !container.PropertiesOf(e.Container).ConcurrencySafe() {
+			l.optimisticOK = false
+		}
+	}
+	for _, n := range d.Nodes {
+		l.nodeKey[n.Index] = schema.Indices(n.A)
+		l.nodeKeyMask[n.Index] = schema.Mask(n.A)
+		if len(n.Out) == 0 && !l.lockNode[n.Index] {
+			l.leaf[n.Index] = &Instance{node: n}
+		}
+	}
+	return l
 }
 
 // insertPlan bundles the growing-phase directives with the embedded
@@ -141,38 +199,12 @@ func synthesize(g *Registry, regID int, name string, d *decomp.Decomposition, p 
 		name:        name,
 		schema:      schema,
 		fullMask:    schema.FullMask(),
+		layout:      compileLayout(d, p, schema),
 		bufPool:     &sync.Pool{},
 		queryPlans:  map[string]*query.Plan{},
 		countPlans:  map[string]*query.Plan{},
 		insertPlans: map[string]*insertPlan{},
 		removePlans: map[string]*removePlan{},
-	}
-	r.edgeCols = make([][]int, len(d.Edges))
-	r.edgeSlot = make([]int, len(d.Edges))
-	r.lockNode = p.LockNodes()
-	r.edgeLockAt = make([]int, len(d.Edges))
-	r.optimisticOK = true
-	for _, e := range d.Edges {
-		r.edgeCols[e.Index] = schema.Indices(e.Cols)
-		if rule := p.RuleFor(e); rule.Speculative {
-			r.edgeLockAt[e.Index] = rule.FallbackAt.Index
-		} else {
-			r.edgeLockAt[e.Index] = rule.At.Index
-		}
-		for i, oe := range e.Src.Out {
-			if oe == e {
-				r.edgeSlot[e.Index] = i
-			}
-		}
-		if !container.PropertiesOf(e.Container).ConcurrencySafe() {
-			r.optimisticOK = false
-		}
-	}
-	r.nodeKey = make([][]int, len(d.Nodes))
-	r.nodeKeyMask = make([]uint64, len(d.Nodes))
-	for _, n := range d.Nodes {
-		r.nodeKey[n.Index] = schema.Indices(n.A)
-		r.nodeKeyMask[n.Index] = schema.Mask(n.A)
 	}
 	r.root = r.newInstance(d.Root, rel.RowOver(make([]rel.Value, schema.Len()), 0))
 	return r, nil
@@ -540,6 +572,15 @@ func (r *Relation) checkCols(cols []string) error {
 	return nil
 }
 
+// instKey identifies a node instance by its node and its valuation of the
+// node's bound columns, rendered. Walks over the representation use it
+// instead of the instance pointer, which a stateless leaf shares across
+// every valuation of its node.
+type instKey struct {
+	node int
+	val  string
+}
+
 // VerifyWellFormed walks the decomposition instance and checks the
 // structural invariants the executor relies on, returning the represented
 // relation. It takes no locks and must only be called on a quiescent
@@ -547,24 +588,34 @@ func (r *Relation) checkCols(cols []string) error {
 //
 //   - every non-root, non-unit instance has at least one entry in every
 //     container (cascade cleanup held);
-//   - a node instance reached along multiple in-edges is the same object;
+//   - a valuation of a node's bound columns has one instance, whichever
+//     in-edges reach it, and an instance other than a shared stateless
+//     leaf stands for one valuation only;
 //   - unit-edge containers hold at most one entry;
 //   - the tuples read along every root-to-leaf path agree (abstraction
 //     function is well defined).
 func (r *Relation) VerifyWellFormed() ([]rel.Tuple, error) {
 	var tuples []rel.Tuple
-	seen := map[*Instance]rel.Tuple{}
+	// The bound columns along any path to an instance are exactly its
+	// node's A columns, so bound is the instance's valuation.
+	seen := map[instKey]*Instance{}
+	owner := map[*Instance]rel.Tuple{}
 	var walk func(inst *Instance, bound rel.Tuple) error
 	walk = func(inst *Instance, bound rel.Tuple) error {
-		if prev, ok := seen[inst]; ok {
-			// The bound columns along any path to an instance are exactly
-			// its node's A columns, so all paths must agree.
-			if !prev.Equal(bound) {
-				return fmt.Errorf("core: instance of %s reached with %v and %v", inst.node.Name, prev, bound)
+		id := instKey{inst.node.Index, bound.String()}
+		if prev, ok := seen[id]; ok {
+			if prev != inst {
+				return fmt.Errorf("core: valuation %v of %s has two instances", bound, inst.node.Name)
 			}
 			return nil // already verified below this instance
 		}
-		seen[inst] = bound
+		seen[id] = inst
+		if inst != r.leaf[inst.node.Index] {
+			if prev, ok := owner[inst]; ok {
+				return fmt.Errorf("core: instance of %s reached with %v and %v", inst.node.Name, prev, bound)
+			}
+			owner[inst] = bound
+		}
 		if inst.node.IsUnit() {
 			tuples = append(tuples, bound)
 			return nil

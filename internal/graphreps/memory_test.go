@@ -10,14 +10,15 @@ import (
 // Memory budget of the preloaded "Split 4" state: heap bytes and heap
 // objects per stored tuple, measured after two forced collections. The
 // budgets carry ~10 % headroom over the measured values (amd64,
-// go1.24): 765 B and 16.6 objects per tuple, down from 1 440 B and 28.6
-// when every node instance carried its own stripe array of 112-byte
-// locks. A change that puts stripe arrays back on nodes the placement
-// puts no lock on, or a per-lock identity back into every Lock, fails
-// here before any benchmark runs.
+// go1.24): 540 B and 10.55 objects per tuple. They were 765 B and 16.6
+// with a private instance per stateless leaf, container keys held as
+// separately allocated slices and a slab slice header in every stripe
+// array, and 1 440 B and 28.6 when every node instance carried its own
+// stripe array of 112-byte locks. A change that undoes any of those
+// layout decisions fails here before any benchmark runs.
 const (
-	memBudgetBytesPerTuple   = 840
-	memBudgetObjectsPerTuple = 18.2
+	memBudgetBytesPerTuple   = 600
+	memBudgetObjectsPerTuple = 11.7
 )
 
 // memPreloadSalt and the fill rule mirror the benchmark's graph-single

@@ -112,6 +112,16 @@ func TestLockSize(t *testing.T) {
 	}
 }
 
+// TestArraySize pins the footprint of a one-stripe array, the shape a
+// lock-bearing node instance embeds: the identity header, stripe 0 inline
+// and one pointer to the slab of further stripes (nil here).
+func TestArraySize(t *testing.T) {
+	var a Array
+	if n := unsafe.Sizeof(a); n > 72 {
+		t.Fatalf("Array is %d bytes, want ≤ 72", n)
+	}
+}
+
 // TestLockEncodingRelMajor pins the registry-wide extension: every lock
 // of a lower relation id precedes every lock of a higher one, regardless
 // of node, instance or stripe.

@@ -131,11 +131,12 @@ type header struct {
 // instance (§4.4): n locks ordered consecutively at (rel, node, inst,
 // 0..n-1). Stripe 0 is stored inline, so the common one-stripe array is
 // a single fixed-size value a node instance can embed; further stripes
-// share one slab. An Array must not be copied after Init.
+// share one slab, reached through a pointer so that a one-stripe array
+// pays for no slice header. An Array must not be copied after Init.
 type Array struct {
 	hdr  header
 	head Lock
-	tail []Lock
+	tail *[]Lock
 }
 
 // AppendIDPrefix appends the encoding of (relID, node) that begins every
@@ -150,28 +151,35 @@ func AppendIDPrefix(dst []byte, relID, node int) []byte {
 // Init sets up a as an n-stripe array whose identity prefix is prefix
 // (AppendIDPrefix followed by the ordered instance key; copied). Init
 // runs on the insert hot path, once per new lock-bearing node instance:
-// one allocation for the prefix, plus one slab when n > 1.
+// one allocation for the prefix, plus the slab and its slice header when
+// n > 1.
 func (a *Array) Init(prefix []byte, n int) {
 	a.hdr.prefix = string(prefix)
 	a.head.hdr = &a.hdr
 	if n > 1 {
-		a.tail = make([]Lock, n-1)
-		for i := range a.tail {
-			a.tail[i].hdr = &a.hdr
-			a.tail[i].stripe = int32(i + 1)
+		tail := make([]Lock, n-1)
+		for i := range tail {
+			tail[i].hdr = &a.hdr
+			tail[i].stripe = int32(i + 1)
 		}
+		a.tail = &tail
 	}
 }
 
 // Len returns the number of stripes.
-func (a *Array) Len() int { return 1 + len(a.tail) }
+func (a *Array) Len() int {
+	if a.tail == nil {
+		return 1
+	}
+	return 1 + len(*a.tail)
+}
 
 // Lock returns stripe i.
 func (a *Array) Lock(i int) *Lock {
 	if i == 0 {
 		return &a.head
 	}
-	return &a.tail[i-1]
+	return &(*a.tail)[i-1]
 }
 
 // ID rebuilds the lock's identity from its array's prefix. Only

@@ -98,8 +98,8 @@ func AppendOrderedKey(dst []byte, k Key) []byte {
 }
 
 // AppendOrderedAt appends the ordered encodings of the row's values at
-// the given schema indices — AppendOrderedKey of r.KeyAt(idx) without
-// building the key.
+// the given schema indices — AppendOrderedKey of the key gathered at idx,
+// without building the key.
 func (r Row) AppendOrderedAt(dst []byte, idx []int) []byte {
 	for _, i := range idx {
 		dst = AppendOrderedValue(dst, r.vals[i])

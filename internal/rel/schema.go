@@ -176,8 +176,8 @@ func (s *Schema) TupleOfRow(r Row) Tuple {
 // SetMask may only NARROW a mask to a subset of truly-bound columns (the
 // mutation pipeline narrows a fully bound operation row to its key
 // columns this way) — widening it would expose stale slots as if bound.
-// Aggregations over subsets (HashAt, KeyAt, AppendKeyAt) trust the caller
-// that every index is bound.
+// Aggregations over subsets (HashAt, AppendKeyAt, AppendOrderedAt) trust
+// the caller that every index is bound.
 type Row struct {
 	vals []Value
 	mask uint64
@@ -245,7 +245,7 @@ func (r Row) HashAt(idx []int) uint64 {
 
 // AppendKeyAt gathers the values at idx into buf (growing it as needed)
 // and returns the filled buffer. Wrap the result with KeyOver for a
-// transient container key.
+// container key.
 func (r Row) AppendKeyAt(idx []int, buf []Value) []Value {
 	for _, i := range idx {
 		buf = append(buf, r.vals[i])
@@ -253,19 +253,10 @@ func (r Row) AppendKeyAt(idx []int, buf []Value) []Value {
 	return buf
 }
 
-// KeyAt gathers a fresh container key from the values at idx, in order.
-func (r Row) KeyAt(idx []int) Key {
-	vals := make([]Value, len(idx))
-	for j, i := range idx {
-		vals[j] = r.vals[i]
-	}
-	return Key{vals: vals}
-}
-
 // KeyOver wraps a value slice as a container key without copying. The
-// caller must not mutate vals while the key is in use, and the key must
-// not be stored in a container (containers retain inserted keys); use
-// KeyAt / NewKey for keys that outlive the call.
+// caller must not mutate vals while the key is in use. Containers copy
+// the keys they store (container.Map.Write), so a key over scratch storage
+// may be written into one and the storage reused once the write returns.
 func KeyOver(vals []Value) Key { return Key{vals: vals} }
 
 // TupleFromSorted builds a tuple directly from a column list that is

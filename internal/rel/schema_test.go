@@ -95,9 +95,9 @@ func TestRowKeyGather(t *testing.T) {
 	row.Set(s.MustIndex("src"), 1)
 	row.Set(s.MustIndex("dst"), 2)
 	row.Set(s.MustIndex("weight"), 9)
-	k := row.KeyAt(s.Indices([]string{"src", "dst"}))
+	k := KeyOver(row.AppendKeyAt(s.Indices([]string{"src", "dst"}), nil))
 	if k.Len() != 2 || k.At(0) != 1 || k.At(1) != 2 {
-		t.Fatalf("KeyAt = %v", k)
+		t.Fatalf("AppendKeyAt = %v", k)
 	}
 	buf := row.AppendKeyAt(s.Indices([]string{"weight"}), nil)
 	if len(buf) != 1 || buf[0] != 9 {

@@ -330,12 +330,6 @@ func NewKey(vals ...Value) Key {
 	return Key{vals: vs}
 }
 
-// Clone returns a key backed by freshly allocated storage. Use it when a
-// key carved from transient storage (an operation's key arena) must
-// outlive the operation — e.g. when an undo log re-inserts a container
-// entry after the arena is recycled.
-func (k Key) Clone() Key { return NewKey(k.vals...) }
-
 // Len returns the number of key columns.
 func (k Key) Len() int { return len(k.vals) }
 
