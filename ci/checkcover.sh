@@ -1,20 +1,23 @@
 #!/usr/bin/env bash
 # Coverage gate for the packages carrying the locking and optimistic-epoch
-# machinery, and for the containers whose entries hold the inline key
-# slots: fail when statement coverage drops below the committed floor.
+# machinery, for the containers whose entries hold the inline key slots,
+# and for the planner that decides which stripes every operation locks:
+# fail when statement coverage drops below the committed floor.
 # The floors were set a couple of points under the measured coverage at the
 # time they were last raised (core 87.7%, locks 91.8%, after the mixed-batch
 # OCC commit path landed with its retry/fallback/self-hold suites), so
 # routine changes don't flake but untested additions to the epoch/validation
-# protocol fail loudly. Last re-measured at core 86.5–86.7%, locks 89.8%,
-# container 99.1%, after the compiled instance layout landed. Raise the
-# floor when coverage improves; never lower it to make a PR pass.
+# protocol fail loudly. Last re-measured at core 86.3–86.7%, locks 89.8%,
+# container 99.1%, query 77.9%, after removes of root edges began taking
+# only their key-selected stripes. Raise the floor when coverage improves;
+# never lower it to make a PR pass.
 set -euo pipefail
 
 declare -A floors=(
   ["./internal/core/"]=85.5
   ["./internal/locks/"]=89.5
   ["./internal/container/"]=97.0
+  ["./internal/query/"]=76.0
 )
 
 status=0

@@ -94,6 +94,15 @@ func diamondRel(t *testing.T, spec bool) *Relation {
 	return r
 }
 
+// midStriped places a stick's uv at u striped by dst over k stripes (entry
+// level below the root); the other edges stay fine-grained.
+func midStriped(k int) func(*decomp.Decomposition) *locks.Placement {
+	return func(d *decomp.Decomposition) *locks.Placement {
+		u := d.NodeByName("u")
+		return locks.NewPlacement(d).SetStripes(u, k).Place(d.EdgeByName("uv"), u, "dst")
+	}
+}
+
 func graphVariants() []variant {
 	striped := func(k int) func(*decomp.Decomposition) *locks.Placement {
 		return func(d *decomp.Decomposition) *locks.Placement {
@@ -134,6 +143,17 @@ func graphVariants() []variant {
 		}},
 		{"diamond/fine", func(t *testing.T) *Relation { return diamondRel(t, false) }},
 		{"diamond/speculative", func(t *testing.T) *Relation { return diamondRel(t, true) }},
+		// Two root stripes, so distinct keys share stripes: removes and
+		// inserts of different keys meet on one lock as often as not.
+		{"split/striped2/chm+tree", func(t *testing.T) *Relation {
+			return splitRel(t, container.ConcurrentHashMap, container.TreeMap, striped(2))
+		}},
+		// Entry-level striping below the root: a remove that empties u's
+		// container observes every entry, so it must take all of u's
+		// stripes.
+		{"stick/mid-striped/chm+chm", func(t *testing.T) *Relation {
+			return stickRel(t, container.ConcurrentHashMap, container.ConcurrentHashMap, midStriped(4))
+		}},
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 
 // recordHistory runs `clients` goroutines, each issuing `opsPerClient`
 // random operations on r over a tiny key space (to force conflicts), and
-// returns the timestamped history.
+// returns the timestamped history. Three values per column let keys both
+// share and split the stripes of a striped placement, so same-stripe and
+// cross-stripe remove/insert interleavings both occur.
 func recordHistory(t *testing.T, r *Relation, clients, opsPerClient int, seed int64) []linearize.Operation {
 	t.Helper()
 	base := time.Now()
@@ -25,7 +27,7 @@ func recordHistory(t *testing.T, r *Relation, clients, opsPerClient int, seed in
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(c)))
 			for i := 0; i < opsPerClient; i++ {
-				src, dst := rng.Intn(2), rng.Intn(2)
+				src, dst := rng.Intn(3), rng.Intn(3)
 				var op linearize.Operation
 				start := time.Since(base).Nanoseconds()
 				switch rng.Intn(4) {

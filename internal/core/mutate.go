@@ -261,6 +261,9 @@ func (r *Relation) deleteTuple(b *opBuf, st *qstate) {
 	for i := len(r.decomp.Nodes) - 1; i >= 0; i-- {
 		n := r.decomp.Nodes[i]
 		if n == r.decomp.Root {
+			// The root never dies, so no remove observes a root
+			// container's emptiness: query.Planner.mutationSelector
+			// relies on this to lock only a root edge's keyed stripe.
 			continue
 		}
 		inst := st.insts[n.Index]

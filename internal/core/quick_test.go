@@ -45,7 +45,8 @@ func TestQuickSynthesizedRefinesReference(t *testing.T) {
 	variants := graphVariants()
 	// Exercise a representative subset under quick (full differential
 	// coverage of all variants runs in TestDifferentialRandomOps).
-	for _, name := range []string{"stick/fine/tree+tree", "split/striped/chm+hash", "diamond/speculative"} {
+	for _, name := range []string{"stick/fine/tree+tree", "split/striped/chm+hash", "diamond/speculative",
+		"split/striped2/chm+tree", "stick/mid-striped/chm+chm"} {
 		var v *variant
 		for i := range variants {
 			if variants[i].name == name {

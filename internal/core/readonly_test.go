@@ -43,6 +43,9 @@ func capableVariants() []variant {
 		{"split/striped/chm+csl", func(t *testing.T) *Relation {
 			return splitRel(t, container.ConcurrentHashMap, container.ConcurrentSkipListMap, striped(16))
 		}},
+		{"stick/mid-striped/chm+chm", func(t *testing.T) *Relation {
+			return stickRel(t, container.ConcurrentHashMap, container.ConcurrentHashMap, midStriped(4))
+		}},
 		{"diamond/speculative/chm+csl", func(t *testing.T) *Relation {
 			return specDiamondCapable(t)
 		}},

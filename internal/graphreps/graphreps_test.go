@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/container"
+	"repro/internal/query"
 	"repro/internal/rel"
 )
 
@@ -117,5 +118,33 @@ func TestSplitAsymmetry(t *testing.T) {
 	if d.EdgeByName("ρu").Container != container.ConcurrentHashMap ||
 		d.EdgeByName("ρv").Container != container.ConcurrentSkipListMap {
 		t.Fatal("per-side containers not respected")
+	}
+}
+
+// TestRemovePlansKeySelectRootStripes sweeps every named representation:
+// a remove bound to the key locks only the root stripes its key selects
+// (the root instance never dies, so no remove observes a root container's
+// emptiness), and its plan carries no all-stripe cost anywhere.
+func TestRemovePlansKeySelectRootStripes(t *testing.T) {
+	for _, v := range append(Figure5Variants(), extraVariants()...) {
+		t.Run(v.Name, func(t *testing.T) {
+			r, err := v.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := r.Decomposition()
+			m, err := query.NewPlanner(d, r.Placement()).PlanMutation(query.OpRemove, []string{"dst", "src"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range m.PerNode[d.Root.Index].Selectors {
+				if s.All {
+					t.Fatalf("remove takes every root stripe: %+v", m.PerNode[d.Root.Index].Selectors)
+				}
+			}
+			if m.AllStripePortion != 0 {
+				t.Fatalf("remove AllStripePortion = %.2f, want 0", m.AllStripePortion)
+			}
+		})
 	}
 }

@@ -210,18 +210,20 @@ func (pl *Planner) PlanMutation(kind OpKind, bound []string) (*MutationPlan, err
 
 // mutationSelector computes the stripe selector for edge e under a
 // mutation bound to the given columns: a bound selector takes one stripe;
-// anything else degrades to all stripes. Removes additionally require the
-// selector to be constant per source container (⊆ A_src) because the
-// cascade-cleanup phase observes container emptiness, which touches every
-// entry's logical lock.
+// anything else degrades to all stripes (selectorFor).
+//
+// A remove whose edge is striped per entry (stripe columns not ⊆ A_src)
+// also degrades to all stripes when the edge's source is not the root: the
+// cascade cleanup of deleteTuple asks whether the source container is
+// empty, an observation of every entry's logical lock. The root instance
+// never dies, so no remove ever asks that of a root container; a remove of
+// a root edge touches only its own entry, whose key-selected stripe it
+// holds exclusively — exactly as an insert writes it. Placement.Validate
+// already demands a concurrency-safe container wherever a root edge is
+// striped per entry, so entries in other stripes may change concurrently.
 func (pl *Planner) mutationSelector(kind OpKind, e *decomp.Edge, stripeBy []string, bound map[string]bool) Selector {
-	for _, c := range stripeBy {
-		if !bound[c] {
-			return Selector{All: true}
-		}
-	}
-	if kind == OpRemove && !rel.ColsSubset(stripeBy, e.Src.A) && len(stripeBy) > 0 {
+	if kind == OpRemove && e.Src != pl.D.Root && !rel.ColsSubset(stripeBy, e.Src.A) {
 		return Selector{All: true}
 	}
-	return Selector{Cols: append([]string(nil), stripeBy...)}
+	return pl.selectorFor(stripeBy, bound)
 }

@@ -438,48 +438,83 @@ func TestMutationRejectsSpecEdgeOutsideKey(t *testing.T) {
 	}
 }
 
+// TestRemoveSelectorConservatism pins where a remove may take the
+// key-selected stripe of an entry-striped edge and where it must take all
+// of them: the cascade cleanup observes the emptiness of every dying
+// non-root container, never of a root one.
 func TestRemoveSelectorConservatism(t *testing.T) {
-	// Entry-level striping on a concurrent container: remove must degrade
-	// the selector to All (cleanup observes container emptiness).
-	d, err := decomp.NewBuilder(graphSpec(), "ρ").
-		Edge("ρu", "ρ", "u", []string{"src"}, container.ConcurrentHashMap).
-		Edge("uv", "u", "v", []string{"dst"}, container.ConcurrentHashMap).
-		Edge("vw", "v", "w", []string{"weight"}, container.Cell).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := locks.NewPlacement(d)
-	p.SetStripes(d.Root, 8)
-	p.Place(d.EdgeByName("ρu"), d.Root, "src") // entry-level at root
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	pl := NewPlanner(d, p)
-	m, err := pl.PlanMutation(OpRemove, []string{"dst", "src"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := m.PerNode[0]
-	foundAll := false
-	for _, s := range root.Selectors {
-		if s.All {
-			foundAll = true
+	stick := func(t *testing.T) *decomp.Decomposition {
+		d, err := decomp.NewBuilder(graphSpec(), "ρ").
+			Edge("ρu", "ρ", "u", []string{"src"}, container.ConcurrentHashMap).
+			Edge("uv", "u", "v", []string{"dst"}, container.ConcurrentHashMap).
+			Edge("vw", "v", "w", []string{"weight"}, container.Cell).
+			Build()
+		if err != nil {
+			t.Fatal(err)
 		}
+		return d
 	}
-	if !foundAll {
-		t.Fatalf("remove over entry-striped root edge should take all stripes: %+v", root.Selectors)
-	}
-	// Insert, by contrast, can use the single bound stripe.
-	mi, err := pl.PlanMutation(OpInsert, []string{"dst", "src"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range mi.PerNode[0].Selectors {
-		if s.All {
-			t.Fatalf("insert should keep the bound selector: %+v", mi.PerNode[0].Selectors)
+	key := []string{"dst", "src"}
+	plans := func(t *testing.T, p *locks.Placement) (ins, rem *MutationPlan) {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
 		}
+		pl := NewPlanner(p.D, p)
+		ins, err := pl.PlanMutation(OpInsert, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rem, err = pl.PlanMutation(OpRemove, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ins, rem
 	}
+
+	t.Run("root", func(t *testing.T) {
+		// Entry-level striping at the root: the root never dies, so the
+		// remove locks the entry's own stripe, exactly as the insert does.
+		d := stick(t)
+		p := locks.NewPlacement(d)
+		p.SetStripes(d.Root, 8)
+		p.Place(d.EdgeByName("ρu"), d.Root, "src")
+		ins, rem := plans(t, p)
+		sels := rem.PerNode[0].Selectors
+		if len(sels) != 1 || sels[0].All || !rel.ColsEqual(sels[0].Cols, []string{"src"}) {
+			t.Fatalf("remove over entry-striped root edge should take the src stripe: %+v", sels)
+		}
+		if rem.Cost != ins.Cost || rem.LockPortion != ins.LockPortion || rem.AllStripePortion != ins.AllStripePortion {
+			t.Fatalf("remove cost %.2f/%.2f/%.2f, insert %.2f/%.2f/%.2f",
+				rem.Cost, rem.LockPortion, rem.AllStripePortion, ins.Cost, ins.LockPortion, ins.AllStripePortion)
+		}
+		if rem.AllStripePortion != 0 {
+			t.Fatalf("remove pays for all-stripe locks: %.2f", rem.AllStripePortion)
+		}
+	})
+
+	t.Run("non-root", func(t *testing.T) {
+		// Entry-level striping at u: a remove that empties u's container
+		// observes every entry, so it must take all of u's stripes; the
+		// insert still takes the bound one.
+		d := stick(t)
+		u := d.NodeByName("u")
+		p := locks.NewPlacement(d)
+		p.SetStripes(u, 4)
+		p.Place(d.EdgeByName("uv"), u, "dst")
+		ins, rem := plans(t, p)
+		sels := rem.PerNode[u.Index].Selectors
+		if len(sels) != 1 || !sels[0].All {
+			t.Fatalf("remove over entry-striped non-root edge should take all stripes: %+v", sels)
+		}
+		if want := 4 * DefaultCostModel().LockCost; rem.AllStripePortion != want {
+			t.Fatalf("remove all-stripe portion %.2f, want %.2f", rem.AllStripePortion, want)
+		}
+		for _, s := range ins.PerNode[u.Index].Selectors {
+			if s.All {
+				t.Fatalf("insert should keep the bound selector: %+v", ins.PerNode[u.Index].Selectors)
+			}
+		}
+	})
 }
 
 func TestCostModelRanksStripeScans(t *testing.T) {

@@ -93,13 +93,13 @@ func TestDeterministicLockCounts(t *testing.T) {
 		{"optimistic/social", social(true, ReadHeavySocialMix()),
 			counts{requested: 363, acquired: 257, roBatches: 2852, occBatches: 34, occWriteLocks: 45, occReadSet: 51}},
 		{"optimistic/Stick LF", graph("Stick LF", ReadHeavyBatchMix(), 3000, 64, true),
-			counts{requested: 74151, acquired: 73910, members: 6925, roBatches: 2230}},
+			counts{requested: 495, acquired: 254, members: 6925, roBatches: 2230}},
 		{"batch/Stick 1/batched", graph("Stick 1", DefaultBatchMix(), 5000, 512, true),
 			counts{requested: 16461, acquired: 4531, members: 12168}},
 		{"batch/Split 4/batched", graph("Split 4", DefaultBatchMix(), 5000, 512, true),
-			counts{requested: 544186, acquired: 541129, members: 12168}},
+			counts{requested: 23988, acquired: 21436, members: 12168}},
 		{"batch/Diamond Spec/batched", graph("Diamond Spec", DefaultBatchMix(), 5000, 512, true),
-			counts{requested: 561259, acquired: 541114, members: 12168}},
+			counts{requested: 41061, acquired: 21421, members: 12168}},
 		{"batch/Stick 1/sequential", graph("Stick 1", DefaultBatchMix(), 5000, 512, false),
 			counts{members: 12168}},
 		{"batch/Split 4/sequential", graph("Split 4", DefaultBatchMix(), 5000, 512, false),

@@ -17,13 +17,13 @@ import (
 // request counts) followed by every member result — plus a final sorted
 // snapshot. The records must match testdata/batch_schedules/ exactly.
 //
-// The files were generated while two growing-phase schedulers still
-// existed (the compiled round-map walkers and the per-member cursor
-// machine they replaced) and both were asserted to produce them
-// byte-for-byte, so they are the standing witness that the remaining
-// scheduler is the deleted one move for move. There is deliberately no
-// regeneration flag: a change that means to alter a schedule rewrites
-// the affected file by hand and says why in CHANGES.md.
+// The files were first generated while two growing-phase schedulers
+// still existed (the compiled round-map walkers and the per-member cursor
+// machine they replaced), both asserted to produce them byte-for-byte.
+// A planner rule that changes what a plan locks rewrites their lock
+// lines, never a result, commit path or snapshot line. There is
+// deliberately no regeneration flag: a change that means to alter a
+// schedule rewrites the affected file and says why in CHANGES.md.
 func TestBatchScheduleGolden(t *testing.T) {
 	for _, sc := range scheduleScripts() {
 		t.Run(sc.name, func(t *testing.T) {
