@@ -90,3 +90,93 @@ func TestSteadyStateBatchZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state batch allocates %.0f objects per run, want 0", avg)
 	}
 }
+
+// TestRegistryBatchAllocCeiling gates the warm Registry.Batch path
+// through prepared rows — the path the engine and wire workloads drive —
+// on the users/posts registry with auditing off. Registry batches
+// allocate their Txn handle per batch, so the gate is a ceiling rather
+// than zero: anything above it is a new per-batch allocation.
+func TestRegistryBatchAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate measures the production build")
+	}
+	SetAudit(false)
+	defer SetAudit(true)
+	g, users, posts := testRegistry(t)
+	if _, err := users.Insert(rel.T("user", 1), rel.T("posts", 0)); err != nil {
+		t.Fatal(err)
+	}
+	for p := 1; p <= 2; p++ {
+		if _, err := posts.Insert(rel.T("author", 1, "post", p), rel.T("ts", p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	userIns, err := users.PrepareInsert([]string{"user"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postIns, err := posts.PrepareInsert([]string{"author", "post"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	userCount, err := users.PrepareQuery([]string{"user"}, []string{"posts"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	us, ps := users.Schema(), posts.Schema()
+	row := func(s *rel.Schema, kv ...any) rel.Row {
+		r := s.NewRow()
+		for i := 0; i < len(kv); i += 2 {
+			r.Set(s.MustIndex(kv[i].(string)), rel.Value(kv[i+1]))
+		}
+		return r
+	}
+	// Already-present rows: every insert's put-if-absent check fails, so
+	// the containers stay unchanged and the batch is repeatable.
+	u1 := row(us, "user", int64(1), "posts", int64(0))
+	p1 := row(ps, "author", int64(1), "post", int64(1), "ts", int64(1))
+	p2 := row(ps, "author", int64(1), "post", int64(2), "ts", int64(2))
+	uKey := row(us, "user", int64(1))
+	cases := []struct {
+		name    string
+		ceiling float64
+		fn      func(tx *Txn) error
+	}{
+		{"two-relation 2PL", 16, func(tx *Txn) error {
+			if _, err := tx.ExecRow(userIns, u1); err != nil {
+				return err
+			}
+			if _, err := tx.ExecRow(postIns, p1); err != nil {
+				return err
+			}
+			_, err := tx.ExecRow(postIns, p2)
+			return err
+		}},
+		{"insert+count OCC", 9, func(tx *Txn) error {
+			if _, err := tx.ExecRow(userIns, u1); err != nil {
+				return err
+			}
+			_, err := tx.CountRow(userCount, uKey)
+			return err
+		}},
+		{"count read-only", 6, func(tx *Txn) error {
+			_, err := tx.CountRow(userCount, uKey)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		run := func() {
+			if err := g.Batch(c.fn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			run()
+		}
+		avg := testing.AllocsPerRun(100, run)
+		t.Logf("%s: %.0f allocs/op", c.name, avg)
+		if avg > c.ceiling {
+			t.Errorf("%s: warm registry batch allocates %.0f objects per run, ceiling %.0f", c.name, avg, c.ceiling)
+		}
+	}
+}
