@@ -7,14 +7,15 @@
 # time they were last raised (core 87.7%, locks 91.8%, after the mixed-batch
 # OCC commit path landed with its retry/fallback/self-hold suites), so
 # routine changes don't flake but untested additions to the epoch/validation
-# protocol fail loudly. Last re-measured at core 86.3–86.7%, locks 89.8%,
-# container 99.1%, query 77.9%, after removes of root edges began taking
-# only their key-selected stripes. Raise the floor when coverage improves;
-# never lower it to make a PR pass.
+# protocol fail loudly. Last re-measured at core 87.3%, locks 89.8%,
+# container 98.9–99.1%, query 77.9%, after the single-relation commit bodies
+# were deleted and Relation.Batch began running the shard-list bodies
+# (core floor raised 85.5 → 86.0). Raise the floor when coverage
+# improves; never lower it to make a PR pass.
 set -euo pipefail
 
 declare -A floors=(
-  ["./internal/core/"]=85.5
+  ["./internal/core/"]=86.0
   ["./internal/locks/"]=89.5
   ["./internal/container/"]=97.0
   ["./internal/query/"]=76.0

@@ -77,38 +77,64 @@ func (p *Pending[T]) Value() T {
 // not safe for concurrent use.
 //
 // A Txn built by Relation.Batch accepts members against that relation
-// only; one built by Registry.Batch accepts members against any relation
-// registered in the registry, grouped into per-relation shards that share
-// a single locks.Txn — the growing phase walks shards in relation-id
-// order, so all acquisitions follow the registry-wide
-// (relation, node, inst, stripe) lock order.
+// only — it is the one-shard case; one built by Registry.Batch accepts
+// members against any relation registered in the registry, grouped into
+// per-relation shards that share a single locks.Txn. Every commit body
+// walks the shards in relation-id order, so all acquisitions follow the
+// registry-wide (relation, node, inst, stripe) lock order.
 type Txn struct {
-	reg  *Registry  // owning registry for cross-relation batches, nil for Relation.Batch
+	reg  *Registry  // registry whose commit logger and migration tap serve the commit; nil for standalone relations
+	rel  *Relation  // Relation.Batch's relation, the only one accepted; nil for Registry.Batch
 	ltxn *locks.Txn // the lock transaction every shard's buffer shares
-	// single is the Relation.Batch fast path's only shard (shards stays
-	// empty). It points into the buffer (opBuf.shard), not the Txn: the
-	// Txn handle comes from a never-reused slab so a leaked *Txn stays
-	// sealed forever, and keeping the 6-field shard out of it roughly
-	// halves the bytes that discipline retires per batch. A leaked handle
-	// can never reach the recycled shard — every path to t.single is
+	// pooled is Registry.Batch's pool checkout: the lock transaction and
+	// the txnRes. Relation.Batch borrows both from its buffer.
+	pooled *regTxn
+	// ctr takes the batch-level counts: the relation's cells for
+	// Relation.Batch, the registry's for Registry.Batch (counters.go).
+	ctr *batchCounters
+	// shards holds the per-relation slices of the transaction, kept sorted
+	// by relation id as shardFor inserts them; order is the global enqueue
+	// order the apply phase replays. Their backings come from a txnRes and
+	// return there at release; every path from a leaked *Txn to them is
 	// behind the sealed check.
-	single *txnShard
-	multi  *txnReg // registry mode only (nil for Relation.Batch): shards + global order
+	shards []*txnShard
+	order  []memberRef
 	sealed bool
 	roOnly bool // BatchReadOnly: mutation enqueues are rejected
 	trace  *BatchTrace
 }
 
-// txnReg is the registry-mode state of a cross-relation transaction: the
-// per-relation shards (first-touch order, sorted by relation id before
-// commit) and the global enqueue order the apply phase replays. It hangs
-// off the Txn behind a pointer so the Relation.Batch fast path — whose
-// Txn handles are slab-retired once per batch, never reused — pays for
-// two words of registry machinery instead of six.
-type txnReg struct {
+// txnRes are the reusable resources of a transaction besides its
+// locks.Txn: the slab its Txn handle comes from and the backings of its
+// shard list and enqueue order. Relation.Batch takes them from its
+// buffer, Registry.Batch from the pooled regTxn.
+type txnRes struct {
+	slab   []Txn
 	shards []*txnShard
 	order  []memberRef
 }
+
+// newTxn hands out a Txn from the slab, its shard list and enqueue order
+// backed by res. Slab slots are never reused — the slab only advances, a
+// full one is abandoned to its holders and replaced — which keeps the
+// sealed guard airtight: a caller that leaks the *Txn past Batch holds a
+// slot no later batch ever touches, so it stays sealed forever, exactly
+// as an individually heap-allocated Txn would (a recycled handle would
+// be silently un-sealed by a later batch, turning the leak into
+// cross-transaction corruption), while costing one allocation per
+// txnSlabSize batches instead of one per batch.
+func (res *txnRes) newTxn() *Txn {
+	if len(res.slab) == cap(res.slab) {
+		res.slab = make([]Txn, 0, txnSlabSize)
+	}
+	res.slab = res.slab[:len(res.slab)+1]
+	t := &res.slab[len(res.slab)-1]
+	t.shards, t.order = res.shards[:0], res.order[:0]
+	return t
+}
+
+// txnSlabSize is the chunk size of a txnRes's Txn slab.
+const txnSlabSize = 64
 
 // pendingSlabSize is the chunk size of the buffer's Pending slabs.
 const pendingSlabSize = 64
@@ -135,27 +161,9 @@ func (b *opBuf) newPI() *Pending[int] {
 	return &b.piSlab[len(b.piSlab)-1]
 }
 
-// newTxn hands out one Txn from the buffer's slab, under the same
-// never-reuse discipline as the Pending slabs: the slab only advances,
-// a full one is abandoned to its holders and replaced. This keeps the
-// sealed guard airtight — a caller that leaks the *Txn past Batch holds
-// a slot no later batch ever touches, so it stays sealed forever, exactly
-// as an individually heap-allocated Txn would — while costing one
-// allocation per txnSlabSize batches instead of one per batch.
-func (b *opBuf) newTxn() *Txn {
-	if len(b.txnSlab) == cap(b.txnSlab) {
-		b.txnSlab = make([]Txn, 0, txnSlabSize)
-	}
-	b.txnSlab = b.txnSlab[:len(b.txnSlab)+1]
-	return &b.txnSlab[len(b.txnSlab)-1]
-}
-
-// txnSlabSize is the chunk size of the buffer's Txn slab.
-const txnSlabSize = 64
-
 // txnShard is one relation's slice of a batched transaction: its pooled
 // operation buffer (whose locks.Txn is displaced by the transaction-wide
-// one in registry mode) and the index of the shard's first mutation, the
+// one for Registry.Batch) and the index of the shard's first mutation, the
 // pivot of the apply phase's growing-result reuse rule. Mutations in
 // OTHER relations never invalidate reuse — relations are disjoint object
 // graphs, so a write in one cannot change what a member of another
@@ -163,7 +171,7 @@ const txnSlabSize = 64
 type txnShard struct {
 	r        *Relation
 	b        *opBuf
-	own      *locks.Txn // the buffer's own txn, restored before putBuf (registry mode)
+	own      *locks.Txn // the buffer's own txn, restored before putBuf
 	firstMut int        // index into b.members of the first mutation, -1 if none
 	hasRead  bool       // the shard holds at least one query/count member (OCC eligibility)
 	mark     int        // OCC state-pool floor: write members' retained states end here (occ.go)
@@ -176,33 +184,44 @@ type memberRef struct {
 	idx int
 }
 
-// shardFor resolves (creating on first use, in registry mode) the shard
-// holding members against relation r. A sealed transaction resolves
-// nothing — in registry mode a late resolution would check out a buffer
-// nobody releases.
+// shardFor resolves (creating on first use, for Registry.Batch) the
+// shard holding members against relation r. A sealed transaction resolves
+// nothing — a late resolution would check out a buffer nobody releases.
 func (t *Txn) shardFor(r *Relation) (*txnShard, error) {
 	if err := t.checkOpen(); err != nil {
 		return nil, err
 	}
-	if t.reg == nil {
-		if r != t.single.r {
+	if t.rel != nil {
+		if r != t.rel {
 			return nil, fmt.Errorf("core: operation targets a relation outside this transaction (use Registry.Batch for cross-relation groups)")
 		}
-		return t.single, nil
+		return t.shards[0], nil
 	}
 	if r.registry != t.reg {
 		return nil, fmt.Errorf("core: relation %q is not registered in this transaction's registry", r.name)
 	}
-	for _, sh := range t.multi.shards {
+	for _, sh := range t.shards {
 		if sh.r == r {
 			return sh, nil
 		}
 	}
-	b := r.getBuf()
-	sh := &txnShard{r: r, b: b, own: b.txn, firstMut: -1}
+	return t.addShard(r, r.getBuf()), nil
+}
+
+// addShard installs buffer b's resident shard for relation r, lending b
+// the transaction-wide locks.Txn, and inserts it into t.shards by
+// relation id — the order every commit body walks.
+func (t *Txn) addShard(r *Relation, b *opBuf) *txnShard {
+	sh := &b.shard
+	*sh = txnShard{r: r, b: b, own: b.txn, firstMut: -1}
 	b.txn = t.ltxn
-	t.multi.shards = append(t.multi.shards, sh)
-	return sh, nil
+	i := len(t.shards)
+	t.shards = append(t.shards, sh)
+	for ; i > 0 && t.shards[i-1].r.regID > r.regID; i-- {
+		t.shards[i] = t.shards[i-1]
+	}
+	t.shards[i] = sh
+	return sh
 }
 
 // defaultShard returns the Relation.Batch shard; registry transactions
@@ -212,10 +231,10 @@ func (t *Txn) defaultShard() (*txnShard, error) {
 	if err := t.checkOpen(); err != nil {
 		return nil, err
 	}
-	if t.reg != nil {
+	if t.rel == nil {
 		return nil, fmt.Errorf("core: registry transaction needs an explicit relation (use InsertInto/RemoveFrom/CountIn/QueryIn or prepared handles)")
 	}
-	return t.single, nil
+	return t.shards[0], nil
 }
 
 // memberKind discriminates the operation kinds a batch can hold.
@@ -421,7 +440,7 @@ func (t *Txn) Trace() *BatchTrace { return t.trace }
 // members only, lock-free epoch-validated reads for the rest, so a batch
 // never acquires more locks than its sequential decomposition.
 func (r *Relation) Batch(fn func(tx *Txn) error) error {
-	return r.batch(fn, false)
+	return runBatch(r.registry, r, fn, false)
 }
 
 // BatchReadOnly is Batch restricted to read-only groups: enqueueing a
@@ -431,63 +450,94 @@ func (r *Relation) Batch(fn func(tx *Txn) error) error {
 // relation is OptimisticCapable, plain pessimistic 2PL otherwise — so the
 // results never depend on which path ran.
 func (r *Relation) BatchReadOnly(fn func(tx *Txn) error) error {
-	return r.batch(fn, true)
+	return runBatch(r.registry, r, fn, true)
 }
 
-// batch is the shared body of Batch and BatchReadOnly.
-func (r *Relation) batch(fn func(tx *Txn) error, roOnly bool) error {
-	// Representation latch, held shared across the whole batch including
-	// the deferred buffer release (registered after the RUnlock, so it
-	// runs before it): a migration cutover is strictly ordered against
-	// every in-flight batch (migrate.go).
-	r.lockRep()
-	defer r.unlockRep()
-	b := r.getBuf()
-	defer r.putBuf(b)
-	// The Txn slot comes from the buffer's never-reused slab (newTxn): a
-	// caller that leaks the *Txn past Batch must hit the sealed guard (an
-	// error), so a slot may never be handed out twice — a recycled handle
-	// would be silently un-sealed by a later batch, turning the leak into
-	// cross-transaction corruption.
-	t := b.newTxn()
-	*t = Txn{ltxn: b.txn, roOnly: roOnly}
-	b.shard = txnShard{r: r, b: b, firstMut: -1}
-	t.single = &b.shard
+// runBatch is the one entry of Relation.Batch and Registry.Batch (r nil)
+// and their BatchReadOnly variants: latch, assemble, seal, commit, count.
+// The two differ only in where the locks.Txn and the txnRes come from —
+// the relation's buffer, or the registry pool — and in which counter
+// cells the batch lands on.
+func runBatch(g *Registry, r *Relation, fn func(tx *Txn) error, roOnly bool) error {
+	// Representation latch, held shared across the whole batch — assembly,
+	// commit AND the deferred release below (registered after the RUnlock,
+	// so it runs before it) — keeping a migration cutover strictly ordered
+	// against every in-flight batch (migrate.go).
+	if g != nil {
+		g.migrMu.RLock()
+		defer g.migrMu.RUnlock()
+	}
+	var t *Txn
+	if r != nil {
+		b := r.getBuf()
+		t = b.res.newTxn()
+		t.rel, t.ltxn, t.ctr = r, b.txn, &r.ctr.batchCounters
+		t.addShard(r, b)
+	} else {
+		rt := g.getTxn()
+		t = rt.res.newTxn()
+		t.ltxn, t.pooled, t.ctr = rt.lt, rt, &g.ctr
+	}
+	t.reg, t.roOnly = g, roOnly
+	defer t.release()
 	if err := fn(t); err != nil {
 		t.sealed = true
 		return err
 	}
 	t.sealed = true
-	if len(b.members) == 0 {
+	if len(t.order) == 0 {
 		return nil
 	}
-	if t.readOnly() && r.commitReadOnly(t, t.single) {
-		r.ctr.batches.Add(1)
-		r.ctr.roOptimistic.Add(1)
-		r.ctr.noteMembers(b.members)
-		return nil
-	}
-	if ok, err := r.commitOCC(t, t.single); ok || err != nil {
+	if t.readOnly() {
+		if t.commitReadOnly() {
+			t.noteBatch(true, false)
+			return nil
+		}
+	} else if ok, err := t.commitOCC(); ok || err != nil {
 		if ok && err == nil {
-			// Counted before the deferred putBuf releases the locks, so
-			// HeldCount still reflects the commit's write-lock set.
-			r.ctr.batches.Add(1)
-			r.ctr.occCommits.Add(1)
-			r.ctr.locksAcquired.Add(uint64(b.txn.HeldCount()))
-			r.ctr.noteMembers(b.members)
+			t.noteBatch(false, true)
 		}
 		return err
 	}
-	if err := r.commitBatch(t, t.single); err != nil {
+	if err := t.commit2PL(); err != nil {
 		return err
 	}
-	r.ctr.batches.Add(1)
-	r.ctr.locksAcquired.Add(uint64(b.txn.HeldCount()))
-	r.ctr.noteMembers(b.members)
+	t.noteBatch(false, false)
 	return nil
 }
 
-// errTxnSealed guards against enqueueing outside the Batch callback.
+// release is the shrinking phase: end-bump every shard's begin-bumped
+// epoch cells while the locks are still held (optimistic readers must see
+// the odd window span all writes, rolled-back ones included), release the
+// whole transaction's locks, hand the emptied list backings back, restore
+// each buffer's own locks.Txn and return the buffers to their relations'
+// pools. Runs on panic too (after the commit body's rollback).
+func (t *Txn) release() {
+	for _, sh := range t.shards {
+		sh.b.finishEpochs()
+	}
+	t.ltxn.ReleaseAll()
+	var res *txnRes
+	if t.pooled != nil {
+		res = &t.pooled.res
+	} else {
+		// Relation.Batch: res lives in the only shard's buffer, which the
+		// loop below releases last, after its final write to the shards.
+		res = &t.shards[0].b.res
+	}
+	clear(t.order)
+	res.shards, res.order = t.shards[:0], t.order[:0]
+	for i, sh := range t.shards {
+		t.shards[i] = nil
+		sh.b.txn = sh.own
+		sh.r.putBuf(sh.b)
+	}
+	if t.pooled != nil {
+		t.reg.txnPool.Put(t.pooled)
+	}
+}
+
+// checkOpen guards against enqueueing outside the Batch callback.
 func (t *Txn) checkOpen() error {
 	if t.sealed {
 		return fmt.Errorf("core: batch transaction used outside its Batch callback")
@@ -529,7 +579,7 @@ func (b *opBuf) copyRow(row rel.Row) rel.Row {
 
 // newMember hands out the next member slot of shard sh, tracking the
 // shard's first mutation, whether the shard holds any read member (OCC
-// eligibility) and (for registry transactions) the global enqueue order.
+// eligibility) and the global enqueue order.
 // The caller stores only the fields its member kind uses: a recycled slot
 // was already zeroed by putBuf's reset (which preserves the states,
 // specOut and xinst backings), and a fresh slot is runtime-zeroed, so no
@@ -554,9 +604,7 @@ func (t *Txn) newMember(sh *txnShard, kind memberKind) *member {
 	if nm.states == nil {
 		nm.states = []*qstate{}
 	}
-	if t.reg != nil {
-		t.multi.order = append(t.multi.order, memberRef{sh: sh, idx: len(sh.b.members) - 1})
-	}
+	t.order = append(t.order, memberRef{sh: sh, idx: len(sh.b.members) - 1})
 	return nm
 }
 
@@ -842,56 +890,71 @@ func (t *Txn) queryIn(sh *txnShard, s rel.Tuple, out []string) (*Pending[[]rel.T
 	return pt, nil
 }
 
-// commitBatch executes a single-relation batch: growing phase (coalesced
-// lock acquisition), apply phase (in-order execution under held locks),
-// then release (putBuf, in the caller). Registry batches run the same
-// phases across shards; see Registry.commitTxn. With a commit logger
-// attached (redo.go) the batch's redo record is appended after the apply
-// phase, still under the held locks; a logging failure rolls the batch
-// back and is returned from Batch.
-func (r *Relation) commitBatch(t *Txn, sh *txnShard) error {
-	b := sh.b
-	r.initBatchMembers(b)
-	r.growBatch(t, b)
+// commit2PL executes an assembled transaction under two-phase locking:
+// shard growing phases in relation-id order on the shared locks.Txn,
+// then one apply phase replaying every member in global enqueue order
+// under a shared undo log. With a commit logger attached the batch's redo
+// record is appended after the apply phase completes, still under every
+// held lock; a logging failure rolls the whole batch back and is returned
+// from Batch.
+func (t *Txn) commit2PL() error {
+	for _, sh := range t.shards {
+		sh.r.initBatchMembers(sh.b)
+	}
+	for _, sh := range t.shards {
+		sh.r.growBatch(t, sh.b)
+	}
 
-	// Apply phase: in-order execution under the held locks, with an undo
-	// log so a panic mid-apply restores the pre-batch representation
-	// before the locks are released (all-or-nothing).
-	b.apply = true
-	undo := &b.undoPool // buffer-resident: a stack undoLog would escape via b.undo
-	undo.recs = undo.recs[:0]
-	b.undo = undo
-	defer func() {
-		b.undo = nil
-		if p := recover(); p != nil {
-			undo.rollback()
-			panic(p)
+	// Apply phase: one undo log spans all shards, so a panic in any
+	// member's apply unwinds the writes of EVERY relation before the
+	// locks are released — cross-relation all-or-nothing.
+	undo := t.armUndo()
+	defer t.disarmUndo(undo)
+	for pos, ref := range t.order {
+		if registryApplyHook != nil {
+			registryApplyHook(ref.sh.r.name, pos)
 		}
-		clear(undo.recs)
-		undo.recs = undo.recs[:0]
-	}()
-	for i := range b.members {
-		r.applyMember(b, &b.members[i], i, sh.firstMut)
+		ref.sh.r.applyMember(ref.sh.b, &ref.sh.b.members[ref.idx], ref.idx, ref.sh.firstMut)
 	}
-	// Commit point: fully applied, locks still held (see redo.go).
-	if lg, tp := r.commitLogger(), r.commitTap(); lg != nil || tp != nil {
-		if ops := r.shardRedo(b); ops != nil {
-			if lg != nil {
-				if err := lg.LogCommit(ops); err != nil {
-					undo.rollback()
-					b.apply = false
-					return err
-				}
-			}
-			// Migration tap: durable commits only, under the held locks
-			// (migrate.go).
-			if tp != nil {
-				tp.record(ops)
-			}
-		}
+	// Commit point: the batch is fully applied, its locks are still held.
+	// Logging now makes the log order of conflicting batches their
+	// serialization order; failure unwinds through the same undo log a
+	// mid-apply panic would use.
+	if err := t.logCommit(); err != nil {
+		undo.rollback()
+		return err
 	}
-	b.apply = false
 	return nil
+}
+
+// armUndo enters every shard's apply phase under one shared undo log: the
+// first shard's buffer-resident undoPool, emptied (a stack undoLog would
+// escape through b.undo and regrow its records every batch). Callers
+// clear its records on every exit.
+func (t *Txn) armUndo() *undoLog {
+	undo := &t.shards[0].b.undoPool
+	undo.recs = undo.recs[:0]
+	for _, sh := range t.shards {
+		sh.b.apply = true
+		sh.b.undo = undo
+	}
+	return undo
+}
+
+// disarmUndo leaves the apply phase armed by armUndo. On a panic it rolls
+// the undo log back before the locks are released and re-panics;
+// otherwise it empties the log's records.
+func (t *Txn) disarmUndo(undo *undoLog) {
+	for _, sh := range t.shards {
+		sh.b.undo = nil
+		sh.b.apply = false
+	}
+	if p := recover(); p != nil {
+		undo.rollback()
+		panic(p)
+	}
+	clear(undo.recs)
+	undo.recs = undo.recs[:0]
 }
 
 // initBatchMembers sets up every member's growing-phase pipeline and the
@@ -975,7 +1038,9 @@ func (r *Relation) growBatch(t *Txn, b *opBuf) {
 				req := b.set.Requested()
 				prev := b.txn.HeldCount()
 				b.txn.AcquireSet(&b.set)
-				t.recordRound(b, r.traceLabel(r.decomp.Nodes[v].Name), req, prev, false)
+				if t.trace != nil { // the label concatenation allocates
+					t.recordRound(b, r.traceLabel(r.decomp.Nodes[v].Name), req, prev, false)
+				}
 			}
 			for i := range b.members {
 				if b.members[i].wait == wLock {

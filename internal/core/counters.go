@@ -18,13 +18,20 @@ import "sync/atomic"
 type relCounters struct {
 	reads         atomic.Uint64 // read operations: standalone queries/counts + batch read members
 	writes        atomic.Uint64 // mutations: standalone inserts/removes + batch write members
-	batches       atomic.Uint64 // committed Relation.Batch groups
-	locksAcquired atomic.Uint64 // physical locks held at Relation.Batch commit points
+	batchCounters               // the relation's Relation.Batch groups
+	migrations    atomic.Uint64 // completed representation migrations
+}
+
+// batchCounters are the batch-level cells: a relation's carry its
+// Relation.Batch groups, the registry's its Registry.Batch groups (whose
+// per-relation member counts still land on the relations).
+type batchCounters struct {
+	batches       atomic.Uint64 // committed groups
+	locksAcquired atomic.Uint64 // physical locks held at commit points
 	roOptimistic  atomic.Uint64 // read-only groups that committed lock-free
 	occCommits    atomic.Uint64 // mixed groups that committed Silo-style
 	occRetries    atomic.Uint64 // optimistic attempts beyond each group's first
 	occFallbacks  atomic.Uint64 // groups that exhausted attempts and re-ran under 2PL
-	migrations    atomic.Uint64 // completed representation migrations
 }
 
 // noteMembers folds a committed batch's member kinds into the cells.
@@ -39,18 +46,6 @@ func (c *relCounters) noteMembers(members []member) {
 	}
 	c.reads.Add(rd)
 	c.writes.Add(wr)
-}
-
-// regCounters are the registry-level cells, covering cross-relation
-// batches (whose per-relation member counts land on the relations, but
-// whose batch/lock/path totals belong to the registry batch itself).
-type regCounters struct {
-	batches       atomic.Uint64
-	locksAcquired atomic.Uint64
-	roOptimistic  atomic.Uint64
-	occCommits    atomic.Uint64
-	occRetries    atomic.Uint64
-	occFallbacks  atomic.Uint64
 }
 
 // RelationCounters is one relation's harvested counter snapshot — the
@@ -169,21 +164,21 @@ func (g *Registry) Harvest() Counters {
 	return c
 }
 
-// noteBatch folds one committed registry batch into the counters: the
-// registry-level batch/lock/path totals, plus each shard's member kinds
-// onto its relation. Called at the commit paths of Registry.batch while
-// the transaction's locks are still held (HeldCount is meaningful).
-func (g *Registry) noteBatch(t *Txn, ro, occ bool) {
-	g.ctr.batches.Add(1)
+// noteBatch folds one committed batch into the counters: the batch-level
+// totals into t.ctr, plus each shard's member kinds onto its relation.
+// Called by runBatch while the transaction's locks are still held
+// (HeldCount is meaningful).
+func (t *Txn) noteBatch(ro, occ bool) {
+	t.ctr.batches.Add(1)
 	if ro {
-		g.ctr.roOptimistic.Add(1)
+		t.ctr.roOptimistic.Add(1)
 	} else {
-		g.ctr.locksAcquired.Add(uint64(t.ltxn.HeldCount()))
+		t.ctr.locksAcquired.Add(uint64(t.ltxn.HeldCount()))
 	}
 	if occ {
-		g.ctr.occCommits.Add(1)
+		t.ctr.occCommits.Add(1)
 	}
-	for _, sh := range t.multi.shards {
+	for _, sh := range t.shards {
 		sh.r.ctr.noteMembers(sh.b.members)
 	}
 }

@@ -112,19 +112,19 @@ type opBuf struct {
 	scan   scanCtx
 	scanFn func(k rel.Key, v any) bool
 
-	// pbSlab/piSlab/txnSlab chunk-allocate Pending and Txn handles
-	// (batch.go newPB/newPI/newTxn); they persist across batches, so a
-	// slab's already-handed-out prefix stays untouched while later batches
-	// keep filling the tail.
-	pbSlab  []Pending[bool]
-	piSlab  []Pending[int]
-	txnSlab []Txn
+	// pbSlab/piSlab chunk-allocate Pending handles (batch.go newPB/newPI);
+	// they persist across batches, so a slab's already-handed-out prefix
+	// stays untouched while later batches keep filling the tail.
+	pbSlab []Pending[bool]
+	piSlab []Pending[int]
 
-	// shard is the Relation.Batch transaction's single shard, recycled
-	// across batches (Txn.single points here). Unlike the Txn handle it
-	// may be reused freely: every path from a leaked *Txn to its shard is
+	// shard is this buffer's slice of the batch it serves — the only
+	// shard of a Relation.Batch, one of a Registry.Batch's — and res the
+	// Relation.Batch transaction's Txn slab and list backings. Both are
+	// recycled across batches; every path from a leaked *Txn to them is
 	// behind the sealed check.
 	shard txnShard
+	res   txnRes
 }
 
 // specReq pairs a state with its speculative target key so acquisitions

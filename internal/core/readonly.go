@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/locks"
 	"repro/internal/query"
 	"repro/internal/rel"
 )
@@ -65,10 +66,7 @@ func optimisticBackoff(attempt int) {
 // the precondition for the optimistic path. Shards track their first
 // mutation for the apply phase's reuse rule, so this is a flag check.
 func (t *Txn) readOnly() bool {
-	if t.reg == nil {
-		return t.single.firstMut < 0
-	}
-	for _, sh := range t.multi.shards {
+	for _, sh := range t.shards {
 		if sh.firstMut >= 0 {
 			return false
 		}
@@ -77,53 +75,12 @@ func (t *Txn) readOnly() bool {
 }
 
 // commitReadOnly attempts the optimistic lock-free commit of a read-only
-// single-relation batch, reporting success. On false the caller must run
-// the pessimistic commitBatch; the buffer has been reset for it.
-func (r *Relation) commitReadOnly(t *Txn, sh *txnShard) bool {
-	if !r.optimisticOK {
-		return false
-	}
-	b := sh.b
-	if tr := t.trace; tr != nil {
-		tr.Optimistic = true
-	}
-	for attempt := 0; attempt < optimisticMaxAttempts; attempt++ {
-		if attempt > 0 {
-			optimisticBackoff(attempt)
-		}
-		if tr := t.trace; tr != nil {
-			tr.Attempts++
-		}
-		b.n = 0
-		r.runShardOptimistic(b)
-		if hook := optimisticValidateHook; hook != nil {
-			hook(attempt)
-		}
-		if b.reads.Validate(nil) {
-			if tr := t.trace; tr != nil {
-				tr.EpochsRecorded += b.reads.Len()
-				tr.EpochsDistinct += b.reads.Distinct()
-			}
-			for i := range b.members {
-				r.applyMember(b, &b.members[i], i, -1)
-			}
-			return true
-		}
-	}
-	if tr := t.trace; tr != nil {
-		tr.FellBack = true
-	}
-	b.reads.Reset()
-	b.n = 0
-	return false
-}
-
-// commitReadOnly attempts the optimistic lock-free commit of a read-only
-// registry batch. Shards are validated in relation-id order, so the
-// validation pass follows the registry-wide global lock order exactly as
-// a pessimistic growing phase would.
-func (g *Registry) commitReadOnly(t *Txn) bool {
-	for _, sh := range t.multi.shards {
+// batch, reporting success. Shards are validated in relation-id order, so
+// the validation pass follows the registry-wide global lock order exactly
+// as a pessimistic growing phase would. On false the caller must run
+// commit2PL; the buffers have been reset for it.
+func (t *Txn) commitReadOnly() bool {
+	for _, sh := range t.shards {
 		if !sh.r.optimisticOK {
 			return false
 		}
@@ -138,28 +95,15 @@ func (g *Registry) commitReadOnly(t *Txn) bool {
 		if tr := t.trace; tr != nil {
 			tr.Attempts++
 		}
-		for _, sh := range t.multi.shards {
+		for _, sh := range t.shards {
 			sh.b.n = 0
 			sh.r.runShardOptimistic(sh.b)
 		}
 		if hook := optimisticValidateHook; hook != nil {
 			hook(attempt)
 		}
-		valid := true
-		for _, sh := range t.multi.shards {
-			if !sh.b.reads.Validate(nil) {
-				valid = false
-				break
-			}
-		}
-		if valid {
-			if tr := t.trace; tr != nil {
-				for _, sh := range t.multi.shards {
-					tr.EpochsRecorded += sh.b.reads.Len()
-					tr.EpochsDistinct += sh.b.reads.Distinct()
-				}
-			}
-			for _, ref := range t.multi.order {
+		if t.validate(nil) {
+			for _, ref := range t.order {
 				ref.sh.r.applyMember(ref.sh.b, &ref.sh.b.members[ref.idx], ref.idx, -1)
 			}
 			return true
@@ -168,11 +112,29 @@ func (g *Registry) commitReadOnly(t *Txn) bool {
 	if tr := t.trace; tr != nil {
 		tr.FellBack = true
 	}
-	for _, sh := range t.multi.shards {
+	for _, sh := range t.shards {
 		sh.b.reads.Reset()
 		sh.b.n = 0
 	}
 	return false
+}
+
+// validate checks every shard's read-set in relation-id (= global lock)
+// order, excluding the locks self reports held (nil: none), and on
+// success adds the validated epochs to the trace.
+func (t *Txn) validate(self func(*locks.Lock) bool) bool {
+	for _, sh := range t.shards {
+		if !sh.b.reads.Validate(self) {
+			return false
+		}
+	}
+	if tr := t.trace; tr != nil {
+		for _, sh := range t.shards {
+			tr.EpochsRecorded += sh.b.reads.Len()
+			tr.EpochsDistinct += sh.b.reads.Distinct()
+		}
+	}
+	return true
 }
 
 // runShardOptimistic executes one shard's READ members lock-free,

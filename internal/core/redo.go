@@ -2,11 +2,11 @@ package core
 
 // This file is the durability seam of the commit path: the registry can
 // carry a CommitLogger (internal/wal's Manager in production), and every
-// commit path that mutates a relation — pessimistic single-relation
-// batches (commitBatch), pessimistic registry batches (commitTxn) and
-// both Silo-style OCC commits (occ.go) — hands the logger one logical
-// redo record per committed batch at its commit point: after the apply
-// phase has fully staged the batch (2PL) or after read-set validation has
+// commit body that mutates a relation — the two-phase-locking body
+// (commit2PL) and the Silo-style OCC body (occ.go), for Relation.Batch
+// and Registry.Batch alike — hands the logger one logical redo record per
+// committed batch at its commit point (logCommit): after the apply phase
+// has fully staged the batch (2PL) or after read-set validation has
 // succeeded (OCC), but before any result is delivered and, crucially,
 // while every lock the batch holds is still held. Holding the locks
 // across the append means the log order of two CONFLICTING batches is
@@ -69,15 +69,6 @@ type CommitLogger interface {
 // batches are never re-logged.
 func (g *Registry) SetCommitLogger(l CommitLogger) { g.logger = l }
 
-// commitLogger returns the logger charged with this relation's commits:
-// the owning registry's, or nil for standalone relations.
-func (r *Relation) commitLogger() CommitLogger {
-	if r.registry == nil {
-		return nil
-	}
-	return r.registry.logger
-}
-
 // appendMemberRedo appends m's redo op to ops; the caller filtered m to
 // mutation kinds. Vals alias the member's arena-backed row storage, which
 // outlives the LogCommit call per the CommitLogger contract.
@@ -100,35 +91,40 @@ func appendMemberRedo(ops []RedoOp, relName string, m *member) []RedoOp {
 	})
 }
 
-// shardRedo builds the redo ops of a single-relation batch in member
-// (= enqueue) order; nil when the batch holds no mutations.
-func (r *Relation) shardRedo(b *opBuf) []RedoOp {
-	n := 0
-	for i := range b.members {
-		if k := b.members[i].kind; k == mInsert || k == mRemove {
-			n++
-		}
-	}
-	if n == 0 {
+// logCommit is the commit point's durability step: it builds the batch's
+// redo record and hands it to the registry's commit logger, then — only
+// once the logger accepted it — to the migration tap (migrate.go). The
+// caller holds every lock of the batch and rolls the batch back on error.
+// Standalone relations, which have neither, and batches without
+// mutations log nothing.
+func (t *Txn) logCommit() error {
+	if t.reg == nil {
 		return nil
 	}
-	ops := make([]RedoOp, 0, n)
-	for i := range b.members {
-		m := &b.members[i]
-		if m.kind != mInsert && m.kind != mRemove {
-			continue
-		}
-		ops = appendMemberRedo(ops, r.name, m)
+	lg, tp := t.reg.logger, t.reg.tap.Load()
+	if lg == nil && tp == nil {
+		return nil
 	}
-	return ops
+	ops := t.redoOps()
+	if ops == nil {
+		return nil
+	}
+	if lg != nil {
+		if err := lg.LogCommit(ops); err != nil {
+			return err
+		}
+	}
+	if tp != nil {
+		tp.record(ops)
+	}
+	return nil
 }
 
-// registryRedo builds the redo ops of a registry batch in global enqueue
-// order (t.multi.order, spanning all shards); nil when the batch holds no
-// mutations.
-func (t *Txn) registryRedo() []RedoOp {
+// redoOps builds the batch's redo ops in global enqueue order (t.order,
+// spanning all shards); nil when the batch holds no mutations.
+func (t *Txn) redoOps() []RedoOp {
 	n := 0
-	for _, ref := range t.multi.order {
+	for _, ref := range t.order {
 		if k := ref.sh.b.members[ref.idx].kind; k == mInsert || k == mRemove {
 			n++
 		}
@@ -137,7 +133,7 @@ func (t *Txn) registryRedo() []RedoOp {
 		return nil
 	}
 	ops := make([]RedoOp, 0, n)
-	for _, ref := range t.multi.order {
+	for _, ref := range t.order {
 		m := &ref.sh.b.members[ref.idx]
 		if m.kind != mInsert && m.kind != mRemove {
 			continue

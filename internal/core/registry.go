@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -29,8 +28,9 @@ type Registry struct {
 	mu   sync.Mutex
 	rels []*Relation
 
-	// txnPool recycles the transaction-wide locks.Txn of registry batches
-	// (per-relation operation buffers are pooled on their relations).
+	// txnPool recycles Registry.Batch's regTxn: the transaction-wide
+	// locks.Txn, Txn slab and list backings (per-relation operation
+	// buffers are pooled on their relations).
 	txnPool sync.Pool
 
 	// logger, when non-nil, persists every committed mutating batch at its
@@ -50,15 +50,16 @@ type Registry struct {
 	// at every commit point (migrate.go).
 	tap atomic.Pointer[migrationTap]
 
-	// ctr holds the registry-level live counter cells (counters.go).
-	ctr regCounters
+	// ctr holds the cells of Registry.Batch's batch-level counts
+	// (counters.go).
+	ctr batchCounters
 	// evMu guards events, the completed-migration history Harvest copies.
 	evMu   sync.Mutex
 	events []MigrationEvent
 }
 
-// registryApplyHook, when non-nil, runs before each member of a registry
-// batch's apply phase (arguments: relation name, member's global enqueue
+// registryApplyHook, when non-nil, runs before each member of a batch's
+// apply phase (arguments: relation name, member's global enqueue
 // position). Tests use it to force a mid-apply panic and exercise the
 // cross-relation undo log.
 var registryApplyHook func(relName string, pos int)
@@ -122,14 +123,21 @@ func (g *Registry) RelationByName(name string) *Relation {
 	return nil
 }
 
-// getTxn checks a transaction-wide locks.Txn out of the pool.
-func (g *Registry) getTxn() *locks.Txn {
-	lt, _ := g.txnPool.Get().(*locks.Txn)
-	if lt == nil {
-		lt = locks.NewTxn()
+// regTxn is what a Registry.Batch checks out of the registry pool: the
+// transaction-wide locks.Txn and the Txn slab and list backings.
+type regTxn struct {
+	lt  *locks.Txn
+	res txnRes
+}
+
+// getTxn checks a regTxn out of the pool, its locks.Txn reset.
+func (g *Registry) getTxn() *regTxn {
+	rt, _ := g.txnPool.Get().(*regTxn)
+	if rt == nil {
+		rt = &regTxn{lt: locks.NewTxn()}
 	}
-	lt.Reset()
-	return lt
+	rt.lt.Reset()
+	return rt
 }
 
 // Batch runs fn to assemble a group of operations against any registered
@@ -151,7 +159,7 @@ func (g *Registry) getTxn() *locks.Txn {
 // for the write members only, lock-free epoch-validated reads for the
 // rest, validated in the registry-wide lock order.
 func (g *Registry) Batch(fn func(tx *Txn) error) error {
-	return g.batch(fn, false)
+	return runBatch(g, nil, fn, false)
 }
 
 // BatchReadOnly is Batch restricted to read-only groups: enqueueing a
@@ -159,144 +167,5 @@ func (g *Registry) Batch(fn func(tx *Txn) error) error {
 // explicit. Execution is identical to what Batch auto-detects for
 // read-only groups, so results never depend on which path ran.
 func (g *Registry) BatchReadOnly(fn func(tx *Txn) error) error {
-	return g.batch(fn, true)
-}
-
-// batch is the shared body of Batch and BatchReadOnly.
-func (g *Registry) batch(fn func(tx *Txn) error, roOnly bool) error {
-	// Representation latch, held shared across the whole batch — assembly,
-	// commit AND the deferred shrink below (registered after the RUnlock,
-	// so it runs before it) — keeping a migration cutover strictly ordered
-	// against every in-flight batch (migrate.go).
-	g.migrMu.RLock()
-	defer g.migrMu.RUnlock()
-	lt := g.getTxn()
-	t := &Txn{reg: g, ltxn: lt, roOnly: roOnly, multi: &txnReg{}}
-	defer func() {
-		// Shrinking phase: end-bump every shard's begin-bumped epoch cells
-		// while the locks are still held (optimistic readers must see the
-		// odd window span all writes, rolled-back ones included), then
-		// release the whole transaction's locks, restore each buffer's own
-		// locks.Txn, and return the buffers to their relations' pools.
-		// Runs on panic too (after commitTxn's rollback).
-		for _, sh := range t.multi.shards {
-			sh.b.finishEpochs()
-		}
-		lt.ReleaseAll()
-		for _, sh := range t.multi.shards {
-			sh.b.txn = sh.own
-			sh.r.putBuf(sh.b)
-		}
-		g.txnPool.Put(lt)
-	}()
-	if err := fn(t); err != nil {
-		t.sealed = true
-		return err
-	}
-	t.sealed = true
-	if len(t.multi.order) == 0 {
-		return nil
-	}
-	// Every commit path — the lock-free read-only validation, the OCC
-	// growing/validation phases and the pessimistic growing phase — walks
-	// the shards in the registry-wide lock order, so sort them by relation
-	// id once here; this is the ONLY sort (commitTxn and commitOCC rely
-	// on it and never reorder the shards).
-	sort.Slice(t.multi.shards, func(i, j int) bool { return t.multi.shards[i].r.regID < t.multi.shards[j].r.regID })
-	if t.readOnly() {
-		if g.commitReadOnly(t) {
-			g.noteBatch(t, true, false)
-			return nil
-		}
-	} else if ok, err := g.commitOCC(t); ok || err != nil {
-		if ok && err == nil {
-			g.noteBatch(t, false, true)
-		}
-		return err
-	}
-	if err := g.commitTxn(t); err != nil {
-		return err
-	}
-	g.noteBatch(t, false, false)
-	return nil
-}
-
-// commitTxn executes an assembled registry transaction: shard growing
-// phases in relation-id order on the shared locks.Txn (Registry.batch
-// sorted the shards before dispatching, and no commit path reorders
-// them), then one apply phase replaying every member in global enqueue
-// order under a shared undo log. With a commit logger attached the
-// batch's redo record is appended after the apply phase completes, still
-// under every held lock; a logging failure rolls the whole batch back
-// and is returned from Batch.
-func (g *Registry) commitTxn(t *Txn) error {
-	for _, sh := range t.multi.shards {
-		sh.r.initBatchMembers(sh.b)
-	}
-	for _, sh := range t.multi.shards {
-		sh.r.growBatch(t, sh.b)
-	}
-
-	// Apply phase: one undo log spans all shards, so a panic in any
-	// member's apply unwinds the writes of EVERY relation before the
-	// locks are released — cross-relation all-or-nothing.
-	undo := t.armUndo()
-	defer func() {
-		for _, sh := range t.multi.shards {
-			sh.b.undo = nil
-		}
-		if p := recover(); p != nil {
-			undo.rollback()
-			panic(p)
-		}
-		clear(undo.recs)
-		undo.recs = undo.recs[:0]
-	}()
-	for pos, ref := range t.multi.order {
-		if registryApplyHook != nil {
-			registryApplyHook(ref.sh.r.name, pos)
-		}
-		ref.sh.r.applyMember(ref.sh.b, &ref.sh.b.members[ref.idx], ref.idx, ref.sh.firstMut)
-	}
-	// Commit point: the batch is fully applied, its locks are still held.
-	// Append the redo record now, so the log order of conflicting batches
-	// is their serialization order; failure unwinds through the same undo
-	// log a mid-apply panic would use.
-	if lg, tp := g.logger, g.tap.Load(); lg != nil || tp != nil {
-		if ops := t.registryRedo(); ops != nil {
-			if lg != nil {
-				if err := lg.LogCommit(ops); err != nil {
-					undo.rollback()
-					for _, sh := range t.multi.shards {
-						sh.b.apply = false
-					}
-					return err
-				}
-			}
-			// The migration tap records only durable commits, after the
-			// logger accepted the batch and still under every held lock
-			// (migrate.go).
-			if tp != nil {
-				tp.record(ops)
-			}
-		}
-	}
-	for _, sh := range t.multi.shards {
-		sh.b.apply = false
-	}
-	return nil
-}
-
-// armUndo enters every shard's apply phase under one shared undo log: the
-// first shard's buffer-resident undoPool, emptied (a stack undoLog would
-// escape through b.undo and regrow its records every batch). Callers
-// clear its records on every exit.
-func (t *Txn) armUndo() *undoLog {
-	undo := &t.multi.shards[0].b.undoPool
-	undo.recs = undo.recs[:0]
-	for _, sh := range t.multi.shards {
-		sh.b.apply = true
-		sh.b.undo = undo
-	}
-	return undo
+	return runBatch(g, nil, fn, true)
 }

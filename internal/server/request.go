@@ -91,8 +91,12 @@ type OpResult struct {
 // the group coalesced) and BatchPos (this request's position in the
 // group's global enqueue order). The coordinates make coalescing
 // observable: tests and benchmarks read batch sizes straight from
-// replies, and replaying requests sequentially in (BatchSeq, BatchPos)
-// order reproduces every result exactly.
+// replies. Within one group, BatchPos is the serialization order.
+// BatchSeq numbers groups in dispatch order only: a group takes its
+// number before it acquires any lock, so groups that overlap in time may
+// serialize in a different order, and replaying in (BatchSeq, BatchPos)
+// order reproduces every result only when the groups did not overlap.
+// A certified commit order is ROADMAP item 14.
 type Response struct {
 	// Results holds one OpResult per Request op, in op order.
 	Results []OpResult `json:"results"`
