@@ -12,13 +12,15 @@ package server
 // the registry's globally ordered lock acquisition keeps that
 // deadlock-free, exactly as for any two concurrent batches.
 //
-// Error isolation: requests are validated (probed) BEFORE entering a
-// window, so a malformed request is rejected alone and never aborts its
-// neighbors' group. If an enqueue error nonetheless surfaces at group
-// commit, the group aborts untouched (Registry.Batch executes nothing on
-// error) and the dispatcher degrades that window to per-request commits,
-// preserving per-request semantics at the cost of one window's
-// coalescing; the Stats.Degraded counter makes such events visible.
+// Error isolation: requests are compiled to prepared statements BEFORE
+// entering a window (compile.go), so a malformed request is rejected
+// alone and never aborts its neighbors' group. If an enqueue error
+// nonetheless surfaces at group commit (a migration dropped a plan a
+// cached statement was prepared for), the group aborts untouched
+// (Registry.Batch executes nothing on error) and the dispatcher degrades
+// that window to per-request commits, preserving per-request semantics
+// at the cost of one window's coalescing; the Stats.Degraded counter
+// makes such events visible.
 
 import (
 	"errors"
@@ -101,8 +103,8 @@ type Stats struct {
 	// MaxBatchSize is the largest group committed.
 	MaxBatchSize uint64
 	// Degraded counts windows that fell back to per-request commits after
-	// a group enqueue error (0 in healthy operation: validation probes
-	// reject malformed requests before they reach a window).
+	// a group enqueue error (0 in healthy operation: compilation rejects
+	// malformed requests before they reach a window).
 	Degraded uint64
 	// MeanBatchSize is Requests/Batches, the coalescing win's summary
 	// statistic: 1.0 means no cross-client batching happened, K means the
@@ -135,29 +137,22 @@ type Stats struct {
 	WindowOccupancy *latency.Summary `json:"window_occupancy,omitempty"`
 }
 
-// call is one parked request: the compiled ops, its arrival time (the
-// commit-latency clock starts when the request reaches the dispatcher),
-// and the channel its submitter blocks on.
-type call struct {
-	req     *compiledReq
-	arrived time.Time
-	resp    *Response
-	err     error
-	done    chan struct{}
-}
-
 // Dispatcher coalesces concurrently submitted requests into group
 // commits over one registry. Safe for concurrent use; create with
 // NewDispatcher.
 type Dispatcher struct {
 	reg *core.Registry
 	cfg Config
+	// cat resolves names and holds the prepared statements every
+	// request compiles to; reqs pools compiled requests.
+	cat  catalog
+	reqs sync.Pool
 	// syncLog is the durability barrier between commit and reply
 	// (Config.WAL's Sync), nil without a WAL.
 	syncLog func() error
 
 	mu      sync.Mutex
-	pending []*call
+	pending []*txnReq
 	timer   *time.Timer
 	gen     uint64 // window generation; a stale timer firing is a no-op
 	closed  bool
@@ -189,6 +184,7 @@ var windowHook func(pending int) bool
 // NewDispatcher returns a dispatcher committing against reg.
 func NewDispatcher(reg *core.Registry, cfg Config) *Dispatcher {
 	d := &Dispatcher{reg: reg, cfg: cfg}
+	d.cat.reg = reg
 	if cfg.WAL != nil {
 		d.syncLog = cfg.WAL.Sync
 	}
@@ -206,33 +202,50 @@ func (e badRequest) Unwrap() error { return e.error }
 // request itself (HTTP 400) rather than reporting a server-side failure.
 func IsBadRequest(err error) bool { return errors.As(err, new(badRequest)) }
 
-// Submit validates req, parks it in the current window, and blocks until
-// its group commits, returning this request's results. Validation errors
+// Submit compiles req, parks it in the current window, and blocks until
+// its group commits, returning this request's results. Compile errors
 // are returned immediately (the request never enters a window) and
 // satisfy IsBadRequest; ErrClosed is returned after Close; any other
 // error is a failed commit or WAL sync.
 func (d *Dispatcher) Submit(req *Request) (*Response, error) {
-	creq, err := compileRequest(d.reg, req)
-	if err != nil {
+	tr := d.getReq()
+	defer d.putReq(tr)
+	if err := tr.compileMaps(&d.cat, req); err != nil {
 		return nil, badRequest{err}
 	}
-	if err := probeRequest(d.reg, creq); err != nil {
-		return nil, badRequest{err}
+	if err := d.submit(tr); err != nil {
+		return nil, err
 	}
-	return d.submitCompiled(creq)
+	return tr.response(), nil
 }
 
-// submitCompiled parks an already-validated request; see Submit.
-func (d *Dispatcher) submitCompiled(creq *compiledReq) (*Response, error) {
-	c := &call{req: creq, arrived: time.Now(), done: make(chan struct{})}
+// getReq takes a compiled-request buffer from the pool.
+func (d *Dispatcher) getReq() *txnReq {
+	if tr, _ := d.reqs.Get().(*txnReq); tr != nil {
+		return tr
+	}
+	return newTxnReq()
+}
+
+// putReq returns a request to the pool once its submitter is done with
+// it.
+func (d *Dispatcher) putReq(tr *txnReq) {
+	tr.reset()
+	d.reqs.Put(tr)
+}
+
+// submit parks a compiled request and waits for its group to commit;
+// see Submit.
+func (d *Dispatcher) submit(tr *txnReq) error {
+	tr.arrived = time.Now()
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	d.pending = append(d.pending, c)
+	d.pending = append(d.pending, tr)
 	n := len(d.pending)
-	var batch []*call
+	var batch []*txnReq
 	if windowHook != nil {
 		if windowHook(n) {
 			batch = d.takeLocked()
@@ -250,15 +263,15 @@ func (d *Dispatcher) submitCompiled(creq *compiledReq) (*Response, error) {
 	if batch != nil {
 		d.commitGroup(batch)
 	}
-	<-c.done
-	return c.resp, c.err
+	<-tr.done
+	return tr.err
 }
 
 // takeLocked removes the current window's requests, advances the window
 // generation (cancelling the pending timer), and registers the group
 // commit with the drain WaitGroup. Caller holds d.mu and MUST pass the
 // result to commitGroup (which balances the WaitGroup).
-func (d *Dispatcher) takeLocked() []*call {
+func (d *Dispatcher) takeLocked() []*txnReq {
 	batch := d.pending
 	d.pending = nil
 	d.gen++
@@ -357,29 +370,23 @@ func (d *Dispatcher) Stats() Stats {
 }
 
 // commitGroup commits one window's requests as a single registry batch
-// and wakes every submitter with its results. On a group enqueue error
-// (possible only for requests that bypassed validation) nothing has
-// executed; the window degrades to per-request commits so one bad request
-// cannot take its neighbors down.
-func (d *Dispatcher) commitGroup(batch []*call) {
+// and wakes every submitter. On a group enqueue error nothing has
+// executed; the window degrades to per-request commits so one bad
+// request cannot take its neighbors down.
+func (d *Dispatcher) commitGroup(batch []*txnReq) {
 	defer d.commits.Done()
 	seq := d.seq.Add(1)
 	size := len(batch)
-	pendings := make([][]pendingOp, size)
 	var tr *core.BatchTrace
-	var groupErr error
 	err := d.reg.Batch(func(tx *core.Txn) error {
 		if d.cfg.Counts != nil {
 			tx.EnableTrace()
 			tr = tx.Trace()
 		}
-		for i, c := range batch {
-			pend, err := c.req.enqueue(tx)
-			if err != nil {
-				groupErr = fmt.Errorf("%w (request %d: %s)", err, i, c.req.summarize())
-				return groupErr
+		for _, c := range batch {
+			if _, err := c.enqueue(tx); err != nil {
+				return err
 			}
-			pendings[i] = pend
 		}
 		return nil
 	})
@@ -395,7 +402,7 @@ func (d *Dispatcher) commitGroup(batch []*call) {
 		// of a result.
 		for _, c := range batch {
 			c.err = serr
-			close(c.done)
+			c.done <- struct{}{}
 		}
 		return
 	}
@@ -405,47 +412,44 @@ func (d *Dispatcher) commitGroup(batch []*call) {
 	d.recordBatch(size)
 	for i, c := range batch {
 		d.requests.Add(1)
-		d.members.Add(uint64(len(c.req.ops)))
-		c.resp = &Response{
-			Results:   resolve(pendings[i]),
-			BatchSeq:  seq,
-			BatchSize: size,
-			BatchPos:  i,
-		}
+		d.members.Add(uint64(len(c.ops)))
+		c.seq, c.size, c.pos = seq, size, i
 		d.commitLatency.Record(time.Since(c.arrived))
-		close(c.done)
+		c.done <- struct{}{}
 	}
 }
 
 // commitEach is the degraded path: each request of an aborted window
 // commits alone (its own batch sequence number, size 1), so per-request
 // atomicity and results are preserved and only this window's coalescing
-// is lost.
-func (d *Dispatcher) commitEach(batch []*call) {
+// is lost. A request that still fails to enqueue is the client's error,
+// and the statement that failed is dropped from the catalog.
+func (d *Dispatcher) commitEach(batch []*txnReq) {
 	for _, c := range batch {
 		seq := d.seq.Add(1)
-		var pend []pendingOp
 		var tr *core.BatchTrace
+		var bad *stmt
 		var enqErr error
 		err := d.reg.Batch(func(tx *core.Txn) error {
 			if d.cfg.Counts != nil {
 				tx.EnableTrace()
 				tr = tx.Trace()
 			}
-			pend, enqErr = c.req.enqueue(tx)
+			bad, enqErr = c.enqueue(tx)
 			return enqErr
 		})
 		if err != nil {
 			if enqErr != nil {
-				err = badRequest{err}
+				d.cat.forget(bad)
+				err = badRequest{fmt.Errorf("%w (%s)", err, c.summarize())}
 			}
 			c.err = err
-			close(c.done)
+			c.done <- struct{}{}
 			continue
 		}
 		if serr := d.syncWAL(); serr != nil {
 			c.err = serr
-			close(c.done)
+			c.done <- struct{}{}
 			continue
 		}
 		if tr != nil {
@@ -453,15 +457,10 @@ func (d *Dispatcher) commitEach(batch []*call) {
 		}
 		d.recordBatch(1)
 		d.requests.Add(1)
-		d.members.Add(uint64(len(c.req.ops)))
-		c.resp = &Response{
-			Results:   resolve(pend),
-			BatchSeq:  seq,
-			BatchSize: 1,
-			BatchPos:  0,
-		}
+		d.members.Add(uint64(len(c.ops)))
+		c.seq, c.size, c.pos = seq, 1, 0
 		d.commitLatency.Record(time.Since(c.arrived))
-		close(c.done)
+		c.done <- struct{}{}
 	}
 }
 

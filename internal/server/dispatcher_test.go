@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rel"
 	"repro/internal/workload"
 )
 
@@ -308,15 +309,17 @@ func TestDispatcherDegradedWindow(t *testing.T) {
 	d := NewDispatcher(social.Reg, Config{})
 	defer d.Close()
 
-	// Compiles (the column is only checked at enqueue) but cannot
-	// enqueue; submitted via submitCompiled to skip the probe, simulating
-	// a validation gap.
-	bad, err := compileRequest(social.Reg, &Request{Ops: []Op{
-		{Kind: OpCount, Rel: "users", S: map[string]any{"bogus": int64(1)}},
-	}})
-	if err != nil {
+	// Compiles, but its row no longer binds the columns its statement
+	// was prepared for, so it cannot enqueue — the state a migration that
+	// drops a cached statement's plan leaves. Submitted via submit to
+	// skip compilation, simulating that gap.
+	bad := d.getReq()
+	if err := bad.compileMaps(&d.cat, &Request{Ops: []Op{
+		{Kind: OpCount, Rel: "users", S: map[string]any{"user": int64(1)}},
+	}}); err != nil {
 		t.Fatalf("compile: %v", err)
 	}
+	bad.ops[0].row = rel.RowOver(make([]rel.Value, 2), 0)
 	good := AddPostRequest(1, 2, 3)
 
 	var wg sync.WaitGroup
@@ -326,7 +329,7 @@ func TestDispatcherDegradedWindow(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, badErr = d.submitCompiled(bad)
+		badErr = d.submit(bad)
 	}()
 	go func() {
 		defer wg.Done()

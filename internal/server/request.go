@@ -12,18 +12,20 @@
 // This file defines the wire model: Request (an ordered list of Ops that
 // commit atomically), Op (one relational operation against a named
 // relation), OpResult/Response (per-member results plus the batch
-// coordinates the request committed under), and the JSON value codec
-// mapping the relational value types onto JSON.
+// coordinates the request committed under), and the one number rule
+// mapping JSON numbers onto relational values. compile.go turns a
+// request into prepared statements and rows, scan.go reads a request
+// body straight into that form, and reply.go writes the reply.
 package server
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
+	"math"
+	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/rel"
+	"repro/internal/server/wirejson"
 )
 
 // The operation kinds a Request can carry, in the wire encoding's "op"
@@ -108,219 +110,82 @@ type Response struct {
 	BatchPos int `json:"batch_pos"`
 }
 
-// decodeValue maps a decoded JSON value onto a relational value:
-// json.Number becomes int64 when integral (float64 otherwise), bool and
-// string pass through. The server decodes request bodies with
-// json.Decoder.UseNumber, so numbers arrive here as json.Number, never
-// float64 — integer keys survive the wire bit for bit. (int64 values
-// beyond 2^53 still require clients that emit them as JSON integers,
-// which the Go client does.)
-func decodeValue(v any) (rel.Value, error) {
+// The number rule. A JSON number becomes an int64 when its value is
+// integral and lies within int64's range, however it is spelled: 1, 1.0,
+// 1e3 and -0 are all int64. Any other number is a float64. An integer
+// literal converts exactly (9007199254740993 survives bit for bit); any
+// other spelling converts through float64 first, so 1e19 stays a float64
+// and 9007199254740993.0 becomes int64 9007199254740992. Literals whose
+// magnitude overflows float64 are rejected. The request scanner applies
+// the rule to the literals of a body, and Dispatcher.Submit to the
+// json.Number and float64 values of a Request, so the same key lands in
+// the same place whichever way it arrives (rel.Compare ranks every int64
+// before every float64).
+
+// numberValue converts a JSON number literal by the number rule.
+func numberValue(lit []byte) (rel.Value, error) {
+	if i, ok := parseInt(lit); ok {
+		return i, nil
+	}
+	f, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		return nil, fmt.Errorf("unparseable number %q", lit)
+	}
+	return floatValue(f), nil
+}
+
+// parseInt parses an integer literal (an optional minus sign and digits)
+// that fits int64; ok is false for any other literal.
+func parseInt(lit []byte) (int64, bool) {
+	neg := len(lit) > 0 && lit[0] == '-'
+	digits := lit
+	if neg {
+		digits = lit[1:]
+	}
+	if len(digits) == 0 || len(digits) > 19 {
+		return 0, false
+	}
+	var u uint64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		u = u*10 + uint64(c-'0')
+	}
+	switch {
+	case neg && u <= 1<<63:
+		return -int64(u - 1) - 1, true
+	case !neg && u < 1<<63:
+		return int64(u), true
+	}
+	return 0, false
+}
+
+// floatValue applies the number rule to a float64.
+func floatValue(f float64) rel.Value {
+	if f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f) {
+		return int64(f)
+	}
+	return f
+}
+
+// goValue maps one value of a Request built in Go onto a relational
+// value: json.Number and float64 follow the number rule, int widens to
+// int64, and int64, uint64, bool and string pass through.
+func goValue(v any) (rel.Value, error) {
 	switch x := v.(type) {
 	case json.Number:
-		if i, err := x.Int64(); err == nil {
-			return i, nil
+		if wirejson.NumberLen([]byte(x)) != len(x) || len(x) == 0 {
+			return nil, fmt.Errorf("unparseable number %q", x.String())
 		}
-		f, err := x.Float64()
-		if err != nil {
-			return nil, fmt.Errorf("server: unparseable number %q", x.String())
-		}
-		return f, nil
-	case bool, string:
-		return x, nil
+		return numberValue([]byte(x))
 	case float64:
-		// Bodies decoded without UseNumber (direct struct literals in
-		// tests) deliver float64; keep integral ones as int64 the same way
-		// the Number path does.
-		if x == float64(int64(x)) {
-			return int64(x), nil
-		}
-		return x, nil
+		return floatValue(x), nil
 	case int:
 		return int64(x), nil
-	case int64, uint64:
+	case int64, uint64, bool, string:
 		return x, nil
 	default:
-		return nil, fmt.Errorf("server: unsupported value type %T", v)
+		return nil, fmt.Errorf("unsupported value type %T", v)
 	}
-}
-
-// tupleOf converts a wire column→value object into a rel.Tuple.
-func tupleOf(m map[string]any) (rel.Tuple, error) {
-	pairs := make([]any, 0, 2*len(m))
-	// Sorted iteration keeps error messages deterministic; the tuple
-	// itself canonicalizes column order regardless.
-	cols := make([]string, 0, len(m))
-	for c := range m {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	for _, c := range cols {
-		v, err := decodeValue(m[c])
-		if err != nil {
-			return rel.Tuple{}, fmt.Errorf("column %q: %w", c, err)
-		}
-		pairs = append(pairs, c, v)
-	}
-	return rel.NewTuple(pairs...)
-}
-
-// tupleToMap converts a result tuple into its wire column→value object.
-func tupleToMap(t rel.Tuple) map[string]any {
-	m := make(map[string]any, t.Len())
-	for _, c := range t.Dom() {
-		m[c] = t.MustGet(c)
-	}
-	return m
-}
-
-// compiledOp is one Op resolved against the registry: relation pointer
-// plus decoded tuples, ready to enqueue without further validation work.
-type compiledOp struct {
-	kind string
-	r    *core.Relation
-	s, t rel.Tuple
-	out  []string
-}
-
-// compiledReq is a Request compiled for enqueueing.
-type compiledReq struct {
-	ops []compiledOp
-}
-
-// compileRequest resolves every op of req against reg — relation lookup,
-// tuple decoding, op-kind checks — returning a form the dispatcher can
-// enqueue directly. It does NOT prove enqueueability (plan existence,
-// column coverage); probeRequest does that by dry-running the enqueue
-// path itself.
-func compileRequest(reg *core.Registry, req *Request) (*compiledReq, error) {
-	if len(req.Ops) == 0 {
-		return nil, fmt.Errorf("server: empty transaction")
-	}
-	c := &compiledReq{ops: make([]compiledOp, 0, len(req.Ops))}
-	for i, op := range req.Ops {
-		r := reg.RelationByName(op.Rel)
-		if r == nil {
-			return nil, fmt.Errorf("server: op %d: unknown relation %q", i, op.Rel)
-		}
-		s, err := tupleOf(op.S)
-		if err != nil {
-			return nil, fmt.Errorf("server: op %d: s: %w", i, err)
-		}
-		co := compiledOp{kind: op.Kind, r: r, s: s}
-		switch op.Kind {
-		case OpInsert:
-			if co.t, err = tupleOf(op.T); err != nil {
-				return nil, fmt.Errorf("server: op %d: t: %w", i, err)
-			}
-		case OpRemove, OpCount:
-			if len(op.T) > 0 {
-				return nil, fmt.Errorf("server: op %d: %s takes no t tuple", i, op.Kind)
-			}
-		case OpQuery:
-			if len(op.T) > 0 {
-				return nil, fmt.Errorf("server: op %d: query takes no t tuple", i)
-			}
-			if len(op.Out) == 0 {
-				return nil, fmt.Errorf("server: op %d: query needs out columns", i)
-			}
-			co.out = op.Out
-		default:
-			return nil, fmt.Errorf("server: op %d: unknown op kind %q", i, op.Kind)
-		}
-		c.ops = append(c.ops, co)
-	}
-	return c, nil
-}
-
-// pendingOp holds one enqueued member's unresolved result.
-type pendingOp struct {
-	kind string
-	pb   *core.Pending[bool]
-	pi   *core.Pending[int]
-	pt   *core.Pending[[]rel.Tuple]
-}
-
-// enqueue adds every op of c to tx, returning the unresolved results in
-// op order. An error means some op could not be enqueued; the caller must
-// abort the whole batch (members already enqueued cannot be withdrawn).
-func (c *compiledReq) enqueue(tx *core.Txn) ([]pendingOp, error) {
-	pend := make([]pendingOp, 0, len(c.ops))
-	for i, op := range c.ops {
-		var p pendingOp
-		p.kind = op.kind
-		var err error
-		switch op.kind {
-		case OpInsert:
-			p.pb, err = tx.InsertInto(op.r, op.s, op.t)
-		case OpRemove:
-			p.pb, err = tx.RemoveFrom(op.r, op.s)
-		case OpCount:
-			p.pi, err = tx.CountIn(op.r, op.s)
-		case OpQuery:
-			p.pt, err = tx.QueryIn(op.r, op.s, op.out...)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("server: op %d: %w", i, err)
-		}
-		pend = append(pend, p)
-	}
-	return pend, nil
-}
-
-// resolve converts the committed pendings into wire results.
-func resolve(pend []pendingOp) []OpResult {
-	out := make([]OpResult, len(pend))
-	for i, p := range pend {
-		switch p.kind {
-		case OpInsert, OpRemove:
-			v := p.pb.Value()
-			out[i].Applied = &v
-		case OpCount:
-			v := p.pi.Value()
-			out[i].Count = &v
-		case OpQuery:
-			tuples := p.pt.Value()
-			rows := make([]map[string]any, len(tuples))
-			for j, t := range tuples {
-				rows[j] = tupleToMap(t)
-			}
-			out[i].Rows = rows
-		}
-	}
-	return out
-}
-
-// errProbe is the sentinel a validation probe returns from the Batch
-// callback: it aborts the batch before anything executes, proving every
-// member enqueued cleanly without committing them.
-var errProbe = fmt.Errorf("server: validation probe (never executed)")
-
-// probeRequest proves c is enqueueable: it dry-runs the exact enqueue
-// path inside an aborted registry batch, so plan existence and column
-// coverage are checked by the same code that will run at group commit.
-// After a nil probeRequest, the group enqueue of c cannot fail (schemas
-// and plan caches are immutable after synthesis).
-func probeRequest(reg *core.Registry, c *compiledReq) error {
-	var enqErr error
-	err := reg.Batch(func(tx *core.Txn) error {
-		if _, enqErr = c.enqueue(tx); enqErr != nil {
-			return enqErr
-		}
-		return errProbe
-	})
-	if err == errProbe {
-		return nil
-	}
-	return err
-}
-
-// summarize renders a compiled request for error messages: op kinds and
-// relations only.
-func (c *compiledReq) summarize() string {
-	parts := make([]string, len(c.ops))
-	for i, op := range c.ops {
-		parts[i] = op.kind + " " + op.r.Name()
-	}
-	return strings.Join(parts, ", ")
 }

@@ -1,9 +1,11 @@
 package server
 
 // The HTTP+JSON front end: a thin codec layer over the Dispatcher. Every
-// data-path handler funnels into Dispatcher.Submit, so whether a request
-// arrived via POST /v1/txn or one of the single-op conveniences, it
-// coalesces with whatever else the window holds. cmd/crsd is a flag
+// data-path handler scans its body straight into a pooled compiled
+// request (scan.go) and parks it in the dispatcher's window, so whether
+// a request arrived via POST /v1/txn or one of the single-op
+// conveniences, it coalesces with whatever else the window holds; the
+// reply is append-encoded into the same request's buffer (reply.go). cmd/crsd is a flag
 // wrapper around New + ListenAndServe; tests start the same Server
 // in-process on a random port.
 
@@ -48,11 +50,11 @@ type Server struct {
 func New(reg *core.Registry, cfg Config) *Server {
 	s := &Server{disp: NewDispatcher(reg, cfg)}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/txn", s.handleTxn)
-	s.mux.HandleFunc("POST /v1/insert", s.handleSingle(OpInsert))
-	s.mux.HandleFunc("POST /v1/remove", s.handleSingle(OpRemove))
-	s.mux.HandleFunc("POST /v1/count", s.handleSingle(OpCount))
-	s.mux.HandleFunc("POST /v1/query", s.handleSingle(OpQuery))
+	s.mux.HandleFunc("POST /v1/txn", s.handleOps(0))
+	s.mux.HandleFunc("POST /v1/insert", s.handleOps(kindInsert))
+	s.mux.HandleFunc("POST /v1/remove", s.handleOps(kindRemove))
+	s.mux.HandleFunc("POST /v1/count", s.handleOps(kindCount))
+	s.mux.HandleFunc("POST /v1/query", s.handleOps(kindQuery))
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/relations", func(w http.ResponseWriter, r *http.Request) {
 		type relInfo struct {
@@ -143,43 +145,51 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// handleTxn decodes a Request document, submits it, and writes the
-// Response.
-func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	if decodeBody(w, r, &req) {
-		s.submit(w, &req)
-	}
-}
-
-// handleSingle adapts the single-op conveniences: the body is one Op
-// without its "op" field (the route provides the kind), submitted as a
-// one-member transaction.
-func (s *Server) handleSingle(kind string) http.HandlerFunc {
+// handleOps serves the data path: POST /v1/txn (single 0, the body a
+// Request document) or a single-op convenience (the body one Op without
+// its "op" member, the route providing the kind, submitted as a
+// one-member transaction).
+func (s *Server) handleOps(single opKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var op Op
-		if !decodeBody(w, r, &op) {
+		d := s.disp
+		tr := d.getReq()
+		defer d.putReq(tr)
+		var err error
+		if tr.body, err = readBody(r, tr.body[:0]); err != nil {
+			status := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, fmt.Errorf("server: bad request body: %w", err))
 			return
 		}
-		op.Kind = kind
-		s.submit(w, &Request{Ops: []Op{op}})
+		if err := tr.scan(&d.cat, tr.body, single); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		if err := d.submit(tr); err != nil {
+			switch {
+			case errors.Is(err, ErrClosed):
+				writeError(w, http.StatusServiceUnavailable, err)
+			case IsBadRequest(err):
+				writeError(w, http.StatusBadRequest, err)
+			default:
+				writeError(w, http.StatusInternalServerError, err)
+			}
+			return
+		}
+		tr.out, err = tr.appendReply(tr.out[:0])
+		w.Header()["Content-Type"] = jsonContentType
+		w.WriteHeader(http.StatusOK)
+		if err == nil {
+			_, _ = w.Write(tr.out)
+		}
 	}
 }
 
-// submit runs the shared submit-and-reply tail of the data-path handlers.
-func (s *Server) submit(w http.ResponseWriter, req *Request) {
-	resp, err := s.disp.Submit(req)
-	switch {
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case IsBadRequest(err):
-		writeError(w, http.StatusBadRequest, err)
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
-	default:
-		writeJSON(w, http.StatusOK, resp)
-	}
-}
+// jsonContentType is the Content-Type header value of every JSON reply,
+// shared read-only.
+var jsonContentType = []string{"application/json"}
 
 // handleStats reports the dispatcher's coalescing counters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -187,34 +197,31 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // MaxBodyBytes caps a data-path request body; a longer one is refused
-// with 413 before it is decoded in full.
+// with 413 before any of it is scanned.
 const MaxBodyBytes = 4 << 20
 
-// decodeBody decodes a JSON request body with UseNumber (so integer keys
-// reach the relational layer as int64, not float64), rejecting bodies
-// over MaxBodyBytes and anything but whitespace after the one JSON
-// value. On failure it writes the error reply and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	dec.UseNumber()
-	err := dec.Decode(into)
-	if err == nil {
-		switch _, terr := dec.Token(); {
-		case terr == nil:
-			err = errors.New("trailing data after the JSON value")
-		case terr != io.EOF:
-			err = terr
+// readBody reads a request body into buf, refusing one longer than
+// MaxBodyBytes with an *http.MaxBytesError.
+func readBody(r *http.Request, buf []byte) ([]byte, error) {
+	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes && int(n) >= cap(buf) {
+		buf = make([]byte, 0, n+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > MaxBodyBytes {
+			return buf, &http.MaxBytesError{Limit: MaxBodyBytes}
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
 		}
 	}
-	if err == nil {
-		return true
-	}
-	status := http.StatusBadRequest
-	if errors.As(err, new(*http.MaxBytesError)) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	writeError(w, status, fmt.Errorf("server: bad request body: %w", err))
-	return false
 }
 
 // writeJSON writes v as a JSON response.
