@@ -154,7 +154,7 @@ func parseInt(lit []byte) (int64, bool) {
 	}
 	switch {
 	case neg && u <= 1<<63:
-		return -int64(u - 1) - 1, true
+		return -int64(u-1) - 1, true
 	case !neg && u < 1<<63:
 		return int64(u), true
 	}
