@@ -8,6 +8,11 @@
 // client.WithTimeout(...))) and every method takes a context.Context
 // first, so open-loop callers can enforce per-request deadlines without
 // giving up the shared connection pool.
+//
+// Do writes a request with the wire package's append encoders into a
+// pooled buffer, byte for byte what json.Marshal writes, and reads the
+// reply with a scanner for the Response grammar the server emits
+// (codec.go), falling back to encoding/json for any reply outside it.
 package client
 
 import (
@@ -17,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/server"
@@ -33,6 +40,16 @@ type Client struct {
 	BaseURL string
 	// HTTP is the underlying client; nil uses http.DefaultClient.
 	HTTP *http.Client
+
+	// txn caches the parsed transaction URL for the BaseURL it was
+	// parsed from.
+	txn atomic.Pointer[txnURL]
+}
+
+// txnURL is a parsed POST /v1/txn target.
+type txnURL struct {
+	base string
+	u    *url.URL
 }
 
 // Option configures a Client at construction time.
@@ -74,19 +91,75 @@ func New(baseURL string, opts ...Option) *Client {
 // A non-2xx status becomes an error carrying the server's message; ctx
 // cancellation or deadline expiry aborts the request.
 func (c *Client) Do(ctx context.Context, req *server.Request) (*server.Response, error) {
-	body, err := json.Marshal(req)
+	scratch := getBuf()
+	enc, err := appendRequest((*scratch)[:0], req)
+	*scratch = enc
+	// The body gets a buffer of its own: the transport may read it after
+	// Do returns, and a *bytes.Reader lets it send headers and body in
+	// one write.
+	body := append([]byte(nil), enc...)
+	putBuf(scratch)
 	if err != nil {
 		return nil, err
 	}
-	data, err := c.post(ctx, "/v1/txn", body)
+	u, err := c.txnTarget()
 	if err != nil {
 		return nil, err
 	}
-	var resp server.Response
-	if err := unmarshalNumbers(data, &resp); err != nil {
+	header := jsonHeader
+	if c.client().Jar != nil {
+		// A cookie jar adds to the request's header: give it its own.
+		header = http.Header{"Content-Type": jsonHeader["Content-Type"]}
+	}
+	hreq := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           u,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        header,
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		ContentLength: int64(len(body)),
+		Host:          u.Host,
+	}).WithContext(ctx)
+	httpResp, err := c.client().Do(hreq)
+	if err != nil {
+		return nil, err
+	}
+	defer httpResp.Body.Close()
+	buf := getBuf()
+	defer putBuf(buf)
+	data, err := readAll(httpResp.Body, (*buf)[:0])
+	*buf = data
+	if err != nil {
+		return nil, err
+	}
+	if httpResp.StatusCode != http.StatusOK {
+		return nil, decodeError(httpResp.StatusCode, data)
+	}
+	resp, err := decodeResponse(data)
+	if err != nil {
 		return nil, fmt.Errorf("client: bad response: %w", err)
 	}
-	return &resp, nil
+	return resp, nil
+}
+
+// jsonHeader is the header of every transaction POST, shared read-only
+// (a request's header is only written by a cookie jar).
+var jsonHeader = http.Header{"Content-Type": {"application/json"}}
+
+// txnTarget returns the parsed transaction URL, parsing it again only
+// when BaseURL changed.
+func (c *Client) txnTarget() (*url.URL, error) {
+	if t := c.txn.Load(); t != nil && t.base == c.BaseURL {
+		return t.u, nil
+	}
+	u, err := url.Parse(c.BaseURL + "/v1/txn")
+	if err != nil {
+		return nil, err
+	}
+	c.txn.Store(&txnURL{base: c.BaseURL, u: u})
+	return u, nil
 }
 
 // Insert submits insert rel s t as a one-op transaction and reports the
@@ -112,8 +185,11 @@ func (c *Client) Count(ctx context.Context, rel string, s map[string]any) (int, 
 	return *res.Count, nil
 }
 
-// Query submits query rel s out and returns the projected rows. An empty
-// result arrives without a rows field and is returned as nil rows.
+// Query submits query rel s out and returns the projected rows, one
+// column→value map each. Numbers arrive as json.Number, so integer keys
+// keep their exact digits (convert with Int64 or Float64); strings and
+// booleans arrive as string and bool. An empty result arrives without a
+// rows field and is returned as nil rows.
 func (c *Client) Query(ctx context.Context, rel string, s map[string]any, out ...string) ([]map[string]any, error) {
 	res, err := c.doOne(ctx, server.Op{Kind: server.OpQuery, Rel: rel, S: s, Out: out})
 	if err != nil {
@@ -175,16 +251,6 @@ func (c *Client) Healthy(ctx context.Context) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// post issues a context-bound POST and returns the 200 body.
-func (c *Client) post(ctx context.Context, path string, body []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.roundTrip(req)
-}
-
 // get issues a context-bound GET and returns the 200 body.
 func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
@@ -219,9 +285,9 @@ func (c *Client) client() *http.Client {
 	return http.DefaultClient
 }
 
-// unmarshalNumbers unmarshals with UseNumber so row values keep integer
-// identity (int64, not float64) across the wire — the same discipline the
-// server applies to request bodies.
+// unmarshalNumbers unmarshals with UseNumber, so a row value that is a
+// number arrives as a json.Number holding the server's exact digits,
+// never as a float64 that would round integers beyond 2^53.
 func unmarshalNumbers(data []byte, into any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
