@@ -10,8 +10,10 @@
 # protocol fail loudly. Last re-measured at core 87.3%, locks 89.8%,
 # container 98.9–99.1%, query 77.9%, after the single-relation commit bodies
 # were deleted and Relation.Batch began running the shard-list bodies
-# (core floor raised 85.5 → 86.0). Raise the floor when coverage
-# improves; never lower it to make a PR pass.
+# (core floor raised 85.5 → 86.0). The wire packages joined when the
+# request scanner and reply codec replaced encoding/json on the crsd path,
+# measured at server 90.6%, client 57.5%, wirejson 87.2%. Raise the floor
+# when coverage improves; never lower it to make a PR pass.
 set -euo pipefail
 
 declare -A floors=(
@@ -19,6 +21,9 @@ declare -A floors=(
   ["./internal/locks/"]=89.5
   ["./internal/container/"]=97.0
   ["./internal/query/"]=76.0
+  ["./internal/server/"]=88.5
+  ["./internal/server/client/"]=55.5
+  ["./internal/server/wirejson/"]=85.0
 )
 
 status=0

@@ -9,10 +9,11 @@
 // first, so open-loop callers can enforce per-request deadlines without
 // giving up the shared connection pool.
 //
-// Do writes a request with the wire package's append encoders into a
-// pooled buffer, byte for byte what json.Marshal writes, and reads the
-// reply with a scanner for the Response grammar the server emits
-// (codec.go), falling back to encoding/json for any reply outside it.
+// Do encodes a request with server.AppendRequest into pooled scratch
+// space, byte for byte what json.Marshal writes, and decodes the reply
+// with server.DecodeResponse, which scans the grammar the server emits
+// without reflection. Row values that are numbers arrive as json.Number,
+// as json.Decoder with UseNumber delivers them.
 package client
 
 import (
@@ -92,7 +93,7 @@ func New(baseURL string, opts ...Option) *Client {
 // cancellation or deadline expiry aborts the request.
 func (c *Client) Do(ctx context.Context, req *server.Request) (*server.Response, error) {
 	scratch := getBuf()
-	enc, err := appendRequest((*scratch)[:0], req)
+	enc, err := server.AppendRequest((*scratch)[:0], req)
 	*scratch = enc
 	// The body gets a buffer of its own: the transport may read it after
 	// Do returns, and a *bytes.Reader lets it send headers and body in
@@ -137,7 +138,7 @@ func (c *Client) Do(ctx context.Context, req *server.Request) (*server.Response,
 	if httpResp.StatusCode != http.StatusOK {
 		return nil, decodeError(httpResp.StatusCode, data)
 	}
-	resp, err := decodeResponse(data)
+	resp, err := server.DecodeResponse(data)
 	if err != nil {
 		return nil, fmt.Errorf("client: bad response: %w", err)
 	}
@@ -283,15 +284,6 @@ func (c *Client) client() *http.Client {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-// unmarshalNumbers unmarshals with UseNumber, so a row value that is a
-// number arrives as a json.Number holding the server's exact digits,
-// never as a float64 that would round integers beyond 2^53.
-func unmarshalNumbers(data []byte, into any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	return dec.Decode(into)
 }
 
 // decodeError turns an error reply into a Go error.

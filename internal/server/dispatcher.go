@@ -153,6 +153,7 @@ type Dispatcher struct {
 
 	mu      sync.Mutex
 	pending []*txnReq
+	spare   []*txnReq // a committed window's slice, reused by the next
 	timer   *time.Timer
 	gen     uint64 // window generation; a stale timer firing is a no-op
 	closed  bool
@@ -273,7 +274,7 @@ func (d *Dispatcher) submit(tr *txnReq) error {
 // result to commitGroup (which balances the WaitGroup).
 func (d *Dispatcher) takeLocked() []*txnReq {
 	batch := d.pending
-	d.pending = nil
+	d.pending, d.spare = d.spare, nil
 	d.gen++
 	if d.timer != nil {
 		d.timer.Stop()
@@ -417,6 +418,17 @@ func (d *Dispatcher) commitGroup(batch []*txnReq) {
 		d.commitLatency.Record(time.Since(c.arrived))
 		c.done <- struct{}{}
 	}
+	d.recycle(batch)
+}
+
+// recycle keeps a committed window's slice for the next window.
+func (d *Dispatcher) recycle(batch []*txnReq) {
+	clear(batch)
+	d.mu.Lock()
+	if d.spare == nil {
+		d.spare = batch[:0]
+	}
+	d.mu.Unlock()
 }
 
 // commitEach is the degraded path: each request of an aborted window

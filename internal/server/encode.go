@@ -1,55 +1,24 @@
-package client
+package server
 
-// The client's codec: requests are append-encoded into pooled buffers,
-// replies scanned without reflection. Both follow encoding/json exactly —
-// appendRequest writes json.Marshal's bytes, and decodeResponse returns
-// what json.Decoder with UseNumber returns — so the server sees the same
-// bytes and callers the same values as before the codec existed.
+// The Go client's half of the codec: AppendRequest writes a Request as
+// json.Marshal would, and DecodeResponse reads a reply as json.Decoder
+// with UseNumber would, neither through reflection. FuzzReply and
+// FuzzDecodeRequest hold both to encoding/json.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"strconv"
-	"sync"
 
-	"repro/internal/server"
 	"repro/internal/server/wirejson"
 )
 
-// maxPooledBuf caps the buffers the pools keep.
-const maxPooledBuf = 64 << 10
-
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-func putBuf(b *[]byte) {
-	if cap(*b) <= maxPooledBuf {
-		bufPool.Put(b)
-	}
-}
-
-// readAll reads r to its end, appending to buf.
-func readAll(r io.Reader, buf []byte) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
-// appendRequest appends req as json.Marshal encodes it: struct fields in
-// declaration order, empty s, t and out omitted, map keys sorted.
-func appendRequest(b []byte, req *server.Request) ([]byte, error) {
+// AppendRequest appends req as json.Marshal encodes it — struct fields
+// in declaration order, empty s, t and out omitted, map keys sorted — so
+// a client can write requests into a reused buffer. Its errors are
+// Marshal's (an unsupported value, a NaN).
+func AppendRequest(b []byte, req *Request) ([]byte, error) {
 	b = append(b, `{"ops":`...)
 	if req.Ops == nil {
 		return append(b, "null}"...), nil
@@ -119,16 +88,20 @@ func appendMap(b []byte, m map[string]any) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// decodeResponse decodes a 200 reply. Replies in the grammar the server
-// writes take the scanner; anything else — unknown or duplicate members,
-// different case, nulls, exotic values — goes to encoding/json, so
-// either way the result is what json.Decoder with UseNumber returns.
-func decodeResponse(data []byte) (*server.Response, error) {
+// DecodeResponse decodes a Response document as json.Decoder with
+// UseNumber would: row values that are numbers arrive as json.Number
+// with the server's exact digits. Replies in the grammar the server
+// writes (reply.go) take a reflection-free scanner; anything else —
+// unknown or duplicate members, different case, nulls, exotic values —
+// goes to encoding/json, so either way the result is the same.
+func DecodeResponse(data []byte) (*Response, error) {
 	if resp := scanResponse(data); resp != nil {
 		return resp, nil
 	}
-	var resp server.Response
-	if err := unmarshalNumbers(data, &resp); err != nil {
+	var resp Response
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	if err := dec.Decode(&resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -136,17 +109,17 @@ func decodeResponse(data []byte) (*server.Response, error) {
 
 // replyBox holds a reply with up to four results in one allocation.
 type replyBox struct {
-	resp    server.Response
-	results [4]server.OpResult
+	resp    Response
+	results [4]OpResult
 	applied [4]bool
 	counts  [4]int
 }
 
 // errOffGrammar aborts the scanner when a reply leaves the grammar.
-var errOffGrammar = errors.New("client: reply outside the scanned grammar")
+var errOffGrammar = errors.New("server: reply outside the scanned grammar")
 
 // scanResponse scans a reply in the server's grammar, or returns nil.
-func scanResponse(data []byte) *server.Response {
+func scanResponse(data []byte) *Response {
 	var l wirejson.Lexer
 	l.Reset(data)
 	box := &replyBox{}
@@ -171,7 +144,7 @@ func scanResponse(data []byte) *server.Response {
 			}
 			return l.Array(func() error {
 				i := len(resp.Results)
-				resp.Results = append(resp.Results, server.OpResult{})
+				resp.Results = append(resp.Results, OpResult{})
 				return scanResult(&l, box, i)
 			})
 		case string(name) == "batch_seq":

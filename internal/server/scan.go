@@ -103,16 +103,14 @@ func (tr *txnReq) scan(cat *catalog, body []byte, single opKind) error {
 	if err == nil && len(tr.ops) == 0 {
 		err = opError{errors.New("server: empty transaction")}
 	}
-	var oe opError
-	switch {
-	case err == nil:
+	if err == nil {
 		tr.seal()
 		return nil
-	case errors.As(err, &oe):
-		return oe.error
-	default:
-		return fmt.Errorf("server: bad request body: %w", err)
 	}
+	if oe := new(opError); errors.As(err, oe) {
+		return oe.error
+	}
+	return fmt.Errorf("server: bad request body: %w", err)
 }
 
 // scanDoc scans the document and checks that nothing follows it.
