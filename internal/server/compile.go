@@ -270,6 +270,9 @@ func newTxnReq() *txnReq { return &txnReq{done: make(chan struct{}, 1)} }
 // body, reply or query result does not stay live in the pool.
 const maxPooledBuf = 64 << 10
 
+// maxPooledOps caps the ops a pooled request keeps slots for.
+const maxPooledOps = 256
+
 // reset readies a request for reuse, dropping its references to the
 // previous request's values.
 func (tr *txnReq) reset() {
@@ -285,6 +288,12 @@ func (tr *txnReq) reset() {
 	tr.ops = tr.ops[:0]
 	clear(tr.vals)
 	tr.vals = tr.vals[:0]
+	if cap(tr.ops) > maxPooledOps {
+		tr.ops, tr.yields = nil, nil
+	}
+	if cap(tr.vals) > maxPooledBuf/16 {
+		tr.vals = nil
+	}
 	if cap(tr.body) > maxPooledBuf {
 		tr.body = nil
 	}

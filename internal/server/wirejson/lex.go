@@ -35,11 +35,18 @@ type Lexer struct {
 	scratch []byte
 }
 
-// Reset points the lexer at the start of data.
+// Reset points the lexer at the start of data. Scratch space beyond
+// maxScratch is released rather than kept for the next document.
 func (l *Lexer) Reset(data []byte) {
 	l.data, l.pos, l.depth = data, 0, 0
 	l.scratch = l.scratch[:0]
+	if cap(l.scratch) > maxScratch {
+		l.scratch = nil
+	}
 }
+
+// maxScratch is the most scratch space a Lexer keeps across Resets.
+const maxScratch = 64 << 10
 
 // Offset reports how many bytes of the document have been consumed.
 func (l *Lexer) Offset() int { return l.pos }
