@@ -15,8 +15,7 @@ import (
 // group commit and reply encoding, plus the engine's work and the three
 // the harness makes per run (the request copy, its body reader and
 // body). What remains of the server's own share is the boxed values an
-// insert stores. The compiled wire path took the counts from 94 / 48 /
-// 81 (the JSON-decode, tuple-compile and probe pipeline) to 16 / 3 / 3.
+// insert stores.
 var wireAllocCeiling = map[string]float64{
 	"insert": 16,
 	"count":  3,

@@ -123,20 +123,12 @@ func (c *Client) Do(ctx context.Context, req *server.Request) (*server.Response,
 		ContentLength: int64(len(body)),
 		Host:          u.Host,
 	}).WithContext(ctx)
-	httpResp, err := c.client().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer httpResp.Body.Close()
 	buf := getBuf()
 	defer putBuf(buf)
-	data, err := readAll(httpResp.Body, (*buf)[:0])
+	data, err := c.roundTrip(hreq, (*buf)[:0])
 	*buf = data
 	if err != nil {
 		return nil, err
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, decodeError(httpResp.StatusCode, data)
 	}
 	resp, err := server.DecodeResponse(data)
 	if err != nil {
@@ -258,22 +250,24 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.roundTrip(req)
+	return c.roundTrip(req, nil)
 }
 
-// roundTrip executes the request and maps non-200 replies to errors.
-func (c *Client) roundTrip(req *http.Request) ([]byte, error) {
+// roundTrip executes the request, appends the reply body to buf, and
+// maps non-200 replies to errors. The body is returned with the error
+// too, so a caller can hand a pooled buf back either way.
+func (c *Client) roundTrip(req *http.Request, buf []byte) ([]byte, error) {
 	httpResp, err := c.client().Do(req)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
 	defer httpResp.Body.Close()
-	data, err := io.ReadAll(httpResp.Body)
+	data, err := readAll(httpResp.Body, buf)
 	if err != nil {
-		return nil, err
+		return data, err
 	}
 	if httpResp.StatusCode != http.StatusOK {
-		return nil, decodeError(httpResp.StatusCode, data)
+		return data, decodeError(httpResp.StatusCode, data)
 	}
 	return data, nil
 }

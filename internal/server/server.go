@@ -5,9 +5,9 @@ package server
 // request (scan.go) and parks it in the dispatcher's window, so whether
 // a request arrived via POST /v1/txn or one of the single-op
 // conveniences, it coalesces with whatever else the window holds; the
-// reply is append-encoded into the same request's buffer (reply.go). cmd/crsd is a flag
-// wrapper around New + ListenAndServe; tests start the same Server
-// in-process on a random port.
+// reply is append-encoded into the same request's buffer (reply.go).
+// cmd/crsd is a flag wrapper around New + ListenAndServe; tests start
+// the same Server in-process on a random port.
 
 import (
 	"context"

@@ -19,9 +19,9 @@ import (
 	"unicode/utf8"
 )
 
-// MaxDepth is the deepest nesting of objects and arrays the lexer
+// maxDepth is the deepest nesting of objects and arrays the lexer
 // accepts, encoding/json's limit.
-const MaxDepth = 10000
+const maxDepth = 10000
 
 // Lexer walks one JSON document held in memory. The zero value is ready
 // for Reset. A Lexer is not safe for concurrent use.
@@ -65,8 +65,8 @@ func (l *Lexer) Peek() byte {
 	return 0
 }
 
-// Eat consumes c if it is the next non-space byte.
-func (l *Lexer) Eat(c byte) bool {
+// eat consumes c if it is the next non-space byte.
+func (l *Lexer) eat(c byte) bool {
 	if l.Peek() == c && l.pos < len(l.data) {
 		l.pos++
 		return true
@@ -102,13 +102,13 @@ func quoteChar(c byte) string {
 // Object consumes an object, calling member once per member with its
 // unescaped name; member must consume the member's value.
 func (l *Lexer) Object(member func(name []byte) error) error {
-	if !l.Eat('{') {
+	if !l.eat('{') {
 		return l.unexpected("looking for beginning of object")
 	}
-	if l.depth++; l.depth > MaxDepth {
+	if l.depth++; l.depth > maxDepth {
 		return l.errorf("exceeded max depth")
 	}
-	if !l.Eat('}') {
+	if !l.eat('}') {
 		for {
 			if l.Peek() != '"' {
 				return l.unexpected("looking for beginning of object key string")
@@ -117,16 +117,16 @@ func (l *Lexer) Object(member func(name []byte) error) error {
 			if err != nil {
 				return err
 			}
-			if !l.Eat(':') {
+			if !l.eat(':') {
 				return l.unexpected("after object key")
 			}
 			if err := member(name); err != nil {
 				return err
 			}
-			if l.Eat(',') {
+			if l.eat(',') {
 				continue
 			}
-			if !l.Eat('}') {
+			if !l.eat('}') {
 				return l.unexpected("after object key:value pair")
 			}
 			break
@@ -139,21 +139,21 @@ func (l *Lexer) Object(member func(name []byte) error) error {
 // Array consumes an array, calling elem once per element; elem must
 // consume the element.
 func (l *Lexer) Array(elem func() error) error {
-	if !l.Eat('[') {
+	if !l.eat('[') {
 		return l.unexpected("looking for beginning of array")
 	}
-	if l.depth++; l.depth > MaxDepth {
+	if l.depth++; l.depth > maxDepth {
 		return l.errorf("exceeded max depth")
 	}
-	if !l.Eat(']') {
+	if !l.eat(']') {
 		for {
 			if err := elem(); err != nil {
 				return err
 			}
-			if l.Eat(',') {
+			if l.eat(',') {
 				continue
 			}
-			if !l.Eat(']') {
+			if !l.eat(']') {
 				return l.unexpected("after array element")
 			}
 			break
