@@ -435,6 +435,17 @@ func FuzzReply(f *testing.F) {
 		if err := d.submit(tr); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
+		// Remove the rows again, so a long fuzz run does not grow the
+		// registry.
+		defer func() {
+			var ops []Op
+			for _, k := range []any{s, n, b} {
+				ops = append(ops, Op{Kind: OpRemove, Rel: "kv", S: map[string]any{"g": group, "k": k}})
+			}
+			if _, err := d.Submit(&Request{Ops: ops}); err != nil {
+				t.Fatalf("clean-up: %v", err)
+			}
+		}()
 		reply, appendErr := tr.appendReply(nil)
 		var enc bytes.Buffer
 		encodeErr := json.NewEncoder(&enc).Encode(tr.response())
