@@ -12,7 +12,7 @@
 # were deleted and Relation.Batch began running the shard-list bodies
 # (core floor raised 85.5 → 86.0). The wire packages joined when the
 # request scanner and reply codec replaced encoding/json on the crsd path,
-# measured at server 90.6%, client 57.5%, wirejson 87.2%. Raise the floor
+# measured at server 90.4%, client 61.4%, wirejson 86.9%. Raise the floor
 # when coverage improves; never lower it to make a PR pass.
 set -euo pipefail
 
@@ -22,7 +22,7 @@ declare -A floors=(
   ["./internal/container/"]=97.0
   ["./internal/query/"]=76.0
   ["./internal/server/"]=88.5
-  ["./internal/server/client/"]=55.5
+  ["./internal/server/client/"]=59.5
   ["./internal/server/wirejson/"]=85.0
 )
 
