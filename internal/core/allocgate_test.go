@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/container"
+	"repro/internal/decomp"
 	"repro/internal/locks"
 	"repro/internal/rel"
 )
@@ -185,4 +186,89 @@ func TestSteadyStateRegistryBatchZeroAllocs(t *testing.T) {
 			t.Errorf("%s: steady-state registry batch allocates %.0f objects per run, want 0", c.name, avg)
 		}
 	}
+}
+
+// TestSteadyStateSingleOpZeroAllocs is the alloc gate on the single-op
+// path of Figure 5's Split 4 (a ConcurrentHashMap of TreeMaps, the root
+// striped 1024 ways): a warm successor count, predecessor count, remove
+// of an absent edge and insert of a present one, each through the
+// prepared row API the graph benchmark drives, with auditing off. None of
+// them changes the relation, so each call's allocations are its own.
+func TestSteadyStateSingleOpZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate measures the production build")
+	}
+	SetAudit(false)
+	defer SetAudit(true)
+	r := splitRel(t, container.ConcurrentHashMap, container.TreeMap, func(d *decomp.Decomposition) *locks.Placement {
+		p := locks.NewPlacement(d).SetStripes(d.Root, 1024)
+		for _, e := range d.Root.Out {
+			p.Place(e, d.Root, e.Cols...)
+		}
+		return p
+	})
+	for src := 0; src < 16; src++ {
+		for dst := 0; dst < 64; dst += 2 {
+			if _, err := r.Insert(rel.T("src", src, "dst", dst), rel.T("weight", src+dst)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	succ, err := r.PrepareQuery([]string{"src"}, []string{"dst", "weight"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := r.PrepareQuery([]string{"dst"}, []string{"src", "weight"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := r.PrepareInsert([]string{"dst", "src"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rem, err := r.PrepareRemove([]string{"dst", "src"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.Schema()
+	row := func(kv ...any) rel.Row {
+		x := s.NewRow()
+		for i := 0; i < len(kv); i += 2 {
+			x.Set(s.MustIndex(kv[i].(string)), rel.Value(kv[i+1]))
+		}
+		return x
+	}
+	srcRow, dstRow := row("src", int64(3)), row("dst", int64(10))
+	absent := row("src", int64(3), "dst", int64(11))
+	present := row("src", int64(3), "dst", int64(10), "weight", int64(13))
+	cases := []struct {
+		name string
+		op   func() (int, error)
+		want int
+	}{
+		{"successor count", func() (int, error) { return succ.CountRow(srcRow) }, 32},
+		{"predecessor count", func() (int, error) { return pred.CountRow(dstRow) }, 16},
+		{"absent remove", func() (int, error) { ok, err := rem.ExecRow(absent); return b2i(ok), err }, 0},
+		{"present insert", func() (int, error) { ok, err := ins.ExecRow(present); return b2i(ok), err }, 0},
+	}
+	for _, c := range cases {
+		run := func() {
+			if n, err := c.op(); err != nil || n != c.want {
+				t.Fatalf("%s = %d, %v; want %d", c.name, n, err, c.want)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			run()
+		}
+		if avg := testing.AllocsPerRun(100, run); avg > 2 {
+			t.Errorf("%s: steady-state single op allocates %.0f objects per run, want at most 2", c.name, avg)
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
