@@ -11,7 +11,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -353,9 +353,9 @@ func (t *Txn) BeginWriteEpochs(arr *Array, out []*Lock) []*Lock {
 func (t *Txn) HeldCount() int { return len(t.held) }
 
 // Acquire takes every lock in batch in mode m, honoring the global order.
-// The batch is sorted by ID unless preSorted is true (the §5.2
-// sort-elision optimization for scans over sorted containers; the order is
-// still verified). Locks already held are skipped; requesting Exclusive on
+// The batch is sorted by ID, without allocating, unless preSorted is true
+// (the §5.2 sort-elision optimization for scans over sorted containers;
+// the order is still verified). Locks already held are skipped; requesting Exclusive on
 // a lock held Shared panics, because upgrades can deadlock and the planner
 // must have requested the stronger mode up front.
 func (t *Txn) Acquire(batch []*Lock, m Mode, preSorted bool) {
@@ -367,7 +367,7 @@ func (t *Txn) Acquire(batch []*Lock, m Mode, preSorted bool) {
 	}
 	if len(batch) > 1 {
 		if !preSorted {
-			sort.Slice(batch, func(i, j int) bool { return compareLocks(batch[i], batch[j]) < 0 })
+			slices.SortFunc(batch, compareLocks)
 		} else {
 			for i := 1; i < len(batch); i++ {
 				if compareLocks(batch[i-1], batch[i]) > 0 {

@@ -2,7 +2,7 @@ package locks
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file implements multi-operation lock-set coalescing, the locking
@@ -68,22 +68,12 @@ func (t *Txn) AcquireSet(s *LockSet) {
 	if len(reqs) == 0 {
 		return
 	}
-	// Sort by the precomputed lock-ID byte encoding: closure-free
-	// insertion sort for the typical small per-node round (keeps the batch
-	// hot path allocation-free), falling back to sort.Slice for large
-	// rounds (e.g. all-stripe scans), where quadratic insertion would
-	// dominate. Byte comparison replaces the old dynamic key walk — the
-	// ROADMAP's "cheaper batch scheduling" item — and is what makes the
+	// Sort by the precomputed lock-ID byte encoding; slices.SortFunc
+	// allocates nothing, which keeps the batch hot path allocation-free.
+	// Byte comparison replaces the old dynamic key walk — the ROADMAP's
+	// "cheaper batch scheduling" item — and is what makes the
 	// registry-wide (relation, node, inst, stripe) order one memcmp.
-	if len(reqs) <= 32 {
-		for i := 1; i < len(reqs); i++ {
-			for j := i; j > 0 && compareLocks(reqs[j].L, reqs[j-1].L) < 0; j-- {
-				reqs[j], reqs[j-1] = reqs[j-1], reqs[j]
-			}
-		}
-	} else {
-		sort.Slice(reqs, func(i, j int) bool { return compareLocks(reqs[i].L, reqs[j].L) < 0 })
-	}
+	slices.SortFunc(reqs, func(a, b Req) int { return compareLocks(a.L, b.L) })
 	for i := 0; i < len(reqs); i++ {
 		l, m := reqs[i].L, reqs[i].M
 		// Merge duplicate requests for the same lock: exclusive wins.

@@ -1,6 +1,6 @@
 package locks
 
-import "sort"
+import "slices"
 
 // This file implements the read-set of the optimistic read protocol: the
 // §4.5 speculative idea — read without the lock, validate afterwards —
@@ -54,23 +54,14 @@ func (s *ReadSet) Record(l *Lock) bool {
 	return true
 }
 
-// sort puts the entries in the global lock order, once per set: a
-// closure-free insertion sort for the typical small set (keeps the
-// standalone optimistic read path allocation-free), sort.Slice beyond.
+// sort puts the entries in the global lock order, once per set, without
+// allocating, so the standalone optimistic read path stays
+// allocation-free.
 func (s *ReadSet) sort() {
 	if s.sorted {
 		return
 	}
-	es := s.entries
-	if len(es) <= 16 {
-		for i := 1; i < len(es); i++ {
-			for j := i; j > 0 && compareLocks(es[j].L, es[j-1].L) < 0; j-- {
-				es[j], es[j-1] = es[j-1], es[j]
-			}
-		}
-	} else {
-		sort.Slice(es, func(i, j int) bool { return compareLocks(es[i].L, es[j].L) < 0 })
-	}
+	slices.SortFunc(s.entries, func(a, b ReadEntry) int { return compareLocks(a.L, b.L) })
 	s.sorted = true
 }
 

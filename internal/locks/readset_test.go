@@ -145,9 +145,9 @@ func TestHoldsExclusive(t *testing.T) {
 	}
 }
 
-// TestReadSetLargeSort drives the sort.Slice arm of the read-set sort (17+
-// entries, recorded in descending lock order) and the duplicate-collapse
-// rule on the sorted result.
+// TestReadSetLargeSort sorts a large read set (entries recorded in
+// descending lock order) and checks the duplicate-collapse rule on the
+// sorted result.
 func TestReadSetLargeSort(t *testing.T) {
 	const n = 24
 	ls := NewArray(1, 0, rel.KeyOver(nil), n)
