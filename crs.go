@@ -6,8 +6,8 @@
 // of functional dependencies, and four atomic operations (insert, remove,
 // query, plus construction). The library synthesizes the representation:
 // a decomposition of the relation into cooperating container data
-// structures (hash maps, red-black trees, concurrent hash maps, lazy
-// concurrent skip lists, copy-on-write maps, singleton cells), a lock
+// structures (hash maps, B-trees, concurrent hash maps, lazy concurrent
+// skip lists, copy-on-write maps, singleton cells), a lock
 // placement (coarse, fine, striped, or speculative) mapping every logical
 // lock onto physical locks, and query/mutation plans whose two-phase,
 // globally ordered lock acquisition makes every operation serializable

@@ -304,8 +304,8 @@ func TestHeterogeneousKeys(t *testing.T) {
 }
 
 func TestTreeMapDeleteStress(t *testing.T) {
-	// Dedicated LLRB torture: interleaved inserts and deletes in several
-	// adversarial orders, checking sorted-scan integrity throughout.
+	// Deletes in several adversarial orders, each followed by a full
+	// sorted-scan check, so borrows and merges run from either side.
 	orders := []string{"ascending", "descending", "shuffled"}
 	for _, order := range orders {
 		t.Run(order, func(t *testing.T) {
@@ -352,32 +352,34 @@ func treeMapDeleteStress(t *testing.T, order string, w int) {
 	}
 }
 
-// TestTreeMapDeleteKeepsScannedKeys pins the LLRB delete against the
-// inline key slot: deleting a node with two children moves the
-// successor's node into its place instead of copying the successor's key
-// into it, so a key view a Scan yielded before the delete still reads the
-// same key afterwards.
+// TestTreeMapDeleteKeepsScannedKeys pins the B-tree delete against the
+// inline key slot: deleting an inner entry moves its predecessor's record
+// into its place, and borrowing and merging move records between nodes,
+// all by pointer and never by copying a key, so a key view a Scan yielded
+// before the delete still reads the same key afterwards. The large size
+// makes deletes borrow and merge at every level.
 func TestTreeMapDeleteKeepsScannedKeys(t *testing.T) {
 	for _, w := range keyWidths {
 		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
-			m := New(TreeMap, w)
-			const n = 64
-			for i := 0; i < n; i++ {
-				m.Write(intKey(w, i), i)
-			}
-			r := rand.New(rand.NewSource(5))
-			for _, d := range r.Perm(n) {
-				var views []rel.Key
-				var want []int
-				m.Scan(func(k rel.Key, v any) bool {
-					views = append(views, k)
-					want = append(want, v.(int))
-					return true
-				})
-				m.Write(intKey(w, d), nil)
-				for i, k := range views {
-					if got := keyInt(k); got != want[i] {
-						t.Fatalf("deleting %d rewrote a scanned key: %d reads %d", d, want[i], got)
+			for _, n := range []int{64, 2000} {
+				m := New(TreeMap, w)
+				for i := 0; i < n; i++ {
+					m.Write(intKey(w, i), i)
+				}
+				r := rand.New(rand.NewSource(5))
+				for _, d := range r.Perm(n) {
+					var views []rel.Key
+					var want []int
+					m.Scan(func(k rel.Key, v any) bool {
+						views = append(views, k)
+						want = append(want, v.(int))
+						return true
+					})
+					m.Write(intKey(w, d), nil)
+					for i, k := range views {
+						if got := keyInt(k); got != want[i] {
+							t.Fatalf("deleting %d rewrote a scanned key: %d reads %d", d, want[i], got)
+						}
 					}
 				}
 			}
@@ -385,53 +387,184 @@ func TestTreeMapDeleteKeepsScannedKeys(t *testing.T) {
 	}
 }
 
-func TestLLRBInvariants(t *testing.T) {
-	// Red-black invariants: no red right links, no two reds in a row,
-	// equal black height on all paths.
-	m := New(TreeMap, 1).(*treeMap[oneKey, *oneKey])
+// TestBTreeInvariants drives random inserts and removes over enough keys
+// for a three-level tree and checks the structure as it goes: every node
+// but the root holds btMin to btMax entries (the root at least one), each
+// word is the order word of its record's key, words and keys ascend in
+// order through the whole tree, every leaf sits at the same depth, and
+// Len is the number of entries.
+func TestBTreeInvariants(t *testing.T) {
+	t.Run("w1", func(t *testing.T) { bTreeInvariants(t, New(TreeMap, 1).(*treeMap[oneKey, *oneKey]), 1) })
+	t.Run("w2", func(t *testing.T) { bTreeInvariants(t, New(TreeMap, 2).(*treeMap[wideKey, *wideKey]), 2) })
+}
+
+func bTreeInvariants[S any, P keySlot[S]](t *testing.T, m *treeMap[S, P], w int) {
 	r := rand.New(rand.NewSource(11))
-	check := func() {
-		if m.root == nil {
-			return
-		}
-		if m.root.red {
-			t.Fatal("root is red")
-		}
-		var verify func(h *llrb[oneKey]) int
-		verify = func(h *llrb[oneKey]) int {
-			if h == nil {
-				return 1
-			}
-			if isRed(h.right) {
-				t.Fatal("red right link")
-			}
-			if isRed(h) && isRed(h.left) {
-				t.Fatal("two reds in a row")
-			}
-			lh := verify(h.left)
-			rh := verify(h.right)
-			if lh != rh {
-				t.Fatalf("black height mismatch: %d vs %d", lh, rh)
-			}
-			if !isRed(h) {
-				lh++
-			}
-			return lh
-		}
-		verify(m.root)
-	}
-	for i := 0; i < 4000; i++ {
-		k := rel.NewKey(r.Intn(300))
-		if r.Intn(3) == 0 {
+	const keys = 3000
+	maxDepth := 0
+	for i := 0; i < 30000; i++ {
+		k := intKey(w, r.Intn(keys))
+		// Grow for the first half, then shrink, so both splits and merges
+		// cascade through every level.
+		if r.Intn(4) == 0 == (i < 15000) {
 			m.Write(k, nil)
 		} else {
 			m.Write(k, i)
 		}
 		if i%64 == 0 {
-			check()
+			checkBTree(t, m)
+			depth := 0
+			for nd := m.root; nd != nil && nd.kids != nil; nd = nd.kids[0] {
+				depth++
+			}
+			maxDepth = max(maxDepth, depth)
 		}
 	}
-	check()
+	checkBTree(t, m)
+	if maxDepth < 2 {
+		t.Fatalf("tree never grew past depth %d; the test does not reach inner-node splits", maxDepth)
+	}
+}
+
+// TestBTreeSplitPositions splits a full leaf root and a full inner root
+// with the new entry arriving at every position, before, at and after the
+// middle entry that moves up, and checks the tree and its contents after
+// each split.
+func TestBTreeSplitPositions(t *testing.T) {
+	for p := 0; p <= btMax; p++ {
+		// A leaf root of btMax keys 0, 1000, ...; the new key lands at p.
+		m := New(TreeMap, 1).(*treeMap[oneKey, *oneKey])
+		want := newModel()
+		write := func(i int) {
+			m.Write(rel.NewKey(i), i)
+			want.write(rel.NewKey(i), i)
+		}
+		for i := 0; i < btMax; i++ {
+			write(i * 1000)
+		}
+		write(p*1000 - 500)
+		if m.root.kids == nil {
+			t.Fatalf("position %d: the leaf root did not split", p)
+		}
+		checkBTree(t, m)
+		checkAgainst(t, m, want)
+
+		// Ascending inserts until the inner root is full, then inserts
+		// into child p until the root splits.
+		m = New(TreeMap, 1).(*treeMap[oneKey, *oneKey])
+		want = newModel()
+		for i := 0; m.root == nil || m.root.kids == nil || m.root.n < btMax; i++ {
+			write(i * 1000)
+		}
+		base := -1000
+		if p > 0 {
+			base = keyInt(m.root.recs[p-1].key.key())
+		}
+		for j := 1; m.root.n > 1; j++ {
+			write(base + j)
+		}
+		checkBTree(t, m)
+		checkAgainst(t, m, want)
+	}
+}
+
+// checkAgainst fails t unless m holds exactly the model's entries: Len,
+// Lookup of each, and a scan in key order.
+func checkAgainst(t *testing.T, m Map, want *modelMap) {
+	t.Helper()
+	keys := want.sortedKeys()
+	if m.Len() != len(keys) {
+		t.Fatalf("Len = %d, model holds %d", m.Len(), len(keys))
+	}
+	for _, k := range keys {
+		if v, ok := m.Lookup(k); !ok || v != want.entries[k.String()].val {
+			t.Fatalf("Lookup(%v) = %v, %v; model %v", k, v, ok, want.entries[k.String()].val)
+		}
+	}
+	i := 0
+	m.Scan(func(k rel.Key, v any) bool {
+		if i >= len(keys) || !k.Equal(keys[i]) {
+			t.Fatalf("scan entry %d is %v", i, k)
+		}
+		if wv, _ := want.lookup(k); v != wv {
+			t.Fatalf("scan entry %v = %v, want %v", k, v, wv)
+		}
+		i++
+		return true
+	})
+	if i != len(keys) {
+		t.Fatalf("scan yielded %d entries, want %d", i, len(keys))
+	}
+}
+
+// TestTreeMapZeroWidthKey stores the empty key, which orders before every
+// other and whose order word ties with nil's.
+func TestTreeMapZeroWidthKey(t *testing.T) {
+	m := New(TreeMap, 0)
+	m.Write(rel.NewKey(), "empty")
+	m.Write(rel.NewKey(nil), "nil")
+	if v, ok := m.Lookup(rel.NewKey()); !ok || v != "empty" {
+		t.Fatalf("Lookup(()) = %v, %v", v, ok)
+	}
+	var got []any
+	m.Scan(func(k rel.Key, v any) bool {
+		got = append(got, v)
+		return true
+	})
+	if len(got) != 2 || got[0] != "empty" || got[1] != "nil" {
+		t.Fatalf("scan = %v, want [empty nil]", got)
+	}
+}
+
+// checkBTree fails t unless m satisfies the B-tree invariants
+// TestBTreeInvariants lists.
+func checkBTree[S any, P keySlot[S]](t *testing.T, m *treeMap[S, P]) {
+	t.Helper()
+	if m.root == nil {
+		if m.Len() != 0 {
+			t.Fatalf("empty tree with Len %d", m.Len())
+		}
+		return
+	}
+	count, leafDepth := 0, -1
+	var prev *btRecord[S]
+	var verify func(nd *btNode[S], depth int)
+	verify = func(nd *btNode[S], depth int) {
+		if nd.n > btMax || nd.n < btMin && nd != m.root || nd.n < 1 {
+			t.Fatalf("node at depth %d holds %d entries", depth, nd.n)
+		}
+		for i := range nd.n {
+			if nd.kids != nil {
+				verify(nd.kids[i], depth+1)
+			}
+			rec := nd.recs[i]
+			want, _ := rel.OrderWord(P(&rec.key).key().At(0))
+			if nd.words[i] != want {
+				t.Fatalf("word %#x of key %v, want %#x", nd.words[i], P(&rec.key).key(), want)
+			}
+			if i > 0 && nd.words[i] < nd.words[i-1] {
+				t.Fatalf("words descend: %#x after %#x", nd.words[i], nd.words[i-1])
+			}
+			if prev != nil && P(&prev.key).compare(P(&rec.key).key()) >= 0 {
+				t.Fatalf("key %v after %v", P(&rec.key).key(), P(&prev.key).key())
+			}
+			prev = rec
+			count++
+		}
+		if nd.kids == nil {
+			if leafDepth < 0 {
+				leafDepth = depth
+			} else if depth != leafDepth {
+				t.Fatalf("leaves at depths %d and %d", leafDepth, depth)
+			}
+			return
+		}
+		verify(nd.kids[nd.n], depth+1)
+	}
+	verify(m.root, 0)
+	if count != m.Len() {
+		t.Fatalf("Len = %d, tree holds %d", m.Len(), count)
+	}
 }
 
 func TestCellSemantics(t *testing.T) {

@@ -55,8 +55,8 @@ type Kind int
 const (
 	// HashMap is a non-concurrent chained hash table.
 	HashMap Kind = iota
-	// TreeMap is a non-concurrent left-leaning red-black tree with sorted
-	// iteration.
+	// TreeMap is a non-concurrent B-tree with sorted iteration, whose
+	// nodes order their entries by inline order words (rel.OrderWord).
 	TreeMap
 	// ConcurrentHashMap is a segment-striped hash table with linearizable
 	// lookup/write and weakly consistent iteration.

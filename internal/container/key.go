@@ -27,6 +27,11 @@ type keySlot[S any] interface {
 	key() rel.Key
 	// compare orders the stored key against k as rel.CompareKeys does.
 	compare(k rel.Key) int
+	// word returns the order word of k among keys stored in slots of this
+	// layout: the rel.OrderWord of k's first column, exact only when no
+	// other stored key can share it. It does not read its receiver, so it
+	// may be called on a nil slot.
+	word(k rel.Key) (w uint64, exact bool)
 }
 
 // oneKey is the inline slot of a one-column key.
@@ -48,6 +53,20 @@ func (s *oneKey) compare(k rel.Key) int {
 	return rel.CompareKeys(s.key(), k)
 }
 
+func (*oneKey) word(k rel.Key) (uint64, bool) {
+	w, exact := firstWord(k)
+	return w, exact && k.Len() == 1
+}
+
+// firstWord is the order word of k's first column, or the lowest word
+// for the empty key, which orders before every other.
+func firstWord(k rel.Key) (uint64, bool) {
+	if k.Len() == 0 {
+		return 0, false
+	}
+	return rel.OrderWord(k.At(0))
+}
+
 // wideKey is the slot of a key of any width other than one: one owned copy.
 type wideKey struct{ k rel.Key }
 
@@ -56,3 +75,9 @@ func (s *wideKey) set(k rel.Key) { s.k = rel.NewKey(k.Values()...) }
 func (s *wideKey) key() rel.Key { return s.k }
 
 func (s *wideKey) compare(k rel.Key) int { return rel.CompareKeys(s.k, k) }
+
+// word is never exact: keys that share a first column differ in the rest.
+func (*wideKey) word(k rel.Key) (uint64, bool) {
+	w, _ := firstWord(k)
+	return w, false
+}

@@ -48,17 +48,7 @@ func AppendOrderedValue(dst []byte, v Value) []byte {
 		i, overflow := asInt(x)
 		return appendOrderedInt(dst, i, overflow)
 	case float64:
-		bits := math.Float64bits(x)
-		if x == 0 {
-			// Normalize -0.0: Compare treats it equal to +0.0.
-			bits = math.Float64bits(0)
-		}
-		if bits>>63 != 0 {
-			bits = ^bits
-		} else {
-			bits |= 1 << 63
-		}
-		return binary.BigEndian.AppendUint64(append(dst, ordTagFloat), bits)
+		return binary.BigEndian.AppendUint64(append(dst, ordTagFloat), orderedFloatBits(x))
 	case string:
 		dst = append(dst, ordTagString)
 		for i := 0; i < len(x); i++ {
