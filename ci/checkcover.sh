@@ -15,12 +15,14 @@
 # measured at server 90.4%, client 61.4%, wirejson 86.9%. The value
 # package joined when the TreeMap began ordering its nodes by rel.OrderWord,
 # measured at rel 79.1%, container 99.2% with the B-tree in place of the
-# red-black tree. Raise the floor when coverage improves; never lower it to
-# make a PR pass.
+# red-black tree. Re-measured when the plan caches became one plan table
+# per representation: core 87.3% → 87.6% (floor raised 86.0 → 86.2),
+# server 90.2% → 90.0% (its statement catalog went; floor kept). Raise the
+# floor when coverage improves; never lower it to make a PR pass.
 set -euo pipefail
 
 declare -A floors=(
-  ["./internal/core/"]=86.0
+  ["./internal/core/"]=86.2
   ["./internal/locks/"]=89.5
   ["./internal/container/"]=97.0
   ["./internal/query/"]=76.0

@@ -49,6 +49,10 @@
 // PreparedInsert.ExecRow and PreparedRemove.ExecRow are the mutation
 // analogs; PreparedQuery.ExecRows streams result rows under the query's
 // locks. The §6.2 benchmark adapters run on this path.
+// PrepareQueryMask, PrepareInsertMask and PrepareRemoveMask prepare from
+// schema masks instead of names and return the handle by value, for
+// callers that already hold an operation's shape as masks (crsd's request
+// compiler).
 //
 // # Batched transactions
 //

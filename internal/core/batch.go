@@ -261,14 +261,13 @@ const (
 type member struct {
 	kind memberKind
 
-	// Compiled plans: steps for queries and counts, ins/rem (+ the shared
-	// mut) for mutations.
+	// Compiled plans: steps for queries and counts, mut for mutations and
+	// ins for an insert's existence check.
 	steps     []query.Step
 	boundMask uint64
 	outIdx    []int
 	outCols   []string
-	ins       *insertPlan
-	rem       *removePlan
+	ins       *opPlan
 	mut       *query.MutationPlan
 	// qprog is the compiled round map of a query/count member's plan; its
 	// pointer doubles as the plan-identity key of the growing phase's
@@ -616,46 +615,44 @@ type BatchMutation interface {
 
 // batchEnqueue enqueues a prepared insert for the fully bound row x.
 func (p *PreparedInsert) batchEnqueue(t *Txn, x rel.Row) (*Pending[bool], error) {
-	if err := t.checkMutable(); err != nil {
-		return nil, err
-	}
-	sh, err := t.shardFor(p.r)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := p.resolve() // under the batch's representation latch
-	if err != nil {
-		return nil, err
-	}
-	if err := p.r.checkRow(x, p.r.fullMask); err != nil {
-		return nil, err
-	}
-	pb := sh.b.newPB()
-	m := t.newMember(sh, mInsert)
-	m.ins, m.mut, m.row, m.pb = plan, plan.mut, sh.b.copyRow(x), pb
-	return pb, nil
+	return t.enqueueMutRow(p.r, shape{kind: mInsert, bound: p.bound}, x, p.r.fullMask)
 }
 
 // batchEnqueue enqueues a prepared remove for a row binding the key.
 func (p *PreparedRemove) batchEnqueue(t *Txn, s rel.Row) (*Pending[bool], error) {
+	return t.enqueueMutRow(p.r, shape{kind: mRemove, bound: p.bound}, s, p.bound)
+}
+
+// enqueueMutRow enqueues a prepared mutation of shape shp over r, whose
+// row must bind exactly the columns of want.
+func (t *Txn) enqueueMutRow(r *Relation, shp shape, row rel.Row, want uint64) (*Pending[bool], error) {
 	if err := t.checkMutable(); err != nil {
 		return nil, err
 	}
-	sh, err := t.shardFor(p.r)
+	sh, err := t.shardFor(r)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := p.resolve() // under the batch's representation latch
+	p, err := r.planFor(shp) // under the batch's representation latch
 	if err != nil {
 		return nil, err
 	}
-	if err := p.r.checkRow(s, plan.mut.BoundMask); err != nil {
+	if err := r.checkRow(row, want); err != nil {
 		return nil, err
 	}
+	return t.enqueueMut(sh, shp.kind, p, sh.b.copyRow(row)), nil
+}
+
+// enqueueMut enqueues a mutation member running plan p over row, which
+// the member owns from here on.
+func (t *Txn) enqueueMut(sh *txnShard, kind memberKind, p *opPlan, row rel.Row) *Pending[bool] {
 	pb := sh.b.newPB()
-	m := t.newMember(sh, mRemove)
-	m.rem, m.mut, m.row, m.pb = plan, plan.mut, sh.b.copyRow(s), pb
-	return pb, nil
+	m := t.newMember(sh, kind)
+	if kind == mInsert {
+		m.ins = p
+	}
+	m.mut, m.row, m.pb = p.mut, row, pb
+	return pb
 }
 
 // ExecRow enqueues a prepared mutation (insert or remove) over a
@@ -673,18 +670,24 @@ func (t *Txn) CountRow(q *PreparedQuery, s rel.Row) (*Pending[int], error) {
 	if err != nil {
 		return nil, err
 	}
-	ps, err := q.plans() // under the batch's representation latch
+	plan, err := q.countPlan() // under the batch's representation latch
 	if err != nil {
 		return nil, err
 	}
-	if err := q.r.checkRow(s, ps.plan.BoundMask); err != nil {
+	if err := q.r.checkRow(s, q.bound); err != nil {
 		return nil, err
 	}
+	return t.enqueueCount(sh, plan, sh.b.copyRow(s)), nil
+}
+
+// enqueueCount enqueues a count member running plan over row, which the
+// member owns from here on.
+func (t *Txn) enqueueCount(sh *txnShard, plan *query.Plan, row rel.Row) *Pending[int] {
 	pi := sh.b.newPI()
 	m := t.newMember(sh, mCount)
-	m.steps, m.boundMask, m.qprog = ps.countPlan.Steps, ps.countPlan.BoundMask, ps.countPlan.Prog
-	m.row, m.pi = sh.b.copyRow(s), pi
-	return pi, nil
+	m.steps, m.boundMask, m.qprog = plan.Steps, plan.BoundMask, plan.Prog
+	m.row, m.pi = row, pi
+	return pi
 }
 
 // ExecRows enqueues a prepared query over a schema-indexed row; yield is
@@ -696,18 +699,25 @@ func (t *Txn) ExecRows(q *PreparedQuery, s rel.Row, yield func(rel.Row) bool) er
 	if err != nil {
 		return err
 	}
-	ps, err := q.plans() // under the batch's representation latch
+	plan, err := q.plan() // under the batch's representation latch
 	if err != nil {
 		return err
 	}
-	if err := q.r.checkRow(s, ps.plan.BoundMask); err != nil {
+	if err := q.r.checkRow(s, q.bound); err != nil {
 		return err
 	}
-	m := t.newMember(sh, mQuery)
-	m.steps, m.boundMask, m.qprog = ps.plan.Steps, ps.plan.BoundMask, ps.plan.Prog
-	m.outIdx, m.outCols = ps.plan.OutIdx, ps.plan.OutCols
-	m.row, m.yield = sh.b.copyRow(s), yield
+	m := t.enqueueQuery(sh, plan, sh.b.copyRow(s))
+	m.yield = yield
 	return nil
+}
+
+// enqueueQuery enqueues a query member running plan over row, which the
+// member owns from here on; the caller sets its result sink.
+func (t *Txn) enqueueQuery(sh *txnShard, plan *query.Plan, row rel.Row) *member {
+	m := t.newMember(sh, mQuery)
+	m.steps, m.boundMask, m.qprog = plan.Steps, plan.BoundMask, plan.Prog
+	m.outIdx, m.outCols, m.row = plan.OutIdx, plan.OutCols, row
+	return m
 }
 
 // Insert enqueues insert r s t (§2) by tuples against the transaction's
@@ -738,29 +748,15 @@ func (t *Txn) insertInto(sh *txnShard, s, tup rel.Tuple) (*Pending[bool], error)
 	if err := t.checkMutable(); err != nil {
 		return nil, err
 	}
-	r := sh.r
-	x, err := s.Union(tup)
+	shp, row, err := sh.r.insertRow(s, tup)
 	if err != nil {
 		return nil, err
 	}
-	if len(rel.ColsIntersect(s.Dom(), tup.Dom())) > 0 {
-		return nil, fmt.Errorf("core: insert requires disjoint s and t, both bind %v", rel.ColsIntersect(s.Dom(), tup.Dom()))
-	}
-	if !rel.ColsEqual(x.Dom(), r.spec.Columns) {
-		return nil, fmt.Errorf("core: insert tuple binds %v, want all of %v", x.Dom(), r.spec.Columns)
-	}
-	plan, err := r.insertPlanFor(s.Dom())
+	p, err := sh.r.planFor(shp)
 	if err != nil {
 		return nil, err
 	}
-	row, err := r.schema.RowFromTuple(x, nil)
-	if err != nil {
-		return nil, err
-	}
-	pb := sh.b.newPB()
-	m := t.newMember(sh, mInsert)
-	m.ins, m.mut, m.row, m.pb = plan, plan.mut, row, pb
-	return pb, nil
+	return t.enqueueMut(sh, mInsert, p, row), nil
 }
 
 // Remove enqueues remove r s (§2) by tuple against the transaction's
@@ -787,22 +783,11 @@ func (t *Txn) removeFrom(sh *txnShard, s rel.Tuple) (*Pending[bool], error) {
 	if err := t.checkMutable(); err != nil {
 		return nil, err
 	}
-	r := sh.r
-	if err := r.checkCols(s.Dom()); err != nil {
-		return nil, err
-	}
-	plan, err := r.removePlanFor(s.Dom())
+	p, row, err := sh.r.planTuple(mRemove, s, nil)
 	if err != nil {
 		return nil, err
 	}
-	row, err := r.schema.RowFromTuple(s, nil)
-	if err != nil {
-		return nil, err
-	}
-	pb := sh.b.newPB()
-	m := t.newMember(sh, mRemove)
-	m.rem, m.mut, m.row, m.pb = plan, plan.mut, row, pb
-	return pb, nil
+	return t.enqueueMut(sh, mRemove, p, row), nil
 }
 
 // Count enqueues a cardinality query |query r s C| by tuple against the
@@ -825,26 +810,11 @@ func (t *Txn) CountIn(r *Relation, s rel.Tuple) (*Pending[int], error) {
 }
 
 func (t *Txn) countIn(sh *txnShard, s rel.Tuple) (*Pending[int], error) {
-	r := sh.r
-	if err := r.checkCols(s.Dom()); err != nil {
-		return nil, err
-	}
-	plan, err := r.countPlanFor(s.Dom())
+	p, row, err := sh.r.planTuple(mCount, s, nil)
 	if err != nil {
 		return nil, err
 	}
-	row, err := r.schema.RowFromTuple(s, nil)
-	if err != nil {
-		return nil, err
-	}
-	if row.Mask() != plan.BoundMask {
-		return nil, fmt.Errorf("core: tuple %v does not bind the plan's columns", s)
-	}
-	pi := sh.b.newPI()
-	m := t.newMember(sh, mCount)
-	m.steps, m.boundMask, m.qprog = plan.Steps, plan.BoundMask, plan.Prog
-	m.row, m.pi = row, pi
-	return pi, nil
+	return t.enqueueCount(sh, p.q, row), nil
 }
 
 // Query enqueues query r s C by tuple against the transaction's relation;
@@ -868,26 +838,28 @@ func (t *Txn) QueryIn(r *Relation, s rel.Tuple, out ...string) (*Pending[[]rel.T
 }
 
 func (t *Txn) queryIn(sh *txnShard, s rel.Tuple, out []string) (*Pending[[]rel.Tuple], error) {
-	r := sh.r
-	if err := r.checkCols(s.Dom()); err != nil {
-		return nil, err
-	}
-	if err := r.checkCols(out); err != nil {
-		return nil, err
-	}
-	plan, err := r.queryPlanFor(s.Dom(), out)
-	if err != nil {
-		return nil, err
-	}
-	row, err := r.schema.RowFromTuple(s, nil)
+	p, row, err := sh.r.planTuple(mQuery, s, out)
 	if err != nil {
 		return nil, err
 	}
 	pt := &Pending[[]rel.Tuple]{}
-	m := t.newMember(sh, mQuery)
-	m.steps, m.boundMask, m.qprog = plan.Steps, plan.BoundMask, plan.Prog
-	m.outIdx, m.outCols, m.row, m.pt = plan.OutIdx, plan.OutCols, row, pt
+	t.enqueueQuery(sh, p.q, row).pt = pt
 	return pt, nil
+}
+
+// planTuple returns the plan of the kind's operation binding the columns
+// of s (and, for a query, projecting out) and s as a fresh row. The
+// caller holds the representation latch.
+func (r *Relation) planTuple(kind memberKind, s rel.Tuple, out []string) (*opPlan, rel.Row, error) {
+	p, err := r.planNamed(kind, s.Dom(), out)
+	if err != nil {
+		return nil, rel.Row{}, err
+	}
+	row, err := r.schema.RowFromTuple(s, nil)
+	if err != nil {
+		return nil, rel.Row{}, err
+	}
+	return p, row, nil
 }
 
 // commit2PL executes an assembled transaction under two-phase locking:
@@ -1288,7 +1260,7 @@ func (r *Relation) deliverMember(b *opBuf, m *member) {
 // (an earlier member may have inserted or removed the key), re-locate the
 // row's instances, and write.
 func (r *Relation) applyInsert(b *opBuf, m *member) bool {
-	states := r.runSteps(b, m.ins.exist.Steps, m.row, m.ins.exist.BoundMask)
+	states := r.runSteps(b, m.ins.q.Steps, m.row, m.ins.q.BoundMask)
 	exists := len(states) > 0
 	b.recycle(states)
 	if exists {

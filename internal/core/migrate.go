@@ -54,12 +54,13 @@ import (
 //     exclusivity means no operation is in flight and none can start.
 //     The residue of the tap is replayed (nothing new can arrive), the
 //     tap is removed, and the relation adopts tmp's representation in
-//     place: decomposition, placement, planner, root instance, compiled
-//     tables, plan caches and buffer pool swap under the latch, and the
-//     representation version bumps so prepared handles re-resolve their
-//     plans on next use. In-flight batches therefore never observe a
-//     half-migrated relation: they either completed against the old
-//     representation before the latch or start against the new one.
+//     place: decomposition, placement, root instance, compiled tables
+//     (the plan table among them) and buffer pool swap under the latch;
+//     prepared handles, which hold only their shapes, look their plans
+//     up in the adopted table on next use. In-flight batches therefore
+//     never observe a half-migrated relation: they either completed
+//     against the old representation before the latch or start against
+//     the new one.
 //
 // Crash contract: the representation choice is NOT persisted. The WAL
 // stays a purely logical redo log, so a crash at ANY point of a
@@ -279,7 +280,7 @@ func (g *Registry) Migrate(name string, opts ...SynthOption) (*MigrationEvent, e
 		return abort(err)
 	}
 	migrateStage("snapshot")
-	ins, err := tmp.insertPlanFor(tmp.spec.Columns)
+	ins, err := tmp.planFor(shape{kind: mInsert, bound: tmp.fullMask})
 	if err != nil {
 		return abort(err)
 	}
@@ -300,7 +301,7 @@ func (g *Registry) Migrate(name string, opts ...SynthOption) (*MigrationEvent, e
 		ops := tp.drain()
 		ev.CatchupOps += len(ops)
 		for i := range ops {
-			if aerr := tmp.applyRedo(ops[i]); aerr != nil {
+			if aerr := tmp.applyRedo(&ops[i]); aerr != nil {
 				return abort(aerr)
 			}
 		}
@@ -317,7 +318,7 @@ func (g *Registry) Migrate(name string, opts ...SynthOption) (*MigrationEvent, e
 	residue := tp.drain()
 	ev.CatchupOps += len(residue)
 	for i := range residue {
-		if aerr := tmp.applyRedo(residue[i]); aerr != nil {
+		if aerr := tmp.applyRedo(&residue[i]); aerr != nil {
 			g.migrMu.Unlock()
 			return abort(aerr)
 		}
@@ -336,51 +337,42 @@ func (g *Registry) Migrate(name string, opts ...SynthOption) (*MigrationEvent, e
 }
 
 // applyRedo replays one logical redo op against the relation through its
-// ordinary mutation plans — the same re-execution recovery uses, here
+// ordinary mutation plans — the rule recovery uses (redoShape), here
 // serving migration catch-up. Failed inserts (key present) and empty
 // removes are fine: re-applying ops the snapshot already reflects must
 // be a no-op.
-func (r *Relation) applyRedo(op RedoOp) error {
-	row := rel.RowOver(op.Vals, op.RowMask)
-	if op.Insert {
-		plan, err := r.insertPlanFor(r.maskCols(op.BoundMask))
-		if err != nil {
-			return err
-		}
-		r.runInsert(plan, row)
-		return nil
-	}
-	plan, err := r.removePlanFor(r.maskCols(op.BoundMask))
+func (r *Relation) applyRedo(op *RedoOp) error {
+	sh, row, err := r.redoShape(op)
 	if err != nil {
 		return err
 	}
-	r.runRemove(plan, row)
+	p, err := r.planFor(sh)
+	if err != nil {
+		return err
+	}
+	if op.Insert {
+		r.runInsert(p, row)
+	} else {
+		r.runRemove(p.mut, row)
+	}
 	return nil
 }
 
 // adoptRep swaps tmp's representation into r in place. Caller holds the
 // representation latch exclusive (no operation in flight) — everything
 // compiled against the old representation goes at once: decomposition,
-// placement, planner, root instance, the whole compiled layout (execution
-// tables, lock layout, shared leaves, container constructors, the
-// optimistic capability), the plan caches (tmp's are warm — backfill and
-// catch-up compiled against the new representation) and the buffer pool
-// (pooled buffers hold old-shape state slabs; tmp's pool is shaped
-// right). The identity fields — spec, schema, registry coordinates,
-// counters — stay: the relation is the same relation, represented
-// differently. The version bump tells prepared handles to re-resolve.
+// placement, root instance, the whole compiled layout (execution tables,
+// lock layout, shared leaves, container constructors, the optimistic
+// capability, the planner and its plan table, which backfill and catch-up
+// already warmed) and the buffer pool (pooled buffers hold old-shape
+// state slabs; tmp's pool is shaped right). The identity fields — spec,
+// schema, registry coordinates, counters — stay: the relation is the same
+// relation, represented differently. Prepared handles hold only shapes,
+// so their next execution finds its plan in the adopted table.
 func (r *Relation) adoptRep(tmp *Relation) {
 	r.decomp = tmp.decomp
 	r.placement = tmp.placement
-	r.planner = tmp.planner
 	r.root = tmp.root
 	r.layout = tmp.layout
 	r.bufPool = tmp.bufPool
-	r.mu.Lock()
-	r.queryPlans = tmp.queryPlans
-	r.countPlans = tmp.countPlans
-	r.insertPlans = tmp.insertPlans
-	r.removePlans = tmp.removePlans
-	r.mu.Unlock()
-	r.repVer++
 }

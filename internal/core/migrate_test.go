@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -273,6 +274,188 @@ func TestMigratePreparedHandles(t *testing.T) {
 	}
 	if state := sortedState(t, r); len(state) != 1 {
 		t.Fatalf("final state = %v", state)
+	}
+}
+
+// specPlacement stripes the stick's root by src and places its top edge
+// speculatively there: the placement under which the planner refuses an
+// insert keyed outside src (query.TestMutationRejectsSpecEdgeOutsideKey).
+func specPlacement(d *decomp.Decomposition) *locks.Placement {
+	p := locks.NewPlacement(d)
+	p.SetStripes(d.Root, 4)
+	p.PlaceSpeculative(d.EdgeByName("ρu"), d.Root, "src")
+	return p
+}
+
+// TestMigrateDropsPlan migrates a relation to a representation whose
+// planner refuses a prepared handle's shape, and back. In between, the
+// handle must fail with the planner's error and change nothing, alone
+// and in a batch; once the shape plans again, the same handle works.
+func TestMigrateDropsPlan(t *testing.T) {
+	g := NewRegistry()
+	d := edgesDecomp(t, container.ConcurrentHashMap, container.ConcurrentHashMap)
+	r, err := g.Synthesize("edges", d.Spec, WithDecomposition(d), WithPlacement(locks.Coarse(d)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []string{"dst", "weight"}
+	ins, err := r.PrepareInsert(key)
+	if err != nil {
+		t.Fatalf("coarse placement refused the insert: %v", err)
+	}
+	row := func(src, dst, w int64) rel.Row {
+		x := r.Schema().NewRow()
+		x.Set(r.Schema().MustIndex("src"), src)
+		x.Set(r.Schema().MustIndex("dst"), dst)
+		x.Set(r.Schema().MustIndex("weight"), w)
+		return x
+	}
+	if ok, err := ins.ExecRow(row(1, 2, 3)); err != nil || !ok {
+		t.Fatalf("insert before migration: ok=%v err=%v", ok, err)
+	}
+
+	spec := edgesDecomp(t, container.ConcurrentHashMap, container.ConcurrentHashMap)
+	if _, err := g.Migrate("edges", WithDecomposition(spec), WithPlacement(specPlacement(spec))); err != nil {
+		t.Fatal(err)
+	}
+	_, refusal := r.PrepareInsert(key)
+	if refusal == nil {
+		t.Fatal("speculative placement plans the insert; the test needs a refusal")
+	}
+	if ok, err := ins.ExecRow(row(4, 5, 6)); err == nil || ok || err.Error() != refusal.Error() {
+		t.Fatalf("dropped plan: ok=%v err=%v, want the planner's refusal %q", ok, err, refusal)
+	}
+	berr := g.Batch(func(tx *Txn) error {
+		_, err := tx.ExecRow(ins, row(4, 5, 6))
+		return err
+	})
+	if berr == nil || berr.Error() != refusal.Error() {
+		t.Fatalf("dropped plan in a batch: err=%v, want %q", berr, refusal)
+	}
+	if state := sortedState(t, r); len(state) != 1 {
+		t.Fatalf("a refused insert changed the state: %v", state)
+	}
+
+	back := edgesDecomp(t, container.ConcurrentHashMap, container.ConcurrentHashMap)
+	if _, err := g.Migrate("edges", WithDecomposition(back), WithPlacement(locks.Coarse(back))); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := ins.ExecRow(row(4, 5, 6)); err != nil || !ok {
+		t.Fatalf("insert after migrating back: ok=%v err=%v", ok, err)
+	}
+	if state := sortedState(t, r); len(state) != 2 {
+		t.Fatalf("final state = %v", state)
+	}
+}
+
+// TestPlanTableFirstUse races first uses of shapes against cutovers:
+// goroutines prepare and execute shapes that the representation they run
+// under has not compiled yet while migrations swap the plan table. Every
+// call must find a working plan, each goroutine's own rows must read back
+// exactly, and callers racing on one cold shape must share one compiled
+// plan.
+func TestPlanTableFirstUse(t *testing.T) {
+	g, r := migRegistry(t)
+	const G = 4
+	type queryShape struct{ bound, out []string }
+	queries := []queryShape{
+		{[]string{"src"}, []string{"dst"}},
+		{[]string{"src"}, []string{"weight"}},
+		{[]string{"src"}, []string{"dst", "weight"}},
+		{[]string{"dst", "src"}, []string{"weight"}},
+		{[]string{"dst", "src"}, []string{"dst", "src", "weight"}},
+	}
+	var stop atomic.Bool
+	var rounds atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < G; i++ {
+		src := int64(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := int64(0); !stop.Load(); n, _ = n+1, rounds.Add(1) {
+				ins, err := r.PrepareInsert([]string{"dst", "src"})
+				if err != nil {
+					t.Errorf("prepare insert: %v", err)
+					return
+				}
+				if ok, err := ins.Exec(rel.T("src", src, "dst", n), rel.T("weight", n)); err != nil || !ok {
+					t.Errorf("insert: ok=%v err=%v", ok, err)
+					return
+				}
+				for _, qs := range queries {
+					q, err := r.PrepareQuery(qs.bound, qs.out)
+					if err != nil {
+						t.Errorf("prepare query %v: %v", qs, err)
+						return
+					}
+					s := rel.T("src", src)
+					if len(qs.bound) == 2 {
+						s = rel.T("src", src, "dst", n)
+					}
+					rows, err := q.Exec(s)
+					if err != nil || len(rows) == 0 {
+						t.Errorf("query %v: %d rows, err=%v", qs, len(rows), err)
+						return
+					}
+					if c, err := q.Count(s); err != nil || c != 1 {
+						t.Errorf("count %v = %d, err=%v, want 1", qs, c, err)
+						return
+					}
+				}
+				rm, err := r.PrepareRemove([]string{"dst", "src"})
+				if err != nil {
+					t.Errorf("prepare remove: %v", err)
+					return
+				}
+				if ok, err := rm.Exec(rel.T("src", src, "dst", n)); err != nil || !ok {
+					t.Errorf("remove: ok=%v err=%v", ok, err)
+					return
+				}
+			}
+		}()
+	}
+	reps := []struct{ top, mid container.Kind }{
+		{container.ConcurrentHashMap, container.ConcurrentSkipListMap},
+		{container.HashMap, container.TreeMap},
+	}
+	for n := 0; n < 6 && !t.Failed(); n++ {
+		// Let every goroutine run a round against the current
+		// representation before the next cutover.
+		for want := rounds.Load() + G; rounds.Load() < want && !t.Failed(); {
+			runtime.Gosched()
+		}
+		d := edgesDecomp(t, reps[n%2].top, reps[n%2].mid)
+		if _, err := g.Migrate("edges", WithDecomposition(d)); err != nil {
+			t.Errorf("migration %d: %v", n, err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if state := sortedState(t, r); len(state) != 0 {
+		t.Fatalf("state after balanced traffic = %v", state)
+	}
+
+	// One cold shape, many first users: one compiled plan.
+	cold := shape{kind: mQuery, bound: r.schema.Mask([]string{"weight"}), out: r.schema.Mask([]string{"src"})}
+	plans := make([]*opPlan, G)
+	start := make(chan struct{})
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			r.lockRep()
+			defer r.unlockRep()
+			plans[i], _ = r.planFor(cold)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, p := range plans {
+		if p == nil || p != plans[0] {
+			t.Fatalf("first users of one shape got different plans: %v", plans)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 
 // runInsert implements insert r s t (§2): insert x = s ∪ t unless some
 // existing tuple matches s. x must bind every schema column.
-func (r *Relation) runInsert(plan *insertPlan, x rel.Row) bool {
+func (r *Relation) runInsert(plan *opPlan, x rel.Row) bool {
 	b := r.getBuf()
 	defer r.putBuf(b)
 
@@ -122,14 +122,14 @@ func (r *Relation) writeEdge(b *opBuf, insts []*Instance, e *decomp.Edge, key re
 // runRemove implements remove r s (§2) for a key row s: locate the
 // matching tuple (if any), then remove its edge entries bottom-up with
 // cascading cleanup of dead instances.
-func (r *Relation) runRemove(plan *removePlan, s rel.Row) bool {
+func (r *Relation) runRemove(mut *query.MutationPlan, s rel.Row) bool {
 	b := r.getBuf()
 	defer r.putBuf(b)
 
-	states := append(b.pipe[:0], b.rootState(r, s, plan.mut.BoundMask))
+	states := append(b.pipe[:0], b.rootState(r, s, mut.BoundMask))
 	b.pipe = states
-	for i := range plan.mut.PerNode {
-		nd := &plan.mut.PerNode[i]
+	for i := range mut.PerNode {
+		nd := &mut.PerNode[i]
 		if nd.Node != r.decomp.Root {
 			states = r.advanceStates(b, nd, states)
 		}
@@ -150,7 +150,7 @@ func (r *Relation) runRemove(plan *removePlan, s rel.Row) bool {
 	r.ctr.writes.Add(1)
 	if removed {
 		// Migration tap (migrate.go): locks still held (putBuf deferred).
-		r.tapDirect(false, plan.mut.BoundMask, s)
+		r.tapDirect(false, mut.BoundMask, s)
 	}
 	return removed
 }

@@ -687,10 +687,12 @@ func TestStandaloneReadsLockFree(t *testing.T) {
 		for d := 1; d <= 3; d++ {
 			mustInsert(t, r, 1, d*3, d)
 		}
-		qplan, err := r.queryPlanFor([]string{"src"}, []string{"dst", "weight"})
+		src := r.schema.Mask([]string{"src"})
+		qp, err := r.planFor(shape{kind: mQuery, bound: src, out: r.schema.Mask([]string{"dst", "weight"})})
 		if err != nil {
 			t.Fatal(err)
 		}
+		qplan := qp.q
 		row, err := r.rowForTuple(rel.T("src", 1), qplan.BoundMask)
 		if err != nil {
 			t.Fatal(err)
@@ -711,10 +713,11 @@ func TestStandaloneReadsLockFree(t *testing.T) {
 		}
 		r.putBuf(b)
 
-		cplan, err := r.countPlanFor([]string{"src"})
+		cp, err := r.planFor(shape{kind: mCount, bound: src})
 		if err != nil {
 			t.Fatal(err)
 		}
+		cplan := cp.q
 		crow, err := r.rowForTuple(rel.T("src", 1), cplan.BoundMask)
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/query"
 	"repro/internal/rel"
@@ -11,8 +10,8 @@ import (
 // Prepared operations are the library analog of the paper's static
 // compilation: the Scala plugin compiled each syntactic relational
 // operation once; here a client prepares an operation signature once and
-// executes it many times with no per-call plan-cache lookups or
-// validation. Two surfaces are offered:
+// executes it many times with no column-name resolution or validation
+// per call. Two surfaces are offered:
 //
 //   - the Tuple API (Exec/Count), which converts between tuples and dense
 //     rows exactly once at this boundary; and
@@ -20,89 +19,95 @@ import (
 //     schema-indexed rel.Row values directly and performs no column-name
 //     work at all — the §6.2 benchmark adapters use it.
 //
-// A handle survives live migration (migrate.go): it stores its SIGNATURE
-// plus an atomically published plan bundle stamped with the relation's
-// representation version. Every execution — running under the shared
-// representation latch — compares the stamp against the current version;
-// on the steady state that is one atomic load and an integer compare, and
-// after a cutover bumped the version the handle transparently recompiles
-// through the relation's (already warm) plan caches.
-
-// preparedQueryPlans is one representation's compiled plans for a query
-// signature.
-type preparedQueryPlans struct {
-	ver  uint64
-	plan *query.Plan
-	// countPlan is the count-pushdown plan (internal/query/count.go),
-	// falling back to the full plan when no counting frontier exists.
-	countPlan *query.Plan
-}
+// A handle is its relation and its shape (relation.go), nothing more.
+// Every execution, under the shared representation latch, looks the shape
+// up in the current representation's plan table — one atomic load and a
+// map probe — so a live migration (migrate.go), which swaps the table with
+// the rest of the layout, needs nothing from the handles. A shape the new
+// representation cannot plan fails with the planner's error and executes
+// nothing; migrating back makes the handle work again.
 
 // PreparedQuery is a compiled query handle for one (bound columns, output
 // columns) signature.
 type PreparedQuery struct {
-	r     *Relation
-	bound []string
-	out   []string
-	pl    atomic.Pointer[preparedQueryPlans]
+	r          *Relation
+	bound, out uint64
 }
 
 // PrepareQuery compiles the query signature once. The tuple or row passed
 // to Exec/Count must bind exactly the prepared bound columns. The handle
 // stays valid across live migrations.
 func (r *Relation) PrepareQuery(bound, out []string) (*PreparedQuery, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	if err := r.checkCols(bound); err != nil {
+	bm, err := r.colMask(bound)
+	if err != nil {
 		return nil, err
 	}
-	if err := r.checkCols(out); err != nil {
+	om, err := r.colMask(out)
+	if err != nil {
 		return nil, err
 	}
-	q := &PreparedQuery{r: r, bound: append([]string(nil), bound...), out: append([]string(nil), out...)}
-	if _, err := q.plans(); err != nil {
+	q, err := r.PrepareQueryMask(bm, om)
+	if err != nil {
 		return nil, err
 	}
-	return q, nil
+	return &q, nil
 }
 
-// plans returns the handle's plan bundle for the CURRENT representation,
-// recompiling through the relation's plan caches when a migration bumped
-// the version since the bundle was stamped. Callers hold the
-// representation latch (directly or via their enclosing batch), which is
-// what makes the version compare meaningful.
-func (q *PreparedQuery) plans() (*preparedQueryPlans, error) {
-	r := q.r
-	ver := r.repVer
-	if ps := q.pl.Load(); ps != nil && ps.ver == ver {
-		return ps, nil
+// PrepareQueryMask is PrepareQuery for a signature given as schema masks
+// (bit i is schema column i), the form rows carry; it resolves no column
+// names and allocates nothing once the signature has been compiled.
+func (r *Relation) PrepareQueryMask(bound, out uint64) (PreparedQuery, error) {
+	if err := r.prepare(shape{kind: mQuery, bound: bound, out: out}); err != nil {
+		return PreparedQuery{}, err
 	}
-	plan, err := r.queryPlanFor(q.bound, q.out)
+	return PreparedQuery{r: r, bound: bound, out: out}, nil
+}
+
+// prepare checks that sh names schema columns only and that the current
+// representation plans it.
+func (r *Relation) prepare(sh shape) error {
+	if (sh.bound|sh.out)&^r.fullMask != 0 {
+		return fmt.Errorf("core: column mask %#x exceeds the schema %v", sh.bound|sh.out, r.schema.Columns())
+	}
+	r.lockRep()
+	defer r.unlockRep()
+	_, err := r.planFor(sh)
+	return err
+}
+
+// plan returns the query's plan in the current representation. Callers
+// hold the representation latch.
+func (q *PreparedQuery) plan() (*query.Plan, error) {
+	p, err := q.r.planFor(shape{kind: mQuery, bound: q.bound, out: q.out})
 	if err != nil {
 		return nil, err
 	}
-	countPlan, err := r.countPlanFor(q.bound)
-	if err != nil {
-		countPlan = plan // fall back to the full plan
+	return p.q, nil
+}
+
+// countPlan returns the count-pushdown plan (internal/query/count.go) for
+// the query's bound columns in the current representation, falling back
+// to the query's own plan. Callers hold the representation latch.
+func (q *PreparedQuery) countPlan() (*query.Plan, error) {
+	if p, err := q.r.planFor(shape{kind: mCount, bound: q.bound}); err == nil {
+		return p.q, nil
 	}
-	ps := &preparedQueryPlans{ver: ver, plan: plan, countPlan: countPlan}
-	q.pl.Store(ps)
-	return ps, nil
+	return q.plan()
 }
 
 // Exec runs the prepared query for the bound tuple s.
 func (q *PreparedQuery) Exec(s rel.Tuple) ([]rel.Tuple, error) {
 	q.r.lockRep()
 	defer q.r.unlockRep()
-	ps, err := q.plans()
+	plan, err := q.plan()
 	if err != nil {
 		return nil, err
 	}
-	row, err := q.r.rowForTuple(s, ps.plan.BoundMask)
+	row, err := q.r.rowForTuple(s, q.bound)
 	if err != nil {
 		return nil, err
 	}
-	return q.r.runQueryTuples(ps.plan, row), nil
+	return q.r.runQueryTuples(plan, row), nil
 }
 
 // ExecRows runs the prepared query for the bound row s and yields each
@@ -116,11 +121,11 @@ func (q *PreparedQuery) Exec(s rel.Tuple) ([]rel.Tuple, error) {
 func (q *PreparedQuery) ExecRows(s rel.Row, yield func(rel.Row) bool) error {
 	q.r.lockRep()
 	defer q.r.unlockRep()
-	ps, err := q.plans()
+	plan, err := q.plan()
 	if err != nil {
 		return err
 	}
-	if err := q.r.checkRow(s, ps.plan.BoundMask); err != nil {
+	if err := q.r.checkRow(s, q.bound); err != nil {
 		return err
 	}
 	q.r.ctr.reads.Add(1)
@@ -130,10 +135,10 @@ func (q *PreparedQuery) ExecRows(s rel.Row, yield func(rel.Row) bool) error {
 	if q.r.optimisticOK {
 		// Lock-free single-operation read path: yields run only after the
 		// recorded epochs validated, so callers never see torn rows.
-		states, ok = q.r.runStatesOptimistic(b, ps.plan.Steps, s, ps.plan.BoundMask)
+		states, ok = q.r.runStatesOptimistic(b, plan.Steps, s, plan.BoundMask)
 	}
 	if !ok {
-		states = q.r.runSteps(b, ps.plan.Steps, s, ps.plan.BoundMask)
+		states = q.r.runSteps(b, plan.Steps, s, plan.BoundMask)
 	}
 	for _, st := range states {
 		if !yield(st.row) {
@@ -149,17 +154,11 @@ func (q *PreparedQuery) ExecRows(s rel.Row, yield func(rel.Row) bool) error {
 // entries are keyed tuples are counted by container size under the
 // already-required locks instead of being traversed.
 func (q *PreparedQuery) Count(s rel.Tuple) (int, error) {
-	q.r.lockRep()
-	defer q.r.unlockRep()
-	ps, err := q.plans()
+	row, err := q.r.rowForTuple(s, q.bound)
 	if err != nil {
 		return 0, err
 	}
-	row, err := q.r.rowForTuple(s, ps.plan.BoundMask)
-	if err != nil {
-		return 0, err
-	}
-	return q.r.runCount(ps.countPlan, row), nil
+	return q.CountRow(row)
 }
 
 // CountRow is Count over a schema-indexed row, the zero-name-resolution
@@ -167,14 +166,14 @@ func (q *PreparedQuery) Count(s rel.Tuple) (int, error) {
 func (q *PreparedQuery) CountRow(s rel.Row) (int, error) {
 	q.r.lockRep()
 	defer q.r.unlockRep()
-	ps, err := q.plans()
+	plan, err := q.countPlan()
 	if err != nil {
 		return 0, err
 	}
-	if err := q.r.checkRow(s, ps.plan.BoundMask); err != nil {
+	if err := q.r.checkRow(s, q.bound); err != nil {
 		return 0, err
 	}
-	return q.r.runCount(ps.countPlan, s), nil
+	return q.r.runCount(plan, s), nil
 }
 
 // runQueryTuples executes a compiled plan and materializes the results as
@@ -248,7 +247,7 @@ func (r *Relation) checkRow(s rel.Row, want uint64) error {
 }
 
 // maskCols renders a bound mask as its column names (error messages, and
-// the signature key of migration replay's plan lookups; migrate.go).
+// the planner's input when a shape is compiled).
 func (r *Relation) maskCols(mask uint64) []string {
 	cols := make([]string, 0, r.schema.Len())
 	for i := 0; i < r.schema.Len(); i++ {
@@ -259,55 +258,38 @@ func (r *Relation) maskCols(mask uint64) []string {
 	return cols
 }
 
-// preparedInsertPlan is one representation's compiled insert plan.
-type preparedInsertPlan struct {
-	ver  uint64
-	plan *insertPlan
-}
-
 // PreparedInsert is a compiled insert handle for one key-column split.
 type PreparedInsert struct {
 	r     *Relation
-	sCols []string
-	pl    atomic.Pointer[preparedInsertPlan]
+	bound uint64
 }
 
 // PrepareInsert compiles insert r s t for dom(s) = sCols. The handle
 // stays valid across live migrations.
 func (r *Relation) PrepareInsert(sCols []string) (*PreparedInsert, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	p := &PreparedInsert{r: r, sCols: append([]string(nil), sCols...)}
-	if _, err := p.resolve(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// resolve returns the handle's insert plan for the current
-// representation; see PreparedQuery.plans.
-func (p *PreparedInsert) resolve() (*insertPlan, error) {
-	ver := p.r.repVer
-	if ps := p.pl.Load(); ps != nil && ps.ver == ver {
-		return ps.plan, nil
-	}
-	plan, err := p.r.insertPlanFor(p.sCols)
+	bound, err := r.colMask(sCols)
 	if err != nil {
 		return nil, err
 	}
-	p.pl.Store(&preparedInsertPlan{ver: ver, plan: plan})
-	return plan, nil
+	p, err := r.PrepareInsertMask(bound)
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// PrepareInsertMask is PrepareInsert for key columns given as a schema
+// mask; see PrepareQueryMask.
+func (r *Relation) PrepareInsertMask(bound uint64) (PreparedInsert, error) {
+	if err := r.prepare(shape{kind: mInsert, bound: bound}); err != nil {
+		return PreparedInsert{}, err
+	}
+	return PreparedInsert{r: r, bound: bound}, nil
 }
 
 // Exec runs the prepared insert; s must bind the prepared key columns and
 // s ∪ t must bind every column.
 func (p *PreparedInsert) Exec(s, t rel.Tuple) (bool, error) {
-	p.r.lockRep()
-	defer p.r.unlockRep()
-	plan, err := p.resolve()
-	if err != nil {
-		return false, err
-	}
 	x, err := s.Union(t)
 	if err != nil {
 		return false, err
@@ -316,7 +298,7 @@ func (p *PreparedInsert) Exec(s, t rel.Tuple) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return p.r.runInsert(plan, row), nil
+	return p.ExecRow(row)
 }
 
 // ExecRow runs the prepared insert for a fully bound row x; the key
@@ -324,7 +306,7 @@ func (p *PreparedInsert) Exec(s, t rel.Tuple) (bool, error) {
 func (p *PreparedInsert) ExecRow(x rel.Row) (bool, error) {
 	p.r.lockRep()
 	defer p.r.unlockRep()
-	plan, err := p.resolve()
+	plan, err := p.r.planFor(shape{kind: mInsert, bound: p.bound})
 	if err != nil {
 		return false, err
 	}
@@ -334,59 +316,42 @@ func (p *PreparedInsert) ExecRow(x rel.Row) (bool, error) {
 	return p.r.runInsert(plan, x), nil
 }
 
-// preparedRemovePlan is one representation's compiled remove plan.
-type preparedRemovePlan struct {
-	ver  uint64
-	plan *removePlan
-}
-
 // PreparedRemove is a compiled remove handle for one key signature.
 type PreparedRemove struct {
 	r     *Relation
-	sCols []string
-	pl    atomic.Pointer[preparedRemovePlan]
+	bound uint64
 }
 
 // PrepareRemove compiles remove r s for dom(s) = sCols (a key). The
 // handle stays valid across live migrations.
 func (r *Relation) PrepareRemove(sCols []string) (*PreparedRemove, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	p := &PreparedRemove{r: r, sCols: append([]string(nil), sCols...)}
-	if _, err := p.resolve(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// resolve returns the handle's remove plan for the current
-// representation; see PreparedQuery.plans.
-func (p *PreparedRemove) resolve() (*removePlan, error) {
-	ver := p.r.repVer
-	if ps := p.pl.Load(); ps != nil && ps.ver == ver {
-		return ps.plan, nil
-	}
-	plan, err := p.r.removePlanFor(p.sCols)
+	bound, err := r.colMask(sCols)
 	if err != nil {
 		return nil, err
 	}
-	p.pl.Store(&preparedRemovePlan{ver: ver, plan: plan})
-	return plan, nil
+	p, err := r.PrepareRemoveMask(bound)
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// PrepareRemoveMask is PrepareRemove for key columns given as a schema
+// mask; see PrepareQueryMask.
+func (r *Relation) PrepareRemoveMask(bound uint64) (PreparedRemove, error) {
+	if err := r.prepare(shape{kind: mRemove, bound: bound}); err != nil {
+		return PreparedRemove{}, err
+	}
+	return PreparedRemove{r: r, bound: bound}, nil
 }
 
 // Exec runs the prepared remove; s must bind the prepared key columns.
 func (p *PreparedRemove) Exec(s rel.Tuple) (bool, error) {
-	p.r.lockRep()
-	defer p.r.unlockRep()
-	plan, err := p.resolve()
+	row, err := p.r.rowForTuple(s, p.bound)
 	if err != nil {
 		return false, err
 	}
-	row, err := p.r.rowForTuple(s, plan.mut.BoundMask)
-	if err != nil {
-		return false, err
-	}
-	return p.r.runRemove(plan, row), nil
+	return p.ExecRow(row)
 }
 
 // ExecRow runs the prepared remove for a row binding exactly the prepared
@@ -394,12 +359,12 @@ func (p *PreparedRemove) Exec(s rel.Tuple) (bool, error) {
 func (p *PreparedRemove) ExecRow(s rel.Row) (bool, error) {
 	p.r.lockRep()
 	defer p.r.unlockRep()
-	plan, err := p.resolve()
+	plan, err := p.r.planFor(shape{kind: mRemove, bound: p.bound})
 	if err != nil {
 		return false, err
 	}
-	if err := p.r.checkRow(s, plan.mut.BoundMask); err != nil {
+	if err := p.r.checkRow(s, p.bound); err != nil {
 		return false, err
 	}
-	return p.r.runRemove(plan, s), nil
+	return p.r.runRemove(plan.mut, s), nil
 }

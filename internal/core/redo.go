@@ -22,7 +22,11 @@ package core
 // zero-allocation guarantee of the batch path is unchanged when
 // durability is off.
 
-import "repro/internal/rel"
+import (
+	"fmt"
+
+	"repro/internal/rel"
+)
 
 // RedoOp is one logical mutation of a committed batch, in enqueue order:
 // the unit of the write-ahead redo log. Vals holds the operation row's
@@ -30,9 +34,9 @@ import "repro/internal/rel"
 // for an insert RowMask covers every column and BoundMask is the s-side
 // of the insert's s/t split (the put-if-absent key columns), for a remove
 // RowMask == BoundMask covers the bound search columns. Replaying the
-// op through Txn.InsertInto/RemoveFrom with the same split re-executes
-// the original decision procedure, so replay is idempotent: re-applying
-// a suffix of already-applied ops is a no-op.
+// op (Registry.Replay, redoShape) with the same split re-executes the
+// original decision procedure, so replay is idempotent: re-applying a
+// suffix of already-applied ops is a no-op.
 type RedoOp struct {
 	// Rel is the registered name of the relation the op targets.
 	Rel string
@@ -59,6 +63,67 @@ type RedoOp struct {
 // fsync policy is the implementation's business (see internal/wal).
 type CommitLogger interface {
 	LogCommit(ops []RedoOp) error
+}
+
+// Replay re-executes one logged batch — the ops one LogCommit call
+// received — as one batch, the recovery half of the CommitLogger
+// contract. Mutation outcomes are discarded: replayed from the same
+// prefix state, each op makes its original decision again. The ops may
+// have been read back from storage, so each is checked against its
+// relation's schema before anything executes (redoShape); a failing op
+// aborts the batch untouched.
+func (g *Registry) Replay(ops []RedoOp) error {
+	return g.Batch(func(t *Txn) error {
+		for i := range ops {
+			op := &ops[i]
+			r := g.RelationByName(op.Rel)
+			if r == nil {
+				return fmt.Errorf("core: unknown relation %q", op.Rel)
+			}
+			sh, err := t.shardFor(r)
+			if err != nil {
+				return err
+			}
+			shp, row, err := r.redoShape(op)
+			if err != nil {
+				return err
+			}
+			p, err := r.planFor(shp)
+			if err != nil {
+				return err
+			}
+			t.enqueueMut(sh, shp.kind, p, row)
+		}
+		return nil
+	})
+}
+
+// redoShape is the one replay rule, shared by recovery (Replay) and
+// migration catch-up (applyRedo): it maps a redo op to the shape and the
+// row that re-execute it. An insert binds every column and keys its
+// put-if-absent check on BoundMask; a remove is keyed on the columns its
+// row binds. Decoded Vals reach only up to the highest bound column, so a
+// short row is widened to the schema width.
+func (r *Relation) redoShape(op *RedoOp) (shape, rel.Row, error) {
+	if op.RowMask&^r.fullMask != 0 {
+		return shape{}, rel.Row{}, fmt.Errorf("core: relation %q: row mask %#x exceeds schema", r.name, op.RowMask)
+	}
+	if op.BoundMask&^op.RowMask != 0 {
+		return shape{}, rel.Row{}, fmt.Errorf("core: relation %q: inconsistent op masks %#x/%#x", r.name, op.RowMask, op.BoundMask)
+	}
+	sh := shape{kind: mRemove, bound: op.RowMask}
+	if op.Insert {
+		if op.RowMask != r.fullMask {
+			return shape{}, rel.Row{}, fmt.Errorf("core: relation %q: insert binds %v, want all of %v",
+				r.name, r.maskCols(op.RowMask), r.schema.Columns())
+		}
+		sh.kind, sh.bound = mInsert, op.BoundMask
+	}
+	vals := op.Vals
+	if w := r.schema.Len(); len(vals) < w {
+		vals = append(make([]rel.Value, 0, w), vals...)[:w]
+	}
+	return sh, rel.RowOver(vals, op.RowMask), nil
 }
 
 // SetCommitLogger attaches (or, with nil, detaches) the registry's

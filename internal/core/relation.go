@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/container"
 	"repro/internal/decomp"
@@ -23,7 +24,6 @@ type Relation struct {
 	spec      rel.Spec
 	decomp    *decomp.Decomposition
 	placement *locks.Placement
-	planner   *query.Planner
 	root      *Instance
 
 	// Registry membership, fixed at Synthesize time: the owning registry
@@ -50,22 +50,9 @@ type Relation struct {
 	// shaped by the decomposition; migrate.go).
 	bufPool *sync.Pool
 
-	// repVer counts representation adoptions (migrate.go): bumped under
-	// the exclusive representation latch at each cutover, read under the
-	// shared latch by prepared handles to re-resolve their plans.
-	repVer uint64
-
 	// ctr holds the relation's live counter cells (counters.go). On the
 	// Relation, not the representation: counts survive migrations.
 	ctr relCounters
-
-	// Plan caches: the paper compiles each syntactic operation once; the
-	// library equivalent compiles per operation signature on first use.
-	mu          sync.RWMutex
-	queryPlans  map[string]*query.Plan
-	countPlans  map[string]*query.Plan
-	insertPlans map[string]*insertPlan
-	removePlans map[string]*removePlan
 }
 
 // layout gathers the tables synthesize compiles from a decomposition, its
@@ -92,7 +79,9 @@ type Relation struct {
 //     under the optimistic epoch-validation protocol (readonly.go).
 //     Relations with any unsafe container (HashMap, TreeMap) always take
 //     the pessimistic 2PL path — an unlocked read racing a writer would be
-//     a data race on those containers.
+//     a data race on those containers;
+//   - planner and plans compile and hold the representation's plans, one
+//     per operation shape (planFor).
 type layout struct {
 	edgeCols     [][]int
 	edgeSlot     []int
@@ -103,6 +92,8 @@ type layout struct {
 	leaf         []*Instance
 	newContainer []func() container.Map
 	optimisticOK bool
+	planner      *query.Planner
+	plans        *planTable
 }
 
 // compileLayout builds the layout of decomposition d under placement p
@@ -118,7 +109,10 @@ func compileLayout(d *decomp.Decomposition, p *locks.Placement, schema *rel.Sche
 		leaf:         make([]*Instance, len(d.Nodes)),
 		newContainer: make([]func() container.Map, len(d.Edges)),
 		optimisticOK: true,
+		planner:      query.NewPlanner(d, p),
+		plans:        &planTable{},
 	}
+	l.plans.m.Store(&map[shape]*opPlan{})
 	for _, e := range d.Edges {
 		l.edgeCols[e.Index] = schema.Indices(e.Cols)
 		if rule := p.RuleFor(e); rule.Speculative {
@@ -146,21 +140,33 @@ func compileLayout(d *decomp.Decomposition, p *locks.Placement, schema *rel.Sche
 	return l
 }
 
-// insertPlan bundles the growing-phase directives with the embedded
-// put-if-absent existence query (§2's insert semantics).
-type insertPlan struct {
-	mut *query.MutationPlan
-	// exist is the query plan whose access steps implement the existence
-	// check for tuples matching s; its access step for node index i is
-	// existAt[i].
-	exist   *query.Plan
-	existAt []*query.Step
+// shape identifies one syntactic operation on a relation (§5 compiles each
+// once): its kind and the schema masks of its bound columns and, for a
+// query, of its output columns.
+type shape struct {
+	kind       memberKind
+	bound, out uint64
 }
 
-// removePlan wraps the growing-phase directives of a remove; the per-node
-// access routes live in the directives themselves (NodeDirective).
-type removePlan struct {
+// opPlan is a plan table's entry for one shape: the compiled operation,
+// or the planner's refusal of it in err.
+type opPlan struct {
+	// q is a query's or a count's plan, or an insert's put-if-absent
+	// existence query (§2), whose access step for node index i is
+	// existAt[i].
+	q       *query.Plan
+	existAt []*query.Step
+	// mut holds an insert's or a remove's growing-phase directives.
 	mut *query.MutationPlan
+	err error
+}
+
+// planTable is one representation's compiled plans, keyed by shape. It is
+// filled on first use under mu and read lock-free: m points to an
+// immutable map, which each fill replaces with a copy.
+type planTable struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[shape]*opPlan]
 }
 
 // Synthesize compiles a validated decomposition and lock placement into a
@@ -190,21 +196,16 @@ func synthesize(g *Registry, regID int, name string, d *decomp.Decomposition, p 
 		return nil, err
 	}
 	r := &Relation{
-		spec:        d.Spec,
-		decomp:      d,
-		placement:   p,
-		planner:     query.NewPlanner(d, p),
-		registry:    g,
-		regID:       regID,
-		name:        name,
-		schema:      schema,
-		fullMask:    schema.FullMask(),
-		layout:      compileLayout(d, p, schema),
-		bufPool:     &sync.Pool{},
-		queryPlans:  map[string]*query.Plan{},
-		countPlans:  map[string]*query.Plan{},
-		insertPlans: map[string]*insertPlan{},
-		removePlans: map[string]*removePlan{},
+		spec:      d.Spec,
+		decomp:    d,
+		placement: p,
+		registry:  g,
+		regID:     regID,
+		name:      name,
+		schema:    schema,
+		fullMask:  schema.FullMask(),
+		layout:    compileLayout(d, p, schema),
+		bufPool:   &sync.Pool{},
 	}
 	r.root = r.newInstance(d.Root, rel.RowOver(make([]rel.Value, schema.Len()), 0))
 	return r, nil
@@ -254,100 +255,83 @@ func (r *Relation) OptimisticCapable() bool {
 	return r.optimisticOK
 }
 
-func planKey(bound, out []string) string {
-	return strings.Join(bound, ",") + "|" + strings.Join(out, ",")
+// planFor returns the current representation's plan for sh, compiling it
+// on first use; a planner refusal is the returned error. The caller holds
+// the representation latch, so the table is the one of the layout it runs
+// under. A warm lookup takes no lock and allocates nothing.
+func (r *Relation) planFor(sh shape) (*opPlan, error) {
+	if p := (*r.plans.m.Load())[sh]; p != nil {
+		return p, p.err
+	}
+	t := r.plans
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	p := (*t.m.Load())[sh]
+	if p == nil {
+		p = r.compile(sh)
+		next := maps.Clone(*t.m.Load())
+		next[sh] = p
+		t.m.Store(&next)
+	}
+	return p, p.err
 }
 
-// queryPlanFor returns (compiling and caching on first use) the plan for a
-// query binding the given columns and returning out.
-func (r *Relation) queryPlanFor(bound, out []string) (*query.Plan, error) {
-	k := planKey(bound, out)
-	r.mu.RLock()
-	p, ok := r.queryPlans[k]
-	r.mu.RUnlock()
-	if ok {
-		return p, nil
-	}
-	p, err := r.planner.PlanQuery(bound, out)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.queryPlans[k] = p
-	r.mu.Unlock()
-	return p, nil
-}
-
-// countPlanFor returns (compiling and caching on first use) the
-// count-pushdown plan for a cardinality query binding the given columns,
-// falling back to the full query plan when no counting frontier exists.
-func (r *Relation) countPlanFor(bound []string) (*query.Plan, error) {
-	k := planKey(bound, nil)
-	r.mu.RLock()
-	p, ok := r.countPlans[k]
-	r.mu.RUnlock()
-	if ok {
-		return p, nil
-	}
-	p, err := r.planner.PlanCount(bound)
-	if err != nil {
-		p, err = r.planner.PlanQuery(bound, r.spec.Columns)
-		if err != nil {
-			return nil, err
+// compile runs the planner for sh.
+func (r *Relation) compile(sh shape) *opPlan {
+	bound := r.maskCols(sh.bound)
+	var p opPlan
+	switch sh.kind {
+	case mQuery:
+		p.q, p.err = r.planner.PlanQuery(bound, r.maskCols(sh.out))
+	case mCount:
+		// The count-pushdown plan, or the full query plan where no
+		// counting frontier exists.
+		if p.q, p.err = r.planner.PlanCount(bound); p.err != nil {
+			p.q, p.err = r.planner.PlanQuery(bound, r.spec.Columns)
 		}
-	}
-	r.mu.Lock()
-	r.countPlans[k] = p
-	r.mu.Unlock()
-	return p, nil
-}
-
-func (r *Relation) insertPlanFor(sCols []string) (*insertPlan, error) {
-	k := planKey(sCols, nil)
-	r.mu.RLock()
-	p, ok := r.insertPlans[k]
-	r.mu.RUnlock()
-	if ok {
-		return p, nil
-	}
-	mut, err := r.planner.PlanMutation(query.OpInsert, sCols)
-	if err != nil {
-		return nil, err
-	}
-	exist, err := r.planner.PlanQuery(sCols, r.spec.Columns)
-	if err != nil {
-		return nil, err
-	}
-	ip := &insertPlan{mut: mut, exist: exist, existAt: make([]*query.Step, len(r.decomp.Nodes))}
-	for i := range exist.Steps {
-		s := &exist.Steps[i]
-		if s.Kind != query.StepLock {
-			ip.existAt[s.Edge.Dst.Index] = s
+	case mInsert:
+		if p.mut, p.err = r.planner.PlanMutation(query.OpInsert, bound); p.err != nil {
+			break
 		}
+		if p.q, p.err = r.planner.PlanQuery(bound, r.spec.Columns); p.err != nil {
+			break
+		}
+		p.existAt = make([]*query.Step, len(r.decomp.Nodes))
+		for i := range p.q.Steps {
+			if s := &p.q.Steps[i]; s.Kind != query.StepLock {
+				p.existAt[s.Edge.Dst.Index] = s
+			}
+		}
+	case mRemove:
+		p.mut, p.err = r.planner.PlanMutation(query.OpRemove, bound)
 	}
-	r.mu.Lock()
-	r.insertPlans[k] = ip
-	r.mu.Unlock()
-	return ip, nil
+	if p.err != nil {
+		return &opPlan{err: p.err}
+	}
+	return &p
 }
 
-func (r *Relation) removePlanFor(sCols []string) (*removePlan, error) {
-	k := planKey(sCols, nil)
-	r.mu.RLock()
-	p, ok := r.removePlans[k]
-	r.mu.RUnlock()
-	if ok {
-		return p, nil
-	}
-	mut, err := r.planner.PlanMutation(query.OpRemove, sCols)
+// planNamed resolves an operation named by its columns to its shape and
+// returns the shape's plan in the current representation. The caller
+// holds the representation latch.
+func (r *Relation) planNamed(kind memberKind, bound, out []string) (*opPlan, error) {
+	bm, err := r.colMask(bound)
 	if err != nil {
 		return nil, err
 	}
-	rp := &removePlan{mut: mut}
-	r.mu.Lock()
-	r.removePlans[k] = rp
-	r.mu.Unlock()
-	return rp, nil
+	om, err := r.colMask(out)
+	if err != nil {
+		return nil, err
+	}
+	return r.planFor(shape{kind: kind, bound: bm, out: om})
+}
+
+// describe is planNamed under the representation latch (Explain*,
+// Describe*).
+func (r *Relation) describe(kind memberKind, bound, out []string) (*opPlan, error) {
+	r.lockRep()
+	defer r.unlockRep()
+	return r.planNamed(kind, bound, out)
 }
 
 // Query implements query r s C (§2): it returns the projection onto out of
@@ -356,21 +340,11 @@ func (r *Relation) removePlanFor(sCols []string) (*removePlan, error) {
 func (r *Relation) Query(s rel.Tuple, out ...string) ([]rel.Tuple, error) {
 	r.lockRep()
 	defer r.unlockRep()
-	if err := r.checkCols(s.Dom()); err != nil {
-		return nil, err
-	}
-	if err := r.checkCols(out); err != nil {
-		return nil, err
-	}
-	plan, err := r.queryPlanFor(s.Dom(), out)
+	p, row, err := r.planTuple(mQuery, s, out)
 	if err != nil {
 		return nil, err
 	}
-	row, err := r.schema.RowFromTuple(s, nil)
-	if err != nil {
-		return nil, err
-	}
-	return r.runQueryTuples(plan, row), nil
+	return r.runQueryTuples(p.q, row), nil
 }
 
 // Insert implements insert r s t (§2): it inserts the tuple s ∪ t provided
@@ -382,25 +356,35 @@ func (r *Relation) Query(s rel.Tuple, out ...string) ([]rel.Tuple, error) {
 func (r *Relation) Insert(s, t rel.Tuple) (bool, error) {
 	r.lockRep()
 	defer r.unlockRep()
+	sh, row, err := r.insertRow(s, t)
+	if err != nil {
+		return false, err
+	}
+	p, err := r.planFor(sh)
+	if err != nil {
+		return false, err
+	}
+	return r.runInsert(p, row), nil
+}
+
+// insertRow checks an insert's s/t split and resolves it to its shape and
+// its fully bound row.
+func (r *Relation) insertRow(s, t rel.Tuple) (shape, rel.Row, error) {
 	x, err := s.Union(t)
 	if err != nil {
-		return false, err
+		return shape{}, rel.Row{}, err
 	}
-	if len(rel.ColsIntersect(s.Dom(), t.Dom())) > 0 {
-		return false, fmt.Errorf("core: insert requires disjoint s and t, both bind %v", rel.ColsIntersect(s.Dom(), t.Dom()))
+	if both := rel.ColsIntersect(s.Dom(), t.Dom()); len(both) > 0 {
+		return shape{}, rel.Row{}, fmt.Errorf("core: insert requires disjoint s and t, both bind %v", both)
 	}
 	if !rel.ColsEqual(x.Dom(), r.spec.Columns) {
-		return false, fmt.Errorf("core: insert tuple binds %v, want all of %v", x.Dom(), r.spec.Columns)
-	}
-	plan, err := r.insertPlanFor(s.Dom())
-	if err != nil {
-		return false, err
+		return shape{}, rel.Row{}, fmt.Errorf("core: insert tuple binds %v, want all of %v", x.Dom(), r.spec.Columns)
 	}
 	row, err := r.schema.RowFromTuple(x, nil)
 	if err != nil {
-		return false, err
+		return shape{}, rel.Row{}, err
 	}
-	return r.runInsert(plan, row), nil
+	return shape{kind: mInsert, bound: r.schema.Mask(s.Dom())}, row, nil
 }
 
 // Remove implements remove r s (§2): it removes every tuple extending s
@@ -409,18 +393,11 @@ func (r *Relation) Insert(s, t rel.Tuple) (bool, error) {
 func (r *Relation) Remove(s rel.Tuple) (bool, error) {
 	r.lockRep()
 	defer r.unlockRep()
-	if err := r.checkCols(s.Dom()); err != nil {
-		return false, err
-	}
-	plan, err := r.removePlanFor(s.Dom())
+	p, row, err := r.planTuple(mRemove, s, nil)
 	if err != nil {
 		return false, err
 	}
-	row, err := r.schema.RowFromTuple(s, nil)
-	if err != nil {
-		return false, err
-	}
-	return r.runRemove(plan, row), nil
+	return r.runRemove(p.mut, row), nil
 }
 
 // Snapshot returns every tuple currently in the relation (a full query).
@@ -432,33 +409,27 @@ func (r *Relation) Snapshot() ([]rel.Tuple, error) {
 // ExplainQuery renders the chosen plan for a query signature in the
 // paper's let-notation (Figure 4 / §5.2).
 func (r *Relation) ExplainQuery(bound []string, out []string) (string, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	plan, err := r.queryPlanFor(bound, out)
+	p, err := r.describe(mQuery, bound, out)
 	if err != nil {
 		return "", err
 	}
-	return plan.String(), nil
+	return p.q.String(), nil
 }
 
 // ExplainInsert renders the growing-phase directives for an insert keyed
 // by sCols.
 func (r *Relation) ExplainInsert(sCols []string) (string, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	p, err := r.insertPlanFor(sCols)
+	p, err := r.describe(mInsert, sCols, nil)
 	if err != nil {
 		return "", err
 	}
-	return p.mut.String() + "existence check:\n" + p.exist.String(), nil
+	return p.mut.String() + "existence check:\n" + p.q.String(), nil
 }
 
 // ExplainRemove renders the growing-phase directives for a remove keyed by
 // sCols.
 func (r *Relation) ExplainRemove(sCols []string) (string, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	p, err := r.removePlanFor(sCols)
+	p, err := r.describe(mRemove, sCols, nil)
 	if err != nil {
 		return "", err
 	}
@@ -469,45 +440,37 @@ func (r *Relation) ExplainRemove(sCols []string) (string, error) {
 // plan: the integer offsets the executor runs on. Pair with ExplainQuery
 // (the paper's let-notation) to see both views of the same plan.
 func (r *Relation) DescribeQuery(bound, out []string) (string, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	plan, err := r.queryPlanFor(bound, out)
+	p, err := r.describe(mQuery, bound, out)
 	if err != nil {
 		return "", err
 	}
-	return plan.Describe(), nil
+	return p.q.Describe(), nil
 }
 
 // DescribeCount renders the compiled count-pushdown plan for a
 // cardinality query binding the given columns.
 func (r *Relation) DescribeCount(bound []string) (string, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	plan, err := r.countPlanFor(bound)
+	p, err := r.describe(mCount, bound, nil)
 	if err != nil {
 		return "", err
 	}
-	return plan.Describe(), nil
+	return p.q.Describe(), nil
 }
 
 // DescribeInsert renders the compiled growing-phase directives of an
 // insert keyed by sCols.
 func (r *Relation) DescribeInsert(sCols []string) (string, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	p, err := r.insertPlanFor(sCols)
+	p, err := r.describe(mInsert, sCols, nil)
 	if err != nil {
 		return "", err
 	}
-	return p.mut.Describe() + "existence check:\n" + p.exist.Describe(), nil
+	return p.mut.Describe() + "existence check:\n" + p.q.Describe(), nil
 }
 
 // DescribeRemove renders the compiled growing-phase directives of a
 // remove keyed by sCols.
 func (r *Relation) DescribeRemove(sCols []string) (string, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	p, err := r.removePlanFor(sCols)
+	p, err := r.describe(mRemove, sCols, nil)
 	if err != nil {
 		return "", err
 	}
@@ -518,33 +481,27 @@ func (r *Relation) DescribeRemove(sCols []string) (string, error) {
 // the flat lock schedule the batched growing phase walks (§5's
 // synchronization-is-compiled thesis applied to batches).
 func (r *Relation) DescribeQueryRounds(bound, out []string) (string, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	plan, err := r.queryPlanFor(bound, out)
+	p, err := r.describe(mQuery, bound, out)
 	if err != nil {
 		return "", err
 	}
-	return plan.DescribeRounds(), nil
+	return p.q.DescribeRounds(), nil
 }
 
 // DescribeCountRounds renders the compiled round map of the
 // count-pushdown plan binding the given columns.
 func (r *Relation) DescribeCountRounds(bound []string) (string, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	plan, err := r.countPlanFor(bound)
+	p, err := r.describe(mCount, bound, nil)
 	if err != nil {
 		return "", err
 	}
-	return plan.DescribeRounds(), nil
+	return p.q.DescribeRounds(), nil
 }
 
 // DescribeInsertRounds renders the compiled round map of an insert's
 // growing phase (existence-check probes appear as their own rounds).
 func (r *Relation) DescribeInsertRounds(sCols []string) (string, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	p, err := r.insertPlanFor(sCols)
+	p, err := r.describe(mInsert, sCols, nil)
 	if err != nil {
 		return "", err
 	}
@@ -554,22 +511,25 @@ func (r *Relation) DescribeInsertRounds(sCols []string) (string, error) {
 // DescribeRemoveRounds renders the compiled round map of a remove's
 // growing phase.
 func (r *Relation) DescribeRemoveRounds(sCols []string) (string, error) {
-	r.lockRep()
-	defer r.unlockRep()
-	p, err := r.removePlanFor(sCols)
+	p, err := r.describe(mRemove, sCols, nil)
 	if err != nil {
 		return "", err
 	}
 	return p.mut.DescribeRounds(), nil
 }
 
-func (r *Relation) checkCols(cols []string) error {
+// colMask resolves column names to their schema mask; an unknown column
+// is an error.
+func (r *Relation) colMask(cols []string) (uint64, error) {
+	var m uint64
 	for _, c := range cols {
-		if !r.spec.HasColumn(c) {
-			return fmt.Errorf("core: unknown column %q (spec %s)", c, r.spec)
+		i, ok := r.schema.IndexOf(c)
+		if !ok {
+			return 0, fmt.Errorf("core: unknown column %q (spec %s)", c, r.spec)
 		}
+		m |= 1 << uint(i)
 	}
-	return nil
+	return m, nil
 }
 
 // instKey identifies a node instance by its node and its valuation of the

@@ -1,21 +1,24 @@
 package server
 
-// The compiled form of a request: a list of (prepared statement, row)
+// The compiled form of a request: a list of (prepared handle, row)
 // pairs. Both entry points produce it — the request scanner (scan.go)
 // straight from a body's bytes and Dispatcher.Submit from a Request's
 // maps — and the group commit enqueues it through the prepared-row Txn
-// API with no name resolution left to do. Everything that could make
-// an enqueue fail (an unknown relation or column, a value of an
-// unsupported type, a plan the representation cannot run) is rejected
-// while compiling, so a request that compiles cannot abort its
-// neighbours' group. The one exception is a live migration that drops a
-// plan a cached statement was prepared for; the dispatcher's per-request
-// fallback (commitEach) answers that request alone and the statement is
-// forgotten, so the next request of its shape is rejected at compile
-// time again.
+// API with no name resolution left to do. The catalog resolves wire
+// names only; each op prepares its handle from the shape's schema masks
+// against the relation's own plan table (core), which holds the one
+// compiled plan per shape. Everything that could make an enqueue fail (an
+// unknown relation or column, a value of an unsupported type, a plan the
+// representation cannot run) is rejected while compiling, so a request
+// that compiles cannot abort its neighbours' group. The one exception is
+// a live migration between compile and commit to a representation that
+// cannot plan an op's shape; the dispatcher's per-request fallback
+// (commitEach) answers that request alone, and the next request of that
+// shape is rejected at compile time, when it prepares its handle.
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -82,33 +85,13 @@ func (ri *relInfo) cols(mask uint64) []string {
 	return out
 }
 
-// stmtKey is the shape a prepared statement serves: relation, kind,
-// bound columns and, for a query, projected columns.
-type stmtKey struct {
-	r          *core.Relation
-	kind       opKind
-	bound, out uint64
-}
-
-// stmt is one prepared statement of the catalog.
-type stmt struct {
-	key stmtKey
-	rel *relInfo
-	mut core.BatchMutation  // insert and remove
-	q   *core.PreparedQuery // count and query
-	// outIdx lists a query's projected schema slots in ascending order,
-	// which is the order of their names and hence of a reply row's keys.
-	outIdx []int
-}
-
-// catalog resolves wire names against the served registry and holds one
-// prepared statement per operation shape. Lookups read immutable maps
-// published through atomic pointers; additions copy the map under mu.
+// catalog resolves wire names against the served registry. Lookups read
+// an immutable map published through an atomic pointer; additions copy
+// the map under mu.
 type catalog struct {
-	reg   *core.Registry
-	mu    sync.Mutex
-	rels  atomic.Pointer[map[string]*relInfo]
-	stmts atomic.Pointer[map[stmtKey]*stmt]
+	reg  *core.Registry
+	mu   sync.Mutex
+	rels atomic.Pointer[map[string]*relInfo]
 }
 
 // relation returns the relation named name, or nil.
@@ -152,80 +135,17 @@ func (c *catalog) relationNamed(name string) *relInfo {
 	return ri
 }
 
-// stmt returns the prepared statement for a shape, preparing it on
-// first use. Preparation fails when the relation's representation has
-// no plan for the shape; failures are not cached.
-func (c *catalog) stmt(ri *relInfo, kind opKind, bound, out uint64) (*stmt, error) {
-	k := stmtKey{r: ri.r, kind: kind, bound: bound, out: out}
-	if m := c.stmts.Load(); m != nil {
-		if st := (*m)[k]; st != nil {
-			return st, nil
-		}
-	}
-	st := &stmt{key: k, rel: ri}
-	var err error
-	cols := ri.cols(bound)
-	switch kind {
-	case kindInsert:
-		var p *core.PreparedInsert
-		p, err = ri.r.PrepareInsert(cols)
-		st.mut = p
-	case kindRemove:
-		var p *core.PreparedRemove
-		p, err = ri.r.PrepareRemove(cols)
-		st.mut = p
-	case kindCount:
-		st.q, err = ri.r.PrepareQuery(cols, ri.schema.Columns())
-	case kindQuery:
-		st.q, err = ri.r.PrepareQuery(cols, ri.cols(out))
-		for i := 0; i < ri.schema.Len(); i++ {
-			if out&(1<<uint(i)) != 0 {
-				st.outIdx = append(st.outIdx, i)
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	c.update(func(m map[stmtKey]*stmt) {
-		if old := m[k]; old != nil {
-			st = old
-		} else {
-			m[k] = st
-		}
-	})
-	return st, nil
-}
-
-// forget drops st from the catalog: its shape failed to enqueue (a
-// migration removed the plan), so the next request of that shape
-// prepares afresh and is rejected at compile time if the plan is gone.
-func (c *catalog) forget(st *stmt) {
-	c.update(func(m map[stmtKey]*stmt) {
-		if m[st.key] == st {
-			delete(m, st.key)
-		}
-	})
-}
-
-// update publishes a modified copy of the statement map.
-func (c *catalog) update(edit func(map[stmtKey]*stmt)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	next := map[stmtKey]*stmt{}
-	if m := c.stmts.Load(); m != nil {
-		for k, v := range *m {
-			next[k] = v
-		}
-	}
-	edit(next)
-	c.stmts.Store(&next)
-}
-
-// txnOp is one compiled operation: its statement, its row, and the
-// slots its result lands in at commit.
+// txnOp is one compiled operation: its kind, relation and prepared
+// handle, its row, and the slots its result lands in at commit.
 type txnOp struct {
-	st  *stmt
+	kind opKind
+	ri   *relInfo
+	// The prepared handle of the op's kind; a query's also projects the
+	// schema slots of out.
+	ins core.PreparedInsert
+	rem core.PreparedRemove
+	q   core.PreparedQuery
+	out uint64
 	row rel.Row
 	// off and mask place the row in txnReq.vals while the request
 	// compiles; seal turns them into row.
@@ -233,7 +153,7 @@ type txnOp struct {
 	mask uint64
 	pb   *core.Pending[bool] // insert and remove
 	pi   *core.Pending[int]  // count
-	// rows holds a query's matches, len(st.outIdx) values each.
+	// rows holds a query's matches, one value per out slot each.
 	rows []rel.Value
 }
 
@@ -313,7 +233,7 @@ func (tr *txnReq) addOp(ri *relInfo) *txnOp {
 		tr.ops = append(tr.ops, txnOp{})
 	}
 	op := &tr.ops[len(tr.ops)-1]
-	op.off = len(tr.vals)
+	op.ri, op.off = ri, len(tr.vals)
 	tr.vals = append(tr.vals, make([]rel.Value, ri.schema.Len())...)
 	return op
 }
@@ -331,10 +251,12 @@ func (tr *txnReq) bind(op *txnOp, ri *relInfo, i int, v rel.Value) error {
 
 // finish checks a compiled op against its kind's rules — an insert binds
 // every column, only an insert takes a t tuple, a query projects at
-// least one column — and attaches its prepared statement. s is the
-// mask of the columns s bound, tLen the number of t's members, out the
-// query's projection.
-func (tr *txnReq) finish(cat *catalog, op *txnOp, ri *relInfo, kind opKind, s uint64, tLen int, out uint64) error {
+// least one column — and prepares its handle, which fails if the
+// relation's representation cannot plan the op's shape. s is the mask of
+// the columns s bound, tLen the number of t's members, out the query's
+// projection.
+func (tr *txnReq) finish(op *txnOp, kind opKind, s uint64, tLen int, out uint64) error {
+	ri := op.ri
 	switch kind {
 	case kindInsert:
 		if full := ri.schema.FullMask(); op.mask != full {
@@ -350,12 +272,19 @@ func (tr *txnReq) finish(cat *catalog, op *txnOp, ri *relInfo, kind opKind, s ui
 	default:
 		panic("server: finish without a kind")
 	}
-	st, err := cat.stmt(ri, kind, s, out)
-	if err != nil {
-		return err
+	op.kind, op.out = kind, out
+	var err error
+	switch kind {
+	case kindInsert:
+		op.ins, err = ri.r.PrepareInsertMask(s)
+	case kindRemove:
+		op.rem, err = ri.r.PrepareRemoveMask(s)
+	case kindCount:
+		op.q, err = ri.r.PrepareQueryMask(s, ri.schema.FullMask())
+	case kindQuery:
+		op.q, err = ri.r.PrepareQueryMask(s, out)
 	}
-	op.st = st
-	return nil
+	return err
 }
 
 // seal points every op's row at its final backing, once vals has
@@ -363,7 +292,7 @@ func (tr *txnReq) finish(cat *catalog, op *txnOp, ri *relInfo, kind opKind, s ui
 func (tr *txnReq) seal() {
 	for i := range tr.ops {
 		op := &tr.ops[i]
-		w := op.st.rel.schema.Len()
+		w := op.ri.schema.Len()
 		op.row = rel.RowOver(tr.vals[op.off:op.off+w:op.off+w], op.mask)
 	}
 }
@@ -413,7 +342,7 @@ func (tr *txnReq) compileOp(cat *catalog, o *Op) error {
 			out |= 1 << uint(i)
 		}
 	}
-	return tr.finish(cat, op, ri, kind, s, len(o.T), out)
+	return tr.finish(op, kind, s, len(o.T), out)
 }
 
 // bindMap binds a column→value map into op's row. Columns are visited in
@@ -453,34 +382,35 @@ func (tr *txnReq) bindMap(op *txnOp, ri *relInfo, name string, m map[string]any)
 func (tr *txnReq) summarize() string {
 	parts := make([]string, len(tr.ops))
 	for i, op := range tr.ops {
-		parts[i] = op.st.key.kind.String() + " " + op.st.rel.r.Name()
+		parts[i] = op.kind.String() + " " + op.ri.r.Name()
 	}
 	return strings.Join(parts, ", ")
 }
 
 // enqueue adds every op of tr to tx. An error means some op could not
 // be enqueued; the caller must abort the whole batch (members already
-// enqueued cannot be withdrawn). The failing op's statement is
-// returned with the error.
-func (tr *txnReq) enqueue(tx *core.Txn) (*stmt, error) {
+// enqueued cannot be withdrawn).
+func (tr *txnReq) enqueue(tx *core.Txn) error {
 	for i := range tr.ops {
 		op := &tr.ops[i]
 		var err error
-		switch op.st.key.kind {
-		case kindInsert, kindRemove:
-			op.pb, err = tx.ExecRow(op.st.mut, op.row)
+		switch op.kind {
+		case kindInsert:
+			op.pb, err = tx.ExecRow(&op.ins, op.row)
+		case kindRemove:
+			op.pb, err = tx.ExecRow(&op.rem, op.row)
 		case kindCount:
-			op.pi, err = tx.CountRow(op.st.q, op.row)
+			op.pi, err = tx.CountRow(&op.q, op.row)
 		case kindQuery:
 			clear(op.rows)
 			op.rows = op.rows[:0]
-			err = tx.ExecRows(op.st.q, op.row, tr.yield(i))
+			err = tx.ExecRows(&op.q, op.row, tr.yield(i))
 		}
 		if err != nil {
-			return op.st, fmt.Errorf("server: op %d: %w", i, err)
+			return fmt.Errorf("server: op %d: %w", i, err)
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // yield returns the callback collecting op i's query matches.
@@ -489,8 +419,8 @@ func (tr *txnReq) yield(i int) func(rel.Row) bool {
 		j := len(tr.yields)
 		tr.yields = append(tr.yields, func(r rel.Row) bool {
 			op := &tr.ops[j]
-			for _, ci := range op.st.outIdx {
-				op.rows = append(op.rows, r.At(ci))
+			for m := op.out; m != 0; m &= m - 1 {
+				op.rows = append(op.rows, r.At(bits.TrailingZeros64(m)))
 			}
 			return true
 		})

@@ -12,11 +12,11 @@ package server
 // the registry's globally ordered lock acquisition keeps that
 // deadlock-free, exactly as for any two concurrent batches.
 //
-// Error isolation: requests are compiled to prepared statements BEFORE
+// Error isolation: requests are compiled to prepared handles BEFORE
 // entering a window (compile.go), so a malformed request is rejected
 // alone and never aborts its neighbors' group. If an enqueue error
-// nonetheless surfaces at group commit (a migration dropped a plan a
-// cached statement was prepared for), the group aborts untouched
+// nonetheless surfaces at group commit (a migration after compilation
+// dropped the plan of a request's shape), the group aborts untouched
 // (Registry.Batch executes nothing on error) and the dispatcher degrades
 // that window to per-request commits, preserving per-request semantics
 // at the cost of one window's coalescing; the Stats.Degraded counter
@@ -143,8 +143,7 @@ type Stats struct {
 type Dispatcher struct {
 	reg *core.Registry
 	cfg Config
-	// cat resolves names and holds the prepared statements every
-	// request compiles to; reqs pools compiled requests.
+	// cat resolves wire names; reqs pools compiled requests.
 	cat  catalog
 	reqs sync.Pool
 	// syncLog is the durability barrier between commit and reply
@@ -385,7 +384,7 @@ func (d *Dispatcher) commitGroup(batch []*txnReq) {
 			tr = tx.Trace()
 		}
 		for _, c := range batch {
-			if _, err := c.enqueue(tx); err != nil {
+			if err := c.enqueue(tx); err != nil {
 				return err
 			}
 		}
@@ -434,25 +433,22 @@ func (d *Dispatcher) recycle(batch []*txnReq) {
 // commitEach is the degraded path: each request of an aborted window
 // commits alone (its own batch sequence number, size 1), so per-request
 // atomicity and results are preserved and only this window's coalescing
-// is lost. A request that still fails to enqueue is the client's error,
-// and the statement that failed is dropped from the catalog.
+// is lost. A request that still fails to enqueue is the client's error.
 func (d *Dispatcher) commitEach(batch []*txnReq) {
 	for _, c := range batch {
 		seq := d.seq.Add(1)
 		var tr *core.BatchTrace
-		var bad *stmt
 		var enqErr error
 		err := d.reg.Batch(func(tx *core.Txn) error {
 			if d.cfg.Counts != nil {
 				tx.EnableTrace()
 				tr = tx.Trace()
 			}
-			bad, enqErr = c.enqueue(tx)
+			enqErr = c.enqueue(tx)
 			return enqErr
 		})
 		if err != nil {
 			if enqErr != nil {
-				d.cat.forget(bad)
 				err = badRequest{fmt.Errorf("%w (%s)", err, c.summarize())}
 			}
 			c.err = err

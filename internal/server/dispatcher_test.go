@@ -17,6 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/container"
+	"repro/internal/core"
+	"repro/internal/decomp"
+	"repro/internal/locks"
 	"repro/internal/rel"
 	"repro/internal/workload"
 )
@@ -298,28 +302,54 @@ func TestDispatcherValidation(t *testing.T) {
 	}
 }
 
-// TestDispatcherDegradedWindow pins error isolation on the defensive
-// path: a request that bypasses validation and fails at group enqueue
-// aborts only itself — its window-mates commit individually (degraded)
-// with correct results, and the event is counted.
+// TestDispatcherDegradedWindow pins error isolation where a compiled
+// request can still fail at group enqueue: a live migration between its
+// compilation and its commit drops the plan its op was prepared for. The
+// request is refused alone as the client's (HTTP 400), its window-mate
+// commits individually (degraded) with correct results, the event is
+// counted, and the next request of that shape is refused at compile time.
 func TestDispatcherDegradedWindow(t *testing.T) {
 	setWindowHook(t, func(pending int) bool { return pending >= 2 })
 
+	// An "edges" stick ρ –src→ u –dst→ v –weight→ w beside the social
+	// relations. Under a coarse placement it plans an insert keyed
+	// {dst, weight}; with its top edge placed speculatively by src, the
+	// planner refuses that insert.
 	social := workload.MustSocial()
+	spec := rel.MustSpec([]string{"src", "dst", "weight"}, rel.FD{From: []string{"src", "dst"}, To: []string{"weight"}})
+	stick := func() *decomp.Decomposition {
+		d, err := decomp.NewBuilder(spec, "ρ").
+			Edge("ρu", "ρ", "u", []string{"src"}, container.ConcurrentHashMap).
+			Edge("uv", "u", "v", []string{"dst"}, container.ConcurrentHashMap).
+			Edge("vw", "v", "w", []string{"weight"}, container.Cell).
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	d0 := stick()
+	if _, err := social.Reg.Synthesize("edges", spec, core.WithDecomposition(d0), core.WithPlacement(locks.Coarse(d0))); err != nil {
+		t.Fatal(err)
+	}
 	d := NewDispatcher(social.Reg, Config{})
 	defer d.Close()
-
-	// Compiles, but its row no longer binds the columns its statement
-	// was prepared for, so it cannot enqueue — the state a migration that
-	// drops a cached statement's plan leaves. Submitted via submit to
-	// skip compilation, simulating that gap.
-	bad := d.getReq()
-	if err := bad.compileMaps(&d.cat, &Request{Ops: []Op{
-		{Kind: OpCount, Rel: "users", S: map[string]any{"user": int64(1)}},
-	}}); err != nil {
-		t.Fatalf("compile: %v", err)
+	edge := func() *Request {
+		return &Request{Ops: []Op{{Kind: OpInsert, Rel: "edges",
+			S: map[string]any{"dst": int64(2), "weight": int64(3)}, T: map[string]any{"src": int64(1)}}}}
 	}
-	bad.ops[0].row = rel.RowOver(make([]rel.Value, 2), 0)
+
+	bad := d.getReq()
+	if err := bad.compileMaps(&d.cat, edge()); err != nil {
+		t.Fatalf("compile before the cutover: %v", err)
+	}
+	d1 := stick()
+	p1 := locks.NewPlacement(d1)
+	p1.SetStripes(d1.Root, 4)
+	p1.PlaceSpeculative(d1.EdgeByName("ρu"), d1.Root, "src")
+	if _, err := social.Reg.Migrate("edges", core.WithDecomposition(d1), core.WithPlacement(p1)); err != nil {
+		t.Fatal(err)
+	}
 	good := AddPostRequest(1, 2, 3)
 
 	var wg sync.WaitGroup
@@ -337,8 +367,8 @@ func TestDispatcherDegradedWindow(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if badErr == nil {
-		t.Fatal("unenqueueable request committed")
+	if !IsBadRequest(badErr) {
+		t.Fatalf("request whose plan the migration dropped: err=%v, want a bad request", badErr)
 	}
 	if goodErr != nil {
 		t.Fatalf("innocent window-mate failed: %v", goodErr)
@@ -355,6 +385,16 @@ func TestDispatcherDegradedWindow(t *testing.T) {
 	}
 	if st.Requests != 1 {
 		t.Fatalf("committed requests %d, want 1", st.Requests)
+	}
+	if n := social.Reg.RelationByName("edges").Harvest().Writes; n != 0 {
+		t.Fatalf("the refused insert executed: %d writes", n)
+	}
+
+	if _, err := d.Submit(edge()); !IsBadRequest(err) {
+		t.Fatalf("next request of the dropped shape: err=%v, want a compile-time bad request", err)
+	}
+	if st := d.Stats(); st.Degraded != 1 || st.Batches != 1 {
+		t.Fatalf("compile-time refusal reached a window: %+v", st)
 	}
 }
 

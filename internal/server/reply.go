@@ -6,6 +6,7 @@ package server
 // builds the Response value itself.
 
 import (
+	"math/bits"
 	"strconv"
 
 	"repro/internal/server/wirejson"
@@ -22,7 +23,7 @@ func (tr *txnReq) appendReply(b []byte) ([]byte, error) {
 			b = append(b, ',')
 		}
 		op := &tr.ops[i]
-		switch op.st.key.kind {
+		switch op.kind {
 		case kindInsert, kindRemove:
 			if op.pb.Value() {
 				b = append(b, `{"applied":true}`...)
@@ -39,21 +40,22 @@ func (tr *txnReq) appendReply(b []byte) ([]byte, error) {
 				continue
 			}
 			b = append(b, `{"rows":[`...)
-			idx, keys := op.st.outIdx, op.st.rel.keys
-			for r := 0; r < len(op.rows); r += len(idx) {
+			keys := op.ri.keys
+			for r := 0; r < len(op.rows); {
 				if r > 0 {
 					b = append(b, ',')
 				}
 				b = append(b, '{')
-				for j, ci := range idx {
-					if j > 0 {
+				for m := op.out; m != 0; m &= m - 1 {
+					if m != op.out {
 						b = append(b, ',')
 					}
-					b = append(b, keys[ci]...)
+					b = append(b, keys[bits.TrailingZeros64(m)]...)
 					var err error
-					if b, err = wirejson.AppendValue(b, op.rows[r+j]); err != nil {
+					if b, err = wirejson.AppendValue(b, op.rows[r]); err != nil {
 						return b, err
 					}
+					r++
 				}
 				b = append(b, '}')
 			}
@@ -79,7 +81,7 @@ func (tr *txnReq) response() *Response {
 	}
 	for i := range tr.ops {
 		op, res := &tr.ops[i], &resp.Results[i]
-		switch op.st.key.kind {
+		switch op.kind {
 		case kindInsert, kindRemove:
 			v := op.pb.Value()
 			res.Applied = &v
@@ -87,12 +89,13 @@ func (tr *txnReq) response() *Response {
 			v := op.pi.Value()
 			res.Count = &v
 		case kindQuery:
-			idx, cols := op.st.outIdx, op.st.rel.schema.Columns()
-			res.Rows = make([]map[string]any, 0, len(op.rows)/len(idx))
-			for r := 0; r < len(op.rows); r += len(idx) {
-				m := make(map[string]any, len(idx))
-				for j, ci := range idx {
-					m[cols[ci]] = op.rows[r+j]
+			cols, n := op.ri.schema.Columns(), bits.OnesCount64(op.out)
+			res.Rows = make([]map[string]any, 0, len(op.rows)/n)
+			for r := 0; r < len(op.rows); {
+				m := make(map[string]any, n)
+				for o := op.out; o != 0; o &= o - 1 {
+					m[cols[bits.TrailingZeros64(o)]] = op.rows[r]
+					r++
 				}
 				res.Rows = append(res.Rows, m)
 			}

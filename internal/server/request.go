@@ -14,7 +14,7 @@
 // relation), OpResult/Response (per-member results plus the batch
 // coordinates the request committed under), and the one number rule
 // mapping JSON numbers onto relational values. compile.go turns a
-// request into prepared statements and rows, scan.go reads a request
+// request into prepared handles and rows, scan.go reads a request
 // body straight into that form, and reply.go writes the reply.
 package server
 

@@ -4,7 +4,7 @@ package server
 // grammar, compiling a body's bytes straight into a txnReq with no
 // intermediate maps. It accepts what encoding/json decoding into Request
 // (or Op, on the single-op routes) followed by Submit's compile would
-// accept, and compiles it to the same statements and values, with one
+// accept, and compiles it to the same handles and values, with one
 // deliberate difference: a member name that appears twice in one object
 // (directly or by case-folding, "s" and "S") is rejected, where
 // encoding/json would merge or overwrite. Member names match the
@@ -195,7 +195,7 @@ func (tr *txnReq) compileFields(cat *catalog, body []byte, f *opFields, single o
 	if err != nil {
 		return err
 	}
-	return tr.finish(cat, op, ri, kind, s, tLen, out)
+	return tr.finish(op, kind, s, tLen, out)
 }
 
 // outMask scans an out array into a column mask, resolving the names

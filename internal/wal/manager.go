@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/rel"
 )
 
 // SyncPolicy selects when appended records reach stable storage.
@@ -214,7 +212,7 @@ func Open(dir string, reg *core.Registry, opts Options) (*Manager, error) {
 			if err != nil {
 				return fmt.Errorf("wal: record %d: %w", lsn, err)
 			}
-			if err := replayRecord(reg, ops); err != nil {
+			if err := reg.Replay(ops); err != nil {
 				return fmt.Errorf("wal: replaying record %d: %w", lsn, err)
 			}
 			m.recovered.Add(1)
@@ -266,52 +264,6 @@ func Open(dir string, reg *core.Registry, opts Options) (*Manager, error) {
 		go m.snapshotLoop()
 	}
 	return m, nil
-}
-
-// replayRecord re-executes one logged batch through the ordinary batch
-// machinery; mutation outcomes (Pending results) are discarded — the
-// original decisions replay identically from the same prefix state.
-func replayRecord(reg *core.Registry, ops []core.RedoOp) error {
-	return reg.Batch(func(tx *core.Txn) error {
-		for i := range ops {
-			op := &ops[i]
-			r := reg.RelationByName(op.Rel)
-			if r == nil {
-				return fmt.Errorf("unknown relation %q", op.Rel)
-			}
-			schema := r.Schema()
-			if op.RowMask&^schema.FullMask() != 0 {
-				return fmt.Errorf("relation %q: row mask %x exceeds schema", op.Rel, op.RowMask)
-			}
-			if op.Insert {
-				s := maskTuple(schema, op.Vals, op.BoundMask)
-				t := maskTuple(schema, op.Vals, op.RowMask&^op.BoundMask)
-				if _, err := tx.InsertInto(r, s, t); err != nil {
-					return err
-				}
-			} else {
-				s := maskTuple(schema, op.Vals, op.RowMask)
-				if _, err := tx.RemoveFrom(r, s); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-}
-
-// maskTuple projects the masked columns of a dense value slice into a
-// tuple (schema columns are sorted, so the projection is too).
-func maskTuple(schema *rel.Schema, vals []rel.Value, mask uint64) rel.Tuple {
-	cols := make([]string, 0, 4)
-	vs := make([]rel.Value, 0, 4)
-	for m := mask; m != 0; {
-		i := bits.TrailingZeros64(m)
-		m &^= 1 << uint(i)
-		cols = append(cols, schema.Column(i))
-		vs = append(vs, vals[i])
-	}
-	return rel.TupleFromSorted(cols, vs)
 }
 
 // openSegment creates and switches to a fresh segment (mu held or

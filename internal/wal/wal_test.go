@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -281,7 +282,7 @@ func TestReplayIdempotentOverSnapshot(t *testing.T) {
 		t.Fatal("snapshot restore diverged before replay")
 	}
 	for _, ops := range logged[n/2:] { // a suffix of already-applied history
-		if err := replayRecord(restored.Reg, ops); err != nil {
+		if err := restored.Reg.Replay(ops); err != nil {
 			t.Fatalf("replay: %v", err)
 		}
 	}
@@ -401,6 +402,38 @@ func TestCorruptEarlierSegmentFails(t *testing.T) {
 	soc := workload.MustSocial()
 	if _, err := Open(dir, soc.Reg, Options{}); err == nil {
 		t.Fatal("Open accepted corruption in a non-final segment")
+	}
+}
+
+// TestRecoveryRejectsMalformedOps feeds recovery records that decode but
+// do not fit their relation: a row mask past the schema's columns, and an
+// insert that leaves a column unbound. Recovery must refuse each with an
+// error instead of replaying it.
+func TestRecoveryRejectsMalformedOps(t *testing.T) {
+	cases := []struct {
+		name string
+		op   core.RedoOp
+		want string
+	}{
+		{"row mask exceeds schema", core.RedoOp{Rel: "users", Vals: []rel.Value{nil, int64(1), int64(7)}, RowMask: 6, BoundMask: 6}, "exceeds schema"},
+		{"insert misses a column", core.RedoOp{Rel: "users", Insert: true, Vals: []rel.Value{nil, int64(1)}, RowMask: 2, BoundMask: 2}, "insert binds"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			payload, err := appendOps(nil, []core.RedoOp{tc.op})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg := frameRecord(writeSegHeader(nil, 1), 1, payload)
+			if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(dir, workload.MustSocial().Reg, Options{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
