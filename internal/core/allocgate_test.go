@@ -90,6 +90,65 @@ func TestSteadyStateBatchZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("steady-state batch allocates %.0f objects per run, want 0", avg)
 	}
+
+	// The speculative diamond: every member registers §4.5 requests, and
+	// the 36 counts put more than 32 of them on node x, the pooled
+	// resolution's long sort.
+	d := diamondRel(t, true)
+	for i := 0; i < 64; i++ {
+		if _, err := d.Insert(rel.T("src", i%8, "dst", i), rel.T("weight", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dIns, err := d.PrepareInsert([]string{"dst", "src"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dCount, err := d.PrepareQuery([]string{"src"}, []string{"dst", "weight"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cb [36][3]rel.Value
+	var cnt [36]rel.Row
+	for i := range cnt {
+		cnt[i] = rel.RowOver(cb[i][:], 0)
+		cnt[i].Set(iSrc, int64(i%8))
+	}
+	var pis [36]*Pending[int]
+	dfn := func(tx *Txn) error {
+		var err error
+		if pb1, err = tx.ExecRow(dIns, row1); err != nil {
+			return err
+		}
+		if pb2, err = tx.ExecRow(dIns, row2); err != nil {
+			return err
+		}
+		for i := range cnt {
+			if pis[i], err = tx.CountRow(dCount, cnt[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	drun := func() {
+		if err := d.Batch(dfn); err != nil {
+			t.Fatal(err)
+		}
+		if pb1.Value() || pb2.Value() {
+			t.Fatal("speculative diamond: duplicate inserts reported success")
+		}
+		for i := range pis {
+			if pis[i].Value() != 8 {
+				t.Fatalf("speculative diamond: count %d = %d, want 8", i, pis[i].Value())
+			}
+		}
+	}
+	for i := 0; i < 200; i++ {
+		drun()
+	}
+	if avg := testing.AllocsPerRun(100, drun); avg > 2 {
+		t.Fatalf("speculative diamond: steady-state batch allocates %.0f objects per run, want at most 2", avg)
+	}
 }
 
 // TestSteadyStateRegistryBatchZeroAllocs is the same gate on the warm
@@ -189,81 +248,113 @@ func TestSteadyStateRegistryBatchZeroAllocs(t *testing.T) {
 }
 
 // TestSteadyStateSingleOpZeroAllocs is the alloc gate on the single-op
-// path of Figure 5's Split 4 (a ConcurrentHashMap of TreeMaps, the root
-// striped 1024 ways): a warm successor count, predecessor count, remove
-// of an absent edge and insert of a present one, each through the
-// prepared row API the graph benchmark drives, with auditing off. None of
-// them changes the relation, so each call's allocations are its own.
-// The remove and the insert allocated 2 objects each while the single-op
-// lock step sorted its batch with sort.Slice.
+// path: a warm successor count, predecessor count, remove of an absent
+// edge and insert of a present one, each through the prepared row API the
+// graph benchmark drives, with auditing off, on three representations:
+// Figure 5's Split 4 (a ConcurrentHashMap of TreeMaps, the root striped
+// 1024 ways), the speculative diamond (§4.5 lookups and candidate sorts
+// on every operation) and Split 1 (one coarse root lock, so every lock
+// step gathers more selectors than the node has stripes). None of the
+// operations changes the relation, so each call's allocations are its
+// own. Operation rows are stack arrays, as in the workload adapters: a
+// path that lets the caller's row escape to the heap fails the gate.
 func TestSteadyStateSingleOpZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate measures the production build")
 	}
 	SetAudit(false)
 	defer SetAudit(true)
-	r := splitRel(t, container.ConcurrentHashMap, container.TreeMap, func(d *decomp.Decomposition) *locks.Placement {
-		p := locks.NewPlacement(d).SetStripes(d.Root, 1024)
-		for _, e := range d.Root.Out {
-			p.Place(e, d.Root, e.Cols...)
-		}
-		return p
-	})
-	for src := 0; src < 16; src++ {
-		for dst := 0; dst < 64; dst += 2 {
-			if _, err := r.Insert(rel.T("src", src, "dst", dst), rel.T("weight", src+dst)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	succ, err := r.PrepareQuery([]string{"src"}, []string{"dst", "weight"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := r.PrepareQuery([]string{"dst"}, []string{"src", "weight"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins, err := r.PrepareInsert([]string{"dst", "src"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rem, err := r.PrepareRemove([]string{"dst", "src"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := r.Schema()
-	row := func(kv ...any) rel.Row {
-		x := s.NewRow()
-		for i := 0; i < len(kv); i += 2 {
-			x.Set(s.MustIndex(kv[i].(string)), rel.Value(kv[i+1]))
-		}
-		return x
-	}
-	srcRow, dstRow := row("src", int64(3)), row("dst", int64(10))
-	absent := row("src", int64(3), "dst", int64(11))
-	present := row("src", int64(3), "dst", int64(10), "weight", int64(13))
-	cases := []struct {
+	reps := []struct {
 		name string
-		op   func() (int, error)
-		want int
+		r    *Relation
+		// ceil caps the warm allocations per call of each case, in case
+		// order; every entry is zero.
+		ceil [4]float64
 	}{
-		{"successor count", func() (int, error) { return succ.CountRow(srcRow) }, 32},
-		{"predecessor count", func() (int, error) { return pred.CountRow(dstRow) }, 16},
-		{"absent remove", func() (int, error) { ok, err := rem.ExecRow(absent); return b2i(ok), err }, 0},
-		{"present insert", func() (int, error) { ok, err := ins.ExecRow(present); return b2i(ok), err }, 0},
+		{"Split 4", splitRel(t, container.ConcurrentHashMap, container.TreeMap, func(d *decomp.Decomposition) *locks.Placement {
+			p := locks.NewPlacement(d).SetStripes(d.Root, 1024)
+			for _, e := range d.Root.Out {
+				p.Place(e, d.Root, e.Cols...)
+			}
+			return p
+		}), [4]float64{}},
+		{"Diamond Spec", diamondRel(t, true), [4]float64{1, 1, 2, 1}},
+		{"Split 1", splitRel(t, container.HashMap, container.TreeMap, locks.Coarse), [4]float64{0, 0, 1, 1}},
 	}
-	for _, c := range cases {
-		run := func() {
-			if n, err := c.op(); err != nil || n != c.want {
-				t.Fatalf("%s = %d, %v; want %d", c.name, n, err, c.want)
+	for _, rep := range reps {
+		r := rep.r
+		for src := 0; src < 16; src++ {
+			for dst := 0; dst < 64; dst += 2 {
+				if _, err := r.Insert(rel.T("src", src, "dst", dst), rel.T("weight", src+dst)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		for i := 0; i < 200; i++ {
-			run()
+		succ, err := r.PrepareQuery([]string{"src"}, []string{"dst", "weight"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if avg := testing.AllocsPerRun(100, run); avg != 0 {
-			t.Errorf("%s: steady-state single op allocates %.0f objects per run, want 0", c.name, avg)
+		pred, err := r.PrepareQuery([]string{"dst"}, []string{"src", "weight"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, err := r.PrepareInsert([]string{"dst", "src"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rem, err := r.PrepareRemove([]string{"dst", "src"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.Schema()
+		iSrc, iDst, iW := s.MustIndex("src"), s.MustIndex("dst"), s.MustIndex("weight")
+		cases := []struct {
+			name string
+			op   func() (int, error)
+			want int
+		}{
+			{"successor count", func() (int, error) {
+				var buf [3]rel.Value
+				row := rel.RowOver(buf[:], 0)
+				row.Set(iSrc, int64(3))
+				return succ.CountRow(row)
+			}, 32},
+			{"predecessor count", func() (int, error) {
+				var buf [3]rel.Value
+				row := rel.RowOver(buf[:], 0)
+				row.Set(iDst, int64(10))
+				return pred.CountRow(row)
+			}, 16},
+			{"absent remove", func() (int, error) {
+				var buf [3]rel.Value
+				row := rel.RowOver(buf[:], 0)
+				row.Set(iSrc, int64(3))
+				row.Set(iDst, int64(11))
+				ok, err := rem.ExecRow(row)
+				return b2i(ok), err
+			}, 0},
+			{"present insert", func() (int, error) {
+				var buf [3]rel.Value
+				row := rel.RowOver(buf[:], 0)
+				row.Set(iSrc, int64(3))
+				row.Set(iDst, int64(10))
+				row.Set(iW, int64(13))
+				ok, err := ins.ExecRow(row)
+				return b2i(ok), err
+			}, 0},
+		}
+		for i, c := range cases {
+			run := func() {
+				if n, err := c.op(); err != nil || n != c.want {
+					t.Fatalf("%s: %s = %d, %v; want %d", rep.name, c.name, n, err, c.want)
+				}
+			}
+			for i := 0; i < 200; i++ {
+				run()
+			}
+			if avg := testing.AllocsPerRun(100, run); avg > rep.ceil[i] {
+				t.Errorf("%s: %s: steady-state single op allocates %.0f objects per run, want at most %.0f", rep.name, c.name, avg, rep.ceil[i])
+			}
 		}
 	}
 }

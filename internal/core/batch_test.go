@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -406,6 +408,136 @@ func TestBatchDifferentialQuick(t *testing.T) {
 				for i := range got {
 					if got[i]() != want[i] {
 						t.Errorf("group op %d: batch %v, sequential %v", i, got[i](), want[i])
+						return false
+					}
+				}
+				assertSameTuples(t, r, ref)
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestBatchSpecScanDifferential sends the two query shapes that reach a
+// speculative scan of the diamond's ρx edge — nothing bound, and only
+// weight bound — through every batch member kind (prepared ExecRows
+// queries and CountRow counts, beside inserts and removes) and compares
+// each result with the same group run sequentially on the reference. On
+// the speculative diamond the read members cross the growing phase's
+// registered spec-scan requests and, after a mutation, the apply phase's
+// re-execution; on its all-concurrent twin they cross the optimistic
+// read-only and OCC reads.
+func TestBatchSpecScanDifferential(t *testing.T) {
+	variants := []variant{
+		{"diamond/speculative", func(t *testing.T) *Relation { return diamondRel(t, true) }},
+		{"diamond/speculative/chm+csl", specDiamondCapable},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			f := func(pre, group graphOps) bool {
+				r := v.build(t)
+				ref := NewReference(r.Spec())
+				all := r.Schema().Columns()
+				qAll, err := r.PrepareQuery(nil, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				qW, err := r.PrepareQuery([]string{"weight"}, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, op := range pre {
+					s, w := rel.T("src", int(op.Src), "dst", int(op.Dst)), rel.T("weight", int(op.Weight%4))
+					if _, err := r.Insert(s, w); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ref.Insert(s, w); err != nil {
+						t.Fatal(err)
+					}
+				}
+				group = group[:1+len(group)%8] // short groups: read-only ones are common
+				render := func(ts []rel.Tuple) string {
+					ss := make([]string, len(ts))
+					for i, tup := range ts {
+						ss[i] = fmt.Sprint(tup.MustGet("src"), "/", tup.MustGet("dst"), "/", tup.MustGet("weight"))
+					}
+					sort.Strings(ss)
+					return strings.Join(ss, " ")
+				}
+				var want []string
+				for _, op := range group {
+					s, w := rel.T("src", int(op.Src), "dst", int(op.Dst)), rel.T("weight", int(op.Weight%4))
+					bound := rel.T()
+					if op.Kind%5 == 4 {
+						bound = w
+					}
+					switch op.Kind % 5 {
+					case 0:
+						ok, _ := ref.Insert(s, w)
+						want = append(want, fmt.Sprint(ok))
+					case 1:
+						ok, _ := ref.Remove(s)
+						want = append(want, fmt.Sprint(ok))
+					default:
+						res, _ := ref.Query(bound, all...)
+						if op.Kind%5 == 3 || op.Weight%2 == 1 {
+							want = append(want, fmt.Sprint(len(res)))
+						} else {
+							want = append(want, render(res))
+						}
+					}
+				}
+				schema := r.Schema()
+				var got []func() string
+				err = r.Batch(func(tx *Txn) error {
+					for _, op := range group {
+						s, w := rel.T("src", int(op.Src), "dst", int(op.Dst)), rel.T("weight", int(op.Weight%4))
+						q, row := qAll, schema.NewRow()
+						if op.Kind%5 == 4 {
+							q = qW
+							row.Set(schema.MustIndex("weight"), int64(op.Weight%4))
+						}
+						switch {
+						case op.Kind%5 == 0:
+							p, err := tx.Insert(s, w)
+							if err != nil {
+								return err
+							}
+							got = append(got, func() string { return fmt.Sprint(p.Value()) })
+						case op.Kind%5 == 1:
+							p, err := tx.Remove(s)
+							if err != nil {
+								return err
+							}
+							got = append(got, func() string { return fmt.Sprint(p.Value()) })
+						case op.Kind%5 == 3 || op.Weight%2 == 1:
+							p, err := tx.CountRow(q, row)
+							if err != nil {
+								return err
+							}
+							got = append(got, func() string { return fmt.Sprint(p.Value()) })
+						default:
+							var rows []rel.Tuple
+							if err := tx.ExecRows(q, row, func(x rel.Row) bool {
+								rows = append(rows, schema.TupleOfRow(x))
+								return true
+							}); err != nil {
+								return err
+							}
+							got = append(got, func() string { return render(rows) })
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					if g := got[i](); g != want[i] {
+						t.Errorf("group op %d (%+v): batch %q, sequential %q", i, group[i], g, want[i])
 						return false
 					}
 				}
