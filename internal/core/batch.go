@@ -33,15 +33,19 @@ import (
 //     takes each physical lock at most once, instead of up to N times.
 //
 //   - The APPLY phase re-executes members in batch order under the held
-//     locks: queries traverse, inserts run their put-if-absent check and
-//     write, removes locate and delete. No further locks are taken
-//     (execStep's b.apply mode): every pre-existing instance a member can
-//     reach was locked during the growing phase (container contents only
-//     change through this batch's own writes), and instances created by
-//     earlier members are private to the transaction. Re-execution gives
-//     the batch sequential semantics — each member observes the effects
-//     of the members before it — and an undo log makes the mutation
-//     suffix all-or-nothing if an invariant violation panics mid-apply.
+//     locks, through the code single operations run: queries and counts
+//     walk their plans straight through (exec.go's walk) on the member's
+//     own arrays, inserts and removes run the one insert/remove body
+//     (mutate.go) on the buffer's pair. The buffer's apply mode (b.apply)
+//     makes lock steps and lock directives do nothing and speculative
+//     accesses plain lookups and scans: every pre-existing instance a
+//     member can reach was locked during the growing phase (container
+//     contents only change through this batch's own writes), and
+//     instances created by earlier members are private to the
+//     transaction. Re-execution gives the batch sequential semantics —
+//     each member observes the effects of the members before it — and an
+//     undo log makes the mutation suffix all-or-nothing if an invariant
+//     violation panics mid-apply.
 //
 // Members whose results cannot be affected by the batch's own writes
 // (every member up to and including the first mutation) skip the apply
@@ -968,16 +972,6 @@ func (r *Relation) initBatchMembers(b *opBuf) {
 			m.states = append(m.states[:0], b.rootState(r, m.row, m.mut.BoundMask))
 		}
 	}
-
-	// De-alias the single-op ping-pong arrays. Single operations may leave
-	// b.pipe and b.spare aliased (a scan step on an already-dead pipeline
-	// donates the pipe array to spare), which is benign when nothing
-	// outlives the operation. Batch members pipe their states through
-	// member-owned arrays only, so the pair keeps its capacity for the
-	// apply phase's insert/remove re-executions and merely must not alias.
-	if sameBacking(b.pipe, b.spare) {
-		b.spare = nil
-	}
 }
 
 // growBatch runs the growing phase for one relation's members: per-node
@@ -1205,7 +1199,7 @@ func (r *Relation) computeMember(b *opBuf, m *member, idx, firstMut int) {
 				m.ok = true
 			}
 		} else {
-			m.ok = r.applyInsert(b, m)
+			m.ok = r.insert(b, m.ins, m.row)
 		}
 	case mRemove:
 		m.ok = false
@@ -1218,8 +1212,21 @@ func (r *Relation) computeMember(b *opBuf, m *member, idx, firstMut int) {
 				m.ok = true
 			}
 		} else {
-			m.ok = r.applyRemove(b, m)
+			m.ok = r.remove(b, m.mut, m.row)
 		}
+	}
+}
+
+// runMember walks a query or count member's plan straight through on the
+// member's own arrays, outside the growing phase: the apply phase's
+// re-execution (b.apply) and the optimistic read phase (b.optimistic). A
+// query member keeps its final states; a count member stores its count
+// and drops its states.
+func (r *Relation) runMember(b *opBuf, m *member) {
+	n := r.walk(b, m.steps, m.row, m.boundMask, &m.states, &m.specOut)
+	if m.kind == mCount {
+		m.count, m.counted = n, true
+		m.states = m.states[:0]
 	}
 }
 
@@ -1253,61 +1260,6 @@ func (r *Relation) deliverMember(b *opBuf, m *member) {
 	case mInsert, mRemove:
 		m.pb.set(m.ok)
 	}
-}
-
-// applyInsert re-executes an insert at commit time: re-run the
-// put-if-absent existence check against the batch-current representation
-// (an earlier member may have inserted or removed the key), re-locate the
-// row's instances, and write.
-func (r *Relation) applyInsert(b *opBuf, m *member) bool {
-	states := r.runSteps(b, m.ins.q.Steps, m.row, m.ins.q.BoundMask)
-	exists := len(states) > 0
-	b.recycle(states)
-	if exists {
-		return false
-	}
-	nNodes := len(r.decomp.Nodes)
-	if cap(b.xinst) < nNodes {
-		b.xinst = make([]*Instance, nNodes)
-	}
-	xinst := b.xinst[:nNodes]
-	clear(xinst)
-	xinst[r.decomp.Root.Index] = r.root
-	for i := range m.mut.PerNode {
-		nd := &m.mut.PerNode[i]
-		if nd.Node != r.decomp.Root {
-			r.locateX(b, nd, xinst, m.row)
-		}
-	}
-	r.insertWrite(b, xinst, m.row)
-	return true
-}
-
-// applyRemove re-executes a remove at commit time against the
-// batch-current representation.
-func (r *Relation) applyRemove(b *opBuf, m *member) bool {
-	states := append(b.pipe[:0], b.rootState(r, m.row, m.mut.BoundMask))
-	b.pipe = states
-	for i := range m.mut.PerNode {
-		nd := &m.mut.PerNode[i]
-		if nd.Node == r.decomp.Root {
-			continue
-		}
-		states = r.advanceStates(b, nd, states)
-		if len(states) == 0 {
-			break
-		}
-	}
-	removed := false
-	for _, st := range states {
-		if st.row.Mask() != r.fullMask {
-			continue
-		}
-		r.deleteTuple(b, st)
-		removed = true
-	}
-	b.recycle(states)
-	return removed
 }
 
 // undoLog records displaced container bindings during a batch's apply

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/decomp"
 	"repro/internal/locks"
@@ -18,165 +18,91 @@ import (
 // comparisons, sorting lock batches into the global order (eliding the
 // sort when the plan proved the states pre-sorted) and running the
 // speculative acquire/validate/retry protocol of §4.5.
+//
+// A plan runs in one of two forms. A batch's growing phase (rounds.go)
+// sweeps every member's round program in lockstep, so that the members'
+// lock requests coalesce and their speculative requests resolve together.
+// Every other execution — single-op queries and counts, their optimistic
+// attempts, a batch member's apply re-execution and its optimistic or OCC
+// read — is the straight walk below: walk runs plan.Steps from the root
+// state, and execStep sends each step kind to one primitive. The buffer's
+// mode picks what a primitive does: pessimistic (take locks, run §4.5),
+// apply (every lock is already held: lock steps do nothing and
+// speculative accesses are plain reads) or optimistic (record epochs
+// instead of taking locks). The growing phase calls the same primitives
+// for its plain access steps.
 
 // specRetryLimit bounds the §4.5 validate/retry loop; exceeding it
 // indicates a livelock bug rather than contention, so the executor panics.
 const specRetryLimit = 1 << 20
 
-// runSteps executes a step list from the root state: the shared skeleton
-// of queries, counts and the mutation-embedded existence checks. Callers
-// must pass the final state list to b.recycle once consumed.
-func (r *Relation) runSteps(b *opBuf, steps []query.Step, op rel.Row, mask uint64) []*qstate {
-	states := append(b.pipe[:0], b.rootState(r, op, mask))
-	b.pipe = states
+// walk runs a plan's steps straight through from the root state on the
+// array pair (pipe, spare): the buffer's pair for a single operation, a
+// batch member's own arrays for a member. The final states are left in
+// *pipe. It returns a StepCount terminal's total, or else the number of
+// final states.
+func (r *Relation) walk(b *opBuf, steps []query.Step, op rel.Row, mask uint64, pipe, spare *[]*qstate) int {
+	*pipe = append((*pipe)[:0], b.rootState(r, op, mask))
 	for i := range steps {
-		states = r.execStep(b, &steps[i], states, op)
-		if len(states) == 0 {
+		s := &steps[i]
+		if s.Kind == query.StepCount {
+			return r.countAt(b, s, *pipe)
+		}
+		r.execStep(b, s, op, pipe, spare)
+		if len(*pipe) == 0 {
 			break
 		}
 	}
-	return states
+	return len(*pipe)
 }
 
-// execStep dispatches one plan step over the current states. In a batch's
-// apply phase (b.apply) every lock the batch can need is already held, so
-// lock steps are skipped and speculative accesses run as plain lookups and
-// scans — re-validation is unnecessary because no other transaction can
-// move entries under the batch's locks, and entries written by earlier
-// batch members live in instances private to the transaction.
-func (r *Relation) execStep(b *opBuf, step *query.Step, states []*qstate, op rel.Row) []*qstate {
-	switch step.Kind {
+// execStep runs one plan step over the states in *pipe. Steps that build
+// a new list build it on *spare, which then receives the old list's
+// array, so the two arrays never alias.
+func (r *Relation) execStep(b *opBuf, s *query.Step, op rel.Row, pipe, spare *[]*qstate) {
+	states := *pipe
+	switch s.Kind {
 	case query.StepLock:
-		if b.apply {
-			return states
-		}
-		r.execLock(b, step, states, op)
-		return states
+		r.execLock(b, s, states, op)
 	case query.StepLookup:
-		return r.execLookup(b, step.Edge, step.ColIdx, states)
-	case query.StepScan:
-		if r.placement.RuleFor(step.Edge).Speculative && !b.apply {
-			if b.optimistic {
-				return r.execOptimisticScanSpec(b, step, states)
-			}
-			return r.execScanSpec(b, step, states)
-		}
-		return r.execScan(b, step.Edge, step.ColIdx, step.FilterPos, step.FilterIdx, states)
+		*pipe = r.execLookup(b, s.Edge, s.ColIdx, states)
 	case query.StepSpecLookup:
-		if b.apply {
-			return r.execApplyLookup(b, step.Edge, step.ColIdx, states)
+		*pipe = r.execSpecLookup(b, s.Edge, s.ColIdx, s.TargetIdx, s.Mode, states)
+	case query.StepScan:
+		if r.placement.RuleFor(s.Edge).Speculative {
+			*pipe = r.execScanSpec(b, (*spare)[:0], s, states)
+		} else {
+			*pipe = r.execScan(b, scanAppend, (*spare)[:0], s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx, states)
 		}
-		if b.optimistic {
-			return r.execOptimisticLookup(b, step.Edge, step.ColIdx, states)
-		}
-		return r.execSpecLookup(b, step.Edge, step.ColIdx, step.TargetIdx, states, step.Mode)
+		*spare = states[:0]
 	default:
-		panic(fmt.Sprintf("core: unknown step kind %d", step.Kind))
+		panic(fmt.Sprintf("core: unknown step kind %d", s.Kind))
 	}
 }
 
-// execApplyLookup advances states across a speculatively placed edge
-// during a batch's apply phase: a plain keyed lookup, trusted without the
-// §4.5 validate/retry protocol because the batch already holds either the
-// target's lock (acquired when the growing phase located it) or created
-// the target itself (private to the transaction).
-func (r *Relation) execApplyLookup(b *opBuf, e *decomp.Edge, colIdx []int, states []*qstate) []*qstate {
-	out := states[:0]
+// countAt sums the sizes of a StepCount terminal's containers over the
+// counting frontier — the count-pushdown result, read without traversing
+// the counted entries.
+func (r *Relation) countAt(b *opBuf, s *query.Step, states []*qstate) int {
+	total := 0
 	for _, st := range states {
-		src := st.insts[e.Src.Index]
-		if src == nil {
-			continue
+		if inst := st.insts[s.Edge.Src.Index]; inst != nil {
+			r.auditAccess(b, s.Edge, st.insts, st.row, nil, b.fresh, true)
+			total += r.container(inst, s.Edge).Len()
 		}
-		v, ok := r.container(src, e).Lookup(b.keyOf(st.row, colIdx))
-		if !ok {
-			r.auditAccess(b, e, st.insts, st.row, nil, b.fresh, false)
-			continue
-		}
-		inst := v.(*Instance)
-		r.auditAccess(b, e, st.insts, st.row, inst, b.fresh, false)
-		st.insts[e.Dst.Index] = inst
-		out = append(out, st)
 	}
-	return out
+	return total
 }
 
-// execOptimisticLookup advances states across a speculatively placed edge
-// during an optimistic read-only attempt: a plain lock-free lookup whose
-// stability is established by epochs rather than by the §4.5
-// acquire/validate/retry protocol. The entry's membership is covered by
-// the fallback stripes the plan's preceding lock step recorded; the
-// target's content is covered by recording the target lock's epoch here,
-// before any later step descends into the target's containers. If the
-// entry moves or the target's subtree changes before the batch validates,
-// one of those recorded epochs moves with it.
-func (r *Relation) execOptimisticLookup(b *opBuf, e *decomp.Edge, colIdx []int, states []*qstate) []*qstate {
-	out := states[:0]
-	for _, st := range states {
-		src := st.insts[e.Src.Index]
-		if src == nil {
-			continue
-		}
-		v, ok := r.container(src, e).Lookup(b.keyOf(st.row, colIdx))
-		if !ok {
-			r.auditAccess(b, e, st.insts, st.row, nil, b.fresh, false)
-			continue
-		}
-		inst := v.(*Instance)
-		b.reads.Record(inst.lock(0))
-		r.auditAccess(b, e, st.insts, st.row, inst, b.fresh, false)
-		st.insts[e.Dst.Index] = inst
-		out = append(out, st)
-	}
-	return out
-}
-
-// execOptimisticScanSpec scans a speculatively placed edge during an
-// optimistic read-only attempt. The plan's preceding lock step recorded
-// every fallback stripe (the epochs standing in for "freezing the
-// membership"), so each discovered entry only needs its target's epoch
-// recorded before later steps read the target's subtree.
-func (r *Relation) execOptimisticScanSpec(b *opBuf, step *query.Step, states []*qstate) []*qstate {
-	out := r.execOptimisticScanSpecInto(b, b.spare[:0], step, states)
-	b.spare = states[:0]
-	return out
-}
-
-// execOptimisticScanSpecInto is execOptimisticScanSpec building onto a
-// caller-supplied output array; batch members pass their own arrays here
-// instead of the shared ping-pong pair.
-func (r *Relation) execOptimisticScanSpecInto(b *opBuf, out []*qstate, step *query.Step, states []*qstate) []*qstate {
-	e := step.Edge
-	for _, st := range states {
-		src := st.insts[e.Src.Index]
-		if src == nil {
-			continue
-		}
-		r.auditAccess(b, e, st.insts, st.row, nil, b.fresh, true)
-		r.container(src, e).Scan(func(k rel.Key, v any) bool {
-			for fi, p := range step.FilterPos {
-				if !rel.Equal(k.At(p), st.row.At(step.FilterIdx[fi])) {
-					return true
-				}
-			}
-			ns := b.clone(r, st)
-			for p, ci := range step.ColIdx {
-				ns.row.Set(ci, k.At(p))
-			}
-			inst := v.(*Instance)
-			b.reads.Record(inst.lock(0))
-			ns.insts[e.Dst.Index] = inst
-			out = append(out, ns)
-			return true
-		})
-	}
-	return out
-}
-
-// execLock acquires the physical locks the step requires on the instances
-// of its node present in states. Stripe selection follows §4.4: a bound
+// execLock takes the physical locks the step requires on the instances of
+// its node present in states. Stripe selection follows §4.4: a bound
 // selector hashes the operation row through its compiled indices;
-// anything else takes every stripe.
+// anything else takes every stripe. In a batch's apply phase every lock is
+// already held, so it does nothing.
 func (r *Relation) execLock(b *opBuf, step *query.Step, states []*qstate, op rel.Row) {
+	if b.apply {
+		return
+	}
 	n := step.Node
 	// Deduplicate instances: linear for small batches, map beyond.
 	insts := b.instScratch[:0]
@@ -215,9 +141,11 @@ func (r *Relation) execLock(b *opBuf, step *query.Step, states []*qstate, op rel
 	r.execLockInsts(b, step, insts, op)
 }
 
-// execLockInsts acquires the step's locks over a deduplicated instance
-// list. The stripe set depends only on the operation row, so it is
-// computed once and applied per instance.
+// execLockInsts takes the step's locks over a deduplicated instance list.
+// The stripe set depends only on the operation row, so it is computed
+// once and applied per instance. Stripes are deduplicated as they are
+// gathered: a one-stripe node's set is {0} however many selectors the
+// step carries.
 func (r *Relation) execLockInsts(b *opBuf, step *query.Step, insts []*Instance, op rel.Row) {
 	n := step.Node
 	k := r.placement.StripeCount(n)
@@ -230,28 +158,17 @@ func (r *Relation) execLockInsts(b *opBuf, step *query.Step, insts []*Instance, 
 			all = true
 			break
 		}
-		if k == 1 || len(sel.Idx) == 0 {
-			stripes = append(stripes, 0)
-			continue
-		}
-		if !op.BindsAll(sel.Mask) {
-			all = true
-			break
-		}
-		stripes = append(stripes, int(op.HashAt(sel.Idx)%uint64(k)))
-	}
-	distinct := 0
-	if !all {
-		sort.Ints(stripes)
-		w := 0
-		for i, idx := range stripes {
-			if i == 0 || idx != stripes[w-1] {
-				stripes[w] = idx
-				w++
+		idx := 0
+		if k > 1 && len(sel.Idx) > 0 {
+			if !op.BindsAll(sel.Mask) {
+				all = true
+				break
 			}
+			idx = int(op.HashAt(sel.Idx) % uint64(k))
 		}
-		stripes = stripes[:w]
-		distinct = w
+		if at, found := slices.BinarySearch(stripes, idx); !found {
+			stripes = slices.Insert(stripes, at, idx)
+		}
 	}
 	batch := b.lockBatch[:0]
 	for _, inst := range insts {
@@ -265,7 +182,7 @@ func (r *Relation) execLockInsts(b *opBuf, step *query.Step, insts []*Instance, 
 			batch = append(batch, inst.lock(idx))
 		}
 	}
-	preSorted := step.PreSorted && k == 1 && !all && distinct == 1
+	preSorted := step.PreSorted && k == 1 && !all && len(stripes) == 1
 	switch {
 	case b.optimistic:
 		// Optimistic read-only attempt: record each lock's epoch where the
@@ -309,75 +226,10 @@ func (r *Relation) execLookup(b *opBuf, e *decomp.Edge, colIdx []int, states []*
 	return out
 }
 
-// execScan advances states across edge e by iterating the source
-// containers. Each surviving entry's key values are scattered directly
-// into a cloned row through the compiled indices — the dense-row analog
-// of the tuple join, with no merge and no allocation beyond the pooled
-// state. Filter positions compare entry values against row slots bound by
-// the operation.
-func (r *Relation) execScan(b *opBuf, e *decomp.Edge, colIdx, filterPos, filterIdx []int, states []*qstate) []*qstate {
-	out := r.execScanInto(b, b.spare[:0], e, colIdx, filterPos, filterIdx, states)
-	b.spare = states[:0]
-	return out
-}
-
-// execScanInto is execScan building onto a caller-supplied output array;
-// batch members pass their own arrays here instead of the shared
-// ping-pong pair.
-func (r *Relation) execScanInto(b *opBuf, out []*qstate, e *decomp.Edge, colIdx, filterPos, filterIdx []int, states []*qstate) []*qstate {
-	// The visitor closure is created once per buffer and parameterized
-	// through b.scan: a fresh closure per (call × state) is the hottest
-	// allocation in a scan-heavy batch, and Scan's indirect call makes it
-	// escape unconditionally.
-	sc := &b.scan
-	if b.scanFn == nil {
-		b.scanFn = func(k rel.Key, v any) bool {
-			st := sc.st
-			for fi, p := range sc.filterPos {
-				if !rel.Equal(k.At(p), st.row.At(sc.filterIdx[fi])) {
-					return true
-				}
-			}
-			ns := sc.b.clone(sc.r, st)
-			for p, ci := range sc.colIdx {
-				ns.row.Set(ci, k.At(p))
-			}
-			ns.insts[sc.e.Dst.Index] = v.(*Instance)
-			sc.out = append(sc.out, ns)
-			return true
-		}
-	}
-	sc.r, sc.b, sc.e = r, b, e
-	sc.colIdx, sc.filterPos, sc.filterIdx = colIdx, filterPos, filterIdx
-	sc.out = out
-	for _, st := range states {
-		src := st.insts[e.Src.Index]
-		if src == nil {
-			continue
-		}
-		r.auditAccess(b, e, st.insts, st.row, nil, b.fresh, len(filterPos) == 0)
-		sc.st = st
-		r.container(src, e).Scan(b.scanFn)
-	}
-	out = sc.out
-	sc.out, sc.st = nil, nil // release retained states
-	return out
-}
-
-// scanCtx carries execScanInto's per-call parameters to the buffer's
-// cached visitor closure.
-type scanCtx struct {
-	r                            *Relation
-	b                            *opBuf
-	e                            *decomp.Edge
-	colIdx, filterPos, filterIdx []int
-	st                           *qstate
-	out                          []*qstate
-}
-
 // execSpecLookup advances states across a speculatively placed edge
-// (§4.5). The plan has already taken the fallback stripe covering the
-// absent case, so:
+// (§4.5). In apply and optimistic mode each state takes a plain lookup
+// (lookupSpec). Otherwise the plan has already taken the fallback stripe
+// covering the absent case, so:
 //
 //   - an unlocked read that misses is final (the absence is protected by
 //     the held fallback lock) and the state dies;
@@ -388,20 +240,29 @@ type scanCtx struct {
 //
 // Requests are processed in target-key order so acquisitions respect the
 // global lock order across states.
-func (r *Relation) execSpecLookup(b *opBuf, e *decomp.Edge, colIdx, targetIdx []int, states []*qstate, mode locks.Mode) []*qstate {
+func (r *Relation) execSpecLookup(b *opBuf, e *decomp.Edge, colIdx, targetIdx []int, mode locks.Mode, states []*qstate) []*qstate {
+	out := states[:0]
+	if b.apply || b.optimistic {
+		for _, st := range states {
+			if src := st.insts[e.Src.Index]; src != nil {
+				if inst, ok := r.lookupSpec(b, e, colIdx, src, st.row, st.insts); ok {
+					st.insts[e.Dst.Index] = inst
+					out = append(out, st)
+				}
+			}
+		}
+		return out
+	}
 	reqs := b.reqs[:0]
 	for _, st := range states {
-		if st.insts[e.Src.Index] == nil {
-			continue
+		if st.insts[e.Src.Index] != nil {
+			reqs = append(reqs, specReq{st: st, target: b.keyOf(st.row, targetIdx)})
 		}
-		reqs = append(reqs, specReq{st: st, target: b.keyOf(st.row, targetIdx)})
 	}
-	sort.Slice(reqs, func(i, j int) bool { return rel.CompareKeys(reqs[i].target, reqs[j].target) < 0 })
-	out := b.spare[:0]
+	slices.SortFunc(reqs, compareSpecReqs)
 	for i := range reqs {
 		st := reqs[i].st
-		src := st.insts[e.Src.Index]
-		if inst, ok := r.specLocate(b, e, colIdx, src, st.row, mode); ok {
+		if inst, ok := r.specLocate(b, e, colIdx, st.insts[e.Src.Index], st.row, mode); ok {
 			st.insts[e.Dst.Index] = inst
 			out = append(out, st)
 		} else {
@@ -411,8 +272,31 @@ func (r *Relation) execSpecLookup(b *opBuf, e *decomp.Edge, colIdx, targetIdx []
 	}
 	clear(reqs) // drop state/key pointers now, so putBuf need not sweep capacity
 	b.reqs = reqs[:0]
-	b.spare = states[:0]
 	return out
+}
+
+// compareSpecReqs orders §4.5 candidates by target key.
+func compareSpecReqs(a, c specReq) int { return rel.CompareKeys(a.target, c.target) }
+
+// lookupSpec reads the target of a speculatively placed edge for one row
+// outside the §4.5 protocol. In a batch's apply phase the plain lookup is
+// trusted because the batch already holds the target's lock (taken when
+// the growing phase located it) or created the target itself. In an
+// optimistic attempt it records the target lock's epoch, before any later
+// step descends into the target's containers; the entry's membership is
+// covered by the fallback stripes the plan's preceding lock step recorded.
+func (r *Relation) lookupSpec(b *opBuf, e *decomp.Edge, colIdx []int, src *Instance, row rel.Row, insts []*Instance) (*Instance, bool) {
+	v, ok := r.container(src, e).Lookup(b.keyOf(row, colIdx))
+	if !ok {
+		r.auditAccess(b, e, insts, row, nil, b.fresh, false)
+		return nil, false
+	}
+	inst := v.(*Instance)
+	if b.optimistic {
+		b.reads.Record(inst.lock(0))
+	}
+	r.auditAccess(b, e, insts, row, inst, b.fresh, false)
+	return inst, true
 }
 
 // specLocate runs the speculative protocol for a single bound key and
@@ -456,45 +340,126 @@ func (r *Relation) specLocate(b *opBuf, e *decomp.Edge, colIdx []int, src *Insta
 	}
 }
 
-// execScanSpec scans a speculatively placed edge: the plan took every
-// fallback stripe (covering all absent entries, and thereby freezing the
-// container's membership), so each discovered entry only needs its target
-// lock validated. Candidates are locked in target-key order.
-func (r *Relation) execScanSpec(b *opBuf, step *query.Step, states []*qstate) []*qstate {
-	e := step.Edge
-	cands := b.reqs[:0]
-	for _, st := range states {
-		src := st.insts[e.Src.Index]
-		if src == nil {
-			continue
-		}
-		r.auditAccess(b, e, st.insts, st.row, nil, b.fresh, true)
-		r.container(src, e).Scan(func(k rel.Key, v any) bool {
-			for fi, p := range step.FilterPos {
-				if !rel.Equal(k.At(p), st.row.At(step.FilterIdx[fi])) {
-					return true
-				}
-			}
-			ns := b.clone(r, st)
-			for p, ci := range step.ColIdx {
-				ns.row.Set(ci, k.At(p))
-			}
-			cands = append(cands, specReq{st: ns, target: b.keyOf(ns.row, step.TargetIdx)})
-			return true
-		})
+// execScanSpec scans a speculatively placed edge, building the survivors
+// onto out. The plan took every fallback stripe (covering all absent
+// entries, and thereby freezing the container's membership), so each
+// discovered entry only needs its target covered: in apply mode the batch
+// already holds it, an optimistic attempt records its epoch, and otherwise
+// the candidates are locked and validated in target-key order (§4.5).
+func (r *Relation) execScanSpec(b *opBuf, out []*qstate, s *query.Step, states []*qstate) []*qstate {
+	switch {
+	case b.apply:
+		return r.execScan(b, scanAppend, out, s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx, states)
+	case b.optimistic:
+		return r.execScan(b, scanRecord, out, s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx, states)
 	}
-	sort.Slice(cands, func(i, j int) bool { return rel.CompareKeys(cands[i].target, cands[j].target) < 0 })
-	out := b.spare[:0]
+	b.scan.s, b.reqs = s, b.reqs[:0]
+	r.execScan(b, scanCand, nil, s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx, states)
+	cands := b.reqs
+	slices.SortFunc(cands, compareSpecReqs)
 	for i := range cands {
 		ns := cands[i].st
-		src := ns.insts[e.Src.Index]
-		if inst, ok := r.specLocate(b, e, step.ColIdx, src, ns.row, step.Mode); ok {
-			ns.insts[e.Dst.Index] = inst
+		if inst, ok := r.specLocate(b, s.Edge, s.ColIdx, ns.insts[s.Edge.Src.Index], ns.row, s.Mode); ok {
+			ns.insts[s.Edge.Dst.Index] = inst
 			out = append(out, ns)
 		}
 	}
 	clear(cands)
 	b.reqs = cands[:0]
-	b.spare = states[:0]
 	return out
+}
+
+// scanAct is what the buffer's scan visitor does with each entry that
+// passes the scan's filter, after extending a clone of the scanned state
+// with the entry's key values.
+type scanAct uint8
+
+const (
+	scanAppend   scanAct = iota // append the state to the output list
+	scanRecord                  // the same, recording the target lock's epoch (optimistic §4.5 scan)
+	scanCand                    // collect a §4.5 candidate keyed by its target (b.reqs)
+	scanRegister                // register a batch speculative request for member m (b.specs)
+)
+
+// scanCtx is the parameter block of the buffer's cached scan visitor
+// (b.scanFn), the only function the executor passes to a container's
+// Scan: a fresh closure per (call × state) is the hottest allocation in a
+// scan-heavy batch, and Scan's indirect call makes it escape
+// unconditionally.
+type scanCtx struct {
+	r                            *Relation
+	b                            *opBuf
+	act                          scanAct
+	e                            *decomp.Edge
+	colIdx, filterPos, filterIdx []int
+	s                            *query.Step // scanCand, scanRegister: the speculative step
+	m                            *member     // scanRegister: the requesting member
+	st                           *qstate     // the state whose source container is scanned
+	src                          *Instance   // its source instance
+	out                          []*qstate
+}
+
+// execScan advances states across edge e by iterating the source
+// containers with the buffer's cached visitor, doing act with each entry
+// that passes the filter; appended states build onto out, which it
+// returns. Each entry's key values are scattered directly into a cloned
+// row through the compiled indices — the dense-row analog of the tuple
+// join, with no merge and no allocation beyond the pooled state. Filter
+// positions compare entry values against row slots bound by the
+// operation. Callers set b.scan.s (and b.scan.m) first for the acts that
+// need them.
+func (r *Relation) execScan(b *opBuf, act scanAct, out []*qstate, e *decomp.Edge, colIdx, filterPos, filterIdx []int, states []*qstate) []*qstate {
+	sc := &b.scan
+	if b.scanFn == nil {
+		b.scanFn = sc.visit
+	}
+	sc.r, sc.b, sc.act, sc.e = r, b, act, e
+	sc.colIdx, sc.filterPos, sc.filterIdx = colIdx, filterPos, filterIdx
+	sc.out = out
+	// A speculative scan observes the whole container: its fallback
+	// stripes freeze the membership.
+	whole := act != scanAppend || len(filterPos) == 0
+	for _, st := range states {
+		src := st.insts[e.Src.Index]
+		if src == nil {
+			continue
+		}
+		r.auditAccess(b, e, st.insts, st.row, nil, b.fresh, whole)
+		sc.st, sc.src = st, src
+		r.container(src, e).Scan(b.scanFn)
+	}
+	out = sc.out
+	sc.out, sc.st, sc.src, sc.s, sc.m = nil, nil, nil, nil, nil // release retained pointers
+	return out
+}
+
+// visit is the scan visitor: filter the entry, extend a clone of the
+// scanned state with its key values, and do the scan's act with it.
+func (sc *scanCtx) visit(k rel.Key, v any) bool {
+	st := sc.st
+	for fi, p := range sc.filterPos {
+		if !rel.Equal(k.At(p), st.row.At(sc.filterIdx[fi])) {
+			return true
+		}
+	}
+	b := sc.b
+	ns := b.clone(sc.r, st)
+	for p, ci := range sc.colIdx {
+		ns.row.Set(ci, k.At(p))
+	}
+	switch sc.act {
+	case scanCand:
+		b.reqs = append(b.reqs, specReq{st: ns, target: b.keyOf(ns.row, sc.s.TargetIdx)})
+	case scanRegister:
+		b.specs = append(b.specs, batchSpecReq{m: sc.m, st: ns, edge: sc.e, colIdx: sc.colIdx,
+			row: ns.row, src: sc.src, key: b.keyOf(ns.row, sc.s.TargetIdx), node: sc.e.Dst.Index, mode: sc.s.Mode})
+	default:
+		inst := v.(*Instance)
+		if sc.act == scanRecord {
+			b.reads.Record(inst.lock(0))
+		}
+		ns.insts[sc.e.Dst.Index] = inst
+		sc.out = append(sc.out, ns)
+	}
+	return true
 }

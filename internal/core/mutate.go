@@ -19,13 +19,37 @@ import (
 // at the end: trivially two-phase (§4.2). Operations run on dense rows:
 // x is the fully bound tuple as a row, and the key-column subset s is just
 // x narrowed to the plan's bound mask.
+//
+// Each mutation has one body (insert, remove), which a batch's apply
+// phase re-executes in the buffer's apply mode, where the lock directives
+// take nothing; the single-operation wrappers add the buffer checkout,
+// the write counter and the migration tap. A batch's growing phase runs
+// the same directives in rounds instead (rounds.go).
 
-// runInsert implements insert r s t (§2): insert x = s ∪ t unless some
-// existing tuple matches s. x must bind every schema column.
+// runInsert implements insert r s t (§2) as a single operation: insert
+// x = s ∪ t unless some existing tuple matches s. x must bind every
+// schema column.
 func (r *Relation) runInsert(plan *opPlan, x rel.Row) bool {
 	b := r.getBuf()
 	defer r.putBuf(b)
+	ok := r.insert(b, plan, x)
+	r.ctr.writes.Add(1)
+	if ok {
+		// Migration tap (migrate.go): the deferred putBuf still holds this
+		// operation's locks here, so the recorded order is the
+		// serialization order.
+		r.tapDirect(true, plan.mut.BoundMask, x)
+	}
+	return ok
+}
 
+// insert is the body of every insert, a single operation's and a batch
+// member's apply re-execution alike: per node in topological order,
+// locate x's instance, advance the put-if-absent existence states on the
+// buffer's pair if the existence plan passes through the node, and take
+// the node's lock directive (nothing in apply mode, where the growing
+// phase holds every lock). If no existence state survives, x is written.
+func (r *Relation) insert(b *opBuf, plan *opPlan, x rel.Row) bool {
 	nNodes := len(r.decomp.Nodes)
 	if cap(b.xinst) < nNodes {
 		b.xinst = make([]*Instance, nNodes)
@@ -33,38 +57,24 @@ func (r *Relation) runInsert(plan *opPlan, x rel.Row) bool {
 	xinst := b.xinst[:nNodes]
 	clear(xinst)
 	xinst[r.decomp.Root.Index] = r.root
-	estates := append(b.pipe[:0], b.rootState(r, x, plan.mut.BoundMask))
-	b.pipe = estates
-
+	b.pipe = append(b.pipe[:0], b.rootState(r, x, plan.mut.BoundMask))
 	for i := range plan.mut.PerNode {
 		nd := &plan.mut.PerNode[i]
 		v := nd.Node
 		if v != r.decomp.Root {
 			r.locateX(b, nd, xinst, x)
-			// Advance the put-if-absent existence states if the exist
-			// plan's path passes through this node.
 			if step := plan.existAt[v.Index]; step != nil {
-				estates = r.execStep(b, step, estates, x)
+				r.execStep(b, step, x, &b.pipe, &b.spare)
 			}
 		}
-		r.lockDirective(b, nd, xinst[v.Index], estates, x)
+		r.lockDirective(b, nd, xinst[v.Index], b.pipe, x)
 	}
-
 	// Existence: any surviving state traversed the whole existence path,
 	// i.e. some tuple matches s — the insert must not happen.
-	if len(estates) > 0 {
-		b.recycle(estates)
-		r.ctr.writes.Add(1)
+	if len(b.pipe) > 0 {
 		return false
 	}
-	b.recycle(estates)
-
 	r.insertWrite(b, xinst, x)
-	r.ctr.writes.Add(1)
-	// Migration tap (migrate.go): the deferred putBuf still holds this
-	// operation's locks here, so the recorded order is the serialization
-	// order.
-	r.tapDirect(true, plan.mut.BoundMask, x)
 	return true
 }
 
@@ -119,38 +129,48 @@ func (r *Relation) writeEdge(b *opBuf, insts []*Instance, e *decomp.Edge, key re
 	c.Write(key, val)
 }
 
-// runRemove implements remove r s (§2) for a key row s: locate the
-// matching tuple (if any), then remove its edge entries bottom-up with
-// cascading cleanup of dead instances.
+// runRemove implements remove r s (§2) as a single operation for a key
+// row s.
 func (r *Relation) runRemove(mut *query.MutationPlan, s rel.Row) bool {
 	b := r.getBuf()
 	defer r.putBuf(b)
+	removed := r.remove(b, mut, s)
+	r.ctr.writes.Add(1)
+	if removed {
+		// Migration tap (migrate.go): locks still held (putBuf deferred).
+		r.tapDirect(false, mut.BoundMask, s)
+	}
+	return removed
+}
 
-	states := append(b.pipe[:0], b.rootState(r, s, mut.BoundMask))
-	b.pipe = states
+// remove is the body of every remove, a single operation's and a batch
+// member's apply re-execution alike: walk the victim states across each
+// node's planned access route on the buffer's pair, taking the node's
+// lock directive (nothing in apply mode), then remove every matching
+// tuple's edge entries bottom-up with cascading cleanup of dead
+// instances.
+func (r *Relation) remove(b *opBuf, mut *query.MutationPlan, s rel.Row) bool {
+	b.pipe = append(b.pipe[:0], b.rootState(r, s, mut.BoundMask))
 	for i := range mut.PerNode {
 		nd := &mut.PerNode[i]
 		if nd.Node != r.decomp.Root {
-			states = r.advanceStates(b, nd, states)
+			r.advanceStates(b, nd, &b.pipe, &b.spare)
+			if len(b.pipe) == 0 {
+				break // later directives would lock nothing
+			}
 		}
-		r.lockDirective(b, nd, nil, states, s)
+		r.lockDirective(b, nd, nil, b.pipe, s)
 	}
 	// Survivors hold complete rows extending s; with s a key there is at
 	// most one (more only if the client violated the FDs, in which case we
 	// remove them all — remove r s removes every tuple extending s).
 	removed := false
-	for _, st := range states {
+	for _, st := range b.pipe {
 		if st.row.Mask() != r.fullMask {
 			continue
 		}
 		r.deleteTuple(b, st)
 		removed = true
-	}
-	b.recycle(states)
-	r.ctr.writes.Add(1)
-	if removed {
-		// Migration tap (migrate.go): locks still held (putBuf deferred).
-		r.tapDirect(false, mut.BoundMask, s)
 	}
 	return removed
 }
@@ -171,8 +191,8 @@ func (r *Relation) locateX(b *opBuf, nd *query.NodeDirective, xinst []*Instance,
 		var inst *Instance
 		var ok bool
 		if b.apply {
-			// Batch apply phase: a plain lookup suffices (see execApplyLookup).
-			inst, ok = r.applySpecLocate(b, e, nd.SpecColIdx[i], src, x, xinst)
+			// Batch apply phase: a plain lookup suffices (see lookupSpec).
+			inst, ok = r.lookupSpec(b, e, nd.SpecColIdx[i], src, x, xinst)
 		} else {
 			inst, ok = r.specLocate(b, e, nd.SpecColIdx[i], src, x, locks.Exclusive)
 		}
@@ -195,47 +215,40 @@ func (r *Relation) locateX(b *opBuf, nd *query.NodeDirective, xinst []*Instance,
 	xinst[v.Index] = found
 }
 
-// applySpecLocate locates the target of a speculative in-edge during a
-// batch's apply phase with a plain lookup: the growing phase already
-// locked every pre-existing target the batch can reach, and targets
-// created by earlier batch members are private to the transaction.
-func (r *Relation) applySpecLocate(b *opBuf, e *decomp.Edge, colIdx []int, src *Instance, row rel.Row, insts []*Instance) (*Instance, bool) {
-	v, ok := r.container(src, e).Lookup(b.keyOf(row, colIdx))
-	if !ok {
-		r.auditAccess(b, e, insts, row, nil, b.fresh, false)
-		return nil, false
+// advanceStates moves the remove operation's query states in *pipe
+// across node nd.Node using the planned access route: the first
+// speculative in-edge (whose key columns are always bound for mutations)
+// or the planned access edge.
+func (r *Relation) advanceStates(b *opBuf, nd *query.NodeDirective, pipe, spare *[]*qstate) {
+	if len(nd.SpecIns) > 0 {
+		*pipe = r.execSpecLookup(b, nd.SpecIns[0], nd.SpecColIdx[0], nd.SpecTargetIdx[0], locks.Exclusive, *pipe)
+		return
 	}
-	inst := v.(*Instance)
-	r.auditAccess(b, e, insts, row, inst, b.fresh, false)
-	return inst, true
+	r.accessStates(b, nd, pipe, spare)
 }
 
-// advanceStates moves the remove operation's query states across node
-// nd.Node using the planned access route: the first speculative in-edge
-// (whose key columns are always bound for mutations) or the planned
-// access edge as a lookup or filtered scan.
-func (r *Relation) advanceStates(b *opBuf, nd *query.NodeDirective, states []*qstate) []*qstate {
-	if len(nd.SpecIns) > 0 {
-		if b.apply {
-			return r.execApplyLookup(b, nd.SpecIns[0], nd.SpecColIdx[0], states)
-		}
-		return r.execSpecLookup(b, nd.SpecIns[0], nd.SpecColIdx[0], nd.SpecTargetIdx[0], states, locks.Exclusive)
+// accessStates moves the states in *pipe across the directive's planned
+// access edge, as a lookup or a filtered scan built on *spare; with no
+// access edge they die.
+func (r *Relation) accessStates(b *opBuf, nd *query.NodeDirective, pipe, spare *[]*qstate) {
+	states := *pipe
+	switch e := nd.AccessIn; {
+	case e == nil:
+		*pipe = states[:0]
+	case nd.AccessScan:
+		*pipe = r.execScan(b, scanAppend, (*spare)[:0], e, nd.ColIdx, nd.FilterPos, nd.FilterIdx, states)
+		*spare = states[:0]
+	default:
+		*pipe = r.execLookup(b, e, nd.ColIdx, states)
 	}
-	e := nd.AccessIn
-	if e == nil {
-		return nil
-	}
-	if nd.AccessScan {
-		return r.execScan(b, e, nd.ColIdx, nd.FilterPos, nd.FilterIdx, states)
-	}
-	return r.execLookup(b, e, nd.ColIdx, states)
 }
 
 // lockDirective acquires the node's lock step for a mutation: the union of
 // the directive's selectors over the x instance (if any) and every state's
-// instance at this node, all exclusive.
+// instance at this node, all exclusive. In a batch's apply phase every
+// lock is already held, so it does nothing.
 func (r *Relation) lockDirective(b *opBuf, nd *query.NodeDirective, x *Instance, states []*qstate, op rel.Row) {
-	if len(nd.Selectors) == 0 {
+	if len(nd.Selectors) == 0 || b.apply {
 		return
 	}
 	insts := b.instScratch[:0]

@@ -164,8 +164,8 @@ func (t *Txn) occApply() (ok bool, err error) {
 	undo := t.armUndo()
 	defer t.disarmUndo(undo)
 	// Staged query states survive until post-validation delivery; they
-	// live on member-owned arrays, and the shared ping-pong pair serves
-	// only applyInsert/applyRemove transients, which nothing retains.
+	// live on member-owned arrays, and the buffer's pair serves only the
+	// insert/remove re-executions, which retain nothing.
 	for pos, ref := range t.order {
 		if registryApplyHook != nil {
 			registryApplyHook(ref.sh.r.name, pos)

@@ -698,7 +698,7 @@ func TestStandaloneReadsLockFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := r.getBuf()
-		states, ok := r.runStatesOptimistic(b, qplan.Steps, row, qplan.BoundMask)
+		n, ok := r.runOptimistic(b, qplan, row)
 		if !ok {
 			t.Fatal("quiescent standalone query failed optimistic validation")
 		}
@@ -708,8 +708,8 @@ func TestStandaloneReadsLockFree(t *testing.T) {
 		if b.reads.Len() == 0 {
 			t.Fatal("standalone query recorded no epochs")
 		}
-		if len(states) != 3 {
-			t.Fatalf("optimistic query found %d states, want 3", len(states))
+		if n != 3 || len(b.pipe) != 3 {
+			t.Fatalf("optimistic query found %d states (%d in the pipe), want 3", n, len(b.pipe))
 		}
 		r.putBuf(b)
 
@@ -723,7 +723,7 @@ func TestStandaloneReadsLockFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		b = r.getBuf()
-		n, ok := r.runCountOptimistic(b, cplan.Steps, crow, cplan.BoundMask)
+		n, ok = r.runOptimistic(b, cplan, crow)
 		if !ok {
 			t.Fatal("quiescent standalone count failed optimistic validation")
 		}

@@ -20,9 +20,12 @@ import (
 //     retain their final state lists across the whole transaction;
 //   - pipe and spare are ping-pong ARRAYS for state lists, not state
 //     owners: a scan builds its output on spare and donates its input
-//     array back. Single operations may leave the two aliased (harmless
-//     there); the batch executor de-aliases them, and batch members pipe
-//     their retained states through member-owned arrays instead;
+//     array back, and the executor's steps swap the two through pointers
+//     (walk, execStep), so they never alias. Single operations and a
+//     batch's apply-phase insert/remove re-executions run on this pair and
+//     retain nothing; batch members run their reads on member-owned
+//     arrays (states, specOut) instead, so a member's retained states
+//     never share an array with the pair or another member;
 //   - keys carved from the arena (keyOf/carve) live until putBuf; they
 //     may be written into containers, which copy the keys they store
 //     (container.Map.Write).
@@ -36,8 +39,9 @@ type opBuf struct {
 	n   int
 
 	// pipe and spare are the two backing arrays the step pipeline
-	// ping-pongs between: list-producing steps (scans, speculative
-	// lookups) fill spare and recycle the incoming list as the new spare.
+	// ping-pongs between: a scan fills spare and the incoming list's
+	// array becomes the new spare. After a single operation's walk, pipe
+	// holds its final states until putBuf.
 	pipe  []*qstate
 	spare []*qstate
 
@@ -106,9 +110,9 @@ type opBuf struct {
 	specIdx    [][]int32
 	undoPool   undoLog
 
-	// scan/scanFn are the cached scan-visitor closure and its per-call
-	// parameter block (exec.go execScanInto): one closure allocation per
-	// buffer lifetime instead of one per scanned state.
+	// scan/scanFn are the cached scan visitor and its per-call parameter
+	// block (exec.go execScan): one closure allocation per buffer
+	// lifetime instead of one per scanned state.
 	scan   scanCtx
 	scanFn func(k rel.Key, v any) bool
 
@@ -263,12 +267,4 @@ func (b *opBuf) keyOf(row rel.Row, idx []int) rel.Key {
 		kv[i] = row.At(ci)
 	}
 	return rel.KeyOver(kv)
-}
-
-// recycle hands a finished pipeline list back so the next operation on
-// this buffer reuses its capacity.
-func (b *opBuf) recycle(states []*qstate) {
-	if states != nil {
-		b.pipe = states[:0]
-	}
 }

@@ -128,24 +128,14 @@ func (q *PreparedQuery) ExecRows(s rel.Row, yield func(rel.Row) bool) error {
 	if err := q.r.checkRow(s, q.bound); err != nil {
 		return err
 	}
-	q.r.ctr.reads.Add(1)
 	b := q.r.getBuf()
 	defer q.r.putBuf(b)
-	states, ok := []*qstate(nil), false
-	if q.r.optimisticOK {
-		// Lock-free single-operation read path: yields run only after the
-		// recorded epochs validated, so callers never see torn rows.
-		states, ok = q.r.runStatesOptimistic(b, plan.Steps, s, plan.BoundMask)
-	}
-	if !ok {
-		states = q.r.runSteps(b, plan.Steps, s, plan.BoundMask)
-	}
-	for _, st := range states {
+	q.r.runRead(b, plan, s)
+	for _, st := range b.pipe {
 		if !yield(st.row) {
 			break
 		}
 	}
-	b.recycle(states)
 	return nil
 }
 
@@ -173,51 +163,27 @@ func (q *PreparedQuery) CountRow(s rel.Row) (int, error) {
 	if err := q.r.checkRow(s, q.bound); err != nil {
 		return 0, err
 	}
-	return q.r.runCount(plan, s), nil
+	b := q.r.getBuf()
+	defer q.r.putBuf(b)
+	return q.r.runRead(b, plan, s), nil
 }
 
-// runQueryTuples executes a compiled plan and materializes the results as
-// tuples — the single row→tuple conversion point of the query path. On
-// OptimisticCapable relations it runs lock-free with epoch validation
-// (materialization happens only after a successful validation), falling
-// back to the locking execution otherwise.
+// runQueryTuples executes a compiled plan (runRead) and materializes the
+// results as tuples — the single row→tuple conversion point of the query
+// path, reached only after an optimistic walk validated.
 func (r *Relation) runQueryTuples(plan *query.Plan, op rel.Row) []rel.Tuple {
-	r.ctr.reads.Add(1)
 	b := r.getBuf()
 	defer r.putBuf(b)
-	states, ok := []*qstate(nil), false
-	if r.optimisticOK {
-		states, ok = r.runStatesOptimistic(b, plan.Steps, op, plan.BoundMask)
-	}
-	if !ok {
-		states = r.runSteps(b, plan.Steps, op, plan.BoundMask)
-	}
-	results := make([]rel.Tuple, 0, len(states))
-	for _, st := range states {
+	r.runRead(b, plan, op)
+	results := make([]rel.Tuple, 0, len(b.pipe))
+	for _, st := range b.pipe {
 		vals := make([]rel.Value, len(plan.OutIdx))
 		for j, ci := range plan.OutIdx {
 			vals[j] = st.row.At(ci)
 		}
 		results = append(results, rel.TupleFromSorted(plan.OutCols, vals))
 	}
-	b.recycle(states)
 	return results
-}
-
-// runCount executes a count plan; a StepCount terminal sums container
-// sizes at the counting frontier, otherwise surviving states are counted.
-// On OptimisticCapable relations the count runs lock-free with epoch
-// validation, falling back to the locking execution otherwise.
-func (r *Relation) runCount(plan *query.Plan, op rel.Row) int {
-	r.ctr.reads.Add(1)
-	b := r.getBuf()
-	defer r.putBuf(b)
-	if r.optimisticOK {
-		if n, ok := r.runCountOptimistic(b, plan.Steps, op, plan.BoundMask); ok {
-			return n
-		}
-	}
-	return r.runCountSteps(b, plan.Steps, op, plan.BoundMask)
 }
 
 // rowForTuple converts an operation tuple to a fresh row and checks that

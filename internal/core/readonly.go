@@ -16,7 +16,8 @@ import (
 //
 // A batch whose members are all queries and counts takes no locks at all
 // on the happy path. Instead of the pessimistic growing phase, each
-// member's compiled plan runs directly (lock-free), with every lock step
+// member's compiled plan runs straight through (exec.go's walk, in the
+// buffer's optimistic mode) and lock-free, with every lock step
 // RECORDING the epoch cell of the physical locks it would have acquired
 // into a read-set (locks.ReadSet) and every speculative access recording
 // its target's epoch — always before the reads the lock protects, because
@@ -35,7 +36,9 @@ import (
 // The mode is only legal when every container of the relation is
 // concurrency-safe (Relation.OptimisticCapable): lock-free reads racing
 // writers on a plain HashMap or TreeMap would be data races, so such
-// relations always use the pessimistic path.
+// relations always use the pessimistic path. Standalone reads take the
+// same mode as one-member groups (runRead): the same walk, the same retry
+// loop, the locking walk as the fallback.
 
 // optimisticMaxAttempts bounds the validate/retry loop of a read-only
 // batch: after this many failed validations the batch falls back to
@@ -167,42 +170,30 @@ func (r *Relation) runShardOptimistic(b *opBuf) {
 	b.optimistic = false
 }
 
-// runStatesOptimistic executes a standalone read plan lock-free with
-// epoch validation — the single-operation (one-member) analog of a
-// read-only batch, closing the ROADMAP "optimistic single operations"
-// item: standalone Query/ExecRows on an OptimisticCapable relation
-// acquire zero physical locks on the conflict-free path. ok=false means
-// every attempt failed validation; the caller falls back to the ordinary
-// locking execution on the same (reset) buffer, so results never depend
-// on the path taken. Validated states stay pooled on b until putBuf.
-func (r *Relation) runStatesOptimistic(b *opBuf, steps []query.Step, op rel.Row, mask uint64) ([]*qstate, bool) {
-	for attempt := 0; attempt < optimisticMaxAttempts; attempt++ {
-		if attempt > 0 {
-			optimisticBackoff(attempt)
+// runRead executes a standalone read plan on b, leaving its final states
+// in b.pipe until putBuf, and returns its count (a StepCount terminal's
+// total, else the number of states). On an OptimisticCapable relation it
+// first runs lock-free (runOptimistic) and takes the locking walk only if
+// every attempt failed validation, so results never depend on the path
+// taken. It is the one read path of Query, PreparedQuery.Exec, ExecRows
+// and CountRow.
+func (r *Relation) runRead(b *opBuf, plan *query.Plan, op rel.Row) int {
+	r.ctr.reads.Add(1)
+	if r.optimisticOK {
+		if n, ok := r.runOptimistic(b, plan, op); ok {
+			return n
 		}
-		b.reads.Reset()
-		b.n = 0
-		b.optimistic = true
-		states := r.runSteps(b, steps, op, mask)
-		b.optimistic = false
-		if hook := optimisticValidateHook; hook != nil {
-			hook(attempt)
-		}
-		if b.reads.Validate(nil) {
-			return states, true
-		}
-		b.recycle(states)
 	}
-	b.reads.Reset()
-	b.n = 0
-	return nil, false
+	return r.walk(b, plan.Steps, op, plan.BoundMask, &b.pipe, &b.spare)
 }
 
-// runCountOptimistic is the count analog of runStatesOptimistic: the
-// standalone count path of Relation.Query/PreparedQuery.Count runs
-// lock-free on capable relations, validated by epochs, with pessimistic
-// fallback after optimisticMaxAttempts.
-func (r *Relation) runCountOptimistic(b *opBuf, steps []query.Step, op rel.Row, mask uint64) (int, bool) {
+// runOptimistic walks a standalone read plan lock-free with epoch
+// validation — the single-operation (one-member) analog of a read-only
+// batch: on the conflict-free path a standalone read acquires zero
+// physical locks. ok=false means every attempt failed validation; the
+// buffer has been reset for the locking walk. Validated states stay in
+// b.pipe until putBuf.
+func (r *Relation) runOptimistic(b *opBuf, plan *query.Plan, op rel.Row) (int, bool) {
 	for attempt := 0; attempt < optimisticMaxAttempts; attempt++ {
 		if attempt > 0 {
 			optimisticBackoff(attempt)
@@ -210,7 +201,7 @@ func (r *Relation) runCountOptimistic(b *opBuf, steps []query.Step, op rel.Row, 
 		b.reads.Reset()
 		b.n = 0
 		b.optimistic = true
-		n := r.runCountSteps(b, steps, op, mask)
+		n := r.walk(b, plan.Steps, op, plan.BoundMask, &b.pipe, &b.spare)
 		b.optimistic = false
 		if hook := optimisticValidateHook; hook != nil {
 			hook(attempt)
@@ -222,31 +213,4 @@ func (r *Relation) runCountOptimistic(b *opBuf, steps []query.Step, op rel.Row, 
 	b.reads.Reset()
 	b.n = 0
 	return 0, false
-}
-
-// runCountSteps executes a count plan's step list from the root state: a
-// StepCount terminal sums container sizes at the counting frontier,
-// otherwise the surviving states are counted. It is the shared body of
-// the single-operation count path (prepared.go) and its optimistic
-// runner.
-func (r *Relation) runCountSteps(b *opBuf, steps []query.Step, op rel.Row, mask uint64) int {
-	states := append(b.pipe[:0], b.rootState(r, op, mask))
-	b.pipe = states
-	total := -1
-	for i := range steps {
-		step := &steps[i]
-		if step.Kind == query.StepCount {
-			total = r.countAt(b, step, states)
-			break
-		}
-		states = r.execStep(b, step, states, op)
-		if len(states) == 0 {
-			break
-		}
-	}
-	if total < 0 {
-		total = len(states)
-	}
-	b.recycle(states)
-	return total
 }

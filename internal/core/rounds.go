@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"repro/internal/decomp"
 	"repro/internal/locks"
 	"repro/internal/query"
 	"repro/internal/rel"
@@ -15,9 +14,13 @@ import (
 // each member's pre-classified round array. A sweep costs each member two
 // integer comparisons (is it waiting, has the sweep reached the round's
 // gate); the lock schedule is fixed by the program, and
-// TestBatchScheduleGolden freezes it. Members pipe their scans through
-// member-owned state arrays, leaving the buffer's shared ping-pong pair to
-// the apply phase's insert/remove re-executions, so steady-state batches
+// TestBatchScheduleGolden freezes it. It is the one place a plan runs in
+// rounds rather than straight through (exec.go's walk): members yield at
+// every lock and speculative round so that their requests coalesce into
+// one lock set per node and one pooled §4.5 wave. Between those rounds a
+// member's plain access steps go through the same primitives as the walk
+// (execStep), on member-owned state arrays — the buffer's pair is left to
+// the apply phase's insert/remove re-executions — so steady-state batches
 // allocate nothing.
 //
 // Members are swept in plan-identity groups (buildGroups): the member
@@ -34,11 +37,6 @@ func (m *member) prog() any {
 		return m.mut.Prog
 	}
 	return m.qprog
-}
-
-// sameBacking reports whether two state lists share a backing array.
-func sameBacking(a, c []*qstate) bool {
-	return cap(a) > 0 && cap(c) > 0 && &a[:cap(a)][0] == &c[:cap(c)][0]
 }
 
 // buildGroups (re)computes the plan-identity sweep order: members sharing
@@ -137,19 +135,15 @@ func (r *Relation) advancePlan(b *opBuf, m *member, v int) bool {
 		default: // RoundSteps: a gate-free run of access steps
 			for i := rd.Lo; i < rd.Hi; i++ {
 				s := &m.steps[i]
-				switch s.Kind {
-				case query.StepScan:
-					// Plain scan (speculative scans compile to RoundSpec):
-					// ping-pong through the member's own arrays.
-					r.execScanMember(b, m, s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx)
-				case query.StepCount:
+				if s.Kind == query.StepCount {
 					m.count, m.counted = r.countAt(b, s, m.states), true
 					m.cursor = len(rounds)
 					m.wait = wDone
 					return true
-				default:
-					m.states = r.execStep(b, s, m.states, m.row)
 				}
+				// Lookups and plain scans (speculative scans compile to
+				// RoundSpec), on the member's own arrays.
+				r.execStep(b, s, m.row, &m.states, &m.specOut)
 				progress = true
 				if len(m.states) == 0 {
 					m.wait = wDone
@@ -161,20 +155,6 @@ func (r *Relation) advancePlan(b *opBuf, m *member, v int) bool {
 	}
 	m.wait = wDone
 	return true
-}
-
-// countAt sums the sizes of a StepCount terminal's containers over the
-// counting frontier — the count-pushdown result, read without traversing
-// the counted entries.
-func (r *Relation) countAt(b *opBuf, s *query.Step, states []*qstate) int {
-	total := 0
-	for _, st := range states {
-		if inst := st.insts[s.Edge.Src.Index]; inst != nil {
-			r.auditAccess(b, s.Edge, st.insts, st.row, nil, b.fresh, true)
-			total += r.container(inst, s.Edge).Len()
-		}
-	}
-	return total
 }
 
 // registerSpec registers a speculative step's requests over the member's
@@ -205,30 +185,10 @@ func (r *Relation) registerSpec(b *opBuf, m *member, s *query.Step) int {
 // by the already-held fallback stripes) and registers one request per
 // surviving entry, returning how many were registered.
 func (r *Relation) registerSpecScan(b *opBuf, m *member, s *query.Step) int {
-	n := 0
-	for _, st := range m.states {
-		src := st.insts[s.Edge.Src.Index]
-		if src == nil {
-			continue
-		}
-		r.auditAccess(b, s.Edge, st.insts, st.row, nil, b.fresh, true)
-		r.container(src, s.Edge).Scan(func(k rel.Key, v any) bool {
-			for fi, p := range s.FilterPos {
-				if !rel.Equal(k.At(p), st.row.At(s.FilterIdx[fi])) {
-					return true
-				}
-			}
-			ns := b.clone(r, st)
-			for p, ci := range s.ColIdx {
-				ns.row.Set(ci, k.At(p))
-			}
-			b.specs = append(b.specs, batchSpecReq{m: m, st: ns, edge: s.Edge, colIdx: s.ColIdx,
-				row: ns.row, src: src, key: b.keyOf(ns.row, s.TargetIdx), node: s.Edge.Dst.Index, mode: s.Mode})
-			n++
-			return true
-		})
-	}
-	return n
+	n := len(b.specs)
+	b.scan.s, b.scan.m = s, m
+	r.execScan(b, scanRegister, nil, s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx, m.states)
+	return len(b.specs) - n
 }
 
 // takeSpecResults installs the survivors of a resolved speculative wave:
@@ -324,16 +284,9 @@ func (r *Relation) advanceInsert(b *opBuf, m *member, v int) bool {
 				m.specResolved = true
 				continue
 			}
-			switch {
-			case step.Kind == query.StepScan && r.placement.RuleFor(step.Edge).Speculative:
-				// Synchronous §4.5 scan, routed as execStep would route it
-				// but onto member-owned arrays.
-				r.execScanSpecMember(b, m, step)
-			case step.Kind == query.StepScan:
-				r.execScanMember(b, m, step.Edge, step.ColIdx, step.FilterPos, step.FilterIdx)
-			default:
-				m.states = r.execStep(b, step, m.states, m.row)
-			}
+			// A lookup or a scan; a speculative scan runs §4.5
+			// synchronously, on member-owned arrays.
+			r.execStep(b, step, m.row, &m.states, &m.specOut)
 			m.cursor++
 		case query.MRoundLock:
 			r.lockDirective(b, nd, m.xinst[nd.Node.Index], m.states, m.row) // diverts into b.collect
@@ -415,14 +368,7 @@ func (r *Relation) advanceRemove(b *opBuf, m *member, v int) bool {
 			m.cursor++
 			progress = true
 		case query.MRoundAccess:
-			switch e := nd.AccessIn; {
-			case e == nil:
-				m.states = m.states[:0]
-			case nd.AccessScan:
-				r.execScanMember(b, m, e, nd.ColIdx, nd.FilterPos, nd.FilterIdx)
-			default:
-				m.states = r.execLookup(b, e, nd.ColIdx, m.states)
-			}
+			r.accessStates(b, nd, &m.states, &m.specOut)
 			r.rowLocate(b, m, nd)
 			m.cursor++
 			progress = true
@@ -466,135 +412,6 @@ func (r *Relation) rowLocate(b *opBuf, m *member, nd *query.NodeDirective) {
 	}
 }
 
-// execScanMember runs a plain scan over the member's states, ping-ponging
-// between the member's two owned arrays (states and specOut — the latter
-// is only live between spec registration and consumption, so outside a
-// wave it is free scan scratch). Keeping member scans off the buffer's
-// shared pair is what lets batches retain every capacity across the
-// transaction without aliasing hazards.
-func (r *Relation) execScanMember(b *opBuf, m *member, e *decomp.Edge, colIdx, filterPos, filterIdx []int) {
-	out := r.execScanInto(b, m.specOut[:0], e, colIdx, filterPos, filterIdx, m.states)
-	m.specOut = m.states[:0]
-	m.states = out
-}
-
-// execOptimisticScanSpecMember is execScanMember for the optimistic
-// speculative-scan degradation (readonly.go).
-func (r *Relation) execOptimisticScanSpecMember(b *opBuf, m *member, s *query.Step) {
-	out := r.execOptimisticScanSpecInto(b, m.specOut[:0], s, m.states)
-	m.specOut = m.states[:0]
-	m.states = out
-}
-
-// execScanSpecMember is execScanSpec (the synchronous speculative scan of
-// an insert's existence check) onto member-owned arrays: candidates still
-// pool in b.reqs — consumed before returning — but the survivor list the
-// member retains is its own.
-func (r *Relation) execScanSpecMember(b *opBuf, m *member, step *query.Step) {
-	e := step.Edge
-	cands := b.reqs[:0]
-	for _, st := range m.states {
-		src := st.insts[e.Src.Index]
-		if src == nil {
-			continue
-		}
-		r.auditAccess(b, e, st.insts, st.row, nil, b.fresh, true)
-		r.container(src, e).Scan(func(k rel.Key, v any) bool {
-			for fi, p := range step.FilterPos {
-				if !rel.Equal(k.At(p), st.row.At(step.FilterIdx[fi])) {
-					return true
-				}
-			}
-			ns := b.clone(r, st)
-			for p, ci := range step.ColIdx {
-				ns.row.Set(ci, k.At(p))
-			}
-			cands = append(cands, specReq{st: ns, target: b.keyOf(ns.row, step.TargetIdx)})
-			return true
-		})
-	}
-	sort.Slice(cands, func(i, j int) bool { return rel.CompareKeys(cands[i].target, cands[j].target) < 0 })
-	out := m.specOut[:0]
-	for i := range cands {
-		ns := cands[i].st
-		src := ns.insts[e.Src.Index]
-		if inst, ok := r.specLocate(b, e, step.ColIdx, src, ns.row, step.Mode); ok {
-			ns.insts[e.Dst.Index] = inst
-			out = append(out, ns)
-		}
-	}
-	clear(cands)
-	b.reqs = cands[:0]
-	m.specOut = m.states[:0]
-	m.states = out
-}
-
-// execSpecRoundMember executes a RoundSpec step outside the pessimistic
-// growing phase — apply-mode re-execution or an optimistic read attempt —
-// where speculative accesses degrade to plain (recorded) lookups/scans.
-func (r *Relation) execSpecRoundMember(b *opBuf, m *member, s *query.Step) {
-	switch {
-	case s.Kind == query.StepSpecLookup && b.apply:
-		m.states = r.execApplyLookup(b, s.Edge, s.ColIdx, m.states)
-	case s.Kind == query.StepSpecLookup:
-		m.states = r.execOptimisticLookup(b, s.Edge, s.ColIdx, m.states)
-	case b.apply:
-		r.execScanMember(b, m, s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx)
-	default:
-		r.execOptimisticScanSpecMember(b, m, s)
-	}
-}
-
-// runMember executes a query or count member over its round program on
-// member-owned arrays, outside the growing phase: the apply phase's
-// re-execution (b.apply) and the optimistic read phase (b.optimistic). A
-// query member keeps its final states; a count member stores its
-// count-pushdown total (or, for plans with no StepCount terminal, the
-// surviving-state count) and drops its states.
-func (r *Relation) runMember(b *opBuf, m *member) {
-	m.states = append(m.states[:0], b.rootState(r, m.row, m.boundMask))
-	total := -1 // set by a StepCount terminal
-	rounds := m.qprog.Rounds
-walk:
-	for ri := range rounds {
-		rd := &rounds[ri]
-		switch rd.Kind {
-		case query.RoundLock:
-			if !b.apply {
-				r.execLock(b, &m.steps[rd.Lo], m.states, m.row) // optimistic: records epochs
-			}
-		case query.RoundSpec:
-			r.execSpecRoundMember(b, m, &m.steps[rd.Lo])
-		default:
-			for i := rd.Lo; i < rd.Hi; i++ {
-				s := &m.steps[i]
-				switch s.Kind {
-				case query.StepCount:
-					total = r.countAt(b, s, m.states)
-					break walk
-				case query.StepScan:
-					r.execScanMember(b, m, s.Edge, s.ColIdx, s.FilterPos, s.FilterIdx)
-				default:
-					m.states = r.execStep(b, s, m.states, m.row)
-				}
-				if len(m.states) == 0 {
-					break walk
-				}
-			}
-		}
-		if len(m.states) == 0 {
-			break
-		}
-	}
-	if m.kind == mCount {
-		if total < 0 {
-			total = len(m.states)
-		}
-		m.count, m.counted = total, true
-		m.states = m.states[:0]
-	}
-}
-
 // resolveBatchSpecs runs the §4.5 protocol for every pending request, in
 // (node, target key) order across all members so the interleaved target
 // acquisitions respect the global lock order. Requests are distributed
@@ -629,17 +446,7 @@ func (r *Relation) resolveBatchSpecs(t *Txn, b *opBuf) {
 		if label < 0 {
 			label = nd
 		}
-		if len(idx) <= 32 {
-			for i := 1; i < len(idx); i++ {
-				for j := i; j > 0 && rel.CompareKeys(specs[idx[j]].key, specs[idx[j-1]].key) < 0; j-- {
-					idx[j], idx[j-1] = idx[j-1], idx[j]
-				}
-			}
-		} else {
-			sort.Slice(idx, func(i, j int) bool {
-				return rel.CompareKeys(specs[idx[i]].key, specs[idx[j]].key) < 0
-			})
-		}
+		slices.SortFunc(idx, func(i, j int32) int { return rel.CompareKeys(specs[i].key, specs[j].key) })
 		for i := 0; i < len(idx); {
 			j := i
 			mode := locks.Shared
