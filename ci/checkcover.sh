@@ -17,12 +17,15 @@
 # measured at rel 79.1%, container 99.2% with the B-tree in place of the
 # red-black tree. Re-measured when the plan caches became one plan table
 # per representation: core 87.3% → 87.6% (floor raised 86.0 → 86.2),
-# server 90.2% → 90.0% (its statement catalog went; floor kept). Raise the
-# floor when coverage improves; never lower it to make a PR pass.
+# server 90.2% → 90.0% (its statement catalog went; floor kept).
+# Re-measured when every plan outside a batch's growing phase became one
+# straight walker and batch speculative scans got a differential: core
+# 87.6% → 89.2% (floor raised 86.2 → 87.8). Raise the floor when coverage
+# improves; never lower it to make a PR pass.
 set -euo pipefail
 
 declare -A floors=(
-  ["./internal/core/"]=86.2
+  ["./internal/core/"]=87.8
   ["./internal/locks/"]=89.5
   ["./internal/container/"]=97.0
   ["./internal/query/"]=76.0

@@ -135,8 +135,10 @@ func (r *Relation) redoShape(op *RedoOp) (shape, rel.Row, error) {
 func (g *Registry) SetCommitLogger(l CommitLogger) { g.logger = l }
 
 // appendMemberRedo appends m's redo op to ops; the caller filtered m to
-// mutation kinds. Vals alias the member's arena-backed row storage, which
-// outlives the LogCommit call per the CommitLogger contract.
+// mutation kinds. Vals is a fresh slice holding a copy of the member's
+// bound row values (unbound columns stay nil), so the op does not alias
+// the buffer's row arena and stays valid after the batch's buffers are
+// recycled.
 func appendMemberRedo(ops []RedoOp, relName string, m *member) []RedoOp {
 	row := m.row
 	w := row.Width()
