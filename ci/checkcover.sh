@@ -20,17 +20,20 @@
 # server 90.2% → 90.0% (its statement catalog went; floor kept).
 # Re-measured when every plan outside a batch's growing phase became one
 # straight walker and batch speculative scans got a differential: core
-# 87.6% → 89.2% (floor raised 86.2 → 87.8). Raise the floor when coverage
-# improves; never lower it to make a PR pass.
+# 87.6% → 89.2% (floor raised 86.2 → 87.8). Re-measured when the three
+# batch commit bodies became one commit pipeline with a commit stamp:
+# core 89.2% → 89.5% (floor raised 87.8 → 88.1), server 89.7% → 90.1%
+# (floor raised 88.5 → 88.6). Raise the floor when coverage improves;
+# never lower it to make a PR pass.
 set -euo pipefail
 
 declare -A floors=(
-  ["./internal/core/"]=87.8
+  ["./internal/core/"]=88.1
   ["./internal/locks/"]=89.5
   ["./internal/container/"]=97.0
   ["./internal/query/"]=76.0
   ["./internal/rel/"]=77.0
-  ["./internal/server/"]=88.5
+  ["./internal/server/"]=88.6
   ["./internal/server/client/"]=59.5
   ["./internal/server/wirejson/"]=85.0
 )

@@ -155,8 +155,8 @@ func TestSteadyStateBatchZeroAllocs(t *testing.T) {
 // TestSteadyStateRegistryBatchZeroAllocs is the same gate on the warm
 // Registry.Batch path through prepared rows — the path the engine and
 // wire workloads drive — on the users/posts registry with auditing off,
-// once per commit body: a two-relation write-only group (2PL), an
-// insert+count group (OCC) and a lone count (read-only). The registry
+// once per pipeline row and batch shape: a two-relation write-only group
+// (2PL), an insert+count group (OCC) and a lone count (read-only). The registry
 // pool recycles the transaction's lock set, Txn slab and list backings,
 // and each shard lives in its buffer, so a warm batch must not allocate.
 func TestSteadyStateRegistryBatchZeroAllocs(t *testing.T) {

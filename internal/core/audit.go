@@ -42,10 +42,11 @@ func AuditEnabled() bool { return auditEnabled.Load() }
 // lock l: the transaction holds it, or — in an optimistic read-only
 // attempt — its epoch has been recorded into the read-set, which is the
 // lock-free analog of a shared hold (the final validation proves the
-// reads under it were stable). A mixed-batch OCC commit (occ.go) mixes
-// both currencies: write members' accesses are covered by held exclusive
-// locks, read members' (and their apply-phase re-executions') by recorded
-// epochs, and reads that traverse write-locked instances by either.
+// reads under it were stable). The commit pipeline's optimistic row
+// (commit.go) mixes both currencies: write members' accesses are covered
+// by held exclusive locks, read members' (and their apply-phase
+// re-executions') by recorded epochs, and reads that traverse
+// write-locked instances by either.
 func (b *opBuf) covered(l *locks.Lock) bool {
 	if b.occ {
 		return b.txn.Holds(l) || b.reads.Contains(l)

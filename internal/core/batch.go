@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
-	"repro/internal/container"
 	"repro/internal/decomp"
 	"repro/internal/locks"
 	"repro/internal/query"
@@ -12,48 +10,45 @@ import (
 )
 
 // This file implements batched multi-operation transactions: several
-// queries and mutations executed as ONE two-phase-locking transaction.
-// The paper's §4.2/§5.1 substrate gives every single operation a
-// deadlock-free sorted lock schedule; batching generalizes the unit of
-// atomicity from the operation to a user-defined group, the framing of
-// the synchronization-synthesis line of work (Samanta et al., Locksynth),
+// queries and mutations executed as ONE atomic transaction. The paper's
+// §4.2/§5.1 substrate gives every single operation a deadlock-free sorted
+// lock schedule; batching generalizes the unit of atomicity from the
+// operation to a user-defined group, the framing of the
+// synchronization-synthesis line of work (Samanta et al., Locksynth),
 // where the atomic region — not the individual access — is what gets a
 // synthesized locking protocol.
 //
-// Execution has two phases, both inside one locks.Txn:
+// The Batch callback assembles the group on a Txn: each enqueue compiles
+// (or fetches) the member's plan and copies its row into the buffer's
+// arena, and nothing executes until the callback returns. The commit
+// pipeline (commit.go) then commits the group. Its GROWING phase, the
+// part this file and rounds.go implement, walks the members' compiled
+// plans in lockstep over the decomposition's topological node order. At
+// each node the scheduler (a) resolves all members' pending speculative
+// accesses together, sorted by target key across members so §4.5
+// acquisitions respect the global order, and (b) merges all members' lock
+// requests into one locks.LockSet — deduplicated by lock identity, shared
+// requests upgraded to exclusive where any member writes — and acquires
+// the coalesced set once. An N-operation batch therefore takes each
+// physical lock at most once, instead of up to N times.
 //
-//   - The GROWING phase walks every member's compiled plan in lockstep
-//     over the decomposition's topological node order. At each node the
-//     scheduler (a) resolves all members' pending speculative accesses
-//     together, sorted by target key across members so §4.5 acquisitions
-//     respect the global order, and (b) merges all members' regular lock
-//     requests into one locks.LockSet — deduplicated by lock identity,
-//     shared requests upgraded to exclusive where any member writes — and
-//     acquires the coalesced set once. An N-operation batch therefore
-//     takes each physical lock at most once, instead of up to N times.
-//
-//   - The APPLY phase re-executes members in batch order under the held
-//     locks, through the code single operations run: queries and counts
-//     walk their plans straight through (exec.go's walk) on the member's
-//     own arrays, inserts and removes run the one insert/remove body
-//     (mutate.go) on the buffer's pair. The buffer's apply mode (b.apply)
-//     makes lock steps and lock directives do nothing and speculative
-//     accesses plain lookups and scans: every pre-existing instance a
-//     member can reach was locked during the growing phase (container
-//     contents only change through this batch's own writes), and
-//     instances created by earlier members are private to the
-//     transaction. Re-execution gives the batch sequential semantics —
-//     each member observes the effects of the members before it — and an
-//     undo log makes the mutation suffix all-or-nothing if an invariant
-//     violation panics mid-apply.
-//
-// Members whose results cannot be affected by the batch's own writes
-// (every member up to and including the first mutation) skip the apply
-// re-execution and reuse their growing-phase traversal, so a read-only
-// batch traverses exactly once.
+// After the growing phase every member computes its result under the held
+// locks, through the code single operations run: queries and counts walk
+// their plans straight through (exec.go's walk) on the member's own
+// arrays, inserts and removes run the one insert/remove body (mutate.go)
+// on the buffer's pair. The buffer's apply mode (b.apply) makes lock
+// steps and lock directives do nothing and speculative accesses plain
+// lookups and scans: every pre-existing instance a member can reach was
+// locked during the growing phase (container contents only change
+// through this batch's own writes), and instances created by earlier
+// members are private to the transaction. Members whose results cannot be
+// affected by the batch's own writes (every member up to and including
+// the first mutation) reuse their growing-phase traversal, so a
+// read-only batch traverses exactly once.
 
 // Pending is a batch result delivered at commit: enqueueing an operation
-// on a Txn returns a *Pending resolved when Relation.Batch returns.
+// on a Txn returns a *Pending resolved when Batch returns nil. A batch
+// that fails resolves none.
 type Pending[T any] struct {
 	v    T
 	done bool
@@ -76,14 +71,14 @@ func (p *Pending[T]) Value() T {
 
 // Txn is a batched transaction under construction. The Batch callback
 // enqueues operations on it; none execute until the callback returns,
-// when the whole group runs as one two-phase-locking transaction with a
-// coalesced lock schedule. A Txn is valid only inside its callback and is
-// not safe for concurrent use.
+// when the whole group commits as one transaction with a coalesced lock
+// schedule. A Txn is valid only inside its callback and is not safe for
+// concurrent use; its Trace and Stamp stay readable after Batch returns.
 //
 // A Txn built by Relation.Batch accepts members against that relation
 // only — it is the one-shard case; one built by Registry.Batch accepts
 // members against any relation registered in the registry, grouped into
-// per-relation shards that share a single locks.Txn. Every commit body
+// per-relation shards that share a single locks.Txn. The commit pipeline
 // walks the shards in relation-id order, so all acquisitions follow the
 // registry-wide (relation, node, inst, stripe) lock order.
 type Txn struct {
@@ -106,6 +101,7 @@ type Txn struct {
 	sealed bool
 	roOnly bool // BatchReadOnly: mutation enqueues are rejected
 	trace  *BatchTrace
+	stamp  uint64 // commit stamp (Stamp)
 }
 
 // txnRes are the reusable resources of a transaction besides its
@@ -177,8 +173,8 @@ type txnShard struct {
 	b        *opBuf
 	own      *locks.Txn // the buffer's own txn, restored before putBuf
 	firstMut int        // index into b.members of the first mutation, -1 if none
-	hasRead  bool       // the shard holds at least one query/count member (OCC eligibility)
-	mark     int        // OCC state-pool floor: write members' retained states end here (occ.go)
+	hasRead  bool       // the shard holds at least one query/count member (optimistic row eligibility)
+	mark     int        // state-pool floor of an attempt: growing-phase states end here (commit.go)
 }
 
 // memberRef addresses one member across shards, preserving the global
@@ -214,7 +210,7 @@ func (t *Txn) shardFor(r *Relation) (*txnShard, error) {
 
 // addShard installs buffer b's resident shard for relation r, lending b
 // the transaction-wide locks.Txn, and inserts it into t.shards by
-// relation id — the order every commit body walks.
+// relation id — the order the commit pipeline walks.
 func (t *Txn) addShard(r *Relation, b *opBuf) *txnShard {
 	sh := &b.shard
 	*sh = txnShard{r: r, b: b, own: b.txn, firstMut: -1}
@@ -303,10 +299,9 @@ type member struct {
 	count   int  // StepCount accumulator
 	counted bool // count delivered by a StepCount terminal
 
-	// Apply-phase staging (computeMember/deliverMember): ok is a
-	// mutation's staged outcome. Staging lets the OCC commit (occ.go)
-	// compute every member's result under undo logging and deliver —
-	// resolve pendings, run yields — only after the read-set validates.
+	// ok is a mutation's staged outcome (computeMember). Every member
+	// stages its result, and pendings resolve only after the commit point
+	// (commit.go).
 	ok bool
 }
 
@@ -354,8 +349,8 @@ type BatchTrace struct {
 	// pass of workload.TestDeterministicLockCounts pins.
 	SharedAcquired int
 
-	// Optimistic reports that the batch was detected read-only and
-	// attempted the lock-free epoch-validation path (readonly.go). When
+	// Optimistic reports that the batch was read-only and ran on the
+	// optimistic row of the commit pipeline (commit.go). When
 	// the final attempt validated, Requested and Acquired stay zero — the
 	// batch took no locks at all.
 	Optimistic bool
@@ -373,14 +368,14 @@ type BatchTrace struct {
 	// schedule then fills Rounds/Requested/Acquired as usual).
 	FellBack bool
 
-	// OCC reports that the batch was MIXED (mutations plus reads) on
-	// OptimisticCapable relations and ran the Silo-style commit of occ.go:
-	// write members' lock sets acquired exclusively in the global order
+	// OCC reports that the batch was MIXED (mutations plus reads) and ran
+	// on the optimistic row of the commit pipeline (commit.go): write
+	// members' lock sets acquired exclusively in the global order
 	// (filling Rounds/Requested/Acquired), read members lock-free with
 	// their epochs in the read-set (filling EpochsRecorded/EpochsDistinct
 	// on success), validation after the undo-logged apply. Attempts,
-	// FellBack and the epoch counters mean the same as on the read-only
-	// path; when FellBack is set the lock-schedule fields describe the
+	// FellBack and the epoch counters mean the same as for a read-only
+	// batch; when FellBack is set the lock-schedule fields describe the
 	// pessimistic rerun instead.
 	OCC bool
 }
@@ -434,14 +429,12 @@ func (t *Txn) Trace() *BatchTrace { return t.trace }
 // effects of the members enqueued before it. If fn returns an error,
 // nothing executes and the error is returned.
 //
-// A group whose members are all queries and counts is detected
-// automatically and — when the relation is OptimisticCapable — executed
-// lock-free under the optimistic epoch-validation protocol (readonly.go),
-// acquiring zero physical locks on the conflict-free path. A MIXED group
-// (mutations plus reads) on an OptimisticCapable relation auto-upgrades
-// to the Silo-style OCC commit (occ.go): exclusive locks for the write
-// members only, lock-free epoch-validated reads for the rest, so a batch
-// never acquires more locks than its sequential decomposition.
+// On an OptimisticCapable relation a group holding reads commits on the
+// optimistic row of the commit pipeline (commit.go): exclusive locks for
+// the write members only, lock-free epoch-validated reads for the rest,
+// so a read-only group acquires zero physical locks on the conflict-free
+// path and no group acquires more locks than its sequential
+// decomposition.
 func (r *Relation) Batch(fn func(tx *Txn) error) error {
 	return runBatch(r.registry, r, fn, false)
 }
@@ -491,22 +484,7 @@ func runBatch(g *Registry, r *Relation, fn func(tx *Txn) error, roOnly bool) err
 	if len(t.order) == 0 {
 		return nil
 	}
-	if t.readOnly() {
-		if t.commitReadOnly() {
-			t.noteBatch(true, false)
-			return nil
-		}
-	} else if ok, err := t.commitOCC(); ok || err != nil {
-		if ok && err == nil {
-			t.noteBatch(false, true)
-		}
-		return err
-	}
-	if err := t.commit2PL(); err != nil {
-		return err
-	}
-	t.noteBatch(false, false)
-	return nil
+	return t.commit()
 }
 
 // release is the shrinking phase: end-bump every shard's begin-bumped
@@ -514,7 +492,7 @@ func runBatch(g *Registry, r *Relation, fn func(tx *Txn) error, roOnly bool) err
 // the odd window span all writes, rolled-back ones included), release the
 // whole transaction's locks, hand the emptied list backings back, restore
 // each buffer's own locks.Txn and return the buffers to their relations'
-// pools. Runs on panic too (after the commit body's rollback).
+// pools. Runs on panic too (after the commit pipeline's rollback).
 func (t *Txn) release() {
 	for _, sh := range t.shards {
 		sh.b.finishEpochs()
@@ -696,8 +674,11 @@ func (t *Txn) enqueueCount(sh *txnShard, plan *query.Plan, row rel.Row) *Pending
 
 // ExecRows enqueues a prepared query over a schema-indexed row; yield is
 // invoked once per matching row at commit time, under the batch's locks,
-// until it returns false. Yielded rows are only valid during the
-// callback (their storage is pooled).
+// until it returns false. Yields run before the commit point: a yield
+// that panics rolls the batch back, and a yielded row belongs to the
+// batch only if Batch returns nil (a commit-logger error after the yields
+// rolls it back too). Yielded rows are only valid during the callback
+// (their storage is pooled).
 func (t *Txn) ExecRows(q *PreparedQuery, s rel.Row, yield func(rel.Row) bool) error {
 	sh, err := t.shardFor(q.r)
 	if err != nil {
@@ -866,73 +847,6 @@ func (r *Relation) planTuple(kind memberKind, s rel.Tuple, out []string) (*opPla
 	return p, row, nil
 }
 
-// commit2PL executes an assembled transaction under two-phase locking:
-// shard growing phases in relation-id order on the shared locks.Txn,
-// then one apply phase replaying every member in global enqueue order
-// under a shared undo log. With a commit logger attached the batch's redo
-// record is appended after the apply phase completes, still under every
-// held lock; a logging failure rolls the whole batch back and is returned
-// from Batch.
-func (t *Txn) commit2PL() error {
-	for _, sh := range t.shards {
-		sh.r.initBatchMembers(sh.b)
-	}
-	for _, sh := range t.shards {
-		sh.r.growBatch(t, sh.b)
-	}
-
-	// Apply phase: one undo log spans all shards, so a panic in any
-	// member's apply unwinds the writes of EVERY relation before the
-	// locks are released — cross-relation all-or-nothing.
-	undo := t.armUndo()
-	defer t.disarmUndo(undo)
-	for pos, ref := range t.order {
-		if registryApplyHook != nil {
-			registryApplyHook(ref.sh.r.name, pos)
-		}
-		ref.sh.r.applyMember(ref.sh.b, &ref.sh.b.members[ref.idx], ref.idx, ref.sh.firstMut)
-	}
-	// Commit point: the batch is fully applied, its locks are still held.
-	// Logging now makes the log order of conflicting batches their
-	// serialization order; failure unwinds through the same undo log a
-	// mid-apply panic would use.
-	if err := t.logCommit(); err != nil {
-		undo.rollback()
-		return err
-	}
-	return nil
-}
-
-// armUndo enters every shard's apply phase under one shared undo log: the
-// first shard's buffer-resident undoPool, emptied (a stack undoLog would
-// escape through b.undo and regrow its records every batch). Callers
-// clear its records on every exit.
-func (t *Txn) armUndo() *undoLog {
-	undo := &t.shards[0].b.undoPool
-	undo.recs = undo.recs[:0]
-	for _, sh := range t.shards {
-		sh.b.apply = true
-		sh.b.undo = undo
-	}
-	return undo
-}
-
-// disarmUndo leaves the apply phase armed by armUndo. On a panic it rolls
-// the undo log back before the locks are released and re-panics;
-// otherwise it empties the log's records.
-func (t *Txn) disarmUndo(undo *undoLog) {
-	for _, sh := range t.shards {
-		sh.b.undo = nil
-		sh.b.apply = false
-	}
-	if p := recover(); p != nil {
-		undo.rollback()
-		panic(p)
-	}
-	clear(undo.recs)
-	undo.recs = undo.recs[:0]
-}
-
 // initBatchMembers sets up every member's growing-phase pipeline and the
 // buffer's batch mode.
 func (r *Relation) initBatchMembers(b *opBuf) {
@@ -953,10 +867,10 @@ func (r *Relation) initBatchMembers(b *opBuf) {
 		switch m.kind {
 		case mQuery, mCount:
 			if b.occ {
-				// OCC commit: read members sit the pessimistic growing
-				// phase out entirely — their lock and speculative steps
-				// divert into the read-set when the lock-free read phase
-				// (occ.go) executes them after the write locks are held.
+				// Optimistic row: read members sit the growing phase out
+				// entirely — their lock and speculative steps divert into
+				// the read-set when the lock-free read (commit.go) runs
+				// them after the write locks are held.
 				m.wait = wDone
 				m.states = m.states[:0]
 				continue
@@ -1065,237 +979,4 @@ func (t *Txn) recordRound(b *opBuf, node string, requested, prev int, spec bool)
 	if requested > 0 || len(rd.IDs) > 0 {
 		tr.Rounds = append(tr.Rounds, rd)
 	}
-}
-
-// rowsAgree reports whether two rows hold equal values at every column
-// of mask. An empty mask agrees vacuously — callers treat that as a
-// potential conflict (nothing distinguishes the rows).
-func rowsAgree(a, c rel.Row, mask uint64) bool {
-	for mask != 0 {
-		i := bits.TrailingZeros64(mask)
-		if !rel.Equal(a.At(i), c.At(i)) {
-			return false
-		}
-		mask &^= 1 << uint(i)
-	}
-	return true
-}
-
-// opMask returns the member's bound-column mask (the key scope of the
-// operation).
-func (m *member) opMask() uint64 {
-	if m.mut != nil {
-		return m.mut.BoundMask
-	}
-	return m.boundMask
-}
-
-// memberReusable reports whether member m at index idx can reuse its
-// growing-phase results at apply time instead of re-executing. The
-// growing phase saw the pre-batch state, so reuse is sound iff no earlier
-// mutation can have changed what m observes or the instances m writes:
-//
-//   - tuple overlap: an earlier insert's row extending m's bound key, or
-//     an earlier remove whose key can share an extension with m's,
-//     changes m's existence check / victim set / query result;
-//   - creation overlap (inserts only): a node instance m found missing
-//     and plans to create may have been created by an earlier insert that
-//     agrees on the node's key columns A — m must re-locate;
-//   - deletion overlap (inserts only): a node instance m located may have
-//     been cascade-deleted by an earlier remove agreeing on A.
-//
-// Disagreement on any shared bound column proves disjointness; columns a
-// side leaves unbound cannot be compared, so they count as agreement
-// (conservative).
-func (r *Relation) memberReusable(b *opBuf, m *member, idx, firstMut int) bool {
-	if firstMut < 0 || idx <= firstMut {
-		return true
-	}
-	mMask := m.opMask()
-	rootIdx := r.decomp.Root.Index
-	for i := firstMut; i < idx; i++ {
-		mm := &b.members[i]
-		if mm.kind != mInsert && mm.kind != mRemove {
-			continue
-		}
-		test := mMask
-		if mm.kind == mRemove {
-			test &= mm.mut.BoundMask
-		}
-		if rowsAgree(m.row, mm.row, test) {
-			return false
-		}
-		if m.kind != mInsert {
-			continue
-		}
-		for v, am := range r.nodeKeyMask {
-			if v == rootIdx {
-				continue
-			}
-			if m.xinst[v] == nil {
-				if mm.kind == mInsert && rowsAgree(m.row, mm.row, am) {
-					return false
-				}
-			} else if mm.kind == mRemove && rowsAgree(m.row, mm.row, am&mm.mut.BoundMask) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// applyMember executes one member at commit time, under the full held
-// lock set: compute the result, then deliver it. The pessimistic paths
-// fuse the two; the OCC commit (occ.go) computes every member under undo
-// logging first and delivers only after the read-set validates, so
-// callers never observe results of an attempt that failed validation.
-func (r *Relation) applyMember(b *opBuf, m *member, idx, firstMut int) {
-	r.computeMember(b, m, idx, firstMut)
-	r.deliverMember(b, m)
-}
-
-// computeMember executes one member's apply-phase work and stages the
-// result on the member (states for queries, count for counts, ok for
-// mutations) without touching any caller-visible sink. Members whose
-// scope no earlier mutation touched reuse their growing/read-phase
-// traversal (it is exact); the rest re-execute in apply mode so they
-// observe the writes of the members before them — sequential semantics.
-// firstMut is the owning SHARD's first-mutation index: mutations in other
-// relations of a registry batch never invalidate reuse, because relations
-// are disjoint object graphs.
-//
-// computeMember is idempotent across OCC attempts: a validation failure
-// rolls the container writes back (undo log) and the next attempt
-// recomputes from the restored state — which is why the reuse-insert
-// branch writes through a scratch copy of the located instances instead
-// of mutating m.xinst (insertWrite fills in the instances it creates).
-func (r *Relation) computeMember(b *opBuf, m *member, idx, firstMut int) {
-	reuse := r.memberReusable(b, m, idx, firstMut)
-	switch m.kind {
-	case mQuery:
-		if !reuse {
-			r.runMember(b, m)
-		}
-	case mCount:
-		switch {
-		case reuse && m.counted:
-			// m.count already holds the growing/read-phase result.
-		case reuse:
-			m.count, m.counted = len(m.states), true
-		default:
-			r.runMember(b, m)
-		}
-	case mInsert:
-		m.ok = false
-		if reuse {
-			if len(m.states) == 0 {
-				nNodes := len(m.xinst)
-				if cap(b.xinst) < nNodes {
-					b.xinst = make([]*Instance, nNodes)
-				}
-				xinst := b.xinst[:nNodes]
-				copy(xinst, m.xinst)
-				r.insertWrite(b, xinst, m.row)
-				m.ok = true
-			}
-		} else {
-			m.ok = r.insert(b, m.ins, m.row)
-		}
-	case mRemove:
-		m.ok = false
-		if reuse {
-			for _, st := range m.states {
-				if st.row.Mask() != r.fullMask {
-					continue
-				}
-				r.deleteTuple(b, st)
-				m.ok = true
-			}
-		} else {
-			m.ok = r.remove(b, m.mut, m.row)
-		}
-	}
-}
-
-// runMember walks a query or count member's plan straight through on the
-// member's own arrays, outside the growing phase: the apply phase's
-// re-execution (b.apply) and the optimistic read phase (b.optimistic). A
-// query member keeps its final states; a count member stores its count
-// and drops its states.
-func (r *Relation) runMember(b *opBuf, m *member) {
-	n := r.walk(b, m.steps, m.row, m.boundMask, &m.states, &m.specOut)
-	if m.kind == mCount {
-		m.count, m.counted = n, true
-		m.states = m.states[:0]
-	}
-}
-
-// deliverMember resolves one member's caller-visible sinks — pendings and
-// query yields — from the staged results. On the OCC path it runs only
-// after a successful validation, so yields never observe torn data.
-func (r *Relation) deliverMember(b *opBuf, m *member) {
-	switch m.kind {
-	case mQuery:
-		states := m.states
-		if m.yield != nil {
-			for _, st := range states {
-				if !m.yield(st.row) {
-					break
-				}
-			}
-		}
-		if m.pt != nil {
-			results := make([]rel.Tuple, 0, len(states))
-			for _, st := range states {
-				vals := make([]rel.Value, len(m.outIdx))
-				for j, ci := range m.outIdx {
-					vals[j] = st.row.At(ci)
-				}
-				results = append(results, rel.TupleFromSorted(m.outCols, vals))
-			}
-			m.pt.set(results)
-		}
-	case mCount:
-		m.pi.set(m.count)
-	case mInsert, mRemove:
-		m.pb.set(m.ok)
-	}
-}
-
-// undoLog records displaced container bindings during a batch's apply
-// phase so a panic mid-apply can restore the pre-batch representation
-// before the transaction's locks are released (all-or-nothing).
-type undoLog struct {
-	recs []undoRec
-}
-
-// undoRec is one displaced binding: the container, the written key, and
-// what the key mapped to before (had=false for a previously absent key).
-type undoRec struct {
-	c   container.Map
-	key rel.Key
-	old any
-	had bool
-}
-
-// record appends one displaced binding.
-func (u *undoLog) record(c container.Map, key rel.Key, old any, had bool) {
-	u.recs = append(u.recs, undoRec{c: c, key: key, old: old, had: had})
-}
-
-// rollback restores every displaced binding in reverse order. The recorded
-// keys are carved from the operation's arena, which outlives the rollback
-// (it runs before the buffer is released); a re-inserting write stores
-// its own copy.
-func (u *undoLog) rollback() {
-	for i := len(u.recs) - 1; i >= 0; i-- {
-		rec := u.recs[i]
-		if rec.had {
-			rec.c.Write(rec.key, rec.old)
-		} else {
-			rec.c.Write(rec.key, nil)
-		}
-	}
-	clear(u.recs)
-	u.recs = u.recs[:0]
 }

@@ -30,8 +30,8 @@ type batchCounters struct {
 	locksAcquired atomic.Uint64 // physical locks held at commit points
 	roOptimistic  atomic.Uint64 // read-only groups that committed lock-free
 	occCommits    atomic.Uint64 // mixed groups that committed Silo-style
-	occRetries    atomic.Uint64 // optimistic attempts beyond each group's first
-	occFallbacks  atomic.Uint64 // groups that exhausted attempts and re-ran under 2PL
+	occRetries    atomic.Uint64 // optimistic attempts beyond the first, of mixed groups only
+	occFallbacks  atomic.Uint64 // mixed groups that exhausted attempts and re-ran under 2PL
 }
 
 // noteMembers folds a committed batch's member kinds into the cells.
@@ -74,10 +74,12 @@ type RelationCounters struct {
 	ReadOnlyOptimistic uint64 `json:"ro_optimistic"`
 	// OCCCommits counts mixed groups committed Silo-style.
 	OCCCommits uint64 `json:"occ_commits"`
-	// OCCRetries counts optimistic attempts beyond each group's first.
+	// OCCRetries counts the optimistic attempts of mixed groups beyond
+	// each one's first; read-only groups' retries are not counted.
 	OCCRetries uint64 `json:"occ_retries"`
-	// OCCFallbacks counts groups that exhausted their optimistic
-	// attempts and re-ran under full two-phase locking.
+	// OCCFallbacks counts mixed groups that exhausted their optimistic
+	// attempts and re-ran under full two-phase locking; read-only groups'
+	// fallbacks are not counted.
 	OCCFallbacks uint64 `json:"occ_fallbacks"`
 	// Migrations counts completed representation migrations.
 	Migrations uint64 `json:"migrations"`
@@ -97,9 +99,11 @@ type Counters struct {
 	ReadOnlyOptimistic uint64 `json:"ro_optimistic"`
 	// OCCCommits counts mixed groups committed Silo-style.
 	OCCCommits uint64 `json:"occ_commits"`
-	// OCCRetries counts optimistic attempts beyond each group's first.
+	// OCCRetries counts the optimistic attempts of mixed groups beyond
+	// each one's first; read-only groups' retries are not counted.
 	OCCRetries uint64 `json:"occ_retries"`
-	// OCCFallbacks counts groups that fell back to full 2PL.
+	// OCCFallbacks counts mixed groups that fell back to full 2PL;
+	// read-only groups' fallbacks are not counted.
 	OCCFallbacks uint64 `json:"occ_fallbacks"`
 	// Relations is the per-relation breakdown, in registration order.
 	Relations []RelationCounters `json:"relations"`
@@ -166,16 +170,17 @@ func (g *Registry) Harvest() Counters {
 
 // noteBatch folds one committed batch into the counters: the batch-level
 // totals into t.ctr, plus each shard's member kinds onto its relation.
-// Called by runBatch while the transaction's locks are still held
-// (HeldCount is meaningful).
-func (t *Txn) noteBatch(ro, occ bool) {
+// opt reports the optimistic row, mut a batch holding mutations. Called
+// at the commit while the transaction's locks are still held (HeldCount
+// is meaningful).
+func (t *Txn) noteBatch(opt, mut bool) {
 	t.ctr.batches.Add(1)
-	if ro {
+	if opt && !mut {
 		t.ctr.roOptimistic.Add(1)
 	} else {
 		t.ctr.locksAcquired.Add(uint64(t.ltxn.HeldCount()))
 	}
-	if occ {
+	if opt && mut {
 		t.ctr.occCommits.Add(1)
 	}
 	for _, sh := range t.shards {

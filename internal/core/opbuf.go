@@ -90,11 +90,11 @@ type opBuf struct {
 	optimistic bool
 	reads      locks.ReadSet
 
-	// occ marks the Silo-style commit of a MIXED batch (occ.go): write
-	// members run the pessimistic growing phase (exclusive locks only),
-	// read members run lock-free with epoch records, and the apply phase
-	// is undo-log staged until the read-set validates. While occ is set the
-	// well-lockedness auditor accepts EITHER a held lock or a recorded
+	// occ marks a batch on the optimistic row of the commit pipeline
+	// (commit.go): write members run the growing phase (exclusive locks
+	// only), read members run lock-free with epoch records, and the
+	// commit point waits for the read-set to validate. While occ is set
+	// the well-lockedness auditor accepts EITHER a held lock or a recorded
 	// epoch as coverage.
 	occ bool
 

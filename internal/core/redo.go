@@ -1,21 +1,21 @@
 package core
 
 // This file is the durability seam of the commit path: the registry can
-// carry a CommitLogger (internal/wal's Manager in production), and every
-// commit body that mutates a relation — the two-phase-locking body
-// (commit2PL) and the Silo-style OCC body (occ.go), for Relation.Batch
-// and Registry.Batch alike — hands the logger one logical redo record per
-// committed batch at its commit point (logCommit): after the apply phase
-// has fully staged the batch (2PL) or after read-set validation has
-// succeeded (OCC), but before any result is delivered and, crucially,
-// while every lock the batch holds is still held. Holding the locks
-// across the append means the log order of two CONFLICTING batches is
-// exactly their serialization order (the second cannot reach its commit
-// point before the first releases), so a replayed log prefix is always a
-// serializable prefix of committed batches. If the logger fails, the
-// batch rolls back through the same undo log that serves mid-apply
-// panics and the error surfaces from Batch — a batch is either durable
-// and delivered, or neither.
+// carry a CommitLogger (internal/wal's Manager in production), and the
+// commit pipeline (commit.go) hands the logger one logical redo record
+// per committed mutating batch at its commit point (logCommit), on both
+// rows, for Relation.Batch and Registry.Batch alike. The point comes
+// after every member computed, the stamp was drawn, the read-sets
+// validated and the query yields ran, and before any Pending resolves —
+// crucially while every lock the batch holds is still held. Holding the
+// locks across the append means the log order of two CONFLICTING batches
+// is exactly their serialization order (the second cannot reach its
+// commit point before the first releases), so a replayed log prefix is
+// always a serializable prefix of committed batches. If the logger fails,
+// the batch rolls back through the same undo log that serves panics and
+// the error surfaces from Batch with no Pending resolved — a batch is
+// either durable and delivered, or neither. A yield that panics rolls the
+// batch back before the logger sees anything.
 //
 // Read-only batches never log (there is nothing to redo), and a nil
 // logger costs the hot path one pointer test — the steady-state
@@ -54,9 +54,12 @@ type RedoOp struct {
 // committed batches. LogCommit is called once per committed mutating
 // batch, at the commit point, with the batch's mutations in enqueue
 // order; the ops slice and the Vals it references are only valid for the
-// duration of the call (rows are arena-backed and recycled). A non-nil
-// error aborts the commit: the caller rolls the batch back and surfaces
-// the error from Batch, so delivery and durability cannot disagree.
+// duration of the call (rows are arena-backed and recycled). The call
+// comes after the batch's query yields ran and before any of its Pending
+// results resolves. A non-nil error aborts the commit: the batch rolls
+// back, Batch returns the error and no Pending resolves, so delivery and
+// durability cannot disagree. Rows a yield saw belong to the batch only
+// if Batch returns nil.
 //
 // LogCommit runs with the batch's locks held — implementations must not
 // re-enter the registry (no Batch calls) and should append quickly;
@@ -192,7 +195,7 @@ func (t *Txn) logCommit() error {
 func (t *Txn) redoOps() []RedoOp {
 	n := 0
 	for _, ref := range t.order {
-		if k := ref.sh.b.members[ref.idx].kind; k == mInsert || k == mRemove {
+		if k := ref.member().kind; k == mInsert || k == mRemove {
 			n++
 		}
 	}
@@ -201,7 +204,7 @@ func (t *Txn) redoOps() []RedoOp {
 	}
 	ops := make([]RedoOp, 0, n)
 	for _, ref := range t.order {
-		m := &ref.sh.b.members[ref.idx]
+		m := ref.member()
 		if m.kind != mInsert && m.kind != mRemove {
 			continue
 		}

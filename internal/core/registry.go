@@ -53,6 +53,9 @@ type Registry struct {
 	// ctr holds the cells of Registry.Batch's batch-level counts
 	// (counters.go).
 	ctr batchCounters
+	// stamps issues the commit stamps of every batch of the registry
+	// (Txn.Stamp).
+	stamps atomic.Uint64
 	// evMu guards events, the completed-migration history Harvest copies.
 	evMu   sync.Mutex
 	events []MigrationEvent
@@ -150,14 +153,11 @@ func (g *Registry) getTxn() *regTxn {
 // executed sequentially in enqueue order. If fn returns an error, nothing
 // executes and the error is returned.
 //
-// A group whose members are all queries and counts is detected
-// automatically and — when every touched relation is OptimisticCapable —
-// executed lock-free under the optimistic epoch-validation protocol
-// (readonly.go), acquiring zero physical locks on the conflict-free path.
-// A MIXED group (mutations plus reads) over capable relations
-// auto-upgrades to the Silo-style OCC commit (occ.go): exclusive locks
-// for the write members only, lock-free epoch-validated reads for the
-// rest, validated in the registry-wide lock order.
+// When every touched relation is OptimisticCapable, a group holding
+// reads commits on the optimistic row of the commit pipeline (commit.go):
+// exclusive locks for the write members only, lock-free epoch-validated
+// reads for the rest, validated in the registry-wide lock order — so a
+// read-only group acquires zero physical locks on the conflict-free path.
 func (g *Registry) Batch(fn func(tx *Txn) error) error {
 	return runBatch(g, nil, fn, false)
 }

@@ -158,7 +158,6 @@ type Dispatcher struct {
 	closed  bool
 	commits sync.WaitGroup // group commits in flight (balanced in takeLocked/commitGroup)
 
-	seq          atomic.Uint64 // batch sequence numbers
 	requests     atomic.Uint64
 	members      atomic.Uint64
 	batches      atomic.Uint64
@@ -375,10 +374,11 @@ func (d *Dispatcher) Stats() Stats {
 // request cannot take its neighbors down.
 func (d *Dispatcher) commitGroup(batch []*txnReq) {
 	defer d.commits.Done()
-	seq := d.seq.Add(1)
 	size := len(batch)
+	var txn *core.Txn
 	var tr *core.BatchTrace
 	err := d.reg.Batch(func(tx *core.Txn) error {
+		txn = tx
 		if d.cfg.Counts != nil {
 			tx.EnableTrace()
 			tr = tx.Trace()
@@ -410,6 +410,7 @@ func (d *Dispatcher) commitGroup(batch []*txnReq) {
 		d.cfg.Counts.Harvest(tr)
 	}
 	d.recordBatch(size)
+	seq := txn.Stamp()
 	for i, c := range batch {
 		d.requests.Add(1)
 		d.members.Add(uint64(len(c.ops)))
@@ -431,15 +432,16 @@ func (d *Dispatcher) recycle(batch []*txnReq) {
 }
 
 // commitEach is the degraded path: each request of an aborted window
-// commits alone (its own batch sequence number, size 1), so per-request
+// commits alone (its own commit stamp, size 1), so per-request
 // atomicity and results are preserved and only this window's coalescing
 // is lost. A request that still fails to enqueue is the client's error.
 func (d *Dispatcher) commitEach(batch []*txnReq) {
 	for _, c := range batch {
-		seq := d.seq.Add(1)
+		var txn *core.Txn
 		var tr *core.BatchTrace
 		var enqErr error
 		err := d.reg.Batch(func(tx *core.Txn) error {
+			txn = tx
 			if d.cfg.Counts != nil {
 				tx.EnableTrace()
 				tr = tx.Trace()
@@ -466,7 +468,7 @@ func (d *Dispatcher) commitEach(batch []*txnReq) {
 		d.recordBatch(1)
 		d.requests.Add(1)
 		d.members.Add(uint64(len(c.ops)))
-		c.seq, c.size, c.pos = seq, 1, 0
+		c.seq, c.size, c.pos = txn.Stamp(), 1, 0
 		d.commitLatency.Record(time.Since(c.arrived))
 		c.done <- struct{}{}
 	}

@@ -3,8 +3,9 @@ package server
 // Differential and property tests of the group-commit dispatcher. The
 // load-bearing property: coalescing is transparent — for ANY grouping of
 // concurrently submitted requests into windows, replaying the same
-// requests sequentially in global commit order (BatchSeq, then BatchPos)
-// against a fresh registry reproduces every per-request result
+// requests sequentially in global commit order (BatchSeq — the group's
+// commit stamp — then BatchPos) against a fresh registry reproduces
+// every per-request result
 // byte-for-byte. The windowHook forces deterministic window boundaries
 // so the tests control grouping instead of racing a timer.
 
@@ -52,9 +53,9 @@ type submitRecorded struct {
 
 // runDifferential drives clients×perClient requests of the given mix
 // through one dispatcher under a deterministic window policy, then
-// replays the identical requests sequentially in (BatchSeq, BatchPos)
-// order against a fresh registry and requires every result to match
-// byte-for-byte.
+// replays the identical requests sequentially in commit-stamp order
+// (BatchSeq, then BatchPos) against a fresh registry and requires every
+// result to match byte-for-byte.
 func runDifferential(t *testing.T, mix workload.SocialMix, clients, perClient int) {
 	t.Helper()
 
@@ -124,7 +125,8 @@ func runDifferential(t *testing.T, mix workload.SocialMix, clients, perClient in
 	// for a lone sequential request).
 	windowHook = nil
 
-	// Global commit order: BatchSeq ascending, BatchPos within a group.
+	// Global commit order: commit stamp (BatchSeq) ascending, BatchPos
+	// within a group.
 	var all []submitRecorded
 	for _, recs := range recorded {
 		all = append(all, recs...)

@@ -89,20 +89,22 @@ type OpResult struct {
 
 // Response is a committed Request's reply: per-op results in op order,
 // plus the coordinates of the group commit that carried it — BatchSeq
-// (the dispatcher's running batch number), BatchSize (how many requests
-// the group coalesced) and BatchPos (this request's position in the
-// group's global enqueue order). The coordinates make coalescing
-// observable: tests and benchmarks read batch sizes straight from
-// replies. Within one group, BatchPos is the serialization order.
-// BatchSeq numbers groups in dispatch order only: a group takes its
-// number before it acquires any lock, so groups that overlap in time may
-// serialize in a different order, and replaying in (BatchSeq, BatchPos)
-// order reproduces every result only when the groups did not overlap.
-// A certified commit order is ROADMAP item 14.
+// (the group's commit stamp), BatchSize (how many requests the group
+// coalesced) and BatchPos (this request's position in the group's global
+// enqueue order). The coordinates make coalescing observable: tests and
+// benchmarks read batch sizes straight from replies. Within one group,
+// BatchPos is the serialization order. BatchSeq is core.Txn.Stamp: the
+// group draws it at its commit point while it holds its locks, so
+// conflicting groups get stamps in their serialization order, and
+// replaying requests in (BatchSeq, BatchPos) order reproduces every
+// result. Stamps are unique per registry but not dense: an optimistic
+// attempt that fails validation, or another registry client, consumes
+// numbers too.
 type Response struct {
 	// Results holds one OpResult per Request op, in op order.
 	Results []OpResult `json:"results"`
-	// BatchSeq is the group commit's sequence number (1-based).
+	// BatchSeq is the group commit's stamp: 1-based and unique per
+	// registry, ordering conflicting groups as they serialized.
 	BatchSeq uint64 `json:"batch_seq"`
 	// BatchSize is the number of client requests the group coalesced.
 	BatchSize int `json:"batch_size"`

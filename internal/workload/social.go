@@ -96,8 +96,9 @@ type LockCounts struct {
 	ValidationRetries atomic.Int64
 	Fallbacks         atomic.Int64
 
-	// The mixed-batch OCC counters (occ.go): OCCBatches counts mixed
-	// groups that took the Silo-style path; OCCWriteLocks the exclusive
+	// The mixed-batch OCC counters (the optimistic row of core's
+	// commit.go): OCCBatches counts mixed groups that took the Silo-style
+	// path; OCCWriteLocks the exclusive
 	// locks those batches' write members acquired (on successful commits —
 	// the "strictly fewer than sequential" rule of
 	// TestDeterministicLockCounts rides on the plain Acquired totals, which
