@@ -23,8 +23,11 @@
 # 87.6% → 89.2% (floor raised 86.2 → 87.8). Re-measured when the three
 # batch commit bodies became one commit pipeline with a commit stamp:
 # core 89.2% → 89.5% (floor raised 87.8 → 88.1), server 89.7% → 90.1%
-# (floor raised 88.5 → 88.6). Raise the floor when coverage improves;
-# never lower it to make a PR pass.
+# (floor raised 88.5 → 88.6). The WAL joined when snapshot restore and
+# migration backfill moved onto the one redo rule, measured at wal 82.6%
+# (83.0% before the per-FD restore split was deleted; core 89.6%, server
+# 90.3–90.5%, floors kept). Raise the floor when coverage improves; never
+# lower it to make a PR pass.
 set -euo pipefail
 
 declare -A floors=(
@@ -36,6 +39,7 @@ declare -A floors=(
   ["./internal/server/"]=88.6
   ["./internal/server/client/"]=59.5
   ["./internal/server/wirejson/"]=85.0
+  ["./internal/wal/"]=80.5
 )
 
 status=0

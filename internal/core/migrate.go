@@ -38,8 +38,10 @@ import (
 //     tolerates.
 //
 //  3. SNAPSHOT + BACKFILL: a consistent full read of the live relation
-//     (the optimistic or 2PL read path, either way validated) seeds tmp
-//     through its ordinary insert plans.
+//     (the optimistic or 2PL read path, either way validated) is taken
+//     as insert redo ops that bind every column and are keyed on the
+//     full row, and replayed onto tmp by the catch-up rule (applyRedo):
+//     backfill is catch-up from an empty relation.
 //
 //  4. CATCH-UP: tapped ops are drained and replayed onto tmp in tap
 //     order, in rounds, until a round drains below a small threshold.
@@ -151,16 +153,9 @@ func (r *Relation) tapDirect(insert bool, boundMask uint64, row rel.Row) {
 	if tp == nil || tp.rel != r.name {
 		return
 	}
-	w := row.Width()
-	vals := make([]rel.Value, w)
-	mask := row.Mask()
-	for i := 0; i < w; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			vals[i] = row.At(i)
-		}
-	}
+	op := RedoOp{Rel: r.name, Insert: insert, Vals: redoVals(row), RowMask: row.Mask(), BoundMask: boundMask}
 	tp.mu.Lock()
-	tp.ops = append(tp.ops, RedoOp{Rel: r.name, Insert: insert, Vals: vals, RowMask: mask, BoundMask: boundMask})
+	tp.ops = append(tp.ops, op)
 	tp.mu.Unlock()
 }
 
@@ -196,7 +191,7 @@ type MigrationEvent struct {
 	// headline unlock of a TreeMap → ConcurrentSkipListMap migration.
 	OptimisticBefore bool `json:"optimistic_before"`
 	OptimisticAfter  bool `json:"optimistic_after"`
-	// Backfilled counts the tuples copied from the snapshot.
+	// Backfilled counts the rows copied from the snapshot.
 	Backfilled int `json:"backfilled"`
 	// CatchupOps counts the tapped mutations replayed (catch-up rounds
 	// plus the final under-latch residue).
@@ -273,23 +268,26 @@ func (g *Registry) Migrate(name string, opts ...SynthOption) (*MigrationEvent, e
 		return nil, err
 	}
 
-	// 3. Consistent snapshot of the live relation, backfilled into tmp
-	// through its ordinary insert plans (full rows, full-column key).
-	snap, err := r.Snapshot()
+	// 3. Consistent full read of the live relation, collected as insert
+	// redo ops keyed on the full row and backfilled into tmp by the
+	// catch-up rule: backfill is catch-up from an empty relation.
+	scan, err := r.PrepareQueryMask(0, r.fullMask)
+	if err != nil {
+		return abort(err)
+	}
+	var snap []RedoOp
+	err = scan.ExecRows(r.schema.NewRow(), func(row rel.Row) bool {
+		snap = append(snap, RedoOp{Rel: name, Insert: true, Vals: redoVals(row), RowMask: r.fullMask, BoundMask: r.fullMask})
+		return true
+	})
 	if err != nil {
 		return abort(err)
 	}
 	migrateStage("snapshot")
-	ins, err := tmp.planFor(shape{kind: mInsert, bound: tmp.fullMask})
-	if err != nil {
-		return abort(err)
-	}
-	for _, tu := range snap {
-		row, rerr := tmp.schema.RowFromTuple(tu, nil)
-		if rerr != nil {
-			return abort(rerr)
+	for i := range snap {
+		if aerr := tmp.applyRedo(&snap[i]); aerr != nil {
+			return abort(aerr)
 		}
-		tmp.runInsert(ins, row)
 	}
 	ev.Backfilled = len(snap)
 	migrateStage("backfilled")
@@ -338,9 +336,9 @@ func (g *Registry) Migrate(name string, opts ...SynthOption) (*MigrationEvent, e
 
 // applyRedo replays one logical redo op against the relation through its
 // ordinary mutation plans — the rule recovery uses (redoShape), here
-// serving migration catch-up. Failed inserts (key present) and empty
-// removes are fine: re-applying ops the snapshot already reflects must
-// be a no-op.
+// serving migration backfill and catch-up. Failed inserts (key present)
+// and empty removes are fine: re-applying ops the snapshot already
+// reflects must be a no-op.
 func (r *Relation) applyRedo(op *RedoOp) error {
 	sh, row, err := r.redoShape(op)
 	if err != nil {

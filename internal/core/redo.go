@@ -32,7 +32,8 @@ import (
 // the unit of the write-ahead redo log. Vals holds the operation row's
 // values in schema column-index order (entries outside RowMask are nil);
 // for an insert RowMask covers every column and BoundMask is the s-side
-// of the insert's s/t split (the put-if-absent key columns), for a remove
+// of the insert's s/t split (the put-if-absent key columns; a restored
+// snapshot row or a backfilled row is keyed on every column), for a remove
 // RowMask == BoundMask covers the bound search columns. Replaying the
 // op (Registry.Replay, redoShape) with the same split re-executes the
 // original decision procedure, so replay is idempotent: re-applying a
@@ -101,9 +102,10 @@ func (g *Registry) Replay(ops []RedoOp) error {
 	})
 }
 
-// redoShape is the one replay rule, shared by recovery (Replay) and
-// migration catch-up (applyRedo): it maps a redo op to the shape and the
-// row that re-execute it. An insert binds every column and keys its
+// redoShape is the one redo rule, shared by every state transfer: log
+// replay and snapshot restore (Replay), migration backfill and catch-up
+// (applyRedo). It maps a redo op to the shape and the row that
+// re-execute it. An insert binds every column and keys its
 // put-if-absent check on BoundMask; a remove is keyed on the columns its
 // row binds. Decoded Vals reach only up to the highest bound column, so a
 // short row is widened to the schema width.
@@ -137,26 +139,27 @@ func (r *Relation) redoShape(op *RedoOp) (shape, rel.Row, error) {
 // batches are never re-logged.
 func (g *Registry) SetCommitLogger(l CommitLogger) { g.logger = l }
 
-// appendMemberRedo appends m's redo op to ops; the caller filtered m to
-// mutation kinds. Vals is a fresh slice holding a copy of the member's
-// bound row values (unbound columns stay nil), so the op does not alias
-// the buffer's row arena and stays valid after the batch's buffers are
-// recycled.
-func appendMemberRedo(ops []RedoOp, relName string, m *member) []RedoOp {
-	row := m.row
-	w := row.Width()
-	vals := make([]rel.Value, w)
-	mask := row.Mask()
-	for i := 0; i < w; i++ {
-		if mask&(1<<uint(i)) != 0 {
+// redoVals copies row's bound values into a fresh slice of the row's
+// width (unbound columns stay nil), so a redo op built from it does not
+// alias pooled row storage and stays valid after the buffers recycle.
+func redoVals(row rel.Row) []rel.Value {
+	vals := make([]rel.Value, row.Width())
+	for i := range vals {
+		if row.Has(i) {
 			vals[i] = row.At(i)
 		}
 	}
+	return vals
+}
+
+// appendMemberRedo appends m's redo op to ops; the caller filtered m to
+// mutation kinds.
+func appendMemberRedo(ops []RedoOp, relName string, m *member) []RedoOp {
 	return append(ops, RedoOp{
 		Rel:       relName,
 		Insert:    m.kind == mInsert,
-		Vals:      vals,
-		RowMask:   mask,
+		Vals:      redoVals(m.row),
+		RowMask:   m.row.Mask(),
 		BoundMask: m.mut.BoundMask,
 	})
 }

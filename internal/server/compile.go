@@ -12,9 +12,10 @@ package server
 // representation cannot run) is rejected while compiling, so a request
 // that compiles cannot abort its neighbours' group. The one exception is
 // a live migration between compile and commit to a representation that
-// cannot plan an op's shape; the dispatcher's per-request fallback
-// (commitEach) answers that request alone, and the next request of that
-// shape is rejected at compile time, when it prepares its handle.
+// cannot plan an op's shape; the dispatcher's degraded window commits
+// each request alone and answers that one with the error, and the next
+// request of that shape is rejected at compile time, when it prepares
+// its handle.
 
 import (
 	"fmt"

@@ -370,13 +370,35 @@ func (d *Dispatcher) Stats() Stats {
 
 // commitGroup commits one window's requests as a single registry batch
 // and wakes every submitter. On a group enqueue error nothing has
-// executed; the window degrades to per-request commits so one bad
-// request cannot take its neighbors down.
+// executed; the window degrades to per-request commits — each request
+// alone, with its own commit stamp and size 1 — so one bad request
+// cannot take its neighbors down and only this window's coalescing is
+// lost.
 func (d *Dispatcher) commitGroup(batch []*txnReq) {
 	defer d.commits.Done()
-	size := len(batch)
+	if d.commit(batch) == nil {
+		d.recycle(batch)
+		return
+	}
+	d.degraded.Add(1)
+	for i, c := range batch {
+		if err := d.commit(batch[i : i+1]); err != nil {
+			c.err = err
+			c.done <- struct{}{}
+		}
+	}
+}
+
+// commit runs batch as one registry batch, syncs the WAL and wakes every
+// submitter — with its result, or with the sync error when the redo
+// record may not be on stable storage (acknowledging then could ack work
+// a crash would lose). If the batch fails, nothing executed, nobody is
+// woken and the error is returned, marked as the client's when a request
+// failed to enqueue.
+func (d *Dispatcher) commit(batch []*txnReq) error {
 	var txn *core.Txn
 	var tr *core.BatchTrace
+	var bad *txnReq
 	err := d.reg.Batch(func(tx *core.Txn) error {
 		txn = tx
 		if d.cfg.Counts != nil {
@@ -385,40 +407,38 @@ func (d *Dispatcher) commitGroup(batch []*txnReq) {
 		}
 		for _, c := range batch {
 			if err := c.enqueue(tx); err != nil {
+				bad = c
 				return err
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		d.degraded.Add(1)
-		d.commitEach(batch)
-		return
+		if bad != nil {
+			err = badRequest{fmt.Errorf("%w (%s)", err, bad.summarize())}
+		}
+		return err
 	}
 	if serr := d.syncWAL(); serr != nil {
-		// The group committed in memory but its redo record may not be on
-		// stable storage: acknowledging now could ack work a crash would
-		// lose. Every submitter in the window gets the sync error instead
-		// of a result.
 		for _, c := range batch {
 			c.err = serr
 			c.done <- struct{}{}
 		}
-		return
+		return nil
 	}
 	if tr != nil {
 		d.cfg.Counts.Harvest(tr)
 	}
-	d.recordBatch(size)
+	d.recordBatch(len(batch))
 	seq := txn.Stamp()
 	for i, c := range batch {
 		d.requests.Add(1)
 		d.members.Add(uint64(len(c.ops)))
-		c.seq, c.size, c.pos = seq, size, i
+		c.seq, c.size, c.pos = seq, len(batch), i
 		d.commitLatency.Record(time.Since(c.arrived))
 		c.done <- struct{}{}
 	}
-	d.recycle(batch)
+	return nil
 }
 
 // recycle keeps a committed window's slice for the next window.
@@ -429,49 +449,6 @@ func (d *Dispatcher) recycle(batch []*txnReq) {
 		d.spare = batch[:0]
 	}
 	d.mu.Unlock()
-}
-
-// commitEach is the degraded path: each request of an aborted window
-// commits alone (its own commit stamp, size 1), so per-request
-// atomicity and results are preserved and only this window's coalescing
-// is lost. A request that still fails to enqueue is the client's error.
-func (d *Dispatcher) commitEach(batch []*txnReq) {
-	for _, c := range batch {
-		var txn *core.Txn
-		var tr *core.BatchTrace
-		var enqErr error
-		err := d.reg.Batch(func(tx *core.Txn) error {
-			txn = tx
-			if d.cfg.Counts != nil {
-				tx.EnableTrace()
-				tr = tx.Trace()
-			}
-			enqErr = c.enqueue(tx)
-			return enqErr
-		})
-		if err != nil {
-			if enqErr != nil {
-				err = badRequest{fmt.Errorf("%w (%s)", err, c.summarize())}
-			}
-			c.err = err
-			c.done <- struct{}{}
-			continue
-		}
-		if serr := d.syncWAL(); serr != nil {
-			c.err = serr
-			c.done <- struct{}{}
-			continue
-		}
-		if tr != nil {
-			d.cfg.Counts.Harvest(tr)
-		}
-		d.recordBatch(1)
-		d.requests.Add(1)
-		d.members.Add(uint64(len(c.ops)))
-		c.seq, c.size, c.pos = txn.Stamp(), 1, 0
-		d.commitLatency.Record(time.Since(c.arrived))
-		c.done <- struct{}{}
-	}
 }
 
 // syncWAL is the durability barrier between commit and reply: one fsync

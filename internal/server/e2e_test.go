@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -43,27 +44,36 @@ func trafficFor(c, clients int) *server.SocialTraffic {
 	return server.NewSocialTraffic(uint64(c+1), workload.DefaultSocialMix(), 24, int64(clients), int64(c))
 }
 
+// e2eRecord is one request a client sent and the reply it got.
+type e2eRecord struct {
+	req  *server.Request
+	resp *server.Response
+}
+
 // TestE2ELockstepOracle is the headline e2e: K concurrent HTTP clients
-// in lockstep against one crsd, every reply recorded; then the same K
-// streams replayed sequentially by a single client against a fresh
-// server. Per-request results must match byte-for-byte, final relation
-// contents must be identical, and the concurrent run must have
+// in lockstep against one crsd, over one shared key space, every request
+// and reply recorded; then every request replayed by a single client
+// against a fresh server, in commit-stamp order (batch_seq, then
+// batch_pos). Per-request results must match byte-for-byte, final
+// relation contents must be identical, and the concurrent run must have
 // coalesced (mean batch size ≥ 2 — in lockstep, exactly K).
 func TestE2ELockstepOracle(t *testing.T) {
 	const clients, rounds = 4, 30
 
 	srv, base := startServer(t, server.Config{Window: 5 * time.Second, MaxBatch: clients})
-	resultLog := make([][]string, clients) // per client, per round: Results JSON
+	recorded := make([][]e2eRecord, clients)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			cl := client.New(base)
-			gen := trafficFor(c, clients)
-			log := make([]string, 0, rounds)
+			// Stride 1, offset 0: the clients' keys collide.
+			gen := server.NewSocialTraffic(uint64(c+1), workload.DefaultSocialMix(), 24, 1, 0)
+			recs := make([]e2eRecord, 0, rounds)
 			for i := 0; i < rounds; i++ {
-				resp, err := cl.Do(context.Background(), gen.Next())
+				req := gen.Next()
+				resp, err := cl.Do(context.Background(), req)
 				if err != nil {
 					t.Errorf("client %d round %d: %v", c, i, err)
 					return
@@ -72,14 +82,9 @@ func TestE2ELockstepOracle(t *testing.T) {
 					t.Errorf("client %d round %d: batch size %d out of range", c, i, resp.BatchSize)
 					return
 				}
-				b, err := json.Marshal(resp.Results)
-				if err != nil {
-					t.Errorf("client %d round %d: %v", c, i, err)
-					return
-				}
-				log = append(log, string(b))
+				recs = append(recs, e2eRecord{req: req, resp: resp})
 			}
-			resultLog[c] = log
+			recorded[c] = recs
 		}(c)
 	}
 	wg.Wait()
@@ -110,27 +115,35 @@ func TestE2ELockstepOracle(t *testing.T) {
 		t.Fatalf("window occupancy mean %v != mean batch size %v", st.WindowOccupancy.Mean, st.MeanBatchSize)
 	}
 
-	// Sequential oracle: fresh server, one client, MaxBatch 1, identical
-	// streams. Disjoint key partitions make the replies independent of
-	// client order, so replaying client-by-client is a valid
-	// sequentialization of the concurrent run.
+	// Sequential oracle: fresh server, one client, MaxBatch 1, every
+	// request in the global commit order the replies carry — the
+	// group's commit stamp, then the position within the group.
+	var all []e2eRecord
+	for _, recs := range recorded {
+		all = append(all, recs...)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i].resp, all[j].resp
+		if a.BatchSeq != b.BatchSeq {
+			return a.BatchSeq < b.BatchSeq
+		}
+		return a.BatchPos < b.BatchPos
+	})
 	oSrv, oBase := startServer(t, server.Config{MaxBatch: 1})
 	oCl := client.New(oBase)
-	for c := 0; c < clients; c++ {
-		gen := trafficFor(c, clients)
-		for i := 0; i < rounds; i++ {
-			resp, err := oCl.Do(context.Background(), gen.Next())
-			if err != nil {
-				t.Fatalf("oracle client %d round %d: %v", c, i, err)
-			}
-			if resp.BatchSize != 1 {
-				t.Fatalf("oracle coalesced (batch size %d)", resp.BatchSize)
-			}
-			b, _ := json.Marshal(resp.Results)
-			if string(b) != resultLog[c][i] {
-				t.Fatalf("client %d round %d diverged from oracle:\nconcurrent: %s\nsequential: %s",
-					c, i, resultLog[c][i], b)
-			}
+	for i, rec := range all {
+		resp, err := oCl.Do(context.Background(), rec.req)
+		if err != nil {
+			t.Fatalf("oracle request %d: %v", i, err)
+		}
+		if resp.BatchSize != 1 {
+			t.Fatalf("oracle coalesced (batch size %d)", resp.BatchSize)
+		}
+		got, _ := json.Marshal(rec.resp.Results)
+		want, _ := json.Marshal(resp.Results)
+		if string(got) != string(want) {
+			t.Fatalf("request %d (batch %d pos %d) diverged from oracle:\nconcurrent: %s\nsequential: %s",
+				i, rec.resp.BatchSeq, rec.resp.BatchPos, got, want)
 		}
 	}
 

@@ -139,8 +139,8 @@ type Manager struct {
 }
 
 // Open recovers the registry from dir and returns a manager appending to
-// it. Recovery loads the newest CRC-valid snapshot (restoring it through
-// batched inserts), replays every redo record past the snapshot's seal
+// it. Recovery loads the newest CRC-valid snapshot (replaying its rows as
+// full-row insert redo ops, in batches), replays every redo record past the snapshot's seal
 // LSN in order — one Registry.Batch per record — and truncates a torn or
 // CRC-failing tail in the final segment; damage in any earlier segment
 // is corruption of acknowledged history and fails Open. The registry

@@ -6,8 +6,10 @@ package wal
 //	[8B magic "CRSSNAP1"] [8B seal LSN LE] [4B payload len LE] [4B CRC32-C] [payload]
 //
 // The payload lists every registered relation — name, column names, and
-// its tuples' tagged values in schema column order, sorted by the
+// its rows' tagged values in schema column order, sorted by the
 // relational value order so identical states encode to identical bytes.
+// Every count is bounded by the payload bytes left before the decoder
+// allocates for it.
 // A snapshot is written to a .tmp file, fsynced, renamed into place and
 // the directory fsynced, so a crash mid-write leaves either the old
 // snapshot set or the new one, never a half file; recovery ignores any
@@ -77,7 +79,7 @@ func listSnapshots(dir string) ([]string, error) {
 }
 
 // relDump is one relation's contribution to a snapshot: its registered
-// name, schema columns, and tuple values in schema column order.
+// name, schema columns, and rows of values in schema column order.
 type relDump struct {
 	name string
 	cols []string
@@ -85,43 +87,46 @@ type relDump struct {
 }
 
 // dumpRegistry captures a consistent registry-wide state: one read-only
-// batch holding a full-scan query per relation, so the dump is a
+// batch holding a full-scan row query per relation, so the dump is a
 // serializable snapshot by the same argument as any read-only batch.
 // Rows are sorted by the relational value order for deterministic bytes.
 func dumpRegistry(reg *core.Registry) ([]relDump, error) {
 	rels := reg.Relations()
-	pend := make([]*core.Pending[[]rel.Tuple], len(rels))
+	// Prepared before the batch: preparing takes the representation latch
+	// shared, which the batch already holds, and a second shared hold on
+	// one goroutine deadlocks behind a Migrate waiting to take it.
+	scans := make([]core.PreparedQuery, len(rels))
+	for i, r := range rels {
+		q, err := r.PrepareQueryMask(0, r.Schema().FullMask())
+		if err != nil {
+			return nil, err
+		}
+		scans[i] = q
+	}
+	dumps := make([]relDump, len(rels))
 	err := reg.BatchReadOnly(func(tx *core.Txn) error {
 		for i, r := range rels {
-			p, err := tx.QueryIn(r, rel.T(), r.Spec().Columns...)
+			d := &dumps[i]
+			d.name, d.cols = r.Name(), r.Spec().Columns
+			err := tx.ExecRows(&scans[i], r.Schema().NewRow(), func(row rel.Row) bool {
+				vals := make([]rel.Value, len(d.cols))
+				for k := range vals {
+					vals[k] = row.At(k)
+				}
+				d.rows = append(d.rows, vals)
+				return true
+			})
 			if err != nil {
 				return err
 			}
-			pend[i] = p
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	dumps := make([]relDump, len(rels))
-	for i, r := range rels {
-		cols := r.Spec().Columns
-		tuples := pend[i].Value()
-		rows := make([][]rel.Value, len(tuples))
-		for j, t := range tuples {
-			row := make([]rel.Value, len(cols))
-			for k, c := range cols {
-				v, ok := t.Get(c)
-				if !ok {
-					return nil, fmt.Errorf("wal: snapshot tuple of %q misses column %q", r.Name(), c)
-				}
-				row[k] = v
-			}
-			rows[j] = row
-		}
-		sort.Slice(rows, func(a, b int) bool { return compareRows(rows[a], rows[b]) < 0 })
-		dumps[i] = relDump{name: r.Name(), cols: cols, rows: rows}
+	for _, d := range dumps {
+		sort.Slice(d.rows, func(a, b int) bool { return compareRows(d.rows[a], d.rows[b]) < 0 })
 	}
 	return dumps, nil
 }
@@ -184,6 +189,9 @@ func decodeSnapshot(img []byte) (uint64, []relDump, error) {
 		return 0, nil, fmt.Errorf("wal: bad snapshot relation count")
 	}
 	payload = payload[w:]
+	if nrels > uint64(len(payload)) { // each relation takes >= 1 byte; bound before allocating
+		return 0, nil, fmt.Errorf("wal: snapshot relation count %d exceeds payload", nrels)
+	}
 	dumps := make([]relDump, 0, nrels)
 	for i := uint64(0); i < nrels; i++ {
 		var d relDump
@@ -192,7 +200,7 @@ func decodeSnapshot(img []byte) (uint64, []relDump, error) {
 			return 0, nil, err
 		}
 		ncols, w := binary.Uvarint(payload)
-		if w <= 0 || ncols > 64 {
+		if w <= 0 || ncols == 0 || ncols > 64 {
 			return 0, nil, fmt.Errorf("wal: bad snapshot column count")
 		}
 		payload = payload[w:]
@@ -207,6 +215,9 @@ func decodeSnapshot(img []byte) (uint64, []relDump, error) {
 			return 0, nil, fmt.Errorf("wal: bad snapshot row count")
 		}
 		payload = payload[w:]
+		if nrows > uint64(len(payload))/ncols { // each value takes >= 1 byte
+			return 0, nil, fmt.Errorf("wal: snapshot row count %d exceeds payload", nrows)
+		}
 		d.rows = make([][]rel.Value, 0, nrows)
 		for r := uint64(0); r < nrows; r++ {
 			row := make([]rel.Value, ncols)
@@ -225,38 +236,16 @@ func decodeSnapshot(img []byte) (uint64, []relDump, error) {
 	return sealLSN, dumps, nil
 }
 
-// insertSplit derives a relation's snapshot-restore insert split from
-// its functional dependencies: s-columns are those no FD determines (the
-// put-if-absent key), t-columns the rest — the same split the workload's
-// natural inserts use, so restore goes through an existing insert plan.
-// A relation without determined columns restores fully bound (s = all).
-func insertSplit(spec rel.Spec) (sCols, tCols []string) {
-	determined := map[string]bool{}
-	for _, fd := range spec.FDs {
-		for _, c := range fd.To {
-			determined[c] = true
-		}
-	}
-	for _, c := range spec.Columns {
-		if determined[c] {
-			tCols = append(tCols, c)
-		} else {
-			sCols = append(sCols, c)
-		}
-	}
-	if len(sCols) == 0 {
-		return spec.Columns, nil
-	}
-	return sCols, tCols
-}
-
-// restoreBatchRows bounds how many snapshot tuples one restore batch
+// restoreBatchRows bounds how many snapshot rows one restore batch
 // inserts (keeps lock sets and arenas modest on big snapshots).
 const restoreBatchRows = 256
 
 // restoreSnapshot loads a decoded snapshot into a freshly synthesized
-// registry via ordinary batched inserts (the commit logger must not be
-// attached yet). Every dumped relation must exist with matching columns.
+// registry (the commit logger must not be attached yet). Every dumped
+// relation must exist with matching columns. Each row is replayed as an
+// insert redo op that binds every column and is keyed on the full row —
+// the redo rule log replay and migration use — in batches of at most
+// restoreBatchRows ops.
 func restoreSnapshot(reg *core.Registry, dumps []relDump) error {
 	for _, d := range dumps {
 		r := reg.RelationByName(d.name)
@@ -272,54 +261,19 @@ func restoreSnapshot(reg *core.Registry, dumps []relDump) error {
 				return fmt.Errorf("wal: relation %q: snapshot column %q, schema %q", d.name, d.cols[i], cols[i])
 			}
 		}
-		sCols, tCols := insertSplit(r.Spec())
-		sIdx := columnIndexes(cols, sCols)
-		tIdx := columnIndexes(cols, tCols)
+		full := r.Schema().FullMask()
+		ops := make([]core.RedoOp, 0, min(len(d.rows), restoreBatchRows))
 		for off := 0; off < len(d.rows); off += restoreBatchRows {
-			end := off + restoreBatchRows
-			if end > len(d.rows) {
-				end = len(d.rows)
+			ops = ops[:0]
+			for _, row := range d.rows[off:min(off+restoreBatchRows, len(d.rows))] {
+				ops = append(ops, core.RedoOp{Rel: d.name, Insert: true, Vals: row, RowMask: full, BoundMask: full})
 			}
-			chunk := d.rows[off:end]
-			err := reg.Batch(func(tx *core.Txn) error {
-				for _, row := range chunk {
-					s := rel.TupleFromSorted(sCols, pickValues(row, sIdx))
-					t := rel.TupleFromSorted(tCols, pickValues(row, tIdx))
-					if _, err := tx.InsertInto(r, s, t); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
+			if err := reg.Replay(ops); err != nil {
 				return fmt.Errorf("wal: restoring %q: %w", d.name, err)
 			}
 		}
 	}
 	return nil
-}
-
-// columnIndexes maps the names in sub to their indexes in cols.
-func columnIndexes(cols, sub []string) []int {
-	idx := make([]int, len(sub))
-	for i, c := range sub {
-		for j, cc := range cols {
-			if cc == c {
-				idx[i] = j
-				break
-			}
-		}
-	}
-	return idx
-}
-
-// pickValues gathers the row values at idx.
-func pickValues(row []rel.Value, idx []int) []rel.Value {
-	vals := make([]rel.Value, len(idx))
-	for i, j := range idx {
-		vals[i] = row[j]
-	}
-	return vals
 }
 
 // writeSnapshotFile atomically publishes a snapshot image: temp file,

@@ -2,7 +2,10 @@
 // write-ahead logical redo log appended at every batch's commit point
 // (core's CommitLogger hook), periodic registry-wide snapshots, and
 // crash recovery that loads the newest valid snapshot and replays the
-// redo tail through the ordinary Registry.Batch machinery.
+// redo tail, both through Registry.Replay: a snapshot row is restored as
+// an insert redo op that binds every column and is keyed on the full
+// row, so log replay, snapshot restore and migration share one redo
+// rule.
 //
 // The unit of logging is one committed batch: core calls LogCommit after
 // a batch's apply phase completes (2PL) or its read-set validates (OCC)
