@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/container"
 	"repro/internal/core"
@@ -332,4 +334,54 @@ func FuzzSnapshot(f *testing.F) {
 			t.Fatalf("re-encoding is not a fixed point (err %v)", err)
 		}
 	})
+}
+
+// TestSnapshotDumpDuringMigrate races registry dumps against writers and
+// back-to-back migrations. The dump prepares its full-scan handles before
+// its read-only batch: preparing takes the representation latch shared,
+// which the batch already holds, and a second shared hold on one
+// goroutine deadlocks once a migration waits to take the latch
+// exclusive.
+func TestSnapshotDumpDuringMigrate(t *testing.T) {
+	soc := workload.MustSocial()
+	stop := make(chan struct{})
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	loop := func(step func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := step(i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	loop(func(i int) error { return socialBatch(t, soc, i) })
+	loop(func(int) error { _, err := dumpRegistry(soc.Reg); return err })
+	loop(func(i int) error {
+		r := soc.Reg.Relations()[i%3]
+		_, err := soc.Reg.Migrate(r.Name(), core.WithDecomposition(r.Decomposition()))
+		return err
+	})
+	time.Sleep(2 * time.Second)
+	close(stop)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("dumps, writers and migrations deadlocked")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
