@@ -360,6 +360,91 @@ func TestSteadyStateSingleOpZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSteadyStateChurnAllocs is the alloc gate on the writes that change
+// the relation: a warm insert-then-remove of one edge on Figure 5's Split
+// 4 (a ConcurrentHashMap of TreeMaps, the root striped 1024 ways, every
+// lower edge locked at its source), through the prepared row API with
+// stack-array rows and auditing off. The edge joins either two nodes that
+// already have other edges, so the pair creates and frees its u→w and v→y
+// entries and their w and y instances, or two new nodes, so the u and v
+// instances come and go as well. Each shape runs with keys below 256,
+// whose boxed values the runtime shares, and with keys at 1<<20 and
+// beyond, which box once per value. The ceilings are the counts the
+// change that introduced the gate measured; a layout change that saves
+// allocations tightens them.
+func TestSteadyStateChurnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate measures the production build")
+	}
+	SetAudit(false)
+	defer SetAudit(true)
+	cases := []struct {
+		name     string
+		base     int64
+		src, dst int64 // offsets from base
+		max      float64
+	}{
+		{"existing nodes, keys < 256", 0, 3, 10, 10},
+		{"existing nodes, keys ≥ 1<<20", 1 << 20, 3, 10, 14},
+		{"new nodes, keys < 256", 0, 100, 101, 20},
+		{"new nodes, keys ≥ 1<<20", 1 << 20, 100, 101, 24},
+	}
+	for _, c := range cases {
+		r := splitRel(t, container.ConcurrentHashMap, container.TreeMap, func(d *decomp.Decomposition) *locks.Placement {
+			p := locks.NewPlacement(d).SetStripes(d.Root, 1024)
+			for _, e := range d.Root.Out {
+				p.Place(e, d.Root, e.Cols...)
+			}
+			return p
+		})
+		for src := c.base; src < c.base+16; src++ {
+			for dst := c.base; dst < c.base+64; dst++ {
+				if src-c.base == c.src && dst-c.base == c.dst {
+					continue // the churned edge starts absent
+				}
+				if _, err := r.Insert(rel.T("src", src, "dst", dst), rel.T("weight", src+dst)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ins, err := r.PrepareInsert([]string{"dst", "src"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rem, err := r.PrepareRemove([]string{"dst", "src"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.Schema()
+		iSrc, iDst, iW := s.MustIndex("src"), s.MustIndex("dst"), s.MustIndex("weight")
+		src, dst := c.base+c.src, c.base+c.dst
+		run := func() {
+			var ib, rb [3]rel.Value
+			row := rel.RowOver(ib[:], 0)
+			row.Set(iSrc, src)
+			row.Set(iDst, dst)
+			row.Set(iW, int64(7))
+			if ok, err := ins.ExecRow(row); err != nil || !ok {
+				t.Fatalf("%s: insert = %v, %v; want true", c.name, ok, err)
+			}
+			key := rel.RowOver(rb[:], 0)
+			key.Set(iSrc, src)
+			key.Set(iDst, dst)
+			if ok, err := rem.ExecRow(key); err != nil || !ok {
+				t.Fatalf("%s: remove = %v, %v; want true", c.name, ok, err)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			run()
+		}
+		avg := testing.AllocsPerRun(100, run)
+		t.Logf("%s: %.0f allocations per insert-then-remove", c.name, avg)
+		if avg > c.max {
+			t.Errorf("%s: steady-state churn allocates %.0f objects per insert-then-remove, want ≤ %.0f", c.name, avg, c.max)
+		}
+	}
+}
+
 func b2i(b bool) int {
 	if b {
 		return 1

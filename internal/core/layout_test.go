@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/container"
 	"repro/internal/decomp"
@@ -33,6 +34,16 @@ func reachable(r *Relation) map[string]map[*Instance]bool {
 	}
 	walk(r.root)
 	return out
+}
+
+// TestLockedInstanceSize pins the co-allocated shape of a lock-bearing
+// one-out-edge node instance — Split 4's w and y, one each per stored
+// edge — to the 128-byte size class: the instance, its inline container
+// slot and its one-stripe lock array with the 16-byte identity header.
+func TestLockedInstanceSize(t *testing.T) {
+	if n := unsafe.Sizeof(lockedInstance1{}); n > 128 {
+		t.Fatalf("lockedInstance1 is %d bytes, want ≤ 128", n)
+	}
 }
 
 // TestStatelessLeafShared pins the shared-leaf layout: the instances of a

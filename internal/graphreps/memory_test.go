@@ -39,8 +39,26 @@ func TestSplit4MemoryBudget(t *testing.T) {
 		t.Skip("the race detector adds shadow allocations; the budget measures the production build")
 	}
 	if testing.Short() {
-		t.Skip("preloads ~44k tuples")
+		t.Skip("preloads ~44k tuples twice")
 	}
+	// Keys from 0 box into values the runtime shares; keys offset past
+	// 255 box once per stored value, and must fit the same budget.
+	for _, offset := range []int64{0, 1000} {
+		bytesPer, objsPer := split4Preload(t, offset)
+		t.Logf("Split 4, keys from %d: %.0f B and %.2f objects per tuple", offset, bytesPer, objsPer)
+		if bytesPer > memBudgetBytesPerTuple {
+			t.Errorf("keys from %d: heap per tuple %.0f B exceeds the budget of %d B", offset, bytesPer, memBudgetBytesPerTuple)
+		}
+		if objsPer > memBudgetObjectsPerTuple {
+			t.Errorf("keys from %d: heap objects per tuple %.2f exceed the budget of %.1f", offset, objsPer, memBudgetObjectsPerTuple)
+		}
+	}
+}
+
+// split4Preload fills a fresh Split 4 relation the way the benchmark's
+// graph-single preload does, over src and dst in [offset, offset+256),
+// and returns the live heap bytes and objects it added per stored tuple.
+func split4Preload(t *testing.T, offset int64) (bytesPer, objsPer float64) {
 	const keys = 256
 	v, err := VariantByName("Split 4")
 	if err != nil {
@@ -59,8 +77,8 @@ func TestSplit4MemoryBudget(t *testing.T) {
 	fill := 2.0 / 3
 	limit := uint64(fill * (1 << 32))
 	tuples := 0
-	for src := int64(0); src < keys; src++ {
-		for dst := int64(0); dst < keys; dst++ {
+	for src := offset; src < offset+keys; src++ {
+		for dst := offset; dst < offset+keys; dst++ {
 			x := workload.SplitMix64(&state)
 			if x&(1<<32-1) < limit && g.InsertEdge(src, dst, int64(x>>40)) {
 				tuples++
@@ -69,13 +87,5 @@ func TestSplit4MemoryBudget(t *testing.T) {
 	}
 	b1, o1 := liveHeap()
 	runtime.KeepAlive(g)
-	bytesPer := float64(int64(b1)-int64(b0)) / float64(tuples)
-	objsPer := float64(int64(o1)-int64(o0)) / float64(tuples)
-	t.Logf("Split 4, %d tuples: %.0f B and %.2f objects per tuple", tuples, bytesPer, objsPer)
-	if bytesPer > memBudgetBytesPerTuple {
-		t.Errorf("heap per tuple %.0f B exceeds the budget of %d B", bytesPer, memBudgetBytesPerTuple)
-	}
-	if objsPer > memBudgetObjectsPerTuple {
-		t.Errorf("heap objects per tuple %.2f exceed the budget of %.1f", objsPer, memBudgetObjectsPerTuple)
-	}
+	return float64(int64(b1)-int64(b0)) / float64(tuples), float64(int64(o1)-int64(o0)) / float64(tuples)
 }
