@@ -22,6 +22,10 @@
 // the flat, pre-classified lock schedule (lock rounds, speculative
 // rounds, step runs with their lock-order gates) that the batched
 // growing phase walks instead of re-classifying plan steps per sweep.
+// The lock order section lists every lock-bearing node's order-word
+// layout; with -instance it also prints the share of each node's
+// instances whose lock identity is an exact word, so the relations that
+// still fall back to prefix strings show.
 // With -migrate it narrates one live representation migration end to
 // end: a pessimistic relation accumulates a read-heavy counter profile,
 // the online advisor's decision rule recommends the concurrent container
@@ -41,6 +45,7 @@ import (
 
 	crs "repro"
 	"repro/internal/autotune"
+	"repro/internal/locks"
 )
 
 func main() {
@@ -85,6 +90,7 @@ func main() {
 	for _, n := range d.Nodes {
 		fmt.Printf("  %d: %s (stripes: %d)\n", n.Index, n.Name, r.Placement().StripeCount(n))
 	}
+	printWordLayout(r)
 
 	if *plans {
 		if *variant == "dcache" {
@@ -125,6 +131,46 @@ func main() {
 		}
 		fmt.Println("\n--- instance diagram (cf. Figure 2(b)) ---")
 		fmt.Println(r.InstanceDOT(*variant + " instance"))
+		printExactShare(r)
+	}
+}
+
+// printWordLayout prints how the lock order word of each lock-bearing
+// node lays out its identity: after the relation id, node and arity, one
+// field per bound column, and the values each field holds exactly (see
+// rel.FieldCode). An identity that is not exact — a float, a string or an
+// integer out of range in some column, or seven or more columns — also
+// keeps a prefix string, which orders the locks whose words tie.
+func printWordLayout(r *crs.Relation) {
+	d, lockNodes := r.Decomposition(), r.Placement().LockNodes()
+	fmt.Println("lock order words (relation id, node, arity, then one field per bound column):")
+	for _, n := range d.Nodes {
+		if !lockNodes[n.Index] {
+			continue
+		}
+		bits := locks.WordFieldBits(len(n.A))
+		switch {
+		case len(n.A) == 0:
+			fmt.Printf("  %s: no bound column; always exact\n", n.Name)
+		case bits == 0:
+			fmt.Printf("  %s %v: %d bound columns, no field; never exact\n", n.Name, n.A, len(n.A))
+		default:
+			lim := int64(1)<<(bits-1) - 4
+			fmt.Printf("  %s %v: %d × %d bits; exact for nil, bools and integers in [%d, %d]\n", n.Name, n.A, len(n.A), bits, -lim, lim)
+		}
+	}
+}
+
+// printExactShare prints, per lock-bearing node, the share of its
+// instances whose lock identity is an exact order word; the rest fall
+// back to prefix strings.
+func printExactShare(r *crs.Relation) {
+	exact, total := r.LockIdentityCounts()
+	fmt.Println("exact lock identities (the rest keep a prefix string):")
+	for _, n := range r.Decomposition().Nodes {
+		if total[n.Index] > 0 {
+			fmt.Printf("  %s: %d of %d (%.0f %%)\n", n.Name, exact[n.Index], total[n.Index], 100*float64(exact[n.Index])/float64(total[n.Index]))
+		}
 	}
 }
 

@@ -59,8 +59,8 @@ type (
 // auditor, whose fresh set (instances private to the running operation)
 // is only consulted for edge sources, placement instances and speculative
 // targets, none of which is ever a leaf. Every other instance is
-// allocated; a lock-bearing one's identity prefix is encoded straight from
-// the row through the relation's precomputed schema indices for n.A.
+// allocated; a lock-bearing one's identity is encoded straight from the
+// row through the relation's precomputed schema indices for n.A.
 func (r *Relation) newInstance(n *decomp.Node, row rel.Row) *Instance {
 	if leaf := r.leaf[n.Index]; leaf != nil {
 		return leaf
@@ -90,9 +90,7 @@ func (r *Relation) newInstance(n *decomp.Node, row rel.Row) *Instance {
 		inst.containers[i] = r.newContainer[e.Index]()
 	}
 	if arr != nil {
-		var pbuf [64]byte
-		prefix := locks.AppendIDPrefix(pbuf[:0], r.regID, n.Index)
-		arr.Init(row.AppendOrderedAt(prefix, r.nodeKey[n.Index]), r.placement.StripeCount(n))
+		arr.Init(r.regID, n.Index, row, r.nodeKey[n.Index], r.placement.StripeCount(n))
 		inst.locks = arr
 	}
 	return inst

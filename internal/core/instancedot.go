@@ -82,3 +82,35 @@ func (r *Relation) InstanceDOT(title string) string {
 	b.WriteString("}\n")
 	return b.String()
 }
+
+// LockIdentityCounts counts, per node index, the node instances that
+// carry a stripe array and, of those, the ones whose lock identity is an
+// exact order word (locks.Array.ExactID), which keep no prefix string and
+// order by one word comparison. Like InstanceDOT it takes no locks and is
+// meant for quiescent relations.
+func (r *Relation) LockIdentityCounts() (exact, total []int) {
+	exact = make([]int, len(r.decomp.Nodes))
+	total = make([]int, len(r.decomp.Nodes))
+	seen := map[*Instance]bool{}
+	var walk func(inst *Instance)
+	walk = func(inst *Instance) {
+		if seen[inst] {
+			return
+		}
+		seen[inst] = true
+		if inst.locks != nil {
+			total[inst.node.Index]++
+			if inst.locks.ExactID() {
+				exact[inst.node.Index]++
+			}
+		}
+		for _, c := range inst.containers {
+			c.Scan(func(_ rel.Key, v any) bool {
+				walk(v.(*Instance))
+				return true
+			})
+		}
+	}
+	walk(r.root)
+	return exact, total
+}

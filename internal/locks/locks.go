@@ -116,15 +116,19 @@ type Lock struct {
 	stripe int32
 }
 
-// header is the identity one stripe array's locks share: the
-// order-preserving encoding of (rel, node, inst), built once per array,
-// so that bytes.Compare of two prefixes agrees with CompareIDs on
-// everything but the stripe. Rel and Node are small non-negative ints,
-// so a 4-byte big-endian field preserves their order; Inst uses the rel
+// header is the identity one stripe array's locks share, built once per
+// array: the order word of (rel, node, inst) and, only when that word is
+// not exact, the order-preserving encoding of the same triple. Comparing
+// two words as integers agrees with CompareIDs wherever the words differ
+// (see orderWord); two exact words tie only for one identity, and a tie of
+// inexact words is settled by strings.Compare of the two prefixes. In the
+// prefix, Rel and Node are 4-byte big-endian fields, and Inst uses the rel
 // package's ordered value encoding, which is self-delimiting, so two
 // prefixes of the same node never stand in a proper-prefix relation.
 type header struct {
-	prefix string
+	word uint64
+	// prefix is nil when word is exact.
+	prefix *string
 }
 
 // Array is the stripe array of physical locks carried by one node
@@ -139,22 +143,105 @@ type Array struct {
 	tail *[]Lock
 }
 
-// AppendIDPrefix appends the encoding of (relID, node) that begins every
-// lock identity prefix; the caller appends the instance key's ordered
-// encoding (rel.AppendOrderedKey or rel.Row.AppendOrderedAt) and passes
-// the result to Array.Init.
-func AppendIDPrefix(dst []byte, relID, node int) []byte {
+// The order word packs a lock identity's (rel, node, inst) into 64 bits,
+// most significant first: the relation id in relBits, the node's
+// topological index in nodeBits, the number of bound columns in
+// arityBits, then one rel.FieldCode per bound column, each
+// WordFieldBits(arity) wide, with any bits left over zero. A relation id,
+// node or arity at or above its field's top code takes that code and is
+// not exact. Every field after the first inexact one is zero, so the word
+// orders identities by their exact leading fields and ties wherever those
+// cannot decide; it is exact when every field is. Its law, the order
+// word's of the rel package:
+//
+//	word(a) < word(b)  ⇒  CompareIDs(a, b) < 0   (ignoring stripes)
+//
+// and an exact word belongs to one identity only, since no inexact field
+// code equals an exact one.
+const (
+	relBits   = 10
+	nodeBits  = 6
+	arityBits = 3
+	keyBits   = 64 - relBits - nodeBits - arityBits
+)
+
+// WordFieldBits returns the width of each bound-column field in the order
+// word of a node instance with arity bound columns: the 45 key bits split
+// evenly, or 0 when the word holds no column — the root binds none, and
+// an arity of 7 or more saturates the arity field.
+func WordFieldBits(arity int) int {
+	if arity <= 0 || arity >= 1<<arityBits-1 {
+		return 0
+	}
+	return keyBits / arity
+}
+
+// wordBuilder fills an order word from its most significant field down.
+type wordBuilder struct {
+	w     uint64
+	free  uint // low bits not yet filled
+	exact bool // every field so far is exact
+}
+
+// put appends a field unless an earlier field was inexact.
+func (b *wordBuilder) put(code uint64, width uint, exact bool) {
+	if !b.exact {
+		return
+	}
+	b.free -= width
+	b.w |= code << b.free
+	b.exact = exact
+}
+
+// id appends the non-negative id x, saturated at the field's top code.
+func (b *wordBuilder) id(x int, width uint) {
+	top := uint64(1)<<width - 1
+	if x < 0 || uint64(x) >= top {
+		b.put(top, width, false)
+		return
+	}
+	b.put(uint64(x), width, true)
+}
+
+// orderWord returns the order word of (relID, node, the values of inst at
+// idx) and whether it is exact.
+func orderWord(relID, node int, inst rel.Row, idx []int) (uint64, bool) {
+	b := wordBuilder{free: 64, exact: true}
+	b.id(relID, relBits)
+	b.id(node, nodeBits)
+	b.id(len(idx), arityBits)
+	bits := uint(WordFieldBits(len(idx)))
+	for _, i := range idx {
+		if !b.exact {
+			break
+		}
+		code, exact := rel.FieldCode(inst.At(i), bits)
+		b.put(code, bits, exact)
+	}
+	return b.w, b.exact
+}
+
+// appendIDPrefix appends the encoding of (relID, node) that begins every
+// lock identity prefix; the instance key's ordered encoding follows it.
+func appendIDPrefix(dst []byte, relID, node int) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(relID))
 	return binary.BigEndian.AppendUint32(dst, uint32(node))
 }
 
-// Init sets up a as an n-stripe array whose identity prefix is prefix
-// (AppendIDPrefix followed by the ordered instance key; copied). Init
-// runs on the insert hot path, once per new lock-bearing node instance:
-// one allocation for the prefix, plus the slab and its slice header when
-// n > 1.
-func (a *Array) Init(prefix []byte, n int) {
-	a.hdr.prefix = string(prefix)
+// Init sets up a as the n-stripe array of the node instance (relID, node,
+// the values of inst at the schema indices idx, in the node's sorted
+// bound-column order). Init runs on the insert hot path, once per new
+// lock-bearing node instance. An identity whose order word is exact
+// allocates nothing; any other allocates its prefix string and the
+// pointer to it. When n > 1 the slab and its slice header follow.
+func (a *Array) Init(relID, node int, inst rel.Row, idx []int, n int) {
+	w, exact := orderWord(relID, node, inst, idx)
+	a.hdr.word = w
+	if !exact {
+		var pbuf [64]byte
+		p := string(inst.AppendOrderedAt(appendIDPrefix(pbuf[:0], relID, node), idx))
+		a.hdr.prefix = &p
+	}
 	a.head.hdr = &a.hdr
 	if n > 1 {
 		tail := make([]Lock, n-1)
@@ -165,6 +252,10 @@ func (a *Array) Init(prefix []byte, n int) {
 		a.tail = &tail
 	}
 }
+
+// ExactID reports whether the array's identity is an exact order word,
+// with no prefix string behind it.
+func (a *Array) ExactID() bool { return a.hdr.prefix == nil }
 
 // Len returns the number of stripes.
 func (a *Array) Len() int {
@@ -182,12 +273,15 @@ func (a *Array) Lock(i int) *Lock {
 	return &(*a.tail)[i-1]
 }
 
-// ID rebuilds the lock's identity from its array's prefix. Only
-// diagnostics (panics, String, traces and the auditor) need it; the
-// instance key comes back with int and int64 values as int64, which
-// CompareIDs treats as equal.
+// ID rebuilds the lock's identity from its array's order word when that
+// is exact, else from the prefix. Only diagnostics (panics, String,
+// traces and the auditor) need it; the instance key comes back with int
+// and int64 values as int64, which CompareIDs treats as equal.
 func (l *Lock) ID() ID {
-	p := []byte(l.hdr.prefix)
+	if l.hdr.prefix == nil {
+		return decodeWord(l.hdr.word, int(l.stripe))
+	}
+	p := []byte(*l.hdr.prefix)
 	inst, err := rel.DecodeOrderedKey(p[8:])
 	if err != nil {
 		panic(fmt.Sprintf("locks: corrupt lock identity prefix: %v", err))
@@ -198,6 +292,23 @@ func (l *Lock) ID() ID {
 		Inst:   inst,
 		Stripe: int(l.stripe),
 	}
+}
+
+// decodeWord inverts orderWord on an exact word.
+func decodeWord(w uint64, stripe int) ID {
+	free := uint(64)
+	next := func(width uint) uint64 {
+		free -= width
+		return w >> free & (1<<width - 1)
+	}
+	id := ID{Rel: int(next(relBits)), Node: int(next(nodeBits)), Stripe: stripe}
+	vals := make([]rel.Value, next(arityBits))
+	bits := uint(WordFieldBits(len(vals)))
+	for i := range vals {
+		vals[i] = rel.FieldValue(next(bits), bits)
+	}
+	id.Inst = rel.NewKey(vals...)
+	return id
 }
 
 // Epoch returns the lock's epoch cell. Even values mean no protected write
@@ -218,12 +329,19 @@ func (l *Lock) EpochOdd() bool { return l.epoch.Load()&1 == 1 }
 func (l *Lock) BumpEpoch() { l.epoch.Add(1) }
 
 // compareLocks orders two locks as CompareIDs orders their identities:
-// stripes of one array by stripe number alone, locks of different arrays
-// by one memcmp of their shared prefixes first.
+// stripes of one array by stripe number alone; locks of different arrays
+// by their order words, one integer comparison; and only when the words
+// tie — both inexact, or one exact identity in two arrays — by their
+// prefixes, then by stripe.
 func compareLocks(a, b *Lock) int {
-	if a.hdr != b.hdr {
-		if c := strings.Compare(a.hdr.prefix, b.hdr.prefix); c != 0 {
-			return c
+	if ha, hb := a.hdr, b.hdr; ha != hb {
+		if ha.word != hb.word {
+			return cmp.Compare(ha.word, hb.word)
+		}
+		if ha.prefix != nil {
+			if c := strings.Compare(*ha.prefix, *hb.prefix); c != 0 {
+				return c
+			}
 		}
 	}
 	return cmp.Compare(a.stripe, b.stripe)

@@ -12,9 +12,12 @@ import (
 // NewArray builds a standalone n-stripe array for the node instance
 // (relID, node, inst), the way a node instance initialises its own.
 func NewArray(relID, node int, inst rel.Key, n int) *Array {
-	var pbuf [64]byte
+	idx := make([]int, inst.Len())
+	for i := range idx {
+		idx[i] = i
+	}
 	a := new(Array)
-	a.Init(rel.AppendOrderedKey(AppendIDPrefix(pbuf[:0], relID, node), inst), n)
+	a.Init(relID, node, rel.RowOver(inst.Values(), 0), idx, n)
 	return a
 }
 

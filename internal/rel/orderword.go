@@ -96,3 +96,66 @@ func orderedFloatBits(x float64) uint64 {
 	}
 	return bits | 1<<63
 }
+
+// FieldCode is the order word confined to a field of the given width
+// (4 ≤ bits ≤ 63), so that several values can share one word: the lock
+// order (internal/locks) packs a node instance's bound columns into the
+// identity word of its stripe array this way. It obeys OrderWord's law,
+// codes in place of words. The lowest four codes are nil, false, true and
+// an integer below the exact range; the highest three are an integer
+// above it (uint64 values above MaxInt64 included), any float and any
+// string. The codes between are the integers in
+// [4 − 2^(bits−1), 2^(bits−1) − 4], offset by 2^(bits−1). Only nil, the
+// bools and those integers are exact.
+func FieldCode(v Value, bits uint) (code uint64, exact bool) {
+	switch x := v.(type) {
+	case int64:
+		return fieldInt(x, false, bits)
+	case int:
+		return fieldInt(int64(x), false, bits)
+	case uint64:
+		i, overflow := asInt(x)
+		return fieldInt(i, overflow, bits)
+	case nil:
+		return 0, true
+	case bool:
+		if x {
+			return 2, true
+		}
+		return 1, true
+	case float64:
+		return 1<<bits - 2, false
+	case string:
+		return 1<<bits - 1, false
+	default:
+		panic("rel: unsupported value type in order field")
+	}
+}
+
+// fieldInt is the field code of the normalized integer x, or of
+// MaxInt64+1+x when overflow is set.
+func fieldInt(x int64, overflow bool, bits uint) (uint64, bool) {
+	half := int64(1) << (bits - 1)
+	switch {
+	case overflow || x > half-4:
+		return 1<<bits - 3, false
+	case x < 4-half:
+		return 3, false
+	default:
+		return uint64(x + half), true
+	}
+}
+
+// FieldValue inverts FieldCode on an exact code; integers come back as
+// int64.
+func FieldValue(code uint64, bits uint) Value {
+	switch code {
+	case 0:
+		return nil
+	case 1:
+		return false
+	case 2:
+		return true
+	}
+	return int64(code) - int64(1)<<(bits-1)
+}
