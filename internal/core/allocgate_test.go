@@ -272,13 +272,7 @@ func TestSteadyStateSingleOpZeroAllocs(t *testing.T) {
 		name string
 		r    *Relation
 	}{
-		{"Split 4", splitRel(t, container.ConcurrentHashMap, container.TreeMap, func(d *decomp.Decomposition) *locks.Placement {
-			p := locks.NewPlacement(d).SetStripes(d.Root, 1024)
-			for _, e := range d.Root.Out {
-				p.Place(e, d.Root, e.Cols...)
-			}
-			return p
-		})},
+		{"Split 4", splitRel(t, container.ConcurrentHashMap, container.TreeMap, split4Placement)},
 		{"Diamond Spec", diamondRel(t, true)},
 		{"Split 1", splitRel(t, container.HashMap, container.TreeMap, locks.Coarse)},
 	}
@@ -393,13 +387,7 @@ func TestSteadyStateChurnAllocs(t *testing.T) {
 		{"new nodes, keys ≥ 1<<20", 1 << 20, 100, 101, 20},
 	}
 	for _, c := range cases {
-		r := splitRel(t, container.ConcurrentHashMap, container.TreeMap, func(d *decomp.Decomposition) *locks.Placement {
-			p := locks.NewPlacement(d).SetStripes(d.Root, 1024)
-			for _, e := range d.Root.Out {
-				p.Place(e, d.Root, e.Cols...)
-			}
-			return p
-		})
+		r := splitRel(t, container.ConcurrentHashMap, container.TreeMap, split4Placement)
 		for src := c.base; src < c.base+16; src++ {
 			for dst := c.base; dst < c.base+64; dst++ {
 				if src-c.base == c.src && dst-c.base == c.dst {
@@ -446,6 +434,17 @@ func TestSteadyStateChurnAllocs(t *testing.T) {
 			t.Errorf("%s: steady-state churn allocates %.0f objects per insert-then-remove, want ≤ %.0f", c.name, avg, c.max)
 		}
 	}
+}
+
+// split4Placement is Figure 5's Split 4 placement: the root striped 1024
+// ways by each top edge's key column, every lower edge locked at its
+// source.
+func split4Placement(d *decomp.Decomposition) *locks.Placement {
+	p := locks.NewPlacement(d).SetStripes(d.Root, 1024)
+	for _, e := range d.Root.Out {
+		p.Place(e, d.Root, e.Cols...)
+	}
+	return p
 }
 
 func b2i(b bool) int {

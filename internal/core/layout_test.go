@@ -46,6 +46,26 @@ func TestLockedInstanceSize(t *testing.T) {
 	}
 }
 
+// TestLockIdentityCounts pins the census crsexplain prints: on Split 4,
+// every lock-bearing instance whose bound columns hold small integers
+// keeps an exact order-word identity, and an edge with a string source
+// makes the u, w and y instances it creates inexact, but not v's.
+func TestLockIdentityCounts(t *testing.T) {
+	r := splitRel(t, container.ConcurrentHashMap, container.TreeMap, split4Placement)
+	for _, e := range []rel.Tuple{rel.T("src", 1, "dst", 2), rel.T("src", 1, "dst", 3), rel.T("src", "a", "dst", 2)} {
+		if _, err := r.Insert(e, rel.T("weight", 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exact, total := r.LockIdentityCounts()
+	want := map[string][2]int{"ρ": {1, 1}, "u": {1, 2}, "v": {2, 2}, "w": {2, 3}, "x": {0, 0}, "y": {2, 3}, "z": {0, 0}}
+	for _, n := range r.decomp.Nodes {
+		if got := [2]int{exact[n.Index], total[n.Index]}; got != want[n.Name] {
+			t.Errorf("node %s: %d of %d identities exact, want %d of %d", n.Name, got[0], got[1], want[n.Name][0], want[n.Name][1])
+		}
+	}
+}
+
 // TestStatelessLeafShared pins the shared-leaf layout: the instances of a
 // node with no out-edge and no lock are one object for every valuation,
 // and a node the placement locks never shares an instance.

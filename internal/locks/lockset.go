@@ -68,11 +68,11 @@ func (t *Txn) AcquireSet(s *LockSet) {
 	if len(reqs) == 0 {
 		return
 	}
-	// Sort by the precomputed lock-ID byte encoding; slices.SortFunc
+	// Sort by the precomputed lock identities (compareLocks); slices.SortFunc
 	// allocates nothing, which keeps the batch hot path allocation-free.
-	// Byte comparison replaces the old dynamic key walk — the ROADMAP's
-	// "cheaper batch scheduling" item — and is what makes the
-	// registry-wide (relation, node, inst, stripe) order one memcmp.
+	// Comparing order words instead of walking typed keys is what makes
+	// the registry-wide (relation, node, inst, stripe) order one integer
+	// comparison per pair of arrays.
 	slices.SortFunc(reqs, func(a, b Req) int { return compareLocks(a.L, b.L) })
 	for i := 0; i < len(reqs); i++ {
 		l, m := reqs[i].L, reqs[i].M

@@ -50,3 +50,38 @@ func FuzzOrderWord(f *testing.F) {
 		}
 	})
 }
+
+// TestFieldCode checks FieldCode's law at every field width the lock
+// order uses, on values at and around each width's exact integer range
+// and of every type: a smaller code means a smaller value, a tie with an
+// exact code means equal values, and FieldValue gives an exact code's
+// value back.
+func TestFieldCode(t *testing.T) {
+	for _, bits := range []uint{7, 9, 11, 15, 22, 45} {
+		lim := int64(1)<<(bits-1) - 4
+		vals := []Value{nil, false, true, 0, int64(-1), uint64(math.MaxUint64), uint64(1 << 63), math.MinInt64, math.MaxInt64,
+			-0.0, 2.5, math.Inf(-1), "", "a", "ab"}
+		for _, d := range []int64{-2, -1, 0, 1} {
+			vals = append(vals, lim+d+1, -lim-d-1, int(lim+d+1), uint64(lim+d+1))
+		}
+		for _, a := range vals {
+			ca, ea := FieldCode(a, bits)
+			if ca >= 1<<bits {
+				t.Fatalf("bits %d: code %#x of %#v overflows its field", bits, ca, a)
+			}
+			if ea && Compare(FieldValue(ca, bits), a) != 0 {
+				t.Fatalf("bits %d: exact code %#x of %#v (%T) decodes to %#v", bits, ca, a, a, FieldValue(ca, bits))
+			}
+			for _, b := range vals {
+				cb, eb := FieldCode(b, bits)
+				c := Compare(a, b)
+				switch {
+				case ca < cb && c >= 0, ca > cb && c <= 0:
+					t.Fatalf("bits %d: codes %#x, %#x misorder %#v (%T), %#v (%T): Compare = %d", bits, ca, cb, a, a, b, b, c)
+				case ca == cb && (ea || eb) && c != 0:
+					t.Fatalf("bits %d: exact code %#x shared by %#v (%T) and %#v (%T)", bits, ca, a, a, b, b)
+				}
+			}
+		}
+	}
+}

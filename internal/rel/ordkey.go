@@ -8,11 +8,11 @@ import (
 
 // This file implements an order-preserving byte encoding of values and
 // keys: for any two values a and b, bytes.Compare(enc(a), enc(b)) has the
-// same sign as Compare(a, b). The locking substrate encodes every physical
-// lock's identity once at lock-array construction time, so the
-// growing-phase sorts of batched transactions compare flat []byte instead
-// of walking dynamically typed keys — and the registry-wide lock order
-// (relation id, node, instance key, stripe) becomes one memcmp.
+// same sign as Compare(a, b). The locking substrate encodes a physical
+// lock's identity this way, once at lock-array construction time, when
+// its order word (FieldCode) cannot hold the identity exactly; two such
+// identities whose words tie are then ordered by one memcmp instead of a
+// walk over dynamically typed keys.
 //
 // Each value encodes as a type-rank tag byte followed by a self-delimiting
 // payload, so concatenated encodings compare elementwise exactly like
