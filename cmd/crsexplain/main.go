@@ -46,6 +46,7 @@ import (
 	crs "repro"
 	"repro/internal/autotune"
 	"repro/internal/locks"
+	"repro/internal/rel"
 )
 
 func main() {
@@ -155,7 +156,7 @@ func printWordLayout(r *crs.Relation) {
 		case bits == 0:
 			fmt.Printf("  %s %v: %d bound columns, no field; never exact\n", n.Name, n.A, len(n.A))
 		default:
-			lim := int64(1)<<(bits-1) - 4
+			lim := rel.FieldIntLimit(uint(bits))
 			fmt.Printf("  %s %v: %d × %d bits; exact for nil, bools and integers in [%d, %d]\n", n.Name, n.A, len(n.A), bits, -lim, lim)
 		}
 	}

@@ -104,9 +104,9 @@ func orderedFloatBits(x float64) uint64 {
 // codes in place of words. The lowest four codes are nil, false, true and
 // an integer below the exact range; the highest three are an integer
 // above it (uint64 values above MaxInt64 included), any float and any
-// string. The codes between are the integers in
-// [4 − 2^(bits−1), 2^(bits−1) − 4], offset by 2^(bits−1). Only nil, the
-// bools and those integers are exact.
+// string. The codes between are the integers in ±FieldIntLimit(bits) =
+// ±(2^(bits−1) − 4), offset by 2^(bits−1). Only nil, the bools and those
+// integers are exact.
 func FieldCode(v Value, bits uint) (code uint64, exact bool) {
 	switch x := v.(type) {
 	case int64:
@@ -132,17 +132,21 @@ func FieldCode(v Value, bits uint) (code uint64, exact bool) {
 	}
 }
 
+// FieldIntLimit returns the largest integer a bits-wide field holds
+// exactly; its negation is the smallest.
+func FieldIntLimit(bits uint) int64 { return int64(1)<<(bits-1) - 4 }
+
 // fieldInt is the field code of the normalized integer x, or of
 // MaxInt64+1+x when overflow is set.
 func fieldInt(x int64, overflow bool, bits uint) (uint64, bool) {
-	half := int64(1) << (bits - 1)
+	lim := FieldIntLimit(bits)
 	switch {
-	case overflow || x > half-4:
+	case overflow || x > lim:
 		return 1<<bits - 3, false
-	case x < 4-half:
+	case x < -lim:
 		return 3, false
 	default:
-		return uint64(x + half), true
+		return uint64(x + lim + 4), true
 	}
 }
 

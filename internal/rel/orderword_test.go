@@ -58,7 +58,7 @@ func FuzzOrderWord(f *testing.F) {
 // value back.
 func TestFieldCode(t *testing.T) {
 	for _, bits := range []uint{7, 9, 11, 15, 22, 45} {
-		lim := int64(1)<<(bits-1) - 4
+		lim := FieldIntLimit(bits)
 		vals := []Value{nil, false, true, 0, int64(-1), uint64(math.MaxUint64), uint64(1 << 63), math.MinInt64, math.MaxInt64,
 			-0.0, 2.5, math.Inf(-1), "", "a", "ab"}
 		for _, d := range []int64{-2, -1, 0, 1} {
