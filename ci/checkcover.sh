@@ -28,14 +28,16 @@
 # (83.0% before the per-FD restore split was deleted; core 89.6%, server
 # 90.3–90.5%, floors kept). Re-measured when lock identities became
 # order words: locks 90.4% → 91.3% (floor raised 89.5 → 90.4), rel
-# 79.1% → 79.8% (floor raised 77.0 → 77.7). Raise the floor when coverage
+# 79.1% → 79.8% (floor raised 77.0 → 77.7). Re-measured when skip-list
+# nodes became level-sized with inline order words: container 99.2% →
+# 99.3% (floor raised 97.0 → 97.1). Raise the floor when coverage
 # improves; never lower it to make a PR pass.
 set -euo pipefail
 
 declare -A floors=(
   ["./internal/core/"]=88.1
   ["./internal/locks/"]=90.4
-  ["./internal/container/"]=97.0
+  ["./internal/container/"]=97.1
   ["./internal/query/"]=76.0
   ["./internal/rel/"]=77.7
   ["./internal/server/"]=88.6

@@ -3,6 +3,7 @@ package container
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/rel"
@@ -116,46 +117,103 @@ func TestStressSameKeyContention(t *testing.T) {
 	})
 }
 
+// TestSkipListRemoveInsertRace is a targeted probe of the lazy skip
+// list's mark/fully-linked protocol and of its tracked height: one
+// goroutine repeatedly inserts key K, another repeatedly removes it, while
+// a reader looks it up. The level source makes every inserted node one
+// level taller than the list — a fresh list starts when the top level is
+// reached — so removers keep meeting a victim above the height they read,
+// and the reader checks that no level at or above the height holds a node
+// once the links are seen (an insert raises the height first). A remove
+// that read a stale height must still remove a fully linked victim; that
+// case is also forced directly, by lowering the height under a tall node.
 func TestSkipListRemoveInsertRace(t *testing.T) {
-	// One goroutine repeatedly inserts key K, another repeatedly removes
-	// it, while readers look it up: a targeted probe of the lazy
-	// skip list's mark/fully-linked protocol.
 	forEachKindWidth(t, []Kind{ConcurrentSkipListMap}, func(t *testing.T, kind Kind, w int) {
-		m := New(kind, w)
 		k := valKey(w, "contended")
+		defer func(level func() int) { slLevel = level }(slLevel)
+
+		// A remove that read a height below its victim's top level.
+		stale := New(kind, w)
+		slLevel = func() int { return 5 }
+		stale.Write(k, 1)
+		stale.(heightProbe).setHeight(1)
+		stale.Write(k, nil)
+		if v, ok := stale.Lookup(k); ok || stale.Len() != 0 {
+			t.Fatalf("remove on a stale height left %v (present %v, Len %d)", v, ok, stale.Len())
+		}
+
+		var cur atomic.Pointer[Map]
+		fresh := func() {
+			m := New(kind, w)
+			cur.Store(&m)
+		}
+		fresh()
+		height := func() int { h, _, _ := (*cur.Load()).(heightProbe).probe(); return h }
+		slLevel = func() int { return min(height(), slMaxLevel-1) }
 		var wg sync.WaitGroup
-		const rounds = 5000
+		var done atomic.Bool
+		const rounds = 20000
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
+			defer done.Store(true)
 			for i := 0; i < rounds; i++ {
-				m.Write(k, i)
+				if height() == slMaxLevel {
+					fresh()
+				}
+				(*cur.Load()).Write(k, i)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				m.Write(k, nil)
+			for !done.Load() {
+				(*cur.Load()).Write(k, nil)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			for i := 0; i < rounds; i++ {
+			for !done.Load() {
+				m := *cur.Load()
 				if v, ok := m.Lookup(k); ok {
 					if _, isInt := v.(int); !isInt {
 						t.Errorf("lookup observed torn value %v", v)
 						return
 					}
 				}
+				if h0, linked, h1 := m.(heightProbe).probe(); linked && h1 <= h0 {
+					t.Errorf("a node is linked on level %d, at or above the height %d", h0, h1)
+					return
+				}
 			}
 		}()
 		wg.Wait()
 		// Quiescent state must be coherent.
+		m := *cur.Load()
 		if _, ok := m.Lookup(k); ok != (m.Len() == 1) {
 			t.Fatalf("quiescent mismatch: present=%v Len=%d", ok, m.Len())
 		}
+		checkSkipListMap(t, m)
 	})
 }
+
+// heightProbe is the tests' window on a skip list's tracked height.
+type heightProbe interface {
+	// probe reads the height h0, then whether the head links a node on
+	// level h0, then the height h1. An insert raises the height before it
+	// links, so a link seen there means h1 > h0.
+	probe() (h0 int, linked bool, h1 int)
+	// setHeight stores h as the height, as a search that read it before
+	// a taller insert raised it sees it.
+	setHeight(h int32)
+}
+
+func (m *concurrentSkipList[S, P]) probe() (h0 int, linked bool, h1 int) {
+	h0 = int(m.height.Load())
+	linked = h0 < slMaxLevel && m.levels[h0].Load() != nil
+	return h0, linked, int(m.height.Load())
+}
+
+func (m *concurrentSkipList[S, P]) setHeight(h int32) { m.height.Store(h) }
 
 func TestSkipListSortedUnderConcurrency(t *testing.T) {
 	forEachKindWidth(t, []Kind{ConcurrentSkipListMap}, func(t *testing.T, kind Kind, w int) {

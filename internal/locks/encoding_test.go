@@ -55,7 +55,8 @@ func sign(c int) int {
 
 // TestLockEncodingMatchesCompareIDs quick-checks the load-bearing
 // invariant of the lock order: compareLocks — a header pointer check,
-// one memcmp of the shared prefixes and a stripe comparison — agrees in
+// one comparison of the arrays' order words, a comparison of their
+// prefixes only when the words tie, and a stripe comparison — agrees in
 // sign with CompareIDs on the identities the locks were built with, for
 // locks of one array and of distinct arrays with equal and unequal
 // identities alike; and Lock.ID rebuilds that identity.

@@ -17,7 +17,7 @@ import (
 // body). What remains of the server's own share is the boxed values an
 // insert stores.
 var wireAllocCeiling = map[string]float64{
-	"insert": 14,
+	"insert": 11,
 	"count":  3,
 	"query":  3,
 }

@@ -12,11 +12,13 @@ import (
 // forced collections. The preload is the social-batch benchmark's: 20 000
 // composite operations of the default mix over 4 096 users, one
 // goroutine, from a fixed seed. The budgets carry ~5 % headroom over the
-// measured values (amd64, go1.24): 732 B and 8.50 objects per tuple of
-// 13 201.
+// measured values (amd64, go1.24): 480 B and 6.87 objects per tuple of
+// 13 201. They were 732 B and 8.50 while every skip-list node took the
+// 256-byte class with 24 forward pointers, every list allocated a head
+// and a tail sentinel of that size, and every insert a value box apart.
 const (
-	socialBudgetBytesPerTuple   = 770
-	socialBudgetObjectsPerTuple = 8.9
+	socialBudgetBytesPerTuple   = 505
+	socialBudgetObjectsPerTuple = 7.2
 )
 
 // socialPreloadSeed mirrors the benchmark's preload stream: seed 1 mixed
