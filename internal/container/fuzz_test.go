@@ -8,9 +8,9 @@ import (
 	"repro/internal/rel"
 )
 
-// tapeKey is key i of a fuzz tape (FuzzTreeMap, FuzzSkipList): intKey, or with strs a string
-// first column whose first 7 bytes every key shares, so that every order
-// word ties and each search settles by comparing records.
+// tapeKey is key i of a fuzz tape: intKey, or with strs a string first
+// column whose first 7 bytes every key shares, so that every order word
+// ties and each search settles by comparing keys.
 func tapeKey(w int, strs bool, i int) rel.Key {
 	if !strs {
 		return intKey(w, i)
@@ -37,19 +37,25 @@ type scannedView struct {
 func FuzzTreeMap(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 255, 2, 0, 0, 4, 0, 200, 2, 0, 0})
 	f.Add([]byte{1, 3, 1, 99, 2, 0, 0, 1, 1, 5, 4, 1, 40})
-	f.Fuzz(func(t *testing.T, tape []byte) {
-		if len(tape) == 0 {
-			return
-		}
-		strs := tape[0]&1 == 1
-		tape = tape[1:]
-		if len(tape) > 3*256 {
-			tape = tape[:3*256]
-		}
-		for _, w := range keyWidths {
-			runTape(t, New(TreeMap, w), w, strs, tape)
-		}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		runTapes(t, input, func(w int, _ []byte) Map { return New(TreeMap, w) })
 	})
+}
+
+// runTapes runs a fuzz input's tape, at each key width, against the map
+// newMap builds for that width and the tape's ops.
+func runTapes(t *testing.T, input []byte, newMap func(w int, ops []byte) Map) {
+	if len(input) == 0 {
+		return
+	}
+	strs := input[0]&1 == 1
+	ops := input[1:]
+	if len(ops) > 3*256 {
+		ops = ops[:3*256]
+	}
+	for _, w := range keyWidths {
+		runTape(t, newMap(w, ops), w, strs, ops)
+	}
 }
 
 // FuzzSkipList runs FuzzTreeMap's tapes against a ConcurrentSkipListMap,
@@ -59,20 +65,12 @@ func FuzzTreeMap(f *testing.F) {
 func FuzzSkipList(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 255, 2, 0, 0, 4, 0, 200, 2, 0, 0})
 	f.Add([]byte{1, 3, 1, 99, 2, 0, 0, 1, 1, 5, 4, 1, 40})
-	f.Fuzz(func(t *testing.T, tape []byte) {
-		if len(tape) == 0 {
-			return
-		}
-		strs := tape[0]&1 == 1
-		tape = tape[1:]
-		if len(tape) > 3*256 {
-			tape = tape[:3*256]
-		}
+	f.Fuzz(func(t *testing.T, input []byte) {
 		defer func(level func() int) { slLevel = level }(slLevel)
-		for _, w := range keyWidths {
-			slLevel = tapeLevels(tape)
-			runTape(t, New(ConcurrentSkipListMap, w), w, strs, tape)
-		}
+		runTapes(t, input, func(w int, ops []byte) Map {
+			slLevel = tapeLevels(ops)
+			return New(ConcurrentSkipListMap, w)
+		})
 	})
 }
 
@@ -104,9 +102,6 @@ func tapeLevels(tape []byte) func() int {
 func checkSkipList[S any, P keySlot[S]](t *testing.T, m *concurrentSkipList[S, P]) {
 	t.Helper()
 	h := int(m.height.Load())
-	if h < 0 || h > slMaxLevel {
-		t.Fatalf("height %d", h)
-	}
 	for level := h; level < slMaxLevel; level++ {
 		if n := m.levels[level].Load(); n != nil {
 			t.Fatalf("key %v on level %d, at or above the height %d", P(&n.key).key(), level, h)
