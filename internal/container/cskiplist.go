@@ -38,7 +38,8 @@ import (
 //
 //   - an insert raises the height before its node is reachable at any
 //     level, and its search starts at max(height, its own top level), so
-//     a node is never reachable above a height read after its links;
+//     whoever sees a node's link and then reads the height reads one
+//     above the node's top level;
 //   - a remove that read a stale height may find a fully linked victim
 //     below the victim's top level; it then searches again from that top
 //     level instead of reporting the key absent.
