@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Coverage gate for the packages carrying the locking and optimistic-epoch
 # machinery, for the containers whose entries hold the inline key slots,
-# and for the planner that decides which stripes every operation locks:
+# for the planner that decides which stripes every operation locks, and
+# for the representations the autotuner enumerates and ranks:
 # fail when statement coverage drops below the committed floor.
 # The floors were set a couple of points under the measured coverage at the
 # time they were last raised (core 87.7%, locks 91.8%, after the mixed-batch
@@ -30,15 +31,22 @@
 # order words: locks 90.4% → 91.3% (floor raised 89.5 → 90.4), rel
 # 79.1% → 79.8% (floor raised 77.0 → 77.7). Re-measured when skip-list
 # nodes became level-sized with inline order words: container 99.2% →
-# 99.3% (floor raised 97.0 → 97.1). Raise the floor when coverage
-# improves; never lower it to make a PR pass.
+# 99.3% (floor raised 97.0 → 97.1). The autotuner and the graph
+# representations joined when Figure 5's variants and the tuner's
+# enumeration came to share one side vocabulary, measured at autotune
+# 88.4% (with the advisor loop's Start/Stop test), graphreps 91.4%; the
+# batch-aware costing layer went at the same time, query 77.9% → 80.0%
+# (floor raised 76.0 → 78.0). Raise the floor when coverage improves;
+# never lower it to make a PR pass.
 set -euo pipefail
 
 declare -A floors=(
   ["./internal/core/"]=88.1
   ["./internal/locks/"]=90.4
   ["./internal/container/"]=97.1
-  ["./internal/query/"]=76.0
+  ["./internal/query/"]=78.0
+  ["./internal/autotune/"]=86.4
+  ["./internal/graphreps/"]=89.4
   ["./internal/rel/"]=77.7
   ["./internal/server/"]=88.6
   ["./internal/server/client/"]=59.5

@@ -7,13 +7,14 @@
 // concurrent access … is permitted … it chooses a concurrency-safe
 // container") — and ranks them by measured throughput.
 //
-// Enumeration is per index side: the stick has one side, the split and the
-// diamond have a src side and a dst side that may be configured
-// independently (§6.2's Split 2 mixes a striped concurrent side with a
-// coarse side). Each side chooses a placement scheme — coarse (one root
-// lock), fine (per-node locks), striped with factor 1 or 1024, and for
-// the diamond speculative targets — and the container pair the scheme
-// permits.
+// Enumeration is per index side (graphreps.Side): the stick has one
+// side, the split and the diamond have a src side and a dst side that may
+// be configured independently (§6.2's Split 2 mixes a striped concurrent
+// side with a coarse side). Each side chooses a placement scheme — coarse
+// (one root lock), fine (per-node locks), striped with factor 1 or 1024,
+// and for the diamond speculative targets — and the container pair the
+// scheme permits. The named Figure 5 variants are points of this space,
+// built by the same graphreps.Synthesize.
 package autotune
 
 import (
@@ -22,9 +23,7 @@ import (
 
 	"repro/internal/container"
 	"repro/internal/core"
-	"repro/internal/decomp"
 	"repro/internal/graphreps"
-	"repro/internal/locks"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -37,185 +36,68 @@ type Candidate struct {
 	Build       func() (*core.Relation, error)
 }
 
-// sideScheme is a per-side placement choice.
-type sideScheme int
-
-const (
-	sideCoarse sideScheme = iota
-	sideFine
-	sideStriped1
-	sideStriped1024
-	sideSpeculative
-)
-
-func (s sideScheme) String() string {
-	switch s {
-	case sideCoarse:
-		return "coarse"
-	case sideFine:
-		return "fine"
-	case sideStriped1:
-		return "striped(1)"
-	case sideStriped1024:
-		return "striped(1024)"
-	default:
-		return "speculative"
-	}
-}
-
-// sideChoice pairs a scheme with the container kinds it permits.
-type sideChoice struct {
-	scheme   sideScheme
-	top, mid container.Kind
-}
-
 var nonConcurrent = []container.Kind{container.HashMap, container.TreeMap}
 var concurrent = []container.Kind{container.ConcurrentHashMap, container.ConcurrentSkipListMap}
 
-// sideChoices enumerates the legal (scheme, top, mid) triples for one
-// side. Mid-level containers sit under a single per-instance lock in
-// every scheme, so they are always non-concurrent; top-level containers
-// must be concurrency-safe exactly when the scheme admits concurrent
-// access to them (striped with k>1, speculative).
-func sideChoices(allowSpec bool) []sideChoice {
-	var out []sideChoice
-	add := func(s sideScheme, tops []container.Kind) {
+// sides enumerates the legal sides of one index. Mid-level containers
+// sit under a single per-instance lock in every scheme, so they are
+// always non-concurrent; top-level containers must be concurrency-safe
+// exactly when the scheme admits concurrent access to them (striped with
+// k>1, speculative).
+func sides(allowSpec bool) []graphreps.Side {
+	var out []graphreps.Side
+	add := func(s graphreps.Scheme, tops []container.Kind) {
 		for _, top := range tops {
 			for _, mid := range nonConcurrent {
-				out = append(out, sideChoice{scheme: s, top: top, mid: mid})
+				out = append(out, graphreps.Side{Scheme: s, Top: top, Mid: mid})
 			}
 		}
 	}
-	add(sideCoarse, nonConcurrent)
-	add(sideFine, nonConcurrent)
-	add(sideStriped1, nonConcurrent)
-	add(sideStriped1024, concurrent)
+	add(graphreps.Coarse, nonConcurrent)
+	add(graphreps.Fine, nonConcurrent)
+	add(graphreps.Striped1, nonConcurrent)
+	add(graphreps.Striped, concurrent)
 	if allowSpec {
-		add(sideSpeculative, concurrent)
+		add(graphreps.Speculative, concurrent)
 	}
 	return out
 }
 
-func (c sideChoice) String() string {
-	return fmt.Sprintf("%s/%s-of-%s", c.scheme, c.top, c.mid)
-}
-
-// applySide configures placement rules for one side's edges: top is the
-// root out-edge, rest are the descendant edges of that side (excluding any
-// shared cell, handled by the caller).
-func applySide(p *locks.Placement, d *decomp.Decomposition, top *decomp.Edge, rest []*decomp.Edge, c sideChoice) {
-	switch c.scheme {
-	case sideCoarse:
-		p.Place(top, d.Root)
-		for _, e := range rest {
-			p.Place(e, d.Root)
-		}
-	case sideFine:
-		// NewPlacement default: at source.
-	case sideStriped1:
-		// Striping factor 1: a single root lock serializes the top
-		// container (stripe 0 of the shared root array, whatever its
-		// size); lower edges stay fine. Distinct from sideCoarse, which
-		// also moves the lower edges under the root lock.
-		p.Place(top, d.Root)
-	case sideStriped1024:
-		if graphreps.StripeFactor > p.StripeCount(d.Root) {
-			p.SetStripes(d.Root, graphreps.StripeFactor)
-		}
-		p.Place(top, d.Root, top.Cols...)
-		// rest stay fine.
-	case sideSpeculative:
-		if graphreps.StripeFactor > p.StripeCount(d.Root) {
-			p.SetStripes(d.Root, graphreps.StripeFactor)
-		}
-		p.PlaceSpeculative(top, d.Root, top.Cols...)
+// candidate names a family's representation by its sides and builds it
+// through graphreps.Synthesize, as the named Figure 5 variants are.
+func candidate(family string, ss ...graphreps.Side) Candidate {
+	c := Candidate{Family: family, Build: func() (*core.Relation, error) {
+		return graphreps.Synthesize(family, ss...)
+	}}
+	if len(ss) == 1 {
+		c.Name = fmt.Sprintf("%s[%s]", family, ss[0])
+		c.Description = ss[0].String()
+	} else {
+		c.Name = fmt.Sprintf("%s[%s|%s]", family, ss[0], ss[1])
+		c.Description = fmt.Sprintf("src side %s, dst side %s", ss[0], ss[1])
 	}
+	return c
 }
 
 // EnumerateGraph enumerates every legal representation of the directed
-// graph relation over the three Figure 3 structures. The paper's run
-// produced 448 variants; our per-side enumeration (which additionally
-// allows asymmetric speculative diamonds) produces a slightly larger
-// space — EnumerateGraph's exact count is asserted in tests and recorded
-// in EXPERIMENTS.md.
+// graph relation over the three Figure 3 structures: 16 sticks, 256
+// splits and 400 diamonds, 672 in all (TestEnumerationCount). The
+// paper's run produced 448 variants; this per-side enumeration also
+// admits asymmetric splits and diamonds, speculative diamond sides among
+// them, so its space is larger.
 func EnumerateGraph() []Candidate {
 	var out []Candidate
-
-	// Stick: one side.
-	for _, c := range sideChoices(false) {
-		c := c
-		out = append(out, Candidate{
-			Name:        fmt.Sprintf("stick[%s]", c),
-			Family:      "stick",
-			Description: c.String(),
-			Build: func() (*core.Relation, error) {
-				d, err := graphreps.Stick(c.top, c.mid)
-				if err != nil {
-					return nil, err
-				}
-				p := locks.NewPlacement(d)
-				applySide(p, d, d.EdgeByName("ρu"), []*decomp.Edge{d.EdgeByName("uv"), d.EdgeByName("vw")}, c)
-				if err := p.Validate(); err != nil {
-					return nil, err
-				}
-				return core.Synthesize(d, p)
-			},
-		})
+	for _, s := range sides(false) {
+		out = append(out, candidate("stick", s))
 	}
-
-	// Split: two independent sides.
-	for _, l := range sideChoices(false) {
-		for _, r := range sideChoices(false) {
-			l, r := l, r
-			out = append(out, Candidate{
-				Name:        fmt.Sprintf("split[%s|%s]", l, r),
-				Family:      "split",
-				Description: fmt.Sprintf("src side %s, dst side %s", l, r),
-				Build: func() (*core.Relation, error) {
-					d, err := graphreps.Split(l.top, l.mid, r.top, r.mid)
-					if err != nil {
-						return nil, err
-					}
-					p := locks.NewPlacement(d)
-					applySide(p, d, d.EdgeByName("ρu"), []*decomp.Edge{d.EdgeByName("uw"), d.EdgeByName("wx")}, l)
-					applySide(p, d, d.EdgeByName("ρv"), []*decomp.Edge{d.EdgeByName("vy"), d.EdgeByName("yz")}, r)
-					if err := p.Validate(); err != nil {
-						return nil, err
-					}
-					return core.Synthesize(d, p)
-				},
-			})
+	for _, l := range sides(false) {
+		for _, r := range sides(false) {
+			out = append(out, candidate("split", l, r))
 		}
 	}
-
-	// Diamond: two sides sharing the per-edge node; speculative allowed.
-	for _, l := range sideChoices(true) {
-		for _, r := range sideChoices(true) {
-			l, r := l, r
-			out = append(out, Candidate{
-				Name:        fmt.Sprintf("diamond[%s|%s]", l, r),
-				Family:      "diamond",
-				Description: fmt.Sprintf("src side %s, dst side %s", l, r),
-				Build: func() (*core.Relation, error) {
-					d, err := graphreps.Diamond(l.top, l.mid, r.top, r.mid)
-					if err != nil {
-						return nil, err
-					}
-					p := locks.NewPlacement(d)
-					applySide(p, d, d.EdgeByName("ρx"), []*decomp.Edge{d.EdgeByName("xz")}, l)
-					applySide(p, d, d.EdgeByName("ρy"), []*decomp.Edge{d.EdgeByName("yz")}, r)
-					// The shared weight cell: at the shared node unless
-					// both sides are coarse (then everything sits under
-					// the root lock, the pure ψ1 of Figure 3(a)).
-					if l.scheme == sideCoarse && r.scheme == sideCoarse {
-						p.Place(d.EdgeByName("zw"), d.Root)
-					}
-					if err := p.Validate(); err != nil {
-						return nil, err
-					}
-					return core.Synthesize(d, p)
-				},
-			})
+	for _, l := range sides(true) {
+		for _, r := range sides(true) {
+			out = append(out, candidate("diamond", l, r))
 		}
 	}
 	return out
@@ -237,34 +119,7 @@ type Scored struct {
 // the mix. It is the "static" half of the paper's static + dynamic search
 // (§8).
 func StaticCost(r *core.Relation, mix workload.Mix) (float64, error) {
-	return staticCost(r, mix, nil)
-}
-
-// StaticBatchCost is StaticCost under a batch profile: every plan is
-// costed with its BatchCost — the per-member estimate with the lock
-// portion amortized over the profile's members and discounted by its
-// read fraction — instead of the standalone Cost. It is the batch-aware
-// planner pass: a representation whose lock schedule coalesces well
-// (all-stripe rounds, shared prefixes) ranks better under a batch-heavy
-// profile than the standalone model would suggest.
-func StaticBatchCost(r *core.Relation, mix workload.Mix, prof query.BatchProfile) (float64, error) {
-	return staticCost(r, mix, &prof)
-}
-
-func staticCost(r *core.Relation, mix workload.Mix, prof *query.BatchProfile) (float64, error) {
 	pl := query.NewPlanner(r.Decomposition(), r.Placement())
-	planCost := func(p *query.Plan) float64 {
-		if prof != nil {
-			return p.BatchCost(*prof)
-		}
-		return p.Cost
-	}
-	mutCost := func(m *query.MutationPlan) float64 {
-		if prof != nil {
-			return m.BatchCost(*prof)
-		}
-		return m.Cost
-	}
 	succ, err := pl.PlanQuery([]string{"src"}, []string{"dst", "weight"})
 	if err != nil {
 		return 0, err
@@ -282,15 +137,15 @@ func staticCost(r *core.Relation, mix workload.Mix, prof *query.BatchProfile) (f
 		return 0, err
 	}
 	// The insert also runs its existence query.
-	insCost := mutCost(ins)
+	insCost := ins.Cost
 	exist, err := pl.PlanQuery([]string{"dst", "src"}, r.Spec().Columns)
 	if err == nil {
-		insCost += planCost(exist)
+		insCost += exist.Cost
 	}
-	total := float64(mix.Successors)*planCost(succ) +
-		float64(mix.Predecessors)*planCost(pred) +
+	total := float64(mix.Successors)*succ.Cost +
+		float64(mix.Predecessors)*pred.Cost +
 		float64(mix.Inserts)*insCost +
-		float64(mix.Removes)*mutCost(rem)
+		float64(mix.Removes)*rem.Cost
 	return total / 100, nil
 }
 
@@ -300,12 +155,6 @@ type Options struct {
 	// cost model first and only measures the cheapest TopStatic of them —
 	// the static/dynamic split of §8.
 	TopStatic int
-	// Batch, when non-nil, makes the static ranking batch-aware: every
-	// candidate is costed with StaticBatchCost under this profile instead
-	// of the standalone StaticCost, so the TopStatic cut keeps the
-	// representations whose compiled lock schedules coalesce best for the
-	// expected batch shape.
-	Batch *query.BatchProfile
 }
 
 // Tune measures every candidate under the training configuration and
@@ -319,13 +168,7 @@ func Tune(cands []Candidate, cfg workload.Config, opts Options) ([]Scored, error
 			continue
 		}
 		s := Scored{Candidate: c}
-		var sc float64
-		if opts.Batch != nil {
-			sc, err = StaticBatchCost(r, cfg.Mix, *opts.Batch)
-		} else {
-			sc, err = StaticCost(r, cfg.Mix)
-		}
-		if err == nil {
+		if sc, err := StaticCost(r, cfg.Mix); err == nil {
 			s.Static = sc
 		}
 		scored = append(scored, s)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -130,75 +129,5 @@ func TestTuneTopStaticFilter(t *testing.T) {
 	}
 	if len(scored) != 3 {
 		t.Fatalf("TopStatic=3 but measured %d", len(scored))
-	}
-}
-
-func TestStaticBatchCostAmortizes(t *testing.T) {
-	// Under a batch profile the lock portion of every plan is amortized
-	// across the group's members, so the batch-aware estimate must be
-	// strictly cheaper than the standalone one — and approach it again as
-	// the profile degenerates to single-member batches.
-	cands := EnumerateGraph()
-	mix := workload.Figure5Mixes()[0]
-	prof := query.BatchProfile{Members: 8, SharedPrefix: 0.5, ReadFrac: 0.5}
-	single := query.BatchProfile{Members: 1}
-	checked := 0
-	for _, c := range cands[:12] {
-		r, err := c.Build()
-		if err != nil {
-			continue
-		}
-		plain, err := StaticCost(r, mix)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		batched, err := StaticBatchCost(r, mix, prof)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		if batched >= plain {
-			t.Errorf("%s: batch cost %.3f not cheaper than standalone %.3f", c.Name, batched, plain)
-		}
-		lone, err := StaticBatchCost(r, mix, single)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		if lone > plain+1e-9 {
-			t.Errorf("%s: single-member batch cost %.3f exceeds standalone %.3f", c.Name, lone, plain)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no buildable candidates")
-	}
-}
-
-func TestTuneBatchProfileRanking(t *testing.T) {
-	// The batch-aware TopStatic cut must rank with BatchCost: every kept
-	// candidate's Static field equals its StaticBatchCost under the
-	// profile, not its standalone StaticCost.
-	cands := EnumerateGraph()[:8]
-	prof := query.BatchProfile{Members: 16, SharedPrefix: 0.75, ReadFrac: 0.7}
-	cfg := workload.Config{Threads: 1, OpsPerThread: 200, KeySpace: 16, Seed: 1,
-		Mix: workload.Figure5Mixes()[0]}
-	scored, err := Tune(cands, cfg, Options{TopStatic: 3, Batch: &prof})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scored) != 3 {
-		t.Fatalf("TopStatic=3 but measured %d", len(scored))
-	}
-	for _, s := range scored {
-		r, err := s.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := StaticBatchCost(r, cfg.Mix, prof)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Static != want {
-			t.Errorf("%s: Static %.3f, want batch-aware %.3f", s.Name, s.Static, want)
-		}
 	}
 }

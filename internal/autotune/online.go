@@ -10,14 +10,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/locks"
-	"repro/internal/query"
 	"repro/internal/rel"
 )
 
 // This file is the ONLINE half of the autotuner: instead of measuring
 // candidates offline under a synthetic workload (autotune.go), it folds
 // the counters every relation harvests during real traffic
-// (core.Counters) into the batch-aware cost model and, when a better
+// (core.Counters) into a read-fraction cost model and, when a better
 // container choice emerges — typically upgrading non-concurrent
 // containers to their concurrent archetypes, which unlocks the lock-free
 // read-only path and Silo-style OCC — triggers a live migration through
@@ -35,17 +34,12 @@ type Config struct {
 	// representation must promise under the observed profile before a
 	// migration is recommended.
 	Margin float64
-	// Members and SharedPrefix parameterize the BatchProfile the
-	// observed read fraction is folded into (see query.BatchProfile);
-	// zero values mean solo batches with no shared prefix.
-	Members      int
-	SharedPrefix float64
 }
 
-// DefaultConfig returns the advisor defaults: 1000 observed operations,
-// a 10% required improvement, solo batches.
+// DefaultConfig returns the advisor defaults: 1000 observed operations
+// and a 10% required improvement.
 func DefaultConfig() Config {
-	return Config{MinOps: 1000, Margin: 0.10, Members: 1}
+	return Config{MinOps: 1000, Margin: 0.10}
 }
 
 // UpgradeKind maps a container kind to its concurrency-safe archetype:
@@ -76,49 +70,28 @@ func upgradeKindName(name string) (string, bool) {
 	}
 }
 
-// ProfileFromCounters folds one relation's harvested counters into the
-// batch-aware costing profile: the observed read fraction, plus the
-// configured batch shape.
-func ProfileFromCounters(rc core.RelationCounters, cfg Config) query.BatchProfile {
-	prof := query.BatchProfile{Members: cfg.Members, SharedPrefix: cfg.SharedPrefix}
-	if prof.Members < 1 {
-		prof.Members = 1
-	}
+// readFraction is the share of a relation's observed operations that
+// were reads.
+func readFraction(rc core.RelationCounters) float64 {
 	if total := rc.Reads + rc.Writes; total > 0 {
-		prof.ReadFrac = float64(rc.Reads) / float64(total)
+		return float64(rc.Reads) / float64(total)
 	}
-	return prof
+	return 0
 }
 
 // pathCost estimates the relative per-operation synchronization cost of
-// a representation under a profile. Reads on an optimistic-capable
+// a representation at read fraction f. Reads on an optimistic-capable
 // representation validate epochs instead of locking (§6.2's lock-free
 // read path), so they are discounted; writes pay slightly more on
 // concurrent containers (CAS traffic) than on their plain counterparts.
 // The absolute numbers only matter relative to each other — the advisor
 // compares the same workload under two container choices.
-func pathCost(optimistic bool, prof query.BatchProfile) float64 {
+func pathCost(optimistic bool, f float64) float64 {
 	readCost, writeCost := 1.0, 1.5
 	if optimistic {
 		readCost, writeCost = 0.25, 1.65
 	}
-	f := prof.ReadFrac
-	if f < 0 {
-		f = 0
-	} else if f > 1 {
-		f = 1
-	}
-	// Locked operations amortize across the batch's coalesced growing
-	// phase; epoch validation doesn't need to.
-	n := float64(prof.Members)
-	if n < 1 {
-		n = 1
-	}
-	locked := f*readCost + (1-f)*writeCost
-	if optimistic {
-		return f*readCost + (1-f)*writeCost/((n+1)/2)
-	}
-	return locked / ((n + 1) / 2)
+	return f*readCost + (1-f)*writeCost
 }
 
 // Recommendation is the advisor's proposal for one relation: upgrade its
@@ -162,21 +135,21 @@ func RecommendKinds(rc core.RelationCounters, cfg Config) (*Recommendation, bool
 	if !changed {
 		return nil, false
 	}
-	prof := ProfileFromCounters(rc, cfg)
-	before := pathCost(false, prof)
-	after := pathCost(true, prof)
-	if math.IsNaN(after) || after > before*(1-cfg.Margin) {
+	f := readFraction(rc)
+	before := pathCost(false, f)
+	after := pathCost(true, f)
+	if after > before*(1-cfg.Margin) {
 		return nil, false
 	}
 	return &Recommendation{
 		Relation:   rc.Name,
 		From:       append([]string(nil), rc.Containers...),
 		To:         to,
-		ReadFrac:   prof.ReadFrac,
+		ReadFrac:   f,
 		CostBefore: before,
 		CostAfter:  after,
 		Reason: fmt.Sprintf("read fraction %.2f over %d ops: upgrading containers unlocks the optimistic paths (modeled cost %.2f → %.2f)",
-			prof.ReadFrac, rc.Reads+rc.Writes, before, after),
+			f, rc.Reads+rc.Writes, before, after),
 	}, true
 }
 

@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/container"
 	"repro/internal/core"
@@ -156,6 +157,31 @@ func TestAdvisorStepTriggersMigration(t *testing.T) {
 	if evs, _ := adv.Step(); len(evs) != 0 {
 		t.Fatal("advisor re-migrated an already-optimistic relation")
 	}
+}
+
+// TestAdvisorStartStop runs the advisor's timer loop until it has
+// harvested twice, then stops it; a second Stop, like a Stop of a
+// never-started advisor, is a no-op.
+func TestAdvisorStartStop(t *testing.T) {
+	harvests := make(chan struct{}, 8)
+	adv := &Advisor{
+		Registry: core.NewRegistry(),
+		Interval: time.Millisecond,
+		Source: func() core.Counters {
+			select {
+			case harvests <- struct{}{}:
+			default:
+			}
+			return core.Counters{}
+		},
+	}
+	(&Advisor{}).Stop()
+	adv.Start()
+	adv.Start() // already running
+	<-harvests
+	<-harvests
+	adv.Stop()
+	adv.Stop()
 }
 
 // TestMaterializeRebase pins that a tuned placement (striped root)

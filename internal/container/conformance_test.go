@@ -3,16 +3,17 @@ package container
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/rel"
 )
 
-// modelMap is the executable specification a container must refine: a Go
-// map keyed by the unambiguous string rendering of the key.
+// modelMap is the executable specification a container must refine: its
+// entries in key order (rel.CompareKeys), kept sorted on every write so
+// that checking a container against it after each step costs no sort.
 type modelMap struct {
-	entries map[string]modelEntry
+	entries []modelEntry
 }
 
 type modelEntry struct {
@@ -20,27 +21,39 @@ type modelEntry struct {
 	val any
 }
 
-func newModel() *modelMap { return &modelMap{entries: map[string]modelEntry{}} }
+func newModel() *modelMap { return &modelMap{} }
+
+// find returns k's position in entries, or the position it would take.
+func (m *modelMap) find(k rel.Key) (int, bool) {
+	return slices.BinarySearchFunc(m.entries, k, func(e modelEntry, k rel.Key) int {
+		return rel.CompareKeys(e.key, k)
+	})
+}
 
 func (m *modelMap) write(k rel.Key, v any) {
-	if v == nil {
-		delete(m.entries, k.String())
-		return
+	i, ok := m.find(k)
+	switch {
+	case ok && v == nil:
+		m.entries = slices.Delete(m.entries, i, i+1)
+	case ok:
+		m.entries[i].val = v
+	case v != nil:
+		m.entries = slices.Insert(m.entries, i, modelEntry{key: k, val: v})
 	}
-	m.entries[k.String()] = modelEntry{key: k, val: v}
 }
 
 func (m *modelMap) lookup(k rel.Key) (any, bool) {
-	e, ok := m.entries[k.String()]
-	return e.val, ok
+	if i, ok := m.find(k); ok {
+		return m.entries[i].val, true
+	}
+	return nil, false
 }
 
 func (m *modelMap) sortedKeys() []rel.Key {
-	keys := make([]rel.Key, 0, len(m.entries))
-	for _, e := range m.entries {
-		keys = append(keys, e.key)
+	keys := make([]rel.Key, len(m.entries))
+	for i, e := range m.entries {
+		keys[i] = e.key
 	}
-	sort.Slice(keys, func(i, j int) bool { return rel.CompareKeys(keys[i], keys[j]) < 0 })
 	return keys
 }
 
@@ -189,8 +202,8 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 		if len(seen) != len(model.entries) {
 			t.Fatalf("scan yielded %d entries, model has %d", len(seen), len(model.entries))
 		}
-		for ks, e := range model.entries {
-			if seen[ks] != e.val {
+		for _, e := range model.entries {
+			if ks := e.key.String(); seen[ks] != e.val {
 				t.Fatalf("scan value mismatch for %s: %v vs %v", ks, seen[ks], e.val)
 			}
 		}
@@ -472,28 +485,28 @@ func TestBTreeSplitPositions(t *testing.T) {
 // Lookup of each, and a scan in key order.
 func checkAgainst(t *testing.T, m Map, want *modelMap) {
 	t.Helper()
-	keys := want.sortedKeys()
-	if m.Len() != len(keys) {
-		t.Fatalf("Len = %d, model holds %d", m.Len(), len(keys))
+	es := want.entries
+	if m.Len() != len(es) {
+		t.Fatalf("Len = %d, model holds %d", m.Len(), len(es))
 	}
-	for _, k := range keys {
-		if v, ok := m.Lookup(k); !ok || v != want.entries[k.String()].val {
-			t.Fatalf("Lookup(%v) = %v, %v; model %v", k, v, ok, want.entries[k.String()].val)
+	for _, e := range es {
+		if v, ok := m.Lookup(e.key); !ok || v != e.val {
+			t.Fatalf("Lookup(%v) = %v, %v; model %v", e.key, v, ok, e.val)
 		}
 	}
 	i := 0
 	m.Scan(func(k rel.Key, v any) bool {
-		if i >= len(keys) || !k.Equal(keys[i]) {
+		if i >= len(es) || !k.Equal(es[i].key) {
 			t.Fatalf("scan entry %d is %v", i, k)
 		}
-		if wv, _ := want.lookup(k); v != wv {
-			t.Fatalf("scan entry %v = %v, want %v", k, v, wv)
+		if v != es[i].val {
+			t.Fatalf("scan entry %v = %v, want %v", k, v, es[i].val)
 		}
 		i++
 		return true
 	})
-	if i != len(keys) {
-		t.Fatalf("scan yielded %d entries, want %d", i, len(keys))
+	if i != len(es) {
+		t.Fatalf("scan yielded %d entries, want %d", i, len(es))
 	}
 }
 

@@ -107,8 +107,8 @@ func (g *Registry) Replay(ops []RedoOp) error {
 // (applyRedo). It maps a redo op to the shape and the row that
 // re-execute it. An insert binds every column and keys its
 // put-if-absent check on BoundMask; a remove is keyed on the columns its
-// row binds. Decoded Vals reach only up to the highest bound column, so a
-// short row is widened to the schema width.
+// row binds. Vals must span the schema: a logged op comes from disk, so
+// a short or long one is an error, not a panic.
 func (r *Relation) redoShape(op *RedoOp) (shape, rel.Row, error) {
 	if op.RowMask&^r.fullMask != 0 {
 		return shape{}, rel.Row{}, fmt.Errorf("core: relation %q: row mask %#x exceeds schema", r.name, op.RowMask)
@@ -124,11 +124,10 @@ func (r *Relation) redoShape(op *RedoOp) (shape, rel.Row, error) {
 		}
 		sh.kind, sh.bound = mInsert, op.BoundMask
 	}
-	vals := op.Vals
-	if w := r.schema.Len(); len(vals) < w {
-		vals = append(make([]rel.Value, 0, w), vals...)[:w]
+	if w := r.schema.Len(); len(op.Vals) != w {
+		return shape{}, rel.Row{}, fmt.Errorf("core: relation %q: op carries %d values, want %d", r.name, len(op.Vals), w)
 	}
-	return sh, rel.RowOver(vals, op.RowMask), nil
+	return sh, rel.RowOver(op.Vals, op.RowMask), nil
 }
 
 // SetCommitLogger attaches (or, with nil, detaches) the registry's

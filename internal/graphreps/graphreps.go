@@ -1,12 +1,14 @@
 // Package graphreps constructs the directed-graph representations of the
 // paper's evaluation (§4.3, §6.2): the stick, split and diamond
-// decomposition families of Figure 3, the lock placements ψ1 (coarse), ψ2
-// (fine), ψ3 (striped) and ψ4 (speculative), and the twelve named variants
-// plotted in Figure 5.
+// decomposition families of Figure 3, the per-side lock placements ψ1
+// (coarse), ψ2 (fine), ψ3 (striped) and ψ4 (speculative), and the twelve
+// named variants plotted in Figure 5 — named points of the space the
+// autotuner enumerates.
 package graphreps
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/container"
 	"repro/internal/core"
@@ -62,69 +64,122 @@ func Diamond(topL, midL, topR, midR container.Kind) (*decomp.Decomposition, erro
 		Build()
 }
 
-// PlacementScheme selects one of the paper's placement families for the
-// top-level edges of a graph decomposition; lower edges are always placed
-// at their source (which a single lock per node instance serializes).
-type PlacementScheme int
+// Scheme is one index side's lock placement, applied to the side's
+// root out-edge; the edges below it stay at their source (a single lock
+// per node instance serializes them) unless the scheme is coarse.
+type Scheme int
 
 const (
-	// Coarse is ψ1: one lock at the root protects everything.
-	Coarse PlacementScheme = iota
+	// Coarse is ψ1: the root lock protects the side's every edge.
+	Coarse Scheme = iota
 	// Fine is ψ2: every edge protected by one lock at its source node.
 	Fine
-	// Striped is ψ3: the top-level edges are striped across StripeFactor
-	// locks at the root by their key column; lower edges are fine.
+	// Striped1 is ψ3 with striping factor 1: one root lock (the root's
+	// first stripe) serializes the top container; lower edges are fine.
+	Striped1
+	// Striped is ψ3 with StripeFactor: the top edge is striped across the
+	// root's locks by its key column; lower edges are fine.
 	Striped
-	// Speculative is ψ4: top-level edges lock their targets speculatively
-	// with striped root fallbacks; lower edges are fine. Requires
-	// concurrency-safe top containers with linearizable reads.
+	// Speculative is ψ4: the top edge locks its targets speculatively,
+	// with striped root fallbacks; lower edges are fine.
 	Speculative
 )
 
-// String names the scheme after the paper's placements.
-func (s PlacementScheme) String() string {
+// String names the scheme as candidate names print it.
+func (s Scheme) String() string {
 	switch s {
 	case Coarse:
-		return "coarse(ψ1)"
+		return "coarse"
 	case Fine:
-		return "fine(ψ2)"
+		return "fine"
+	case Striped1:
+		return "striped(1)"
 	case Striped:
-		return "striped(ψ3)"
-	case Speculative:
-		return "speculative(ψ4)"
+		return fmt.Sprintf("striped(%d)", StripeFactor)
 	default:
-		return fmt.Sprintf("PlacementScheme(%d)", int(s))
+		return "speculative"
 	}
 }
 
-// Place builds the placement for a graph decomposition: scheme applied to
-// the root's out-edges with the given stripe factor, everything else fine.
-func Place(d *decomp.Decomposition, scheme PlacementScheme, stripes int) (*locks.Placement, error) {
+// Side is one index of a graph representation: the placement scheme of
+// its root out-edge and the containers of its top and middle edges.
+type Side struct {
+	Scheme   Scheme
+	Top, Mid container.Kind
+}
+
+// String renders the side as "scheme/Top-of-Mid".
+func (s Side) String() string {
+	return fmt.Sprintf("%s/%s-of-%s", s.Scheme, s.Top, s.Mid)
+}
+
+// Representation builds a family's decomposition with each side's
+// containers and the placement its sides choose. The stick has one side;
+// the split and the diamond a src side and then a dst side.
+func Representation(family string, sides ...Side) (*decomp.Decomposition, *locks.Placement, error) {
+	var d *decomp.Decomposition
+	var err error
+	switch {
+	case family == "stick" && len(sides) == 1:
+		d, err = Stick(sides[0].Top, sides[0].Mid)
+	case family == "split" && len(sides) == 2:
+		d, err = Split(sides[0].Top, sides[0].Mid, sides[1].Top, sides[1].Mid)
+	case family == "diamond" && len(sides) == 2:
+		d, err = Diamond(sides[0].Top, sides[0].Mid, sides[1].Top, sides[1].Mid)
+	default:
+		err = fmt.Errorf("graphreps: no %q family with %d sides", family, len(sides))
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	p := locks.NewPlacement(d) // fine default
-	switch scheme {
-	case Coarse:
-		for _, e := range d.Edges {
+	for i, s := range sides {
+		top := d.Root.Out[i]
+		switch s.Scheme {
+		case Coarse, Striped1:
+			p.Place(top, d.Root)
+		case Striped:
+			p.SetStripes(d.Root, StripeFactor)
+			p.Place(top, d.Root, top.Cols...)
+		case Speculative:
+			p.SetStripes(d.Root, StripeFactor)
+			p.PlaceSpeculative(top, d.Root, top.Cols...)
+		}
+	}
+	// A lower edge goes under the root lock when every side above it is
+	// coarse: a coarse side's whole index, and the diamond's shared
+	// weight cell zw only when both sides are coarse.
+	var coarse func(n *decomp.Node) bool
+	coarse = func(n *decomp.Node) bool {
+		for _, in := range n.In {
+			if in.Src == d.Root {
+				if sides[slices.Index(d.Root.Out, in)].Scheme != Coarse {
+					return false
+				}
+			} else if !coarse(in.Src) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, e := range d.Edges {
+		if e.Src != d.Root && coarse(e.Src) {
 			p.Place(e, d.Root)
 		}
-	case Fine:
-		// default
-	case Striped:
-		p.SetStripes(d.Root, stripes)
-		for _, e := range d.Root.Out {
-			p.Place(e, d.Root, e.Cols...)
-		}
-	case Speculative:
-		p.SetStripes(d.Root, stripes)
-		for _, e := range d.Root.Out {
-			p.PlaceSpeculative(e, d.Root, e.Cols...)
-		}
-	default:
-		return nil, fmt.Errorf("graphreps: unknown scheme %d", int(scheme))
 	}
 	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
+	return d, p, nil
+}
+
+// Synthesize builds the relation of Representation(family, sides...).
+func Synthesize(family string, sides ...Side) (*core.Relation, error) {
+	d, p, err := Representation(family, sides...)
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return core.Synthesize(d, p)
 }
 
 // Variant names one concrete representation: a decomposition family, a
@@ -140,23 +195,23 @@ type Variant struct {
 	Build func() (*core.Relation, error)
 }
 
-func mk(name, family, desc string, build func() (*core.Relation, error)) Variant {
-	return Variant{Name: name, Family: family, Description: desc, Build: build}
+func variant(name, family, desc string, sides ...Side) Variant {
+	return Variant{Name: name, Family: family, Description: desc,
+		Build: func() (*core.Relation, error) { return Synthesize(family, sides...) }}
 }
 
-func synth(d *decomp.Decomposition, err error, scheme PlacementScheme, stripes int) (*core.Relation, error) {
-	if err != nil {
-		return nil, err
-	}
-	p, err := Place(d, scheme, stripes)
-	if err != nil {
-		return nil, err
-	}
-	return core.Synthesize(d, p)
-}
+// The sides the named variants are made of.
+var (
+	coarseHashOfTree   = Side{Coarse, container.HashMap, container.TreeMap}
+	stripedCHMOfHash   = Side{Striped, container.ConcurrentHashMap, container.HashMap}
+	stripedCHMOfTree   = Side{Striped, container.ConcurrentHashMap, container.TreeMap}
+	stripedSkipOfHash  = Side{Striped, container.ConcurrentSkipListMap, container.HashMap}
+	speculativeCHMTree = Side{Speculative, container.ConcurrentHashMap, container.TreeMap}
+)
 
 // Figure5Variants returns the twelve representative decompositions of
-// Figure 5, as described in §6.2:
+// Figure 5, as described in §6.2, each a point of the autotuner's
+// enumeration:
 //
 //	Stick 1 / Split 1 / Diamond 0 — single coarse lock over a HashMap of
 //	    TreeMaps (the coarsely-locked baselines; the paper's text labels
@@ -169,69 +224,19 @@ func synth(d *decomp.Decomposition, err error, scheme PlacementScheme, stripes i
 //	Split 5 — ConcurrentSkipListMap of HashMap, striped;
 //	Diamond 1/2 — the sharing counterparts of Split 3/5.
 func Figure5Variants() []Variant {
-	k := StripeFactor
 	return []Variant{
-		mk("Stick 1", "stick", "coarse; HashMap of TreeMap", func() (*core.Relation, error) {
-			d, err := Stick(container.HashMap, container.TreeMap)
-			return synth(d, err, Coarse, 1)
-		}),
-		mk("Stick 2", "stick", "striped root; ConcurrentHashMap of HashMap", func() (*core.Relation, error) {
-			d, err := Stick(container.ConcurrentHashMap, container.HashMap)
-			return synth(d, err, Striped, k)
-		}),
-		mk("Stick 3", "stick", "striped root; ConcurrentHashMap of TreeMap", func() (*core.Relation, error) {
-			d, err := Stick(container.ConcurrentHashMap, container.TreeMap)
-			return synth(d, err, Striped, k)
-		}),
-		mk("Stick 4", "stick", "striped root; ConcurrentSkipListMap of HashMap", func() (*core.Relation, error) {
-			d, err := Stick(container.ConcurrentSkipListMap, container.HashMap)
-			return synth(d, err, Striped, k)
-		}),
-		mk("Split 1", "split", "coarse; HashMap of TreeMap", func() (*core.Relation, error) {
-			d, err := Split(container.HashMap, container.TreeMap, container.HashMap, container.TreeMap)
-			return synth(d, err, Coarse, 1)
-		}),
-		mk("Split 2", "split", "striped ConcurrentHashMap src side; coarse dst side", func() (*core.Relation, error) {
-			d, err := Split(container.ConcurrentHashMap, container.HashMap, container.HashMap, container.TreeMap)
-			if err != nil {
-				return nil, err
-			}
-			p := locks.NewPlacement(d)
-			p.SetStripes(d.Root, k)
-			p.Place(d.EdgeByName("ρu"), d.Root, "src")
-			// dst side under one coarse (root, stripe-0) lock.
-			p.Place(d.EdgeByName("ρv"), d.Root)
-			p.Place(d.EdgeByName("vy"), d.Root)
-			p.Place(d.EdgeByName("yz"), d.Root)
-			if err := p.Validate(); err != nil {
-				return nil, err
-			}
-			return core.Synthesize(d, p)
-		}),
-		mk("Split 3", "split", "striped root; ConcurrentHashMap of HashMap", func() (*core.Relation, error) {
-			d, err := Split(container.ConcurrentHashMap, container.HashMap, container.ConcurrentHashMap, container.HashMap)
-			return synth(d, err, Striped, k)
-		}),
-		mk("Split 4", "split", "striped root; ConcurrentHashMap of TreeMap", func() (*core.Relation, error) {
-			d, err := Split(container.ConcurrentHashMap, container.TreeMap, container.ConcurrentHashMap, container.TreeMap)
-			return synth(d, err, Striped, k)
-		}),
-		mk("Split 5", "split", "striped root; ConcurrentSkipListMap of HashMap", func() (*core.Relation, error) {
-			d, err := Split(container.ConcurrentSkipListMap, container.HashMap, container.ConcurrentSkipListMap, container.HashMap)
-			return synth(d, err, Striped, k)
-		}),
-		mk("Diamond 0", "diamond", "coarse; HashMap of TreeMap", func() (*core.Relation, error) {
-			d, err := Diamond(container.HashMap, container.TreeMap, container.HashMap, container.TreeMap)
-			return synth(d, err, Coarse, 1)
-		}),
-		mk("Diamond 1", "diamond", "striped root; ConcurrentHashMap of HashMap", func() (*core.Relation, error) {
-			d, err := Diamond(container.ConcurrentHashMap, container.HashMap, container.ConcurrentHashMap, container.HashMap)
-			return synth(d, err, Striped, k)
-		}),
-		mk("Diamond 2", "diamond", "striped root; ConcurrentSkipListMap of HashMap", func() (*core.Relation, error) {
-			d, err := Diamond(container.ConcurrentSkipListMap, container.HashMap, container.ConcurrentSkipListMap, container.HashMap)
-			return synth(d, err, Striped, k)
-		}),
+		variant("Stick 1", "stick", "coarse; HashMap of TreeMap", coarseHashOfTree),
+		variant("Stick 2", "stick", "striped root; ConcurrentHashMap of HashMap", stripedCHMOfHash),
+		variant("Stick 3", "stick", "striped root; ConcurrentHashMap of TreeMap", stripedCHMOfTree),
+		variant("Stick 4", "stick", "striped root; ConcurrentSkipListMap of HashMap", stripedSkipOfHash),
+		variant("Split 1", "split", "coarse; HashMap of TreeMap", coarseHashOfTree, coarseHashOfTree),
+		variant("Split 2", "split", "striped ConcurrentHashMap src side; coarse dst side", stripedCHMOfHash, coarseHashOfTree),
+		variant("Split 3", "split", "striped root; ConcurrentHashMap of HashMap", stripedCHMOfHash, stripedCHMOfHash),
+		variant("Split 4", "split", "striped root; ConcurrentHashMap of TreeMap", stripedCHMOfTree, stripedCHMOfTree),
+		variant("Split 5", "split", "striped root; ConcurrentSkipListMap of HashMap", stripedSkipOfHash, stripedSkipOfHash),
+		variant("Diamond 0", "diamond", "coarse; HashMap of TreeMap", coarseHashOfTree, coarseHashOfTree),
+		variant("Diamond 1", "diamond", "striped root; ConcurrentHashMap of HashMap", stripedCHMOfHash, stripedCHMOfHash),
+		variant("Diamond 2", "diamond", "striped root; ConcurrentSkipListMap of HashMap", stripedSkipOfHash, stripedSkipOfHash),
 	}
 }
 
@@ -239,11 +244,8 @@ func Figure5Variants() []Variant {
 // speculatively locked concurrent containers and plain containers — used
 // by the speculative-locking ablation.
 func SpeculativeDiamond() Variant {
-	return mk("Diamond Spec", "diamond", "speculative targets, striped fallback; ConcurrentHashMap of TreeMap",
-		func() (*core.Relation, error) {
-			d, err := Diamond(container.ConcurrentHashMap, container.TreeMap, container.ConcurrentHashMap, container.TreeMap)
-			return synth(d, err, Speculative, StripeFactor)
-		})
+	return variant("Diamond Spec", "diamond", "speculative targets, striped fallback; ConcurrentHashMap of TreeMap",
+		speculativeCHMTree, speculativeCHMTree)
 }
 
 // LockFreeReadStick returns the stick representation whose containers are
@@ -251,13 +253,11 @@ func SpeculativeDiamond() Variant {
 // a striped root — making the relation OptimisticCapable: read-only
 // batches against it validate epochs instead of taking shared locks. It
 // is the representation the optimistic lock-count pass of
-// workload.TestDeterministicLockCounts runs on.
+// workload.TestDeterministicLockCounts runs on. Its concurrent middle
+// container puts it outside the autotuner's enumeration.
 func LockFreeReadStick() Variant {
-	return mk("Stick LF", "stick", "striped root; ConcurrentHashMap of ConcurrentSkipListMap (optimistic-capable)",
-		func() (*core.Relation, error) {
-			d, err := Stick(container.ConcurrentHashMap, container.ConcurrentSkipListMap)
-			return synth(d, err, Striped, StripeFactor)
-		})
+	return variant("Stick LF", "stick", "striped root; ConcurrentHashMap of ConcurrentSkipListMap (optimistic-capable)",
+		Side{Striped, container.ConcurrentHashMap, container.ConcurrentSkipListMap})
 }
 
 // extraVariants lists the named representations beyond the twelve Figure 5

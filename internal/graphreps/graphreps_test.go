@@ -79,33 +79,26 @@ func TestFamilies(t *testing.T) {
 }
 
 func TestPlacementSchemes(t *testing.T) {
-	d, err := Stick(container.ConcurrentHashMap, container.TreeMap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []PlacementScheme{Coarse, Fine, Striped} {
-		if _, err := Place(d, s, 8); err != nil {
-			t.Errorf("scheme %v: %v", s, err)
+	for _, s := range []Scheme{Coarse, Fine, Striped1, Striped, Speculative} {
+		if _, _, err := Representation("stick", Side{s, container.ConcurrentHashMap, container.TreeMap}); err != nil {
+			t.Errorf("scheme %v on a ConcurrentHashMap stick: %v", s, err)
 		}
 	}
-	// Speculative requires concurrency-safe tops: OK on CHM stick.
-	if _, err := Place(d, Speculative, 8); err != nil {
-		t.Errorf("speculative on CHM stick: %v", err)
+	// Speculative and entry striping need a concurrency-safe top.
+	for _, s := range []Scheme{Speculative, Striped} {
+		if _, _, err := Representation("stick", Side{s, container.HashMap, container.TreeMap}); err == nil {
+			t.Errorf("%v over HashMap accepted", s)
+		}
 	}
-	// Speculative on a HashMap stick must fail validation.
-	dh, err := Stick(container.HashMap, container.TreeMap)
-	if err != nil {
-		t.Fatal(err)
+	side := Side{Coarse, container.HashMap, container.TreeMap}
+	if _, _, err := Representation("stick", side, side); err == nil {
+		t.Error("two-sided stick accepted")
 	}
-	if _, err := Place(dh, Speculative, 8); err == nil {
-		t.Error("speculative over HashMap accepted")
+	if _, _, err := Representation("ring", side); err == nil {
+		t.Error("unknown family accepted")
 	}
-	// Striped over a HashMap top (entry-level striping) must also fail.
-	if _, err := Place(dh, Striped, 8); err == nil {
-		t.Error("entry striping over HashMap accepted")
-	}
-	if Coarse.String() == "" || PlacementScheme(99).String() == "" {
-		t.Error("scheme names broken")
+	if got := (Side{Striped, container.ConcurrentHashMap, container.TreeMap}).String(); got != "striped(1024)/ConcurrentHashMap-of-TreeMap" {
+		t.Errorf("side name = %q", got)
 	}
 }
 
@@ -124,7 +117,7 @@ func TestSplitAsymmetry(t *testing.T) {
 // TestRemovePlansKeySelectRootStripes sweeps every named representation:
 // a remove bound to the key locks only the root stripes its key selects
 // (the root instance never dies, so no remove observes a root container's
-// emptiness), and its plan carries no all-stripe cost anywhere.
+// emptiness), and takes all stripes at no node.
 func TestRemovePlansKeySelectRootStripes(t *testing.T) {
 	for _, v := range append(Figure5Variants(), extraVariants()...) {
 		t.Run(v.Name, func(t *testing.T) {
@@ -137,13 +130,12 @@ func TestRemovePlansKeySelectRootStripes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range m.PerNode[d.Root.Index].Selectors {
-				if s.All {
-					t.Fatalf("remove takes every root stripe: %+v", m.PerNode[d.Root.Index].Selectors)
+			for _, nd := range m.PerNode {
+				for _, s := range nd.Selectors {
+					if s.All {
+						t.Fatalf("remove takes every stripe at %s: %+v", nd.Node.Name, nd.Selectors)
+					}
 				}
-			}
-			if m.AllStripePortion != 0 {
-				t.Fatalf("remove AllStripePortion = %.2f, want 0", m.AllStripePortion)
 			}
 		})
 	}

@@ -115,10 +115,6 @@ func (pl *Planner) assembleCount(bound []string, path []*decomp.Edge, frontier *
 		Step{Kind: StepLock, Node: r.At, Mode: locks.Shared, Selectors: []Selector{sel}},
 		Step{Kind: StepCount, Edge: count})
 	p.Cost += pl.Model.LockCost + 0.2
-	p.LockPortion += pl.Model.LockCost
-	if sel.All {
-		p.AllStripePortion += pl.Model.LockCost
-	}
 	pl.compilePlan(p)
 	return p
 }

@@ -70,10 +70,6 @@ type MutationPlan struct {
 	// order.
 	PerNode []NodeDirective
 	Cost    float64
-	// LockPortion / AllStripePortion split Cost as on Plan; BatchCost
-	// amortizes them against a BatchProfile.
-	LockPortion      float64
-	AllStripePortion float64
 	// Prog is the compiled round map of the growing phase; its pointer is
 	// the plan-identity key of the batch executor (roundmap.go).
 	Prog *MutationProgram
@@ -147,7 +143,6 @@ func (pl *Planner) PlanMutation(kind OpKind, bound []string) (*MutationPlan, err
 	// Observed columns grow as scans run, in topo order.
 	observed := append([]string(nil), bound...)
 	cost := 0.0
-	lockPortion, allStripe := 0.0, 0.0
 	for _, n := range pl.D.Nodes {
 		nd := NodeDirective{Node: n, Selectors: selectors[n.Index]}
 		if n != pl.D.Root {
@@ -181,7 +176,6 @@ func (pl *Planner) PlanMutation(kind OpKind, bound []string) (*MutationPlan, err
 			case len(nd.SpecIns) > 0:
 				// Located purely via speculative in-edges.
 				cost += pl.Model.lookupCost(nd.SpecIns[0].Container) + pl.Model.LockCost
-				lockPortion += pl.Model.LockCost
 			default:
 				return nil, fmt.Errorf("query: node %s has no usable access edge for %s over %v", n.Name, kind, bound)
 			}
@@ -191,19 +185,14 @@ func (pl *Planner) PlanMutation(kind OpKind, bound []string) (*MutationPlan, err
 		// Lock cost at this node.
 		for _, s := range nd.Selectors {
 			if s.All {
-				c := pl.Model.LockCost * float64(pl.P.StripeCount(n))
-				cost += c
-				lockPortion += c
-				allStripe += c
+				cost += pl.Model.LockCost * float64(pl.P.StripeCount(n))
 			} else {
 				cost += pl.Model.LockCost
-				lockPortion += pl.Model.LockCost
 			}
 		}
 		m.PerNode = append(m.PerNode, nd)
 	}
 	m.Cost = cost
-	m.LockPortion, m.AllStripePortion = lockPortion, allStripe
 	pl.compileMutation(m)
 	return m, nil
 }

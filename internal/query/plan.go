@@ -102,11 +102,6 @@ type Plan struct {
 	Steps []Step
 	// Cost is the planner's heuristic estimate.
 	Cost float64
-	// LockPortion is the part of Cost attributable to lock acquisition, and
-	// AllStripePortion the part of LockPortion spent on all-stripe
-	// selectors; BatchCost amortizes them against a BatchProfile.
-	LockPortion      float64
-	AllStripePortion float64
 	// Prog is the compiled round map of the plan's growing phase; its
 	// pointer identifies the plan in the batch executor (roundmap.go).
 	Prog *RoundProgram

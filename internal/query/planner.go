@@ -175,7 +175,6 @@ func (pl *Planner) assemble(bound, out []string, path []*decomp.Edge, mode locks
 	// lock steps for placement nodes at or before this position.
 	plan := &Plan{Bound: bound, Out: out}
 	cost := 0.0
-	lockPortion, allStripe := 0.0, 0.0
 	multiplicity := 1.0
 	emitted := map[*decomp.Node]bool{}
 	// lastSortedScan tracks the §5.2 sort-elision analysis: true when the
@@ -201,19 +200,12 @@ func (pl *Planner) assemble(bound, out []string, path []*decomp.Edge, mode locks
 		plan.Steps = append(plan.Steps, step)
 		// Lock cost: one lock per state, or all stripes when unselective.
 		stripes := 1.0
-		anyAll := false
 		for _, s := range r.selectors {
 			if s.All {
 				stripes = float64(pl.P.StripeCount(n))
-				anyAll = true
 			}
 		}
-		c := pl.Model.LockCost * multiplicity * stripes
-		cost += c
-		lockPortion += c
-		if anyAll {
-			allStripe += c
-		}
+		cost += pl.Model.LockCost * multiplicity * stripes
 	}
 
 	emitLock(pl.D.Root)
@@ -234,7 +226,6 @@ func (pl *Planner) assemble(bound, out []string, path []*decomp.Edge, mode locks
 		case StepSpecLookup:
 			plan.Steps = append(plan.Steps, Step{Kind: StepSpecLookup, Edge: e, Mode: mode})
 			cost += (pl.Model.lookupCost(e.Container) + pl.Model.LockCost) * multiplicity
-			lockPortion += pl.Model.LockCost * multiplicity
 			lastSortedScan = false
 		case StepScan:
 			plan.Steps = append(plan.Steps, Step{Kind: StepScan, Edge: e, FilterCols: a.filter})
@@ -254,12 +245,10 @@ func (pl *Planner) assemble(bound, out []string, path []*decomp.Edge, mode locks
 			if r.Speculative {
 				// Each surviving entry's target lock is validated.
 				cost += pl.Model.LockCost * multiplicity
-				lockPortion += pl.Model.LockCost * multiplicity
 			}
 		}
 	}
 	plan.Cost = cost
-	plan.LockPortion, plan.AllStripePortion = lockPortion, allStripe
 	if err := plan.Validate(pl.P); err != nil {
 		return nil, err
 	}

@@ -483,12 +483,15 @@ func TestRemoveSelectorConservatism(t *testing.T) {
 		if len(sels) != 1 || sels[0].All || !rel.ColsEqual(sels[0].Cols, []string{"src"}) {
 			t.Fatalf("remove over entry-striped root edge should take the src stripe: %+v", sels)
 		}
-		if rem.Cost != ins.Cost || rem.LockPortion != ins.LockPortion || rem.AllStripePortion != ins.AllStripePortion {
-			t.Fatalf("remove cost %.2f/%.2f/%.2f, insert %.2f/%.2f/%.2f",
-				rem.Cost, rem.LockPortion, rem.AllStripePortion, ins.Cost, ins.LockPortion, ins.AllStripePortion)
+		if rem.Cost != ins.Cost {
+			t.Fatalf("remove cost %.2f, insert %.2f", rem.Cost, ins.Cost)
 		}
-		if rem.AllStripePortion != 0 {
-			t.Fatalf("remove pays for all-stripe locks: %.2f", rem.AllStripePortion)
+		for _, nd := range rem.PerNode {
+			for _, s := range nd.Selectors {
+				if s.All {
+					t.Fatalf("remove takes all stripes at %s: %+v", nd.Node.Name, nd.Selectors)
+				}
+			}
 		}
 	})
 
@@ -506,8 +509,9 @@ func TestRemoveSelectorConservatism(t *testing.T) {
 		if len(sels) != 1 || !sels[0].All {
 			t.Fatalf("remove over entry-striped non-root edge should take all stripes: %+v", sels)
 		}
-		if want := 4 * DefaultCostModel().LockCost; rem.AllStripePortion != want {
-			t.Fatalf("remove all-stripe portion %.2f, want %.2f", rem.AllStripePortion, want)
+		// u's lock costs the remove all four stripes, the insert one.
+		if want := ins.Cost + 3*DefaultCostModel().LockCost; rem.Cost != want {
+			t.Fatalf("remove cost %.2f, want %.2f (insert %.2f plus three more of u's stripes)", rem.Cost, want, ins.Cost)
 		}
 		for _, s := range ins.PerNode[u.Index].Selectors {
 			if s.All {

@@ -167,69 +167,3 @@ func (pl *Planner) compileMutationRounds(m *MutationPlan) {
 	}
 	m.Prog.Rounds = rounds
 }
-
-// BatchProfile characterizes the batches a plan will execute under, the
-// input of the batch-aware costing pass: the growing phase coalesces the
-// lock schedules of all members of a batch, so the effective lock cost of
-// a plan is its solo lock cost divided by how well its acquisitions merge
-// with its cohort's.
-type BatchProfile struct {
-	// Members is the expected number of members per batch sharing this
-	// plan's schedule (1 = solo execution; batch costing degenerates to
-	// Plan.Cost).
-	Members int
-	// SharedPrefix is the expected fraction [0,1] of keyed (single-stripe)
-	// lock acquisitions that coincide with another member's — the shared
-	// lock-prefix of the batch. All-stripe selectors always coalesce
-	// fully and ignore it.
-	SharedPrefix float64
-	// ReadFrac is the read fraction [0,1] of the workload. On an
-	// optimistic-capable representation, shared-mode lock acquisitions
-	// are elided for that fraction of executions (the read-only and OCC
-	// paths validate epochs instead), so it discounts a query plan's lock
-	// portion. Mutation plans ignore it.
-	ReadFrac float64
-}
-
-// amortize returns the batch-effective lock cost given the solo lock cost
-// split into its all-stripe and keyed portions.
-func (prof BatchProfile) amortize(allStripe, keyed float64) float64 {
-	n := float64(prof.Members)
-	if n < 1 {
-		n = 1
-	}
-	// All-stripe selectors lock the same k stripes for every member: a
-	// batch of n pays them once.
-	out := allStripe / n
-	// Keyed selectors coalesce only when two members hit the same stripe.
-	share := prof.SharedPrefix
-	if share < 0 {
-		share = 0
-	} else if share > 1 {
-		share = 1
-	}
-	out += keyed / (1 + (n-1)*share)
-	return out
-}
-
-// BatchCost estimates the per-member cost of executing p as one member of
-// a batch matching prof: the access portion is unchanged, the lock
-// portion is amortized over the members it coalesces with, and — for this
-// shared-mode plan — discounted by the read fraction served lock-free.
-func (p *Plan) BatchCost(prof BatchProfile) float64 {
-	lockFrac := 1 - prof.ReadFrac
-	if lockFrac < 0 {
-		lockFrac = 0
-	}
-	all := p.AllStripePortion * lockFrac
-	keyed := (p.LockPortion - p.AllStripePortion) * lockFrac
-	return (p.Cost - p.LockPortion) + prof.amortize(all, keyed)
-}
-
-// BatchCost estimates the per-member cost of executing m as one member of
-// a batch matching prof. Mutations always lock, so ReadFrac does not
-// apply.
-func (m *MutationPlan) BatchCost(prof BatchProfile) float64 {
-	return (m.Cost - m.LockPortion) +
-		prof.amortize(m.AllStripePortion, m.LockPortion-m.AllStripePortion)
-}

@@ -120,7 +120,7 @@ func TestE2EAdaptMigratesUnderTraffic(t *testing.T) {
 	// Step the advisor by hand (deterministic — no Interval goroutine)
 	// with the traffic still flowing; the read-heavy mix must trigger
 	// exactly one migration of posts to the concurrent family.
-	cfg := autotune.Config{MinOps: 100, Margin: 0.05, Members: 1}
+	cfg := autotune.Config{MinOps: 100, Margin: 0.05}
 	adv := &autotune.Advisor{Registry: soc.Reg, Config: cfg}
 	var events []*core.MigrationEvent
 	for time.Now().Before(deadline) && len(events) == 0 {

@@ -204,11 +204,15 @@ func Open(dir string, reg *core.Registry, opts Options) (*Manager, error) {
 			return nil, fmt.Errorf("wal: oldest segment %s starts past snapshot LSN %d", segs[0], snapLSN)
 		}
 	}
+	widths := map[string]int{}
+	for _, r := range reg.Relations() {
+		widths[r.Name()] = r.Schema().Len()
+	}
 	activeName := ""
 	for i, name := range segs {
 		path := filepath.Join(dir, name)
 		res, err := scanSegment(path, lastLSN, snapLSN, func(lsn uint64, payload []byte) error {
-			ops, err := decodeOps(payload)
+			ops, err := decodeOps(payload, widths)
 			if err != nil {
 				return fmt.Errorf("wal: record %d: %w", lsn, err)
 			}

@@ -91,12 +91,8 @@ func roundTripCases() []roundTripCase {
 		{
 			name: "graph Split 4",
 			build: singleRelation("graph", graphreps.Spec(), func() (*decomp.Decomposition, *locks.Placement, error) {
-				d, err := graphreps.Split(container.ConcurrentHashMap, container.TreeMap, container.ConcurrentHashMap, container.TreeMap)
-				if err != nil {
-					return nil, nil, err
-				}
-				p, err := graphreps.Place(d, graphreps.Striped, 16)
-				return d, p, err
+				side := graphreps.Side{Scheme: graphreps.Striped, Top: container.ConcurrentHashMap, Mid: container.TreeMap}
+				return graphreps.Representation("split", side, side)
 			}),
 			fill: func(t *testing.T, reg *core.Registry) {
 				var pairs [][2]rel.Tuple

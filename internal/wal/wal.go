@@ -175,9 +175,11 @@ func appendOps(b []byte, ops []core.RedoOp) ([]byte, error) {
 	return b, nil
 }
 
-// decodeOps decodes a record payload back into redo ops; each op's Vals
-// slice is freshly allocated and spans the highest column RowMask binds.
-func decodeOps(b []byte) ([]core.RedoOp, error) {
+// decodeOps decodes a record payload back into redo ops. Each op's Vals
+// slice is allocated once at its relation's width in widths, or out to
+// the highest column RowMask binds where that is wider or the relation
+// is unknown, which replay then rejects.
+func decodeOps(b []byte, widths map[string]int) ([]core.RedoOp, error) {
 	n, w := binary.Uvarint(b)
 	if w <= 0 {
 		return nil, fmt.Errorf("wal: bad op count")
@@ -214,7 +216,7 @@ func decodeOps(b []byte) ([]core.RedoOp, error) {
 		if op.RowMask == 0 || op.BoundMask&^op.RowMask != 0 {
 			return nil, fmt.Errorf("wal: inconsistent op masks %x/%x", op.RowMask, op.BoundMask)
 		}
-		op.Vals = make([]rel.Value, bits.Len64(op.RowMask))
+		op.Vals = make([]rel.Value, max(widths[op.Rel], bits.Len64(op.RowMask)))
 		for mask := op.RowMask; mask != 0; {
 			i := bits.TrailingZeros64(mask)
 			mask &^= 1 << uint(i)

@@ -437,6 +437,33 @@ func TestRecoveryRejectsMalformedOps(t *testing.T) {
 	}
 }
 
+// TestDecodeOpsAtRelationWidth decodes a logged posts remove, which binds
+// only (author, post): its Vals come back at the relation's three
+// columns, so replay re-executes it without widening the row, and the
+// decoded remove replays.
+func TestDecodeOpsAtRelationWidth(t *testing.T) {
+	soc := workload.MustSocial()
+	widths := map[string]int{}
+	for _, r := range soc.Reg.Relations() {
+		widths[r.Name()] = r.Schema().Len()
+	}
+	rm := core.RedoOp{Rel: "posts", Vals: []rel.Value{int64(4), int64(9)}, RowMask: 3, BoundMask: 3}
+	payload, err := appendOps(nil, []core.RedoOp{rm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := decodeOps(payload, widths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ops) != 1 || len(ops[0].Vals) != 3 {
+		t.Fatalf("decoded %+v, want one op with 3 values", ops)
+	}
+	if err := soc.Reg.Replay(ops); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+}
+
 func TestCorruptSnapshotWithPrunedLogFails(t *testing.T) {
 	// After pruning, the snapshot is the only copy of the sealed prefix;
 	// if it is corrupt, recovery must fail loudly rather than replay the

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -133,57 +132,34 @@ func Run(g GraphOps, cfg Config) Result {
 	if !cfg.Mix.valid() {
 		panic(fmt.Sprintf("workload: mix %s does not sum to 100", cfg.Mix))
 	}
-	if cfg.Threads < 1 || cfg.OpsPerThread < 1 || cfg.KeySpace < 1 {
-		panic("workload: invalid config")
+	return runWorkers(cfg, func(state *uint64) uint64 {
+		return graphOp(g, state, cfg.Mix, cfg.KeySpace)
+	})
+}
+
+// graphOp draws and executes ONE §6.2 operation against g: it advances
+// the SplitMix64 state, picks the operation per mix, derives the operand
+// node ids from the draw, and returns the checksum contribution.
+func graphOp(g GraphOps, state *uint64, mix Mix, keySpace int64) uint64 {
+	r := splitmix64(state)
+	choice := int(r % 100)
+	a := int64((r >> 32) % uint64(keySpace))
+	b := int64((r >> 16) % uint64(keySpace))
+	switch {
+	case choice < mix.Successors:
+		return uint64(g.FindSuccessors(a))
+	case choice < mix.Successors+mix.Predecessors:
+		return uint64(g.FindPredecessors(a))
+	case choice < mix.Successors+mix.Predecessors+mix.Inserts:
+		if g.InsertEdge(a, b, int64(r>>40)) {
+			return 1
+		}
+	default:
+		if g.RemoveEdge(a, b) {
+			return 1
+		}
 	}
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	sums := make([]uint64, cfg.Threads)
-	for i := 0; i < cfg.Threads; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			state := cfg.Seed*0x9e3779b97f4a7c15 + uint64(tid)*0xdeadbeefcafef00d + 1
-			<-start
-			var sum uint64
-			for op := 0; op < cfg.OpsPerThread; op++ {
-				r := splitmix64(&state)
-				choice := int(r % 100)
-				a := int64((r >> 32) % uint64(cfg.KeySpace))
-				b := int64((r >> 16) % uint64(cfg.KeySpace))
-				switch {
-				case choice < cfg.Mix.Successors:
-					sum += uint64(g.FindSuccessors(a))
-				case choice < cfg.Mix.Successors+cfg.Mix.Predecessors:
-					sum += uint64(g.FindPredecessors(a))
-				case choice < cfg.Mix.Successors+cfg.Mix.Predecessors+cfg.Mix.Inserts:
-					if g.InsertEdge(a, b, int64(r>>40)) {
-						sum++
-					}
-				default:
-					if g.RemoveEdge(a, b) {
-						sum++
-					}
-				}
-			}
-			sums[tid] = sum
-		}(i)
-	}
-	t0 := time.Now()
-	close(start)
-	wg.Wait()
-	elapsed := time.Since(t0)
-	total := cfg.Threads * cfg.OpsPerThread
-	var checksum uint64
-	for _, s := range sums {
-		checksum += s
-	}
-	return Result{
-		Ops:        total,
-		Duration:   elapsed,
-		Throughput: float64(total) / elapsed.Seconds(),
-		Checksum:   checksum,
-	}
+	return 0
 }
 
 // Series runs the benchmark across ascending thread counts and returns
