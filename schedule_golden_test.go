@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // TestBatchScheduleGolden freezes the batch scheduler's lock schedule.
@@ -54,10 +55,11 @@ type scheduleScript struct {
 
 // scheduleScripts lists the frozen scripts: the composite graph script on
 // three benchmark variants (speculative, striped and plain placements),
-// and the registry script on a users/posts pair whose posts relation is
+// the registry script on a users/posts pair whose posts relation is
 // either plain (TreeMap: every batch touching it commits under 2PL) or
 // optimistic-capable (skip list: lock-free read-only and Silo OCC
-// commits).
+// commits), and the social composites on the social schema's concurrent
+// and plain containers.
 func scheduleScripts() []scheduleScript {
 	var out []scheduleScript
 	for _, v := range []string{"Stick 1", "Split 4", "Diamond Spec"} {
@@ -72,6 +74,10 @@ func scheduleScripts() []scheduleScript {
 			run: func(t *testing.T) []string { return registryScheduleScript(t, TreeMap) }},
 		scheduleScript{name: "Registry OCC", file: "registry_occ.txt",
 			run: func(t *testing.T) []string { return registryScheduleScript(t, ConcurrentSkipListMap) }},
+		scheduleScript{name: "Social OCC", file: "social_occ.txt",
+			run: func(t *testing.T) []string { return socialScheduleScript(t, workload.NewSocial) }},
+		scheduleScript{name: "Social 2PL", file: "social_2pl.txt",
+			run: func(t *testing.T) []string { return socialScheduleScript(t, workload.NewSocialPessimistic) }},
 	)
 	return out
 }
@@ -289,6 +295,117 @@ func registryScheduleScript(t *testing.T, postsKind ContainerKind) []string {
 		out = append(out, rec)
 	}
 	for _, r := range []*Relation{users, posts} {
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortTupleList(snap)
+		out = append(out, fmt.Sprintf("snapshot %s %d rows: %v", r.Name(), len(snap), snap))
+	}
+	return out
+}
+
+// socialScheduleScript runs the members of workload.Social's composite
+// operations, one Registry.Batch each, in the six cases whose root locks
+// differ: AddPost with an existing and with a new author, RemovePost that
+// leaves posts and RemovePost of the author's last post, Follow from an
+// existing and from a new src. The preload gives user 1 two posts, user 2
+// one post and one follows edge 1 → 2. It returns one rendered record per
+// composite, the commit path and every member result included, plus a
+// final snapshot of the three relations.
+func socialScheduleScript(t *testing.T, build func() (*workload.Social, error)) []string {
+	t.Helper()
+	s, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][2]int64{{1, 10}, {1, 11}, {2, 20}} {
+		if _, err := s.Posts.Insert(T("author", p[0], "post", p[1]), T("ts", p[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, u := range [][2]int64{{1, 2}, {2, 1}} {
+		if _, err := s.Users.Insert(T("user", u[0]), T("posts", u[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Follows.Insert(T("src", int64(1), "dst", int64(2)), T("since", int64(1))); err != nil {
+		t.Fatal(err)
+	}
+	type op struct {
+		name string
+		run  func(tx *Txn, res *[]func() string) error
+	}
+	pbool := func(res *[]func() string, pb *Pending[bool], err error) error {
+		*res = append(*res, func() string { return fmt.Sprint(pb.Value()) })
+		return err
+	}
+	// counterBump is the counter rewrite of AddPost and RemovePost.
+	counterBump := func(tx *Txn, res *[]func() string, user, n int64) error {
+		pb, err := tx.RemoveFrom(s.Users, T("user", user))
+		if err := pbool(res, pb, err); err != nil {
+			return err
+		}
+		pb, err = tx.InsertInto(s.Users, T("user", user), T("posts", n))
+		return pbool(res, pb, err)
+	}
+	addPost := func(author, post, n int64) func(tx *Txn, res *[]func() string) error {
+		return func(tx *Txn, res *[]func() string) error {
+			pb, err := tx.InsertInto(s.Posts, T("author", author, "post", post), T("ts", post))
+			if err := pbool(res, pb, err); err != nil {
+				return err
+			}
+			return counterBump(tx, res, author, n)
+		}
+	}
+	removePost := func(author, post, n int64) func(tx *Txn, res *[]func() string) error {
+		return func(tx *Txn, res *[]func() string) error {
+			pb, err := tx.RemoveFrom(s.Posts, T("author", author, "post", post))
+			if err := pbool(res, pb, err); err != nil {
+				return err
+			}
+			return counterBump(tx, res, author, n)
+		}
+	}
+	follow := func(src, dst int64) func(tx *Txn, res *[]func() string) error {
+		return func(tx *Txn, res *[]func() string) error {
+			pb, err := tx.InsertInto(s.Follows, T("src", src, "dst", dst), T("since", src+dst))
+			if err := pbool(res, pb, err); err != nil {
+				return err
+			}
+			pi, err := tx.CountIn(s.Posts, T("author", dst))
+			*res = append(*res, func() string { return fmt.Sprint(pi.Value()) })
+			return err
+		}
+	}
+	ops := []op{
+		{"AddPost, existing author", addPost(1, 12, 3)},
+		{"AddPost, new author", addPost(3, 30, 1)},
+		{"RemovePost, posts left", removePost(1, 10, 2)},
+		{"RemovePost, last post", removePost(2, 20, 0)},
+		{"Follow, existing src", follow(1, 3)},
+		{"Follow, new src", follow(4, 1)},
+	}
+	var out []string
+	for _, o := range ops {
+		var tr *core.BatchTrace
+		var res []func() string
+		err := s.Reg.Batch(func(tx *Txn) error {
+			tx.EnableTrace()
+			tr = tx.Trace()
+			return o.run(tx, &res)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := o.name + "\n" + tr.String() + fmt.Sprintf("path optimistic=%v occ=%v attempts=%d fellback=%v epochs=%d/%d shared=%d\nresults",
+			tr.Optimistic, tr.OCC, tr.Attempts, tr.FellBack, tr.EpochsRecorded, tr.EpochsDistinct, tr.SharedAcquired)
+		for _, f := range res {
+			rec += " " + f()
+		}
+		out = append(out, rec)
+	}
+	for _, r := range []*Relation{s.Users, s.Posts, s.Follows} {
 		snap, err := r.Snapshot()
 		if err != nil {
 			t.Fatal(err)
