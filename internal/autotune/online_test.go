@@ -256,7 +256,7 @@ func TestMigrateLockCounts(t *testing.T) {
 			t.Fatalf("migrate %s: %v", r.Name(), err)
 		}
 	}
-	pass("post-migration", 128, 120, 2852)
+	pass("post-migration", 94, 86, 2852)
 }
 
 // TestPickGeneric pins the WithAutotune picker: from the bare graph

@@ -367,6 +367,13 @@ type BatchTrace struct {
 	// the batch re-ran under pessimistic two-phase locking (whose lock
 	// schedule then fills Rounds/Requested/Acquired as usual).
 	FellBack bool
+	// Escalations counts the shards whose demotable root the batch
+	// escalated to Exclusive (query.Planner.KeyNode): in the growing
+	// phase, on finding a key-node instance missing, or after an apply
+	// phase that writes the root container. It is neither a validation
+	// retry nor a fallback; the lock-schedule fields describe the
+	// schedule after the last escalation.
+	Escalations int
 
 	// OCC reports that the batch was MIXED (mutations plus reads) and ran
 	// on the optimistic row of the commit pipeline (commit.go): write
@@ -378,6 +385,24 @@ type BatchTrace struct {
 	// batch; when FellBack is set the lock-schedule fields describe the
 	// pessimistic rerun instead.
 	OCC bool
+}
+
+// traceMark is a point of a trace's lock schedule that a regrowth
+// rewinds to: the zero mark drops the whole schedule.
+type traceMark struct {
+	rounds, requested, acquired, speculative, shared int
+}
+
+// mark returns the trace's current schedule point.
+func (tr *BatchTrace) mark() traceMark {
+	return traceMark{len(tr.Rounds), tr.Requested, tr.Acquired, tr.Speculative, tr.SharedAcquired}
+}
+
+// rewind drops the lock schedule recorded since m, which a regrowth
+// records again.
+func (tr *BatchTrace) rewind(m traceMark) {
+	tr.Rounds = tr.Rounds[:m.rounds]
+	tr.Requested, tr.Acquired, tr.Speculative, tr.SharedAcquired = m.requested, m.acquired, m.speculative, m.shared
 }
 
 // BatchRound is one coalesced acquisition in a batch's growing phase.
@@ -893,7 +918,46 @@ func (r *Relation) initBatchMembers(b *opBuf) {
 // a registry transaction the shards' growing phases run in relation-id
 // order on one shared locks.Txn, so the acquisitions of the whole batch
 // follow the global (relation, node, inst, stripe) order.
+//
+// A member that finds its key-node instance missing under a demotable
+// root held Shared or recorded escalates the shard (MRoundEscalate). That
+// happens in the key node's sweep, before its lock set is acquired, so
+// the root is still the shard's only held lock and the most recently
+// acquired one: the shard abandons it and grows again from the root,
+// which it now takes exclusively and re-locates under. Nothing was
+// written and nothing rolls back.
 func (r *Relation) growBatch(t *Txn, b *opBuf) {
+	var mark traceMark
+	if t.trace != nil {
+		mark = t.trace.mark()
+	}
+	for !r.growRounds(t, b) {
+		if l := r.root.lock(0); b.txn.Holds(l) {
+			b.txn.Abandon(l)
+		}
+		if hook := rootEscalateHook; hook != nil {
+			hook(r.name)
+		}
+		b.escalate, b.rootX = false, true
+		b.rootRead = locks.ReadEntry{}
+		b.reads.Reset()
+		t.noteEscalation(r)
+		if t.trace != nil {
+			t.trace.rewind(mark)
+		}
+		r.initBatchMembers(b)
+	}
+}
+
+// rootEscalateHook, when non-nil, runs when a shard of relation relName
+// escalates its root in the growing phase, after the abandoned root is
+// released and before the shard grows again. Tests use it to commit a
+// conflicting batch in that window deterministically.
+var rootEscalateHook func(relName string)
+
+// growRounds runs one pass of the growing phase, reporting false when a
+// member raised b.escalate; the key node's lock set is then discarded.
+func (r *Relation) growRounds(t *Txn, b *opBuf) bool {
 	nNodes := len(r.decomp.Nodes)
 	b.collect = &b.set
 	b.buildGroups()
@@ -913,6 +977,11 @@ func (r *Relation) growBatch(t *Txn, b *opBuf) {
 			if len(b.specs) > 0 {
 				r.resolveBatchSpecs(t, b)
 				progress = true
+			}
+			if b.escalate {
+				b.set.Reset()
+				b.collect = nil
+				return false
 			}
 			if b.set.Len() > 0 {
 				req := b.set.Requested()
@@ -939,6 +1008,15 @@ func (r *Relation) growBatch(t *Txn, b *opBuf) {
 			panic(fmt.Sprintf("core: batch member %d stalled in growing phase (kind %d, cursor %d)",
 				i, b.members[i].kind, b.members[i].cursor))
 		}
+	}
+	return true
+}
+
+// noteEscalation counts one escalation of r's demotable root.
+func (t *Txn) noteEscalation(r *Relation) {
+	r.ctr.rootEscalations.Add(1)
+	if t.trace != nil {
+		t.trace.Escalations++
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/container"
+	"repro/internal/locks"
 	"repro/internal/rel"
 )
 
@@ -90,9 +91,10 @@ func (t *Txn) commit() error {
 			}
 			sh.mark = sh.b.n // retained growing-phase states end here; read states are per attempt
 		}
+		escalated := false
 		for attempt := 0; attempt < attempts; attempt++ {
 			if attempt > 0 {
-				optimisticBackoff(attempt)
+				optimisticBackoff(attempt, &t.ctr.backoffSleeps)
 				if mut {
 					t.ctr.occRetries.Add(1)
 				}
@@ -115,28 +117,52 @@ func (t *Txn) commit() error {
 				}
 				return err
 			}
+			if escalated = t.escalateLate(); escalated {
+				break
+			}
 		}
-		// Fallback to the 2PL row. Every failed attempt's writes were
-		// rolled back and their epoch cells end-bumped, so releasing here
-		// exposes exactly the pre-batch state. The trace keeps Attempts,
-		// FellBack and the row flags and drops the lock schedule the rerun
-		// records again.
-		if mut {
+		// Regrow. Every failed attempt's writes were rolled back and their
+		// epoch cells end-bumped, so releasing here exposes exactly the
+		// pre-batch state. The trace keeps Attempts, FellBack, Escalations
+		// and the row flags and drops the lock schedule the regrowth
+		// records again. A late escalation regrows on the same row, its
+		// escalated roots exclusive; otherwise every attempt failed
+		// validation and the batch falls back to the 2PL row.
+		if !escalated && mut {
 			t.ctr.occFallbacks.Add(1)
 		}
 		if tr := t.trace; tr != nil {
-			tr.FellBack = true
-			tr.Rounds = tr.Rounds[:0]
-			tr.Requested, tr.Acquired, tr.Speculative, tr.SharedAcquired = 0, 0, 0, 0
+			tr.FellBack = tr.FellBack || !escalated
+			tr.rewind(traceMark{})
 		}
 		for _, sh := range t.shards {
 			sh.b.reads.Reset()
+			sh.b.rootRead = locks.ReadEntry{}
 			sh.b.n = 0
 		}
 		t.ltxn.ReleaseAll()
 		t.ltxn.Reset()
-		opt, attempts = false, 1
+		if !escalated {
+			opt, attempts = false, 1
+		}
 	}
+}
+
+// escalateLate ends an attempt that rolled back because a shard's apply
+// phase wrote, or would have written, its demotable root's container
+// under a root held Shared or recorded (insertWrite, sweepUnlinks): it
+// marks every such shard's root exclusive for the regrowth, counts the
+// escalations and reports whether there was any.
+func (t *Txn) escalateLate() bool {
+	any := false
+	for _, sh := range t.shards {
+		if sh.b.escalate {
+			sh.b.escalate, sh.b.rootX = false, true
+			t.noteEscalation(sh.r)
+			any = true
+		}
+	}
+	return any
 }
 
 // attempt runs one attempt's commit point, reporting whether the batch
@@ -146,16 +172,26 @@ func (t *Txn) commit() error {
 func (t *Txn) attempt() (ok bool, err error) {
 	undo := t.armUndo()
 	defer t.disarmUndo(undo)
+	escalate := false
 	for pos, ref := range t.order {
 		if registryApplyHook != nil {
 			registryApplyHook(ref.sh.r.name, pos)
 		}
 		ref.sh.r.computeMember(ref.sh.b, ref.member(), ref.idx, ref.sh.firstMut)
+		if escalate = ref.sh.b.escalate; escalate {
+			break
+		}
 	}
-	if t.reg != nil {
+	for _, sh := range t.shards {
+		if !escalate && len(sh.b.unlinks) > 0 {
+			sh.r.sweepUnlinks(sh.b)
+			escalate = sh.b.escalate
+		}
+	}
+	if !escalate && t.reg != nil {
 		t.stamp = t.reg.stamps.Add(1)
 	}
-	if t.validate() {
+	if !escalate && t.validate() {
 		for _, ref := range t.order {
 			ref.member().yieldRows()
 		}
@@ -213,6 +249,9 @@ func (t *Txn) validate() bool {
 func (r *Relation) runShardOptimistic(b *opBuf) {
 	b.optimistic = true
 	b.reads.Reset()
+	if b.rootRead.L != nil {
+		b.reads.Add(b.rootRead) // the write members' root record (rootRound)
+	}
 	for i := range b.members {
 		if m := &b.members[i]; m.kind == mQuery || m.kind == mCount {
 			r.runMember(b, m)
@@ -231,6 +270,8 @@ func (t *Txn) armUndo() *undoLog {
 	for _, sh := range t.shards {
 		sh.b.apply = true
 		sh.b.undo = undo
+		clear(sh.b.unlinks) // a failed attempt's, which its rollback relinked
+		sh.b.unlinks = sh.b.unlinks[:0]
 	}
 	return undo
 }

@@ -16,10 +16,11 @@ import "sync/atomic"
 // relCounters are one relation's live counter cells. They live on the
 // Relation (not the representation), so they survive a migration swap.
 type relCounters struct {
-	reads         atomic.Uint64 // read operations: standalone queries/counts + batch read members
-	writes        atomic.Uint64 // mutations: standalone inserts/removes + batch write members
-	batchCounters               // the relation's Relation.Batch groups
-	migrations    atomic.Uint64 // completed representation migrations
+	reads           atomic.Uint64 // read operations: standalone queries/counts + batch read members
+	writes          atomic.Uint64 // mutations: standalone inserts/removes + batch write members
+	batchCounters                 // the relation's Relation.Batch groups
+	migrations      atomic.Uint64 // completed representation migrations
+	rootEscalations atomic.Uint64 // batches' escalations of the demotable root to Exclusive
 }
 
 // batchCounters are the batch-level cells: a relation's carry its
@@ -32,6 +33,7 @@ type batchCounters struct {
 	occCommits    atomic.Uint64 // mixed groups that committed Silo-style
 	occRetries    atomic.Uint64 // optimistic attempts beyond the first, of mixed groups only
 	occFallbacks  atomic.Uint64 // mixed groups that exhausted attempts and re-ran under 2PL
+	backoffSleeps atomic.Uint64 // sleeps between failed optimistic attempts; a relation's include its standalone reads'
 }
 
 // noteMembers folds a committed batch's member kinds into the cells.
@@ -83,6 +85,12 @@ type RelationCounters struct {
 	OCCFallbacks uint64 `json:"occ_fallbacks"`
 	// Migrations counts completed representation migrations.
 	Migrations uint64 `json:"migrations"`
+	// RootEscalations counts the batches' escalations of the relation's
+	// demotable root from Shared (or a recorded epoch) to Exclusive.
+	RootEscalations uint64 `json:"root_escalations"`
+	// BackoffSleeps counts the sleeps between failed optimistic attempts
+	// of the relation's standalone reads and Relation.Batch groups.
+	BackoffSleeps uint64 `json:"backoff_sleeps"`
 }
 
 // Counters is a registry-wide harvested snapshot: aggregate totals, the
@@ -105,6 +113,11 @@ type Counters struct {
 	// OCCFallbacks counts mixed groups that fell back to full 2PL;
 	// read-only groups' fallbacks are not counted.
 	OCCFallbacks uint64 `json:"occ_fallbacks"`
+	// RootEscalations counts every relation's root escalations.
+	RootEscalations uint64 `json:"root_escalations"`
+	// BackoffSleeps counts the sleeps between failed optimistic attempts,
+	// of registry-wide groups and of every relation's.
+	BackoffSleeps uint64 `json:"backoff_sleeps"`
 	// Relations is the per-relation breakdown, in registration order.
 	Relations []RelationCounters `json:"relations"`
 	// Migrations is the completed migration event history, oldest first.
@@ -135,6 +148,8 @@ func (r *Relation) Harvest() RelationCounters {
 		OCCRetries:         r.ctr.occRetries.Load(),
 		OCCFallbacks:       r.ctr.occFallbacks.Load(),
 		Migrations:         r.ctr.migrations.Load(),
+		RootEscalations:    r.ctr.rootEscalations.Load(),
+		BackoffSleeps:      r.ctr.backoffSleeps.Load(),
 	}
 }
 
@@ -149,6 +164,7 @@ func (g *Registry) Harvest() Counters {
 		OCCCommits:         g.ctr.occCommits.Load(),
 		OCCRetries:         g.ctr.occRetries.Load(),
 		OCCFallbacks:       g.ctr.occFallbacks.Load(),
+		BackoffSleeps:      g.ctr.backoffSleeps.Load(),
 	}
 	for _, r := range g.Relations() {
 		rc := r.Harvest()
@@ -158,6 +174,8 @@ func (g *Registry) Harvest() Counters {
 		c.OCCCommits += rc.OCCCommits
 		c.OCCRetries += rc.OCCRetries
 		c.OCCFallbacks += rc.OCCFallbacks
+		c.RootEscalations += rc.RootEscalations
+		c.BackoffSleeps += rc.BackoffSleeps
 		c.Relations = append(c.Relations, rc)
 	}
 	g.evMu.Lock()

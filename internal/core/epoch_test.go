@@ -201,7 +201,7 @@ func TestEpochRollbackNoStaleValidation(t *testing.T) {
 
 	beforeA, beforeB := collectEpochs(a), collectEpochs(b)
 	registryApplyHook = func(relName string, pos int) {
-		if pos == 1 {
+		if pos == 2 {
 			panic("epoch-test: forced mid-apply failure")
 		}
 	}
@@ -213,9 +213,14 @@ func TestEpochRollbackNoStaleValidation(t *testing.T) {
 			}
 		}()
 		g.Batch(func(tx *Txn) error {
-			// Member 0 writes a's root (removing k=1 kills u(1)); member 1
-			// panics before executing, rolling member 0 back.
+			// Member 0 empties u(1), which the batch leaves linked until
+			// the end of the apply phase; member 1 writes a's root (k=3
+			// links a new u(3), so the batch took a's root exclusively);
+			// member 2 panics before executing, rolling both back.
 			if _, err := tx.RemoveFrom(a, rel.T("k", 1)); err != nil {
+				return err
+			}
+			if _, err := tx.InsertInto(a, rel.T("k", 3), rel.T("v", 30)); err != nil {
 				return err
 			}
 			_, err := tx.InsertInto(b, rel.T("k", 2), rel.T("v", 20))
@@ -244,9 +249,10 @@ func TestEpochRollbackNoStaleValidation(t *testing.T) {
 			t.Errorf("b lock %s: odd epoch %d after rollback", id, e)
 		}
 	}
-	rootA := "rel1.node0()#0"
-	if afterA[rootA] == beforeA[rootA] {
-		t.Errorf("a root epoch unchanged (%d) across rolled-back write — a torn read could validate", afterA[rootA])
+	for _, id := range []string{"rel1.node0()#0", "rel1.node1(1)#0"} {
+		if afterA[id] == beforeA[id] {
+			t.Errorf("a lock %s: epoch unchanged (%d) across rolled-back write — a torn read could validate", id, afterA[id])
+		}
 	}
 	// b's insert never applied (the panic preceded it): b untouched.
 	for id, e := range afterB {

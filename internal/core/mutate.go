@@ -67,7 +67,7 @@ func (r *Relation) insert(b *opBuf, plan *opPlan, x rel.Row) bool {
 				r.execStep(b, step, x, &b.pipe, &b.spare)
 			}
 		}
-		r.lockDirective(b, nd, xinst[v.Index], b.pipe, x)
+		r.lockDirective(b, nd, xinst[v.Index], b.pipe, x, locks.Exclusive)
 	}
 	// Existence: any surviving state traversed the whole existence path,
 	// i.e. some tuple matches s — the insert must not happen.
@@ -86,6 +86,13 @@ func (r *Relation) insert(b *opBuf, plan *opPlan, x rel.Row) bool {
 // other key: containers copy the keys they store. Batched transactions
 // share one fresh-instance set (b.fresh) across all member applies.
 func (r *Relation) insertWrite(b *opBuf, xinst []*Instance, x rel.Row) {
+	if k := r.keyNode; k >= 0 && b.apply && xinst[k] == nil && !b.rootX {
+		// Linking a new key-node instance writes the root container,
+		// which the batch holds Shared or only recorded: the attempt
+		// rolls back and regrows with the root exclusive (commit.go).
+		b.escalate = true
+		return
+	}
 	fresh := b.fresh
 	if fresh == nil && AuditEnabled() {
 		fresh = map[*Instance]bool{}
@@ -159,7 +166,7 @@ func (r *Relation) remove(b *opBuf, mut *query.MutationPlan, s rel.Row) bool {
 				break // later directives would lock nothing
 			}
 		}
-		r.lockDirective(b, nd, nil, b.pipe, s)
+		r.lockDirective(b, nd, nil, b.pipe, s, locks.Exclusive)
 	}
 	// Survivors hold complete rows extending s; with s a key there is at
 	// most one (more only if the client violated the FDs, in which case we
@@ -245,9 +252,10 @@ func (r *Relation) accessStates(b *opBuf, nd *query.NodeDirective, pipe, spare *
 
 // lockDirective acquires the node's lock step for a mutation: the union of
 // the directive's selectors over the x instance (if any) and every state's
-// instance at this node, all exclusive. In a batch's apply phase every
+// instance at this node, in mode — exclusive, except a batch's demotable
+// root before escalation (rootRound). In a batch's apply phase every
 // lock is already held, so it does nothing.
-func (r *Relation) lockDirective(b *opBuf, nd *query.NodeDirective, x *Instance, states []*qstate, op rel.Row) {
+func (r *Relation) lockDirective(b *opBuf, nd *query.NodeDirective, x *Instance, states []*qstate, op rel.Row, mode locks.Mode) {
 	if len(nd.Selectors) == 0 || b.apply {
 		return
 	}
@@ -261,7 +269,7 @@ func (r *Relation) lockDirective(b *opBuf, nd *query.NodeDirective, x *Instance,
 		}
 	}
 	b.instScratch = insts[:0]
-	step := query.Step{Kind: query.StepLock, Node: nd.Node, Mode: locks.Exclusive, Selectors: nd.Selectors}
+	step := query.Step{Kind: query.StepLock, Node: nd.Node, Mode: mode, Selectors: nd.Selectors}
 	r.execLockInsts(b, &step, insts, op)
 }
 
@@ -283,16 +291,15 @@ func (r *Relation) deleteTuple(b *opBuf, st *qstate) {
 		if inst == nil {
 			panic(fmt.Sprintf("core: delete phase missing instance of %s", n.Name))
 		}
-		dead := true
-		for ci, c := range inst.containers {
-			// Emptiness is a whole-container observation.
-			r.auditAccess(b, n.Out[ci], st.insts, st.row, nil, b.fresh, true)
-			if c.Len() > 0 {
-				dead = false
-				break
-			}
+		if !r.dead(b, inst, st) {
+			continue
 		}
-		if !dead {
+		if b.apply && n.Index == r.keyNode {
+			// A batch leaves an emptied key-node instance linked in the
+			// root container: a later member's insert refills the same
+			// instance, and sweepUnlinks unlinks it at the end of the
+			// apply phase only if it is still empty.
+			b.unlinks = append(b.unlinks, st)
 			continue
 		}
 		for _, e := range n.In {
@@ -309,4 +316,47 @@ func (r *Relation) deleteTuple(b *opBuf, st *qstate) {
 			r.auditWrite(b, e, st.insts, st.row, b.fresh)
 		}
 	}
+}
+
+// dead reports whether inst, located by st, is dead: every container
+// empty. Emptiness is a whole-container observation.
+func (r *Relation) dead(b *opBuf, inst *Instance, st *qstate) bool {
+	for ci, c := range inst.containers {
+		r.auditAccess(b, inst.node.Out[ci], st.insts, st.row, nil, b.fresh, true)
+		if c.Len() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sweepUnlinks ends one shard's apply phase, still under the undo log and
+// every held lock: it unlinks from the root container each key-node
+// instance a remove emptied (deleteTuple) that is still empty and still
+// linked. An unlink writes the root container, so a batch that has not
+// escalated raises b.escalate instead and writes nothing; the attempt
+// then rolls back and regrows with the root exclusive (commit.go).
+func (r *Relation) sweepUnlinks(b *opBuf) {
+	for _, st := range b.unlinks {
+		n := r.decomp.Nodes[r.keyNode]
+		inst := st.insts[n.Index]
+		if !r.dead(b, inst, st) {
+			continue // refilled by a later member
+		}
+		e := n.In[0]
+		key := b.keyOf(st.row, r.edgeCols[e.Index])
+		r.auditAccess(b, e, st.insts, st.row, nil, b.fresh, false)
+		if v, ok := r.container(r.root, e).Lookup(key); !ok || v != any(inst) {
+			continue // unlinked by an earlier entry of the sweep
+		}
+		if !b.rootX {
+			b.escalate = true
+			break
+		}
+		r.auditAccess(b, e, st.insts, st.row, inst, b.fresh, false)
+		r.writeEdge(b, st.insts, e, key, nil)
+		r.auditWrite(b, e, st.insts, st.row, b.fresh)
+	}
+	clear(b.unlinks)
+	b.unlinks = b.unlinks[:0]
 }

@@ -110,6 +110,23 @@ type opBuf struct {
 	specIdx    [][]int32
 	undoPool   undoLog
 
+	// Demotable root (rounds.go, commit.go; Relation.keyNode). rootX
+	// records that the batch takes this shard's root exclusively: it
+	// escalated, in the growing phase or after a late root write, and
+	// keeps the root exclusive to the end. Until then the write members
+	// hold the root Shared (2PL row) or record its epoch once in rootRead
+	// (optimistic row), which every attempt's read-set carries again.
+	// escalate is raised by a member that found the batch writing the
+	// root container under such a hold: a missing key-node instance in
+	// the growing phase (MRoundEscalate) or the apply phase (insertWrite),
+	// or a key-node instance still empty at the end of the apply phase.
+	// unlinks holds the states whose removal emptied a key-node instance
+	// in the apply phase: the instance stays linked until sweepUnlinks.
+	rootX    bool
+	escalate bool
+	rootRead locks.ReadEntry
+	unlinks  []*qstate
+
 	// scan/scanFn are the cached scan visitor and its per-call parameter
 	// block (exec.go execScan): one closure allocation per buffer
 	// lifetime instead of one per scanned state.
@@ -198,6 +215,9 @@ func (r *Relation) putBuf(b *opBuf) {
 	b.optimistic = false
 	b.occ = false
 	b.reads.Reset()
+	b.rootX, b.escalate, b.rootRead = false, false, locks.ReadEntry{}
+	clear(b.unlinks)
+	b.unlinks = b.unlinks[:0]
 	// groupKey/groupOrder persist: they memoize the plan-identity grouping
 	// and are revalidated against the member list before every use.
 	for i := range b.specIdx {

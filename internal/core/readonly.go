@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/query"
@@ -52,11 +53,13 @@ var optimisticValidateHook func(attempt int)
 // optimisticBackoff delays between failed optimistic attempts: yield the
 // processor first (the common conflict is a writer mid-commit on this
 // core), then sleep exponentially so repeated conflicts cannot spin.
-func optimisticBackoff(attempt int) {
+// sleeps counts the sleeps.
+func optimisticBackoff(attempt int, sleeps *atomic.Uint64) {
 	if attempt <= 1 {
 		runtime.Gosched()
 		return
 	}
+	sleeps.Add(1)
 	time.Sleep(time.Duration(1<<uint(attempt-2)) * time.Microsecond)
 }
 
@@ -86,7 +89,7 @@ func (r *Relation) runRead(b *opBuf, plan *query.Plan, op rel.Row) int {
 func (r *Relation) runOptimistic(b *opBuf, plan *query.Plan, op rel.Row) (int, bool) {
 	for attempt := 0; attempt < optimisticMaxAttempts; attempt++ {
 		if attempt > 0 {
-			optimisticBackoff(attempt)
+			optimisticBackoff(attempt, &r.ctr.backoffSleeps)
 		}
 		b.reads.Reset()
 		b.n = 0

@@ -80,6 +80,10 @@ type Relation struct {
 //     Relations with any unsafe container (HashMap, TreeMap) always take
 //     the pessimistic 2PL path — an unlocked read racing a writer would be
 //     a data race on those containers;
+//   - keyNode is the index of the key node of a demotable root
+//     (query.Planner.KeyNode), whose instances a batch's write members
+//     link or unlink exactly when they write the root container, and -1
+//     when the root is not demotable;
 //   - planner and plans compile and hold the representation's plans, one
 //     per operation shape (planFor).
 type layout struct {
@@ -92,6 +96,7 @@ type layout struct {
 	leaf         []*Instance
 	newContainer []func() container.Map
 	optimisticOK bool
+	keyNode      int
 	planner      *query.Planner
 	plans        *planTable
 }
@@ -113,6 +118,10 @@ func compileLayout(d *decomp.Decomposition, p *locks.Placement, schema *rel.Sche
 		plans:        &planTable{},
 	}
 	l.plans.m.Store(&map[shape]*opPlan{})
+	l.keyNode = -1
+	if k := l.planner.KeyNode(); k != nil {
+		l.keyNode = k.Index
+	}
 	for _, e := range d.Edges {
 		l.edgeCols[e.Index] = schema.Indices(e.Cols)
 		if rule := p.RuleFor(e); rule.Speculative {

@@ -288,8 +288,20 @@ func (r *Relation) advanceInsert(b *opBuf, m *member, v int) bool {
 			// synchronously, on member-owned arrays.
 			r.execStep(b, step, m.row, &m.states, &m.specOut)
 			m.cursor++
+		case query.MRoundEscalate:
+			if m.xinst[nd.Node.Index] == nil && !b.rootX {
+				b.escalate = true // growBatch abandons the root before any key-node lock
+			}
+			m.cursor++
+		case query.MRoundRootLock:
+			m.cursor++
+			if r.rootRound(b, m, nd) {
+				m.wait = wLock
+				return true
+			}
+			progress = true
 		case query.MRoundLock:
-			r.lockDirective(b, nd, m.xinst[nd.Node.Index], m.states, m.row) // diverts into b.collect
+			r.lockDirective(b, nd, m.xinst[nd.Node.Index], m.states, m.row, locks.Exclusive) // diverts into b.collect
 			m.cursor++
 			if len(nd.Selectors) > 0 {
 				m.wait = wLock
@@ -299,6 +311,29 @@ func (r *Relation) advanceInsert(b *opBuf, m *member, v int) bool {
 		}
 	}
 	m.wait = wDone
+	return true
+}
+
+// rootRound runs a member's MRoundRootLock round, reporting whether the
+// member waits for the round's AcquireSet: once the batch escalated, the
+// root's lock exclusively; before, Shared on the 2PL row, and on the
+// optimistic row no lock at all but the root's epoch, recorded once per
+// shard before any member locates a key-node instance through the root
+// container (commit.go validates it).
+func (r *Relation) rootRound(b *opBuf, m *member, nd *query.NodeDirective) bool {
+	switch {
+	case b.rootX:
+		r.lockDirective(b, nd, r.root, m.states, m.row, locks.Exclusive)
+	case b.occ:
+		if b.rootRead.L == nil {
+			l := r.root.lock(0)
+			b.rootRead = locks.ReadEntry{L: l, E: l.Epoch()}
+			b.reads.Add(b.rootRead)
+		}
+		return false
+	default:
+		r.lockDirective(b, nd, r.root, m.states, m.row, locks.Shared)
+	}
 	return true
 }
 
@@ -372,8 +407,15 @@ func (r *Relation) advanceRemove(b *opBuf, m *member, v int) bool {
 			r.rowLocate(b, m, nd)
 			m.cursor++
 			progress = true
+		case query.MRoundRootLock:
+			m.cursor++
+			if r.rootRound(b, m, nd) {
+				m.wait = wLock
+				return true
+			}
+			progress = true
 		case query.MRoundLock:
-			r.lockDirective(b, nd, m.xinst[nd.Node.Index], m.states, m.row) // diverts into b.collect
+			r.lockDirective(b, nd, m.xinst[nd.Node.Index], m.states, m.row, locks.Exclusive) // diverts into b.collect
 			m.cursor++
 			if len(nd.Selectors) > 0 {
 				m.wait = wLock

@@ -54,6 +54,17 @@ func (s *ReadSet) Record(l *Lock) bool {
 	return true
 }
 
+// Add appends an observation Record made earlier, so an owner can keep
+// one across Reset: the growing phase of a batch records a root's epoch
+// once, and every optimistic attempt validates it again.
+func (s *ReadSet) Add(e ReadEntry) {
+	s.entries = append(s.entries, e)
+	s.sorted = false
+	if e.E&1 == 1 {
+		s.stale = true
+	}
+}
+
 // sort puts the entries in the global lock order, once per set, without
 // allocating, so the standalone optimistic read path stays
 // allocation-free.

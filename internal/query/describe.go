@@ -123,7 +123,7 @@ func (p *Plan) DescribeRounds() string {
 }
 
 // DescribeRounds renders the mutation plan's compiled round map: one to
-// four pre-classified rounds per growing-phase directive.
+// five pre-classified rounds per growing-phase directive.
 func (m *MutationPlan) DescribeRounds() string {
 	if m.Prog == nil {
 		return "rounds: none compiled\n"
@@ -132,11 +132,13 @@ func (m *MutationPlan) DescribeRounds() string {
 	fmt.Fprintf(&b, "round map (%d rounds):\n", len(m.Prog.Rounds))
 	for i, rd := range m.Prog.Rounds {
 		kind := map[MutationRoundKind]string{
-			MRoundSpecIn: "speculative in-edges",
-			MRoundLocate: "locate via resolved targets",
-			MRoundAccess: "plain access",
-			MRoundExist:  "existence check",
-			MRoundLock:   "exclusive locks",
+			MRoundSpecIn:   "speculative in-edges",
+			MRoundLocate:   "locate via resolved targets",
+			MRoundAccess:   "plain access",
+			MRoundExist:    "existence check",
+			MRoundLock:     "exclusive locks",
+			MRoundRootLock: "root lock, shared or recorded until escalated",
+			MRoundEscalate: "escalate the root if the key node is missing",
 		}[rd.Kind]
 		fmt.Fprintf(&b, "  %2d: %s, directive %d, gate node %d\n", i+1, kind, rd.Dir+1, rd.Gate)
 	}

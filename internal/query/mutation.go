@@ -216,3 +216,38 @@ func (pl *Planner) mutationSelector(kind OpKind, e *decomp.Edge, stripeBy []stri
 	}
 	return pl.selectorFor(stripeBy, bound)
 }
+
+// KeyNode returns the node whose instances a batch creates or unlinks
+// exactly when it writes the root container, when the root is demotable,
+// and nil otherwise. A root is demotable when its single-stripe lock
+// protects nothing but its one out-edge's container: the root has one
+// out-edge, placed at the root and not speculative, no other rule (or
+// speculative fallback) lives at the root, and the edge's target — the
+// key node — has no other in-edge and at least one out-edge, so an
+// empty key-node instance holds no tuple. A batch's write members may
+// then hold the root Shared (or, on the optimistic row, record its
+// epoch): they write the root container only to link a missing key-node
+// instance, which they detect while locating it (MRoundEscalate), or to
+// unlink one left empty at the end of the apply phase, which internal/
+// core detects there. Single operations keep the exclusive root lock.
+func (pl *Planner) KeyNode() *decomp.Node {
+	root := pl.D.Root
+	if len(root.Out) != 1 || pl.P.StripeCount(root) != 1 {
+		return nil
+	}
+	top := root.Out[0]
+	key := top.Dst
+	if len(key.In) != 1 || len(key.Out) == 0 {
+		return nil
+	}
+	for _, e := range pl.D.Edges {
+		r := pl.P.RuleFor(e)
+		switch {
+		case r.Speculative && (e == top || r.FallbackAt == root):
+			return nil
+		case !r.Speculative && r.At == root && e != top:
+			return nil
+		}
+	}
+	return key
+}

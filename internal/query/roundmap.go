@@ -63,7 +63,7 @@ type RoundProgram struct {
 }
 
 // MutationRoundKind discriminates the schedule entries of a mutation's
-// growing phase. One NodeDirective expands to one to four rounds.
+// growing phase. One NodeDirective expands to one to five rounds.
 type MutationRoundKind uint8
 
 const (
@@ -85,6 +85,17 @@ const (
 	// MRoundLock acquires the directive's exclusive stripe locks; yields
 	// for the wave's AcquireSet iff the directive carries selectors.
 	MRoundLock
+	// MRoundRootLock replaces MRoundLock at the root directive of a plan
+	// over a demotable root (Planner.KeyNode): a batch that has not
+	// escalated takes the root Shared on the 2PL row and records its
+	// epoch on the optimistic row; an escalated batch takes it
+	// exclusively.
+	MRoundRootLock
+	// MRoundEscalate follows an insert's plain access at the key node of
+	// a demotable root: a missing key-node instance means the batch will
+	// write the root container, so the batch escalates its root to
+	// Exclusive before any key-node lock is taken. Never waits.
+	MRoundEscalate
 )
 
 // MutationRound is one pre-classified schedule entry of a mutation plan.
@@ -140,11 +151,14 @@ func (pl *Planner) compileRounds(p *Plan) {
 
 // compileMutationRounds builds m.Prog from m.PerNode. Directive order is
 // topological node order, so round gates are non-decreasing: the member's
-// walk never waits on a node the sweep has already passed.
+// walk never waits on a node the sweep has already passed. Over a
+// demotable root the root directive's lock round is MRoundRootLock, and
+// an insert checks for escalation right after locating the key node.
 func (pl *Planner) compileMutationRounds(m *MutationPlan) {
 	if m.Prog == nil {
 		m.Prog = &MutationProgram{}
 	}
+	key := pl.KeyNode()
 	rounds := m.Prog.Rounds[:0]
 	for d := range m.PerNode {
 		nd := &m.PerNode[d]
@@ -160,10 +174,17 @@ func (pl *Planner) compileMutationRounds(m *MutationPlan) {
 				rounds = append(rounds, MutationRound{Kind: MRoundAccess, Gate: g, Dir: d})
 			}
 			if m.Kind == OpInsert {
+				if nd.Node == key {
+					rounds = append(rounds, MutationRound{Kind: MRoundEscalate, Gate: g, Dir: d})
+				}
 				rounds = append(rounds, MutationRound{Kind: MRoundExist, Gate: g, Dir: d})
 			}
 		}
-		rounds = append(rounds, MutationRound{Kind: MRoundLock, Gate: g, Dir: d})
+		kind := MRoundLock
+		if key != nil && nd.Node == pl.D.Root {
+			kind = MRoundRootLock
+		}
+		rounds = append(rounds, MutationRound{Kind: kind, Gate: g, Dir: d})
 	}
 	m.Prog.Rounds = rounds
 }

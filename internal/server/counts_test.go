@@ -36,10 +36,10 @@ func TestWireDeterministicCounts(t *testing.T) {
 		requested, acquired int64
 		batches, appends    uint64
 	}{
-		{"2 batched", 2, 2, 751, 669, 300, 252},
-		{"2 sequential", 2, 1, 751, 751, 600, 355},
-		{"4 batched", 4, 4, 1533, 1147, 300, 288},
-		{"4 sequential", 4, 1, 1533, 1533, 1200, 706},
+		{"2 batched", 2, 2, 519, 468, 300, 252},
+		{"2 sequential", 2, 1, 487, 487, 600, 355},
+		{"4 batched", 4, 4, 1174, 893, 300, 288},
+		{"4 sequential", 4, 1, 1006, 1006, 1200, 706},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			counts := &workload.LockCounts{}

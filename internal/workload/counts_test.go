@@ -12,6 +12,7 @@ type counts struct {
 	roBatches, roAcquired, roRetries, roFallback int64
 	occBatches, occWriteLocks, occShared         int64
 	occReadSet, occRetries, occFallbacks         int64
+	escalations                                  int64
 }
 
 func snapshot(c *LockCounts) counts {
@@ -22,6 +23,7 @@ func snapshot(c *LockCounts) counts {
 		occBatches: c.OCCBatches.Load(), occWriteLocks: c.OCCWriteLocks.Load(),
 		occShared: c.OCCSharedLocks.Load(), occReadSet: c.OCCReadSet.Load(),
 		occRetries: c.OCCRetries.Load(), occFallbacks: c.OCCFallbacks.Load(),
+		escalations: c.RootEscalations.Load(),
 	}
 }
 
@@ -36,8 +38,12 @@ func snapshot(c *LockCounts) counts {
 // Beyond the exact numbers it asserts the structural rules: a batch never
 // out-locks its sequential decomposition, and an uncontended pass never
 // sees a read-only lock, a validation retry, a fallback or an OCC shared
-// lock. A failing count means the scheduler changed; the change that
-// moves one updates the constant and says why.
+// lock. Root escalations are none of those: the social roots are
+// demotable, so every new author, user or src and every sequential
+// remove that empties a user escalates its root once, and the graph
+// representations, whose roots are coarse, striped or speculative, never
+// do. A failing count means the scheduler changed; the change that moves
+// one updates the constant and says why.
 func TestDeterministicLockCounts(t *testing.T) {
 	type pass struct {
 		name string
@@ -83,15 +89,15 @@ func TestDeterministicLockCounts(t *testing.T) {
 	}
 	passes := []pass{
 		{"registry/batched", social(true, DefaultSocialMix()),
-			counts{requested: 6163, acquired: 4505, roBatches: 1181, occBatches: 590, occWriteLocks: 1158, occReadSet: 1133}},
+			counts{requested: 5637, acquired: 3979, roBatches: 1181, occBatches: 590, occWriteLocks: 632, occReadSet: 1659, escalations: 194}},
 		{"registry/sequential", social(false, DefaultSocialMix()),
-			counts{requested: 5366, acquired: 5366, roBatches: 4133}},
+			counts{requested: 5366, acquired: 5366, roBatches: 4133, escalations: 1788}},
 		{"mixed/batched", social(true, MixedSocialMix()),
-			counts{requested: 6231, acquired: 5433, roBatches: 597, occBatches: 1787, occWriteLocks: 3835, occReadSet: 3249}},
+			counts{requested: 4508, acquired: 3710, roBatches: 597, occBatches: 1787, occWriteLocks: 2112, occReadSet: 4972, escalations: 192}},
 		{"mixed/sequential", social(false, MixedSocialMix()),
-			counts{requested: 5864, acquired: 5864, roBatches: 3578}},
+			counts{requested: 5864, acquired: 5864, roBatches: 3578, escalations: 926}},
 		{"optimistic/social", social(true, ReadHeavySocialMix()),
-			counts{requested: 363, acquired: 257, roBatches: 2852, occBatches: 34, occWriteLocks: 45, occReadSet: 51}},
+			counts{requested: 352, acquired: 246, roBatches: 2852, occBatches: 34, occWriteLocks: 34, occReadSet: 62, escalations: 117}},
 		{"optimistic/Stick LF", graph("Stick LF", ReadHeavyBatchMix(), 3000, 64, true),
 			counts{requested: 495, acquired: 254, members: 6925, roBatches: 2230}},
 		{"batch/Stick 1/batched", graph("Stick 1", DefaultBatchMix(), 5000, 512, true),

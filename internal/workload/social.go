@@ -114,12 +114,20 @@ type LockCounts struct {
 	OCCReadSet     atomic.Int64
 	OCCRetries     atomic.Int64
 	OCCFallbacks   atomic.Int64
+
+	// RootEscalations counts the batches' escalations of a relation's
+	// demotable root to Exclusive (core.BatchTrace.Escalations): a write
+	// member that creates a key-node instance (a new author or src), or
+	// an apply phase that leaves one empty. It is neither a validation
+	// retry nor a fallback.
+	RootEscalations atomic.Int64
 }
 
 // Harvest folds one batch's trace into the counters.
 func (c *LockCounts) Harvest(tr *core.BatchTrace) {
 	c.Requested.Add(int64(tr.Requested))
 	c.Acquired.Add(int64(tr.Acquired))
+	c.RootEscalations.Add(int64(tr.Escalations))
 	if tr.Optimistic {
 		c.ReadOnlyBatches.Add(1)
 		c.ReadOnlyAcquired.Add(int64(tr.Acquired))
