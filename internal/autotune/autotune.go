@@ -157,16 +157,26 @@ type Options struct {
 	TopStatic int
 }
 
-// Tune measures every candidate under the training configuration and
-// returns them sorted by descending throughput. Candidates that fail to
-// build (illegal combinations) are skipped.
+// Tune measures every distinct candidate under the training
+// configuration and returns them sorted by descending throughput.
+// Candidates that fail to build (illegal combinations) are skipped, and
+// so is a candidate that builds the same representation — decomposition
+// and placement — as an earlier one: each representation is measured
+// once, under its first name. EnumerateGraph's 672 candidates are 412
+// representations.
 func Tune(cands []Candidate, cfg workload.Config, opts Options) ([]Scored, error) {
 	scored := make([]Scored, 0, len(cands))
+	seen := map[string]bool{}
 	for _, c := range cands {
 		r, err := c.Build()
 		if err != nil {
 			continue
 		}
+		k := representationKey(r)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
 		s := Scored{Candidate: c}
 		if sc, err := StaticCost(r, cfg.Mix); err == nil {
 			s.Static = sc
@@ -191,4 +201,10 @@ func Tune(cands []Candidate, cfg workload.Config, opts Options) ([]Scored, error
 		return scored[i].Result.Throughput > scored[j].Result.Throughput
 	})
 	return scored, nil
+}
+
+// representationKey identifies the representation a relation was built
+// with: its decomposition and its placement.
+func representationKey(r *core.Relation) string {
+	return r.Decomposition().String() + "\x00" + r.Placement().String()
 }

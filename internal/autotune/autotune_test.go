@@ -119,6 +119,39 @@ func TestTuneSmallSample(t *testing.T) {
 	}
 }
 
+// TestTuneMeasuresRepresentationsOnce: a candidate that builds the same
+// decomposition and placement as an earlier one is not measured again,
+// and the enumeration's 672 candidates are 412 representations.
+func TestTuneMeasuresRepresentationsOnce(t *testing.T) {
+	cands := EnumerateGraph()
+	seen := map[string]bool{}
+	for _, c := range cands {
+		r, err := c.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[representationKey(r)] = true
+	}
+	if len(seen) != 412 {
+		t.Fatalf("%d candidates build %d representations, want 412", len(cands), len(seen))
+	}
+	dup := cands[0]
+	dup.Name = "same representation, second name"
+	cfg := workload.Config{Threads: 1, OpsPerThread: 200, KeySpace: 16, Seed: 1,
+		Mix: workload.Figure5Mixes()[0]}
+	scored, err := Tune([]Candidate{cands[0], dup, cands[1], cands[0]}, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, s := range scored {
+		names[s.Name] = true
+	}
+	if len(scored) != 2 || !names[cands[0].Name] || !names[cands[1].Name] {
+		t.Fatalf("measured %v, want %s and %s once each", names, cands[0].Name, cands[1].Name)
+	}
+}
+
 func TestTuneTopStaticFilter(t *testing.T) {
 	cands := EnumerateGraph()[:10]
 	cfg := workload.Config{Threads: 1, OpsPerThread: 200, KeySpace: 16, Seed: 1,

@@ -161,9 +161,6 @@ func (p Properties) ConcurrencySafe() bool {
 	return true
 }
 
-// WriteWriteSafe reports whether two writes may proceed in parallel.
-func (p Properties) WriteWriteSafe() bool { return p.WW != Unsafe }
-
 // LinearizableReads reports whether lookup is linearizable with concurrent
 // writes — the precondition for speculative lock placement (§4.5), which
 // performs unlocked reads to guess the lock to take.

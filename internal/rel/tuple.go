@@ -183,43 +183,6 @@ func (t Tuple) MustUnion(s Tuple) Tuple {
 	return u
 }
 
-// MergeSorted returns the union of t with the tuple (cols, vals), where
-// cols is sorted ascending with no duplicates. Columns present in both
-// must hold equal values (the caller has already checked agreement); t's
-// value is kept. This is the allocation-lean fast path behind scan joins:
-// unlike Union it performs a single linear merge with no re-sorting.
-func (t Tuple) MergeSorted(cols []string, vals []Value) Tuple {
-	mc := make([]string, 0, len(t.cols)+len(cols))
-	mv := make([]Value, 0, len(t.cols)+len(cols))
-	i, j := 0, 0
-	for i < len(t.cols) && j < len(cols) {
-		switch {
-		case t.cols[i] < cols[j]:
-			mc = append(mc, t.cols[i])
-			mv = append(mv, t.vals[i])
-			i++
-		case t.cols[i] > cols[j]:
-			mc = append(mc, cols[j])
-			mv = append(mv, vals[j])
-			j++
-		default:
-			mc = append(mc, t.cols[i])
-			mv = append(mv, t.vals[i])
-			i++
-			j++
-		}
-	}
-	for ; i < len(t.cols); i++ {
-		mc = append(mc, t.cols[i])
-		mv = append(mv, t.vals[i])
-	}
-	for ; j < len(cols); j++ {
-		mc = append(mc, cols[j])
-		mv = append(mv, vals[j])
-	}
-	return Tuple{cols: mc, vals: mv}
-}
-
 // Extends reports t ⊇ s: every column of s is present in t with an equal
 // value.
 func (t Tuple) Extends(s Tuple) bool {
