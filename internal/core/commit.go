@@ -154,15 +154,15 @@ func (t *Txn) commit() error {
 // marks every such shard's root exclusive for the regrowth, counts the
 // escalations and reports whether there was any.
 func (t *Txn) escalateLate() bool {
-	any := false
+	found := false
 	for _, sh := range t.shards {
 		if sh.b.escalate {
 			sh.b.escalate, sh.b.rootX = false, true
 			t.noteEscalation(sh.r)
-			any = true
+			found = true
 		}
 	}
-	return any
+	return found
 }
 
 // attempt runs one attempt's commit point, reporting whether the batch

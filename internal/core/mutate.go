@@ -337,8 +337,8 @@ func (r *Relation) dead(b *opBuf, inst *Instance, st *qstate) bool {
 // escalated raises b.escalate instead and writes nothing; the attempt
 // then rolls back and regrows with the root exclusive (commit.go).
 func (r *Relation) sweepUnlinks(b *opBuf) {
+	n := r.decomp.Nodes[r.keyNode]
 	for _, st := range b.unlinks {
-		n := r.decomp.Nodes[r.keyNode]
 		inst := st.insts[n.Index]
 		if !r.dead(b, inst, st) {
 			continue // refilled by a later member

@@ -114,6 +114,36 @@ func TestReadSetValidateSelfHoldRule(t *testing.T) {
 	}
 }
 
+// TestReadSetAdd: an observation kept across Reset and added back still
+// validates while its lock is untouched, fails after a committed write,
+// and dooms the set when it was made during an in-flight write.
+func TestReadSetAdd(t *testing.T) {
+	ls := NewArray(1, 0, rel.KeyOver(nil), 1)
+	l := ls.Lock(0)
+	kept := ReadEntry{L: l, E: l.Epoch()}
+	var s ReadSet
+	s.Add(kept)
+	s.Reset()
+	s.Add(kept)
+	if !s.Contains(l) || !s.Validate(nil) {
+		t.Fatal("a re-added quiescent observation did not validate")
+	}
+	l.BumpEpoch()
+	l.BumpEpoch()
+	s.Reset()
+	s.Add(kept)
+	if s.Validate(nil) {
+		t.Fatal("a re-added observation validated across a committed write")
+	}
+	l.BumpEpoch()
+	s.Reset()
+	s.Add(ReadEntry{L: l, E: l.Epoch()})
+	l.BumpEpoch()
+	if s.Validate(nil) {
+		t.Fatal("an observation of an in-flight write validated")
+	}
+}
+
 func TestReadSetContains(t *testing.T) {
 	ls := NewArray(1, 0, rel.KeyOver(nil), 2)
 	var s ReadSet

@@ -20,6 +20,19 @@ import (
 // per relational operation (the sequential baseline), so the benchmark
 // compares the two lock disciplines over identical member executions.
 //
+// What a grouped composite locks: each relation's root is one lock, and
+// it is demotable (core's KeyNode), so a write member holds it
+// exclusively only when its batch writes the root container. AddPost and
+// RemovePost hold users.ρ and posts.ρ Shared and the author's user and
+// posts instances exclusively; the counter bump (remove u + insert u)
+// refills u's instance in place and writes nothing at users.ρ. Follow
+// commits on the optimistic row: it records follows.ρ's epoch, locks the
+// src's instance exclusively and counts the followee's posts lock-free.
+// A new author, user or src escalates its root to Exclusive in the
+// growing phase, and a RemovePost of an author's last post escalates
+// posts.ρ after its apply phase, which rolls back and regrows. Profile
+// snapshots take no lock on the conflict-free path.
+//
 // Scope note: the counter's NEW value is computed from reads issued
 // BEFORE the transaction (batch members cannot consume each other's
 // results mid-flight), so the counter==posts invariant is exact only
