@@ -22,7 +22,9 @@ import (
 // still existed (the compiled round-map walkers and the per-member cursor
 // machine they replaced), both asserted to produce them byte-for-byte.
 // A planner rule that changes what a plan locks rewrites their lock
-// lines, never a result, commit path or snapshot line. There is
+// lines and the counts derived from them (the header's request and
+// acquisition totals, the path line's shared= and epochs=), never a
+// result, a commit path or a snapshot line. There is
 // deliberately no regeneration flag: a change that means to alter a
 // schedule rewrites the affected file and says why in CHANGES.md.
 func TestBatchScheduleGolden(t *testing.T) {
