@@ -40,7 +40,9 @@ const specRetryLimit = 1 << 20
 // array pair (pipe, spare): the buffer's pair for a single operation, a
 // batch member's own arrays for a member. The final states are left in
 // *pipe. It returns a StepCount terminal's total, or else the number of
-// final states.
+// final states. In a batch's apply phase it hides the key-node instances
+// an earlier member emptied and left linked (deleteTuple): a plan may end
+// at the key node, or count its instances, without looking below it.
 func (r *Relation) walk(b *opBuf, steps []query.Step, op rel.Row, mask uint64, pipe, spare *[]*qstate) int {
 	*pipe = append((*pipe)[:0], b.rootState(r, op, mask))
 	for i := range steps {
@@ -49,6 +51,9 @@ func (r *Relation) walk(b *opBuf, steps []query.Step, op rel.Row, mask uint64, p
 			return r.countAt(b, s, *pipe)
 		}
 		r.execStep(b, s, op, pipe, spare)
+		if len(b.unlinks) > 0 && s.Kind != query.StepLock && s.Edge.Dst.Index == r.keyNode {
+			*pipe = r.hidePending(b, *pipe)
+		}
 		if len(*pipe) == 0 {
 			break
 		}
@@ -89,6 +94,9 @@ func (r *Relation) countAt(b *opBuf, s *query.Step, states []*qstate) int {
 		if inst := st.insts[s.Edge.Src.Index]; inst != nil {
 			r.auditAccess(b, s.Edge, st.insts, st.row, nil, b.fresh, true)
 			total += r.container(inst, s.Edge).Len()
+			if len(b.unlinks) > 0 && s.Edge.Dst.Index == r.keyNode {
+				total -= r.pendingDeadCount(b)
+			}
 		}
 	}
 	return total

@@ -297,8 +297,9 @@ func (r *Relation) deleteTuple(b *opBuf, st *qstate) {
 		if b.apply && n.Index == r.keyNode {
 			// A batch leaves an emptied key-node instance linked in the
 			// root container: a later member's insert refills the same
-			// instance, and sweepUnlinks unlinks it at the end of the
-			// apply phase only if it is still empty.
+			// instance, later reads do not see it while it is empty
+			// (pendingDead), and sweepUnlinks unlinks it at the end of
+			// the apply phase only if it is still empty.
 			b.unlinks = append(b.unlinks, st)
 			continue
 		}
@@ -359,4 +360,49 @@ func (r *Relation) sweepUnlinks(b *opBuf) {
 	}
 	clear(b.unlinks)
 	b.unlinks = b.unlinks[:0]
+}
+
+// pendingDead reports whether inst is a key-node instance that a remove
+// of this apply phase emptied and left linked (deleteTuple) and that no
+// later member refilled: until sweepUnlinks it is linked but holds no
+// tuple, so reads must not observe it.
+func (r *Relation) pendingDead(b *opBuf, inst *Instance) bool {
+	for _, st := range b.unlinks {
+		if st.insts[r.keyNode] == inst {
+			return r.dead(b, inst, st)
+		}
+	}
+	return false
+}
+
+// hidePending drops the states located at a pendingDead key-node
+// instance, in place.
+func (r *Relation) hidePending(b *opBuf, states []*qstate) []*qstate {
+	out := states[:0]
+	for _, st := range states {
+		if !r.pendingDead(b, st.insts[r.keyNode]) {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+// pendingDeadCount returns the number of distinct pendingDead instances,
+// which a Len read of the root container counts and the batch's
+// sequential state does not.
+func (r *Relation) pendingDeadCount(b *opBuf) int {
+	n := 0
+next:
+	for i, st := range b.unlinks {
+		inst := st.insts[r.keyNode]
+		for _, prev := range b.unlinks[:i] {
+			if prev.insts[r.keyNode] == inst {
+				continue next
+			}
+		}
+		if r.dead(b, inst, st) {
+			n++
+		}
+	}
+	return n
 }

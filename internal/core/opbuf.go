@@ -121,7 +121,8 @@ type opBuf struct {
 	// the growing phase (MRoundEscalate) or the apply phase (insertWrite),
 	// or a key-node instance still empty at the end of the apply phase.
 	// unlinks holds the states whose removal emptied a key-node instance
-	// in the apply phase: the instance stays linked until sweepUnlinks.
+	// in the apply phase: the instance stays linked until sweepUnlinks,
+	// hidden from reads while it is empty (exec.go walk, countAt).
 	rootX    bool
 	escalate bool
 	rootRead locks.ReadEntry

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -14,9 +15,10 @@ import (
 // The demotable-root protocol (query.Planner.KeyNode): a batch's write
 // members hold a single-lock root Shared on the 2PL row and record its
 // epoch on the optimistic row, escalate it in the growing phase when a
-// key-node instance is missing, leave an emptied key-node instance
-// linked until the end of the apply phase, and escalate late — roll back
-// and regrow — when that sweep must unlink it.
+// key-node instance is missing or a remove will surely empty one, leave
+// an emptied key-node instance linked — and hidden from later reads —
+// until the end of the apply phase, and escalate late — roll back and
+// regrow — when that sweep must unlink it.
 
 // demotableUsers synthesizes a users relation (user → posts) whose root
 // is demotable: a hash-map root edge of the given kind under fine-grained
@@ -146,17 +148,26 @@ func TestRemoveInsertKeepsInstance(t *testing.T) {
 }
 
 // TestDeferredUnlink: an emptied key-node instance is unlinked by the end
-// of the apply phase — after a lone remove, whose batch escalates late,
-// and after remove + insert + remove of the same key — and a yield panic
-// after a deferred unlink rolls everything back.
+// of the apply phase — after a lone remove, whose batch escalates in the
+// growing phase because user is a key of users, and after remove +
+// insert + remove of the same key, whose batch escalates late and applies
+// twice — and a yield panic after a deferred unlink rolls everything
+// back.
 func TestDeferredUnlink(t *testing.T) {
 	demotionRows(t, func(t *testing.T, root container.Kind, mixed bool) {
-		run := func(t *testing.T, name string, ops func(tx *Txn, users *Relation) error) {
+		run := func(t *testing.T, name string, wantApplies int, ops func(tx *Txn, users *Relation) error) {
 			t.Run(name, func(t *testing.T) {
 				g := NewRegistry()
 				users := demotableUsers(t, g, root)
 				mustInsertTuple(t, users, rel.T("user", 1), rel.T("posts", 5))
 				mustInsertTuple(t, users, rel.T("user", 2), rel.T("posts", 7))
+				applies := 0
+				registryApplyHook = func(_ string, pos int) {
+					if pos == 0 {
+						applies++
+					}
+				}
+				defer func() { registryApplyHook = nil }()
 				var tr *BatchTrace
 				err := g.Batch(func(tx *Txn) error {
 					tx.EnableTrace()
@@ -173,11 +184,12 @@ func TestDeferredUnlink(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The unlink is found at the end of the apply phase, under
-				// a root held Shared or recorded: one late escalation.
-				if tr.OCC != mixed || tr.Escalations != 1 || tr.FellBack {
-					t.Fatalf("trace OCC=%v escalations=%d fellback=%v, want OCC=%v, 1, false",
-						tr.OCC, tr.Escalations, tr.FellBack, mixed)
+				// One escalation: in the growing phase (one apply), or at
+				// the end of the apply phase, which rolls back and applies
+				// again.
+				if tr.OCC != mixed || tr.Escalations != 1 || tr.FellBack || applies != wantApplies {
+					t.Fatalf("trace OCC=%v escalations=%d fellback=%v applies=%d, want OCC=%v, 1, false, %d",
+						tr.OCC, tr.Escalations, tr.FellBack, applies, mixed, wantApplies)
 				}
 				if keyInst(users, 1) != nil {
 					t.Fatal("user 1 is still linked")
@@ -187,11 +199,11 @@ func TestDeferredUnlink(t *testing.T) {
 				}
 			})
 		}
-		run(t, "remove", func(tx *Txn, users *Relation) error {
+		run(t, "remove", 1, func(tx *Txn, users *Relation) error {
 			_, err := tx.RemoveFrom(users, rel.T("user", 1))
 			return err
 		})
-		run(t, "remove insert remove", func(tx *Txn, users *Relation) error {
+		run(t, "remove insert remove", 2, func(tx *Txn, users *Relation) error {
 			if _, err := tx.RemoveFrom(users, rel.T("user", 1)); err != nil {
 				return err
 			}
@@ -215,8 +227,8 @@ func TestDeferredUnlink(t *testing.T) {
 						t.Fatal("batch did not panic")
 					}
 				}()
-				// The remove empties u(2); the sweep unlinks it after the
-				// late escalation; the yield runs after the sweep.
+				// The remove empties u(2) under the escalated root; the
+				// sweep unlinks it; the yield runs after the sweep.
 				g.Batch(func(tx *Txn) error {
 					if _, err := tx.RemoveFrom(users, rel.T("user", 2)); err != nil {
 						return err
@@ -413,4 +425,134 @@ func TestRootEscalationRaces(t *testing.T) {
 			checkRace(t, posts, pre, a, b)
 		})
 	}
+}
+
+// seqOp is one member of a sequential-semantics batch: an insert of
+// s ∪ t, a remove of s, a query of s projected on out, or a count of s.
+type seqOp struct {
+	kind string // "insert", "remove", "query", "count"
+	s, t rel.Tuple
+	out  []string
+}
+
+// distinctSorted returns ts without duplicates, sorted: a projection's
+// result as a set.
+func distinctSorted(ts []rel.Tuple) []rel.Tuple {
+	sortTuples(ts)
+	out := []rel.Tuple{}
+	for _, u := range ts {
+		if len(out) == 0 || !out[len(out)-1].Equal(u) {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// TestBatchReadsSeeDeferredUnlinks: a read member that follows a remove
+// emptying a key-node instance observes the batch's sequential state even
+// though the instance stays linked until the end of the apply phase — a
+// key-only query does not return the removed key and a root count does
+// not count it — on both rows, checked member by member against a
+// Reference.
+func TestBatchReadsSeeDeferredUnlinks(t *testing.T) {
+	q := func(s rel.Tuple, out ...string) seqOp { return seqOp{kind: "query", s: s, out: out} }
+	cnt := func(s rel.Tuple) seqOp { return seqOp{kind: "count", s: s} }
+	rem := func(s rel.Tuple) seqOp { return seqOp{kind: "remove", s: s} }
+	ins := func(s, tup rel.Tuple) seqOp { return seqOp{kind: "insert", s: s, t: tup} }
+	u := func(id int) rel.Tuple { return rel.T("user", id) }
+	p := func(a, id int) rel.Tuple { return rel.T("author", a, "post", id) }
+	cases := []struct {
+		name  string
+		posts bool
+		ops   []seqOp
+	}{
+		{"users/remove then key query", false, []seqOp{rem(u(1)), q(u(1), "user")}},
+		{"users/remove then scan", false, []seqOp{rem(u(1)), q(rel.T(), "user")}},
+		{"users/remove then count", false, []seqOp{rem(u(1)), cnt(rel.T())}},
+		{"users/remove count insert", false, []seqOp{rem(u(1)), cnt(rel.T()), ins(u(1), rel.T("posts", 6)), cnt(rel.T())}},
+		{"users/remove insert scan", false, []seqOp{rem(u(1)), ins(u(1), rel.T("posts", 6)), q(rel.T(), "user", "posts")}},
+		{"users/remove both then count", false, []seqOp{rem(u(1)), rem(u(2)), cnt(rel.T()), q(rel.T(), "user")}},
+		{"users/remove insert remove then count", false, []seqOp{rem(u(1)), ins(u(1), rel.T("posts", 6)), rem(u(1)), cnt(rel.T()), q(u(1), "user")}},
+		{"posts/last post then author scan", true, []seqOp{rem(p(7, 1)), q(rel.T(), "author"), cnt(rel.T("author", 7))}},
+		{"posts/last post then author query", true, []seqOp{rem(p(7, 1)), q(rel.T("author", 7), "author"), ins(p(7, 2), rel.T("ts", 3)), q(rel.T(), "author")}},
+	}
+	demotionRows(t, func(t *testing.T, root container.Kind, occ bool) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				g := NewRegistry()
+				var r *Relation
+				var pre []seqOp
+				if tc.posts {
+					mid := container.TreeMap
+					if occ {
+						mid = container.ConcurrentSkipListMap
+					}
+					r = demotablePosts(t, g, root, mid)
+					pre = []seqOp{ins(p(7, 1), rel.T("ts", 1)), ins(p(3, 1), rel.T("ts", 2)), ins(p(3, 2), rel.T("ts", 4))}
+				} else {
+					r = demotableUsers(t, g, root)
+					pre = []seqOp{ins(u(1), rel.T("posts", 5)), ins(u(2), rel.T("posts", 7))}
+				}
+				ref := NewReference(r.Spec())
+				for _, op := range pre {
+					mustInsertTuple(t, r, op.s, op.t)
+					ref.Insert(op.s, op.t)
+				}
+				var tr *BatchTrace
+				got := make([]any, len(tc.ops))
+				err := g.Batch(func(tx *Txn) error {
+					tx.EnableTrace()
+					tr = tx.Trace()
+					for i, op := range tc.ops {
+						var err error
+						switch op.kind {
+						case "insert":
+							got[i], err = tx.InsertInto(r, op.s, op.t)
+						case "remove":
+							got[i], err = tx.RemoveFrom(r, op.s)
+						case "query":
+							got[i], err = tx.QueryIn(r, op.s, op.out...)
+						case "count":
+							got[i], err = tx.CountIn(r, op.s)
+						}
+						if err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.OCC != occ {
+					t.Fatalf("trace OCC=%v, want %v", tr.OCC, occ)
+				}
+				for i, op := range tc.ops {
+					var gotV, want any
+					switch op.kind {
+					case "insert":
+						gotV = got[i].(*Pending[bool]).Value()
+						want, _ = ref.Insert(op.s, op.t)
+					case "remove":
+						gotV = got[i].(*Pending[bool]).Value()
+						want, _ = ref.Remove(op.s)
+					case "query":
+						res, _ := ref.Query(op.s, op.out...)
+						gotV = distinctSorted(got[i].(*Pending[[]rel.Tuple]).Value())
+						want = distinctSorted(res)
+					case "count":
+						res, _ := ref.Query(op.s, r.Spec().Columns...)
+						gotV, want = got[i].(*Pending[int]).Value(), len(res)
+					}
+					if !reflect.DeepEqual(gotV, want) {
+						t.Fatalf("member %d (%s %v): got %v, reference %v", i, op.kind, op.s, gotV, want)
+					}
+				}
+				want, _ := ref.Snapshot()
+				if got := wellFormed(t, r); !tuplesEqual(got, want) {
+					t.Fatalf("contents %v, reference %v", got, want)
+				}
+			})
+		}
+	})
 }

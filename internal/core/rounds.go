@@ -407,6 +407,12 @@ func (r *Relation) advanceRemove(b *opBuf, m *member, v int) bool {
 			r.rowLocate(b, m, nd)
 			m.cursor++
 			progress = true
+		case query.MRoundEscalate:
+			if m.xinst[nd.Node.Index] != nil && !b.rootX && !r.refilled(b, m) {
+				b.escalate = true // growBatch abandons the root before any key-node lock
+			}
+			m.cursor++
+			progress = true
 		case query.MRoundRootLock:
 			m.cursor++
 			if r.rootRound(b, m, nd) {
@@ -426,6 +432,21 @@ func (r *Relation) advanceRemove(b *opBuf, m *member, v int) bool {
 	}
 	m.wait = wDone
 	return true
+}
+
+// refilled reports whether some insert of the batch's shard agrees with
+// remove member m on the key node's columns, and so may refill the
+// key-node instance m empties: the remove then leaves the unlink to the
+// end of the apply phase (sweepUnlinks), which escalates late only if
+// the instance is still empty there.
+func (r *Relation) refilled(b *opBuf, m *member) bool {
+	mask := r.nodeKeyMask[r.keyNode]
+	for i := range b.members {
+		if mm := &b.members[i]; mm.kind == mInsert && rowsAgree(m.row, mm.row, mask) {
+			return true
+		}
+	}
+	return false
 }
 
 // rowLocate fills a remove member's row-based located instance for the

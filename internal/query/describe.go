@@ -138,7 +138,7 @@ func (m *MutationPlan) DescribeRounds() string {
 			MRoundExist:    "existence check",
 			MRoundLock:     "exclusive locks",
 			MRoundRootLock: "root lock, shared or recorded until escalated",
-			MRoundEscalate: "escalate the root if the key node is missing",
+			MRoundEscalate: "escalate the root if the batch writes it",
 		}[rd.Kind]
 		fmt.Fprintf(&b, "  %2d: %s, directive %d, gate node %d\n", i+1, kind, rd.Dir+1, rd.Gate)
 	}

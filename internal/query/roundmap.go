@@ -91,10 +91,13 @@ const (
 	// epoch on the optimistic row; an escalated batch takes it
 	// exclusively.
 	MRoundRootLock
-	// MRoundEscalate follows an insert's plain access at the key node of
-	// a demotable root: a missing key-node instance means the batch will
-	// write the root container, so the batch escalates its root to
-	// Exclusive before any key-node lock is taken. Never waits.
+	// MRoundEscalate follows a mutation's plain access at the key node
+	// of a demotable root, for an insert always and for a remove when the
+	// key node's columns are a key of the relation: a missing key-node
+	// instance (insert), or a located one the remove will empty and no
+	// insert of the batch refills, means the batch will write the root
+	// container, so the batch escalates its root to Exclusive before any
+	// key-node lock is taken. Never waits.
 	MRoundEscalate
 )
 
@@ -153,12 +156,15 @@ func (pl *Planner) compileRounds(p *Plan) {
 // topological node order, so round gates are non-decreasing: the member's
 // walk never waits on a node the sweep has already passed. Over a
 // demotable root the root directive's lock round is MRoundRootLock, and
-// an insert checks for escalation right after locating the key node.
+// an insert checks for escalation right after locating the key node; so
+// does a remove when the key node's columns are a key of the relation,
+// where every remove that finds its victim empties its key-node instance.
 func (pl *Planner) compileMutationRounds(m *MutationPlan) {
 	if m.Prog == nil {
 		m.Prog = &MutationProgram{}
 	}
 	key := pl.KeyNode()
+	escalates := m.Kind == OpInsert || key != nil && pl.D.Spec.IsKey(key.A)
 	rounds := m.Prog.Rounds[:0]
 	for d := range m.PerNode {
 		nd := &m.PerNode[d]
@@ -173,10 +179,10 @@ func (pl *Planner) compileMutationRounds(m *MutationPlan) {
 			} else {
 				rounds = append(rounds, MutationRound{Kind: MRoundAccess, Gate: g, Dir: d})
 			}
+			if nd.Node == key && escalates {
+				rounds = append(rounds, MutationRound{Kind: MRoundEscalate, Gate: g, Dir: d})
+			}
 			if m.Kind == OpInsert {
-				if nd.Node == key {
-					rounds = append(rounds, MutationRound{Kind: MRoundEscalate, Gate: g, Dir: d})
-				}
 				rounds = append(rounds, MutationRound{Kind: MRoundExist, Gate: g, Dir: d})
 			}
 		}
