@@ -28,10 +28,11 @@ import (
 // refills u's instance in place and writes nothing at users.ρ. Follow
 // commits on the optimistic row: it records follows.ρ's epoch, locks the
 // src's instance exclusively and counts the followee's posts lock-free.
-// A new author, user or src escalates its root to Exclusive in the
-// growing phase, and a RemovePost of an author's last post escalates
-// posts.ρ after its apply phase, which rolls back and regrows. Profile
-// snapshots take no lock on the conflict-free path.
+// A new author, user or src, and a lone remove of a user, escalates its
+// root to Exclusive in the growing phase, and a RemovePost of an
+// author's last post escalates posts.ρ after its apply phase, which
+// rolls back and regrows. Profile snapshots take no lock on the
+// conflict-free path.
 //
 // Scope note: the counter's NEW value is computed from reads issued
 // BEFORE the transaction (batch members cannot consume each other's
